@@ -9,7 +9,7 @@ import json
 import pathlib
 import sys
 
-from braidwork.cli import main
+from braidwork.cli import SCOPES, main
 
 OUT_DIR = pathlib.Path("certificates")
 
@@ -17,7 +17,7 @@ OUT_DIR = pathlib.Path("certificates")
 def run() -> int:
     OUT_DIR.mkdir(exist_ok=True)
     worst = 0
-    for scope in ("identities", "stabilizers", "theorem", "conclass"):
+    for scope in SCOPES:
         out = OUT_DIR / f"verify-{scope}.json"
         code = main(["verify", scope, "--format", "json", "--out", str(out)])
         data = json.loads(out.read_text())

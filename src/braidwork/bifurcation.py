@@ -32,20 +32,18 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .catalog import CheckResult, build_e, build_matrix
+from .catalog import CheckResult, _band_table, build_e, build_matrix
 from .families import WeierstrassFamily, branch_points, catalogue_family
-from .garside import equal, normal_form
+from .garside import equal
 from .geometry import permutation_closure
-from .hurwitz import act_word  # noqa: F401  (re-exported convenience)
 from .tracking import (
-    BraidTrace,
     ParameterLoop,
     TrackOptions,
     loop_to_braid,
     track_coefficients,
     track_loop,
 )
-from .words import BraidWord, conjugate_right, invert, permutation_image
+from .words import BraidWord, conjugate_right, permutation_image
 
 PIPELINE_ANGLE = 0.0737
 
@@ -68,17 +66,6 @@ class BifurcationReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "contraction": self.contraction.to_json(),
-            "outcomes": [
-                {"loop": o.loop_id, "braid": o.braid.to_json(), "matched": o.matched}
-                for o in self.outcomes
-            ],
-            "expected": list(self.expected),
-        }
 
 
 def contraction_to_reference(
@@ -177,15 +164,6 @@ def expected_generators(k: int) -> dict[str, BraidWord]:
     return names
 
 
-def _band_words(n: int) -> dict[str, BraidWord]:
-    matrix = build_matrix(n)
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out[f"e_{i}{j}"] = build_e(i, j, matrix)
-    return out
-
-
 def bifurcation_generators(
     k: int,
     lam0: float = 0.9,
@@ -221,7 +199,7 @@ def bifurcation_generators(
     conj = contraction_to_reference(base.points, options)
 
     outcomes: list[LoopOutcome] = []
-    band = _band_words(n)
+    band = {f"e_{i}{j}": w for (i, j), w in _band_table(n).items()}
 
     def classify(loop_id: str, braid_std: BraidWord):
         matched = None

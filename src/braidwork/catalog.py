@@ -17,7 +17,7 @@ the verifier reports which reading holds.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .garside import equal, normal_form
 from .groups import (
@@ -32,7 +32,6 @@ from .groups import (
 from .hurwitz import act_word, orbit, stabilizes
 from .words import (
     BraidWord,
-    compose,
     compose_all,
     conjugate_right,
     invert,
@@ -148,7 +147,6 @@ class NamedBraid:
     name: str
     word: BraidWord
     source: str
-    rebuild: Callable[[], BraidWord] = dataclasses.field(compare=False, repr=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,31 +206,21 @@ def _band_table(n: int) -> dict[tuple[int, int], BraidWord]:
 def _named_braids() -> dict[str, NamedBraid]:
     out: dict[str, NamedBraid] = {}
 
-    def add(name: str, source: str, rebuild: Callable[[], BraidWord]):
-        out[name] = NamedBraid(name, rebuild(), source, rebuild)
+    def add(name: str, source: str, braid: BraidWord):
+        out[name] = NamedBraid(name, braid, source)
 
     for n in range(2, 7):
-        matrix = build_matrix(n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                add(
-                    f"e_{i}{j}@{n}",
-                    "band-generators",
-                    lambda i=i, j=j, matrix=matrix: build_e(i, j, matrix),
-                )
+        for (i, j), band in _band_table(n).items():
+            add(f"e_{i}{j}@{n}", "band-generators", band)
     for n in (5, 6):
-        add(f"tau_1@{n}", "extra-stabilizers", lambda n=n: tau_word(1, n))
-    add("tau_2@6", "extra-stabilizers", lambda: tau_word(2, 6))
+        add(f"tau_1@{n}", "extra-stabilizers", tau_word(1, n))
+    add("tau_2@6", "extra-stabilizers", tau_word(2, 6))
     for n in range(3, 7):
-        add(f"c_{n}", "system-conjugators", lambda n=n: conjugator_to_reference(n))
+        add(f"c_{n}", "system-conjugators", conjugator_to_reference(n))
     for n in range(2, 7):
         for kind in ("A", "B"):
             for idx, gen in enumerate(reference_system_generators(n, kind), start=1):
-                add(
-                    f"bw{kind}{n}_{idx}",
-                    "reference-stabilizer-generators",
-                    lambda n=n, kind=kind, idx=idx: reference_system_generators(n, kind)[idx - 1],
-                )
+                add(f"bw{kind}{n}_{idx}", "reference-stabilizer-generators", gen)
     return out
 
 
@@ -547,17 +535,6 @@ def verify_identities(records: Iterable[IdentityRecord] | None = None) -> list[C
         results.append(CheckResult(row_id, source, status, witness))
     results.sort(key=lambda r: r.id)
     return results
-
-
-def catalog_self_check() -> list[CheckResult]:
-    """Every named braid must reconstruct, letter for letter, from its
-    defining formula."""
-    out = []
-    for name, nb in catalog().named_braids.items():
-        ok = nb.rebuild().letters == nb.word.letters
-        out.append(CheckResult(f"catalog/{name}", nb.source,
-                               "verified" if ok else "failed"))
-    return out
 
 
 def verify_stabilizer_tables() -> list[CheckResult]:

@@ -20,6 +20,8 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
+from typing import Callable
 
 from . import arcs, bifurcation, catalog, geometry
 from .certificates import Certificate
@@ -84,53 +86,22 @@ def _emit(cert: Certificate, args) -> int:
     return cert.exit_code
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    elapsed = (time.perf_counter() - start) * 1000
-    return out, elapsed
-
-
-def _verify_results(scope: str, ledger_path: str | None = None) -> list[tuple[CheckResult, float | None]]:
-    rows: list[tuple[CheckResult, float | None]] = []
-    if scope in ("identities", "all"):
-        if ledger_path:
-            with open(ledger_path) as fh:
-                records = catalog.ledger_from_json(json.load(fh))
-            results, ms = _timed(lambda: catalog.verify_identities(records))
-        else:
-            results, ms = _timed(catalog.verify_identities)
-        per = ms / max(1, len(results))
-        rows += [(r, per) for r in results]
-        results, ms = _timed(catalog.catalog_self_check)
-        per = ms / max(1, len(results))
-        rows += [(r, per) for r in results]
-    if scope in ("stabilizers", "all"):
-        results, ms = _timed(catalog.verify_stabilizer_tables)
-        per = ms / max(1, len(results))
-        rows += [(r, per) for r in results]
-    if scope in ("theorem", "all"):
-        results, ms = _timed(catalog.verify_theorem_rows)
-        per = ms / max(1, len(results))
-        rows += [(r, per) for r in results]
-    if scope in ("conclass", "all"):
-        report, ms = _timed(catalog.half_twist_classification)
-        per = ms / max(1, len(report.results))
-        rows += [(r, per) for r in report.results]
-    return rows
-
-
 def cmd_verify(args) -> int:
     if args.dump_ledger:
         with open(args.dump_ledger, "w") as fh:
             json.dump(catalog.ledger_to_json(), fh, indent=2)
         print(f"ledger written to {args.dump_ledger}")
         return 0
-    rows = _verify_results(args.scope, args.ledger)
+    checks = {scope: check for scope, check in CHECKS
+              if scope is not None and args.scope in (scope, "all")}
     inputs = {"scope": args.scope}
     if args.ledger:
         inputs["ledger"] = args.ledger
-    cert = Certificate.build(f"verify {args.scope}", inputs, rows)
+    if args.ledger and "identities" in checks:
+        with open(args.ledger) as fh:
+            records = catalog.ledger_from_json(json.load(fh))
+        checks["identities"] = lambda: catalog.verify_identities(records)
+    cert = Certificate.build(f"verify {args.scope}", inputs, _run(checks.values()))
     return _emit(cert, args)
 
 
@@ -252,25 +223,7 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = _verify_results("all")
-
-    def add(fn, *fargs):
-        out, ms = _timed(lambda: fn(*fargs))
-        results = out.results if hasattr(out, "results") else out
-        per = ms / max(1, len(results))
-        rows.extend((r, per) for r in results)
-
-    for k in (2, 3):
-        add(geometry.ray_confinement, k)
-        add(geometry.circle_confinement, k)
-        add(geometry.double_root_uniqueness, k)
-        add(geometry.cusp_exponent, k)
-    add(_anchor_checks)
-    for k in (1, 2, 3):
-        add(bifurcation.bifurcation_generators, k)
-    add(bifurcation.full_braid_monodromy_check, 3)
-    add(_admissibility_checks)
-    cert = Certificate.build("report", {}, rows)
+    cert = Certificate.build("report", {}, _run(check for _, check in CHECKS))
     return _emit(cert, args)
 
 
@@ -305,6 +258,39 @@ def _admissibility_checks() -> list[CheckResult]:
     return out
 
 
+# Every catalogued check, once.  A check is a zero-argument callable that
+# returns CheckResults or a report carrying them as ``.results``.  Entries
+# with a scope are the symbolic suites behind ``verify SCOPE``; entries
+# without one are numerical and run only in ``report``.
+CHECKS: tuple[tuple[str | None, Callable], ...] = (
+    ("identities", catalog.verify_identities),
+    ("stabilizers", catalog.verify_stabilizer_tables),
+    ("theorem", catalog.verify_theorem_rows),
+    ("conclass", catalog.half_twist_classification),
+    *((None, partial(check, k))
+      for k in (2, 3)
+      for check in (geometry.ray_confinement, geometry.circle_confinement,
+                    geometry.double_root_uniqueness, geometry.cusp_exponent)),
+    (None, _anchor_checks),
+    *((None, partial(bifurcation.bifurcation_generators, k)) for k in (1, 2, 3)),
+    (None, partial(bifurcation.full_braid_monodromy_check, 3)),
+    (None, _admissibility_checks),
+)
+SCOPES = tuple(scope for scope, _ in CHECKS if scope)
+
+
+def _run(checks) -> list[tuple[CheckResult, float]]:
+    """Run each check; its rows share its time evenly."""
+    rows: list[tuple[CheckResult, float]] = []
+    for check in checks:
+        start = time.perf_counter()
+        out = check()
+        ms = (time.perf_counter() - start) * 1000
+        results = out.results if hasattr(out, "results") else out
+        rows += [(r, ms / max(1, len(results))) for r in results]
+    return rows
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidwork",
@@ -316,14 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="write the certificate to a file")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_COLLISION_TOL,
-                       help="collision tolerance for numerical pipelines")
-        p.add_argument("--cap", type=int, default=None,
-                       help="orbit state cap (required for br3 orbits)")
 
     p = sub.add_parser("verify", help="run the symbolic verification suites")
-    p.add_argument("scope", choices=("identities", "stabilizers", "theorem",
-                                     "conclass", "all"))
+    p.add_argument("scope", choices=SCOPES + ("all",))
     p.add_argument("--ledger", default=None,
                    help="verify an external identity ledger (JSON) instead "
                         "of the built-in one")
@@ -341,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coefficient", choices=("s3", "br3"), default="s3")
         p.add_argument("--base", default="",
                        help="comma-separated entries, e.g. 's,t,s' or 'a,b,a'")
+        p.add_argument("--cap", type=int, default=None,
+                       help="orbit state cap (required for br3 orbits)")
         common(p)
         p.set_defaults(fn=lambda a, t=transversal: cmd_orbit(a, t))
 
@@ -349,9 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalogue family id (cusp, tangency, base, ray, ...)")
     p.add_argument("--family-file", default=None, help="JSON family spec file")
     p.add_argument("--k", type=int, default=1, help="x-degree for k-indexed families")
-    p.add_argument("--loop", default=None, help="inline JSON loop spec")
+    p.add_argument("--loop",
+                   default='{"kind": "circle", "param": "lam", "center": 0, "radius": 1.0}',
+                   help="inline JSON loop spec (default: the unit circle in lam)")
     p.add_argument("--loop-file", default=None, help="JSON loop spec file")
     p.add_argument("--expect", default=None, help="expected braid word JSON")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_COLLISION_TOL,
+                   help="collision tolerance for the tracker")
     common(p)
     p.set_defaults(fn=cmd_monodromy)
 
@@ -363,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc", required=True,
                    help="'i:j' for the chord between branch points i and j, "
                         "or a JSON list of [re, im] vertices")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_COLLISION_TOL,
+                   help="collision tolerance for the tracker")
     common(p)
     p.set_defaults(fn=cmd_admissible)
 
@@ -375,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "monodromy" and args.loop is None and args.loop_file is None:
-        args.loop = json.dumps(
-            {"kind": "circle", "param": "lam", "center": 0, "radius": 1.0}
-        )
     try:
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -30,9 +30,6 @@ class DegenerateConfigurationError(RuntimeError):
     """A branch configuration has a (near-)multiple point."""
 
 
-CoeffEntry = "str | complex | float | int"
-
-
 def _to_expr(entry, symbols: dict[str, sp.Symbol]) -> sp.Expr:
     if isinstance(entry, str):
         return sp.sympify(entry, locals=dict(symbols))

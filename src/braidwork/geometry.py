@@ -18,6 +18,7 @@ import numpy as np
 from .catalog import CheckResult
 from .families import (
     DEFAULT_COLLISION_TOL,
+    _monomial_q,
     catalogue_family,
     label_points,
     min_pairwise_distance,
@@ -144,7 +145,7 @@ def double_root_uniqueness(
             cubic[:4] = [-(alpha**3), 3 * alpha**2, -3 * alpha, 1]
             cubic *= eps
             quad = np.polynomial.polynomial.polypow(
-                _monomial(k, -1j), 2
+                _monomial_q(k, -1j), 2
             ).astype(complex)
             coeffs = np.polynomial.polynomial.polysub(
                 np.pad(cubic, (0, max(0, len(quad) - 4))), quad
@@ -170,13 +171,6 @@ def double_root_uniqueness(
     return GeometryReport(results, {"rows": rows})
 
 
-def _monomial(k: int, shift: complex) -> np.ndarray:
-    c = np.zeros(k + 1, dtype=complex)
-    c[0] = shift
-    c[k] = 1
-    return c
-
-
 def cusp_exponent(
     k: int,
     decades: tuple[float, float] = (1e-5, 1e-3),
@@ -196,7 +190,7 @@ def cusp_exponent(
         s = cmath.sqrt(-(mu**3) / 27)
         pair = []
         for sign in (1, -1):
-            coeffs = _monomial(k, -(1j + mu + sign * s))
+            coeffs = _monomial_q(k, -(1j + mu + sign * s))
             roots = solve_roots(coeffs)
             pair.append(min(roots, key=lambda z: abs(z - alpha)))
         gap_sq = abs(pair[0] - pair[1]) ** 2
@@ -211,14 +205,6 @@ def cusp_exponent(
                     {"fitted_exponent": slope}),
     )
     return GeometryReport(results, {"fitted_exponent": slope})
-
-
-def confinement_checks(family_id: str, k: int, samples: int = 100) -> GeometryReport:
-    if family_id == "ray":
-        return ray_confinement(k, samples)
-    if family_id == "circle":
-        return circle_confinement(k, samples)
-    raise ValueError(f"no confinement check for family {family_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +230,3 @@ def permutation_closure(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
                     nxt.append(q)
         frontier = nxt
     return closure
-
-
-def full_symmetric_group_size(n: int) -> int:
-    return math.factorial(n)

@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .families import (
     DEFAULT_COLLISION_TOL,
     DEFAULT_RESIDUAL_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
+    branch_points,
     min_pairwise_distance,
     refine_roots,
     solve_roots,
@@ -355,8 +355,6 @@ def validate_loop(
 ) -> None:
     """Check every vertex stays clear of the degeneration locus (branch
     points pairwise separated beyond the collision tolerance)."""
-    from .families import branch_points
-
     for point in loop.points:
         branch_points(family, point, collision_tol)
 

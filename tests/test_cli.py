@@ -1,6 +1,9 @@
 import json
 
-from braidwork.cli import main
+import pytest
+
+from braidwork.catalog import verify_identities
+from braidwork.cli import CHECKS, SCOPES, main
 
 
 def run(argv, capsys):
@@ -18,7 +21,7 @@ def test_verify_identities_exits_zero(capsys):
     code, cert = run_json(["verify", "identities"], capsys)
     assert code == 0
     assert cert["summary"]["failed"] == 0
-    assert cert["summary"]["verified"] > 100
+    assert cert["summary"]["verified"] == len(cert["results"]) == len(verify_identities())
 
 
 def test_verify_conclass_reports_counts(capsys):
@@ -132,3 +135,43 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["summary"]["failed"] == 0
+
+
+def test_verify_scopes_come_from_the_check_table(capsys):
+    scopes = [scope for scope, _ in CHECKS if scope is not None]
+    assert scopes == ["identities", "stabilizers", "theorem", "conclass"]
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "{" + ",".join(scopes + ["all"]) + "}" in capsys.readouterr().out
+
+
+def test_verify_all_is_the_disjoint_union_of_the_scopes(capsys):
+    per_scope = []
+    for scope in SCOPES:
+        code, cert = run_json(["verify", scope], capsys)
+        assert code == 0
+        per_scope += [r["id"] for r in cert["results"]]
+    code, cert = run_json(["verify", "all"], capsys)
+    assert code == 0
+    ids = [r["id"] for r in cert["results"]]
+    assert len(per_scope) == len(set(per_scope))
+    assert sorted(ids) == sorted(per_scope)
+    assert not any(i.startswith("catalog/") for i in ids)
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--tolerance", "1e-6"],
+    ["verify", "all", "--cap", "5"],
+])
+def test_unused_numeric_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_monodromy_default_loop_is_the_unit_circle(capsys):
+    code, cert = run_json(
+        ["monodromy", "--family", "cusp", "--expect", '{"n":2,"word":[1,1,1]}'], capsys
+    )
+    assert code == 0
+    assert cert["body_sha256"].startswith("baf50163")

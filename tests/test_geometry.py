@@ -2,7 +2,6 @@ import math
 
 from braidwork.geometry import (
     circle_confinement,
-    confinement_checks,
     cusp_exponent,
     double_root_uniqueness,
     permutation_closure,
@@ -20,17 +19,6 @@ def test_circle_confinement_k2():
     report = circle_confinement(2)
     assert report.passed
     assert report.metrics["max_modulus_spread"] < 1e-9
-
-
-def test_confinement_dispatch():
-    assert confinement_checks("ray", 2, samples=20).passed
-    assert confinement_checks("circle", 2, samples=20).passed
-    try:
-        confinement_checks("nope", 2)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("unknown id must raise")
 
 
 def test_double_root_uniqueness_k2():
