@@ -7,6 +7,13 @@ two generators a, b with a b a = b a b.  Both expose the same value
 interface -- multiplication, inversion, equality and hashing -- so tuples
 over either group can be enumerated and hashed by the orbit machinery.
 
+Each group keeps the cheapest faithful key for equality and hashing:
+the six permutations are interned objects, compared by identity and
+multiplied by table lookup; a three-strand braid is its image in
+SL(2, Z) together with its exponent sum, multiplied as a 2x2 integer
+matrix.  Garside normal forms are computed only to spell a braid for
+output.
+
 Elements are immutable values; all operations are pure.
 """
 
@@ -34,50 +41,80 @@ class GroupElement(Protocol):
     def __hash__(self) -> int: ...
 
 
-@dataclasses.dataclass(frozen=True)
 class Perm3:
-    """A permutation of {1, 2, 3}; images[i-1] is the image of i."""
+    """A permutation of {1, 2, 3}; images[i-1] is the image of i.
 
-    images: tuple[int, int, int]
+    There is exactly one instance per permutation: ``Perm3(images)``
+    returns it, so equality and hashing are object identity.  Hashes
+    therefore differ between processes; nothing may depend on the
+    iteration order of a hashed collection of permutations.
+    """
 
-    def __post_init__(self):
-        if sorted(self.images) != [1, 2, 3]:
-            raise ValueError(f"not a bijection of {{1,2,3}}: {self.images}")
+    __slots__ = ("_images",)
+
+    def __new__(cls, images) -> "Perm3":
+        perm = _PERM3_BY_IMAGES.get(tuple(images))
+        if perm is None:
+            raise ValueError(f"not a bijection of {{1,2,3}}: {images}")
+        return perm
+
+    @property
+    def images(self) -> tuple[int, int, int]:
+        return self._images
 
     def __mul__(self, other: "Perm3") -> "Perm3":
         # writing order: apply self, then other
-        return Perm3(tuple(other.images[x - 1] for x in self.images))
+        return _PERM3_MUL[self][other]
 
     def inverse(self) -> "Perm3":
-        out = [0, 0, 0]
-        for i, x in enumerate(self.images):
-            out[x - 1] = i + 1
-        return Perm3(tuple(out))
+        return _PERM3_INV[self]
 
     def is_transposition(self) -> bool:
-        return sum(1 for i, x in enumerate(self.images) if x != i + 1) == 2
+        return sum(1 for i, x in enumerate(self._images) if x != i + 1) == 2
 
     def render(self) -> str:
-        return _PERM3_NAMES[self.images]
+        return _PERM3_NAMES[self._images]
 
     def __repr__(self) -> str:
         return f"Perm3({self.render()})"
 
+    def __reduce__(self):
+        return Perm3, (self._images,)
 
-PERM3_E = Perm3((1, 2, 3))
-PERM3_S = Perm3((2, 1, 3))
-PERM3_T = Perm3((1, 3, 2))
-PERM3_R = Perm3((3, 2, 1))
 
 _PERM3_NAMES = {
     (1, 2, 3): "e",
     (2, 1, 3): "s",
     (1, 3, 2): "t",
     (3, 2, 1): "r",
-    (PERM3_S * PERM3_T).images: "st",
-    (PERM3_T * PERM3_S).images: "ts",
+    (3, 1, 2): "st",
+    (2, 3, 1): "ts",
 }
-_PERM3_BY_NAME = {name: Perm3(images) for images, name in _PERM3_NAMES.items()}
+
+
+def _interned(images: tuple[int, int, int]) -> Perm3:
+    perm = object.__new__(Perm3)
+    perm._images = images
+    return perm
+
+
+_PERM3_BY_IMAGES = {images: _interned(images) for images in _PERM3_NAMES}
+_PERM3_MUL = {
+    _PERM3_BY_IMAGES[p]: {
+        _PERM3_BY_IMAGES[q]: _PERM3_BY_IMAGES[tuple(q[x - 1] for x in p)] for q in _PERM3_NAMES
+    }
+    for p in _PERM3_NAMES
+}
+_PERM3_INV = {
+    _PERM3_BY_IMAGES[p]: _PERM3_BY_IMAGES[tuple(p.index(i) + 1 for i in (1, 2, 3))]
+    for p in _PERM3_NAMES
+}
+_PERM3_BY_NAME = {name: _PERM3_BY_IMAGES[images] for images, name in _PERM3_NAMES.items()}
+
+PERM3_E = _PERM3_BY_NAME["e"]
+PERM3_S = _PERM3_BY_NAME["s"]
+PERM3_T = _PERM3_BY_NAME["t"]
+PERM3_R = _PERM3_BY_NAME["r"]
 
 
 def perm_from_letter(letter: str) -> Perm3:
@@ -93,48 +130,137 @@ def perm_from_name(name: str) -> Perm3:
     return _PERM3_BY_NAME[name]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Artin3:
     """An element of the two-generator group <a, b | a b a = b a b>.
 
-    Realized inside Br_3 by a -> sigma_1, b -> sigma_2 and stored as a
-    Garside normal form, so equality and hashing are canonical.
+    Realized inside Br_3 by a -> sigma_1, b -> sigma_2 and stored as the
+    key (p, q, r, s, e): the image [[p, q], [r, s]] in SL(2, Z) under
+    a -> [[1, 1], [0, 1]], b -> [[1, 0], [-1, 1]], and the exponent sum
+    e.  The key is faithful: the kernel of Br_3 -> SL(2, Z) is generated
+    by Delta^4, which is central with exponent sum 12, so two braids with
+    the same matrix differ by a power of Delta^4 that e detects
+    (Kassel-Turaev, Braid Groups, GTM 247).  Products are taken in
+    writing order.  Garside normal forms are used only by ``render`` and
+    ``to_json``, which spell the element canonically.
     """
 
-    value: garside.NormalForm
+    p: int
+    q: int
+    r: int
+    s: int
+    e: int
 
     def __mul__(self, other: "Artin3") -> "Artin3":
-        return Artin3(self.value * other.value)
+        p, q, r, s = self.p, self.q, self.r, self.s
+        return Artin3(
+            p * other.p + q * other.r,
+            p * other.q + q * other.s,
+            r * other.p + s * other.r,
+            r * other.q + s * other.s,
+            self.e + other.e,
+        )
 
     def inverse(self) -> "Artin3":
-        return Artin3(self.value.inverse())
+        return Artin3(self.s, -self.q, -self.r, self.p, -self.e)
 
     def to_perm3(self) -> Perm3:
-        """The image under the quotient a -> s, b -> t."""
-        p = self.value.permutation()
-        return Perm3(tuple(x + 1 for x in p))
+        """The image under the quotient a -> s, b -> t, which factors
+        through SL(2, Z) -> SL(2, F_2), isomorphic to S3."""
+        return _PERM3_OF_MOD2[self.p & 1, self.q & 1, self.r & 1, self.s & 1]
+
+    def _normal_form(self) -> garside.NormalForm:
+        return garside.normal_form(BraidWord(3, _spell(self)))
 
     def render(self) -> str:
         out = []
-        for letter in self.value.spelled_word().letters:
+        for letter in self._normal_form().spelled_word().letters:
             name = "ab"[abs(letter) - 1]
             out.append(name if letter > 0 else name.upper())
         return "".join(out) or "1"
 
     def to_json(self) -> dict:
-        return self.value.to_json()
+        return self._normal_form().to_json()
 
     def __repr__(self) -> str:
         return f"Artin3({self.render()})"
 
 
-ARTIN3_IDENTITY = Artin3(garside.normal_form(BraidWord(3, ())))
+# the mod-2 images of e, s = a, t = b, r = aba, st = ab and ts = ba
+_PERM3_OF_MOD2 = {
+    (1, 0, 0, 1): PERM3_E,
+    (1, 1, 0, 1): PERM3_S,
+    (1, 0, 1, 1): PERM3_T,
+    (0, 1, 1, 0): PERM3_R,
+    (0, 1, 1, 1): _PERM3_BY_NAME["st"],
+    (1, 1, 1, 0): _PERM3_BY_NAME["ts"],
+}
+
+_DELTA = (1, 2, 1)  # a b a -> [[0, 1], [-1, 0]]; its square is -I
+
+
+def _not_a_key(key: Artin3) -> ValueError:
+    # repr() would spell the key, so name its bare fields
+    return ValueError(f"not the key of a three-strand braid: {dataclasses.astuple(key)}")
+
+
+def _spell(key: Artin3) -> tuple[int, ...]:
+    """A word in sigma_1 = a, sigma_2 = b for ``key``.
+
+    Column operations (right multiplication by powers of a and b, and by
+    Delta when the top-left entry vanishes) run Euclid's algorithm on the
+    top row until [[p, q], [r, s]] becomes [[+-1, 0], [r', +-1]] =
+    Delta^(0 or 2) b^k; the word is that, followed by the inverse of the
+    column operations, followed by the power of Delta^4 that makes the
+    exponent sum come out to e.
+    """
+    p, q, r, s = key.p, key.q, key.r, key.s
+    if p * s - q * r != 1:
+        raise _not_a_key(key)
+    ops: list[int] = []  # letters right-multiplied so far
+    while q:
+        if p == 0:
+            # times Delta: [[p, q], [r, s]] -> [[-q, p], [-s, r]]
+            p, q, r, s = -q, p, -s, r
+            ops.extend(_DELTA)
+            continue
+        k = q // p  # times a^-k
+        q, s = q - k * p, s - k * r
+        ops.extend([-1 if k > 0 else 1] * abs(k))
+        if not q:
+            break
+        k = p // q  # times b^k
+        p, r = p - k * q, r - k * s
+        ops.extend([2 if k > 0 else -2] * abs(k))
+    # now p = s = +-1 and the matrix is Delta^(1 - p) b^(-p r)
+    letters = list(_DELTA * 2) if p < 0 else []
+    letters.extend([2 if p * r < 0 else -2] * abs(r))
+    letters.extend(-c for c in reversed(ops))
+    twists, rest = divmod(key.e - sum(1 if c > 0 else -1 for c in letters), 12)
+    if rest:
+        raise _not_a_key(key)
+    delta4 = _DELTA * 4 if twists > 0 else tuple(-c for c in _DELTA * 4)
+    return tuple(letters) + delta4 * abs(twists)
+
+
+ARTIN3_IDENTITY = Artin3(1, 0, 0, 1, 0)
 
 
 def artin_from_braid(w: BraidWord) -> Artin3:
     if w.n != 3:
         raise ValueError("Artin3 values live in the three-strand group")
-    return Artin3(garside.normal_form(w))
+    p, q, r, s = 1, 0, 0, 1
+    for letter in w.letters:
+        # right multiplication by the letter's matrix
+        if letter == 1:
+            q, s = q + p, s + r
+        elif letter == -1:
+            q, s = q - p, s - r
+        elif letter == 2:
+            p, r = p - q, r - s
+        else:
+            p, r = p + q, r + s
+    return Artin3(p, q, r, s, sum(1 if x > 0 else -1 for x in w.letters))
 
 
 def artin_from_word(text: str) -> Artin3:

@@ -104,6 +104,8 @@ class OrbitTable:
 
 def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     """Breadth-first closure of the base tuple under sigma_1 .. sigma_{n-1}."""
+    if cap < 1:
+        raise ValueError(f"orbit cap must be at least 1, got {cap}")
     n = len(base)
     transversal: dict[System, BraidWord] = {base: BraidWord(n, ())}
     queue: deque[System] = deque([base])

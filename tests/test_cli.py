@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import braidwork
 from braidwork.catalog import verify_identities
 from braidwork.cli import CHECKS, SCOPES, main
 
@@ -175,3 +180,45 @@ def test_monodromy_default_loop_is_the_unit_circle(capsys):
     )
     assert code == 0
     assert cert["body_sha256"].startswith("baf50163")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--n", "3", "--coefficient", "br3", "--cap", "0"],
+    ["orbit", "--n", "3", "--coefficient", "s3", "--cap", "-1"],
+])
+def test_non_positive_cap_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: orbit cap must be at least 1")
+
+
+# body hashes of orbit certificates over both coefficient groups; they
+# change only on purpose, with a note in CHANGES.md
+@pytest.mark.parametrize("argv, body_sha256", [
+    (["orbit", "--n", "8"],
+     "f2e88f584e9819c0afb4ce4f16cffd6b546c898d9bf42f3aabbe4b56be0aed02"),
+    (["transversal", "--n", "6"],
+     "d98e1a61c456b26d9fb750a54fa097ad9ebd02dcd98fbc5dc72abdacd002d84f"),
+    (["transversal", "--n", "4", "--coefficient", "br3", "--cap", "100"],
+     "c0eb4ee605996dcfe394464268e13d3a9fc37958907fdcaf38a8beba6ecd3b40"),
+    (["orbit", "--n", "5", "--coefficient", "br3", "--cap", "1000"],
+     "7e696d8e4a791f5ce32b15cb1d0ee7ffc1f0bc86f31ed8af93cd2d4fcbff9466"),
+])
+def test_orbit_certificates_are_pinned(argv, body_sha256, capsys):
+    code, cert = run_json(argv, capsys)
+    assert code == 0
+    assert cert["body_sha256"] == body_sha256
+
+
+def test_transversal_does_not_depend_on_the_hash_seed():
+    # permutations hash by identity, so hashes differ between processes;
+    # the transversal order must not follow them
+    src = pathlib.Path(braidwork.__file__).resolve().parents[1]
+    hashes = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "braidwork", "transversal", "--n", "6", "--format", "json"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        hashes.append(json.loads(out)["body_sha256"])
+    assert hashes[0] == hashes[1]

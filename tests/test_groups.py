@@ -1,9 +1,12 @@
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidwork import garside
 from braidwork.groups import (
     ARTIN3_A,
     ARTIN3_B,
@@ -97,3 +100,122 @@ def test_artin_inverse(u):
     x = artin_from_word(u)
     assert x * x.inverse() == ARTIN3_IDENTITY
     assert x.inverse().inverse() == x
+
+
+# --- the SL(2, Z) key against the Garside oracle ----------------------------
+
+DELTA = (1, 2, 1)
+DELTA2 = DELTA * 2
+DELTA4 = DELTA * 4
+RELATORS = ((1, 2, 1, -2, -1, -2), (2, 1, 2, -1, -2, -1))
+
+
+def reduced_letters(rng, length):
+    out = []
+    while len(out) < length:
+        letter = rng.choice((1, -1, 2, -2))
+        if not out or out[-1] != -letter:
+            out.append(letter)
+    return tuple(out)
+
+
+def inverse_letters(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def garside_spelling(letters):
+    return garside.normal_form(BraidWord(3, letters)).spelled_word()
+
+
+def test_key_equality_agrees_with_garside_on_random_pairs():
+    rng = random.Random(20040)
+    verdicts = set()
+    for _ in range(2000):
+        u = BraidWord(3, reduced_letters(rng, rng.randint(0, 6)))
+        v = BraidWord(3, reduced_letters(rng, rng.randint(0, 6)))
+        same = artin_from_braid(u) == artin_from_braid(v)
+        assert same == garside.equal(u, v), (u, v)
+        verdicts.add(same)
+    assert verdicts == {True, False}
+
+
+def test_key_equality_on_engineered_equal_pairs():
+    rng = random.Random(11)
+    for _ in range(300):
+        u = reduced_letters(rng, rng.randint(0, 12))
+        i = rng.randint(0, len(u))
+        relator = rng.choice(RELATORS)
+        x = rng.choice((1, -1, 2, -2))
+        central = rng.choice((DELTA2, DELTA4, inverse_letters(DELTA2), inverse_letters(DELTA4)))
+        j = rng.randint(0, len(u))
+        pairs = [
+            (u[:i] + relator + u[i:], u),
+            (u[:i] + inverse_letters(relator) + u[i:], u),
+            (u[:i] + (x, -x) + u[i:], u),
+            (central + u, u[:j] + central + u[j:]),
+        ]
+        for lhs, rhs in pairs:
+            assert garside.equal(BraidWord(3, lhs), BraidWord(3, rhs))
+            key_l, key_r = artin_from_braid(BraidWord(3, lhs)), artin_from_braid(BraidWord(3, rhs))
+            assert key_l == key_r and hash(key_l) == hash(key_r)
+
+
+def test_central_twists_are_told_apart():
+    # x, x Delta^2 and x Delta^4 have the same matrix up to sign: only the
+    # exponent sum separates x from x Delta^4
+    rng = random.Random(12)
+    for _ in range(200):
+        u = reduced_letters(rng, rng.randint(0, 10))
+        x = artin_from_braid(BraidWord(3, u))
+        x2 = artin_from_braid(BraidWord(3, u + DELTA2))
+        x4 = artin_from_braid(BraidWord(3, u + DELTA4))
+        assert (x2.p, x2.q, x2.r, x2.s) == (-x.p, -x.q, -x.r, -x.s)
+        assert (x4.p, x4.q, x4.r, x4.s) == (x.p, x.q, x.r, x.s)
+        assert len({x, x2, x4}) == 3
+        assert x * artin_from_braid(BraidWord(3, DELTA4)) == x4
+        assert x4 * x.inverse() * x2.inverse() * x == artin_from_braid(BraidWord(3, DELTA2))
+
+
+def test_render_and_quotient_agree_with_garside():
+    rng = random.Random(13)
+    words = [reduced_letters(rng, rng.randint(0, 30)) for _ in range(300)]
+    words += [power * inverse_letters(DELTA) + w for power in (1, 2, 4, 7) for w in words[:20]]
+    words += [(1, -2) * k for k in (15, 20, 25)]  # entries grow like Fibonacci numbers
+    words += [(2, 2, -1) * 12 + inverse_letters(DELTA4) * 3]
+    largest = 0
+    for letters in words:
+        x = artin_from_braid(BraidWord(3, letters))
+        spelled = garside_spelling(letters)
+        names = "".join("ab"[abs(c) - 1] if c > 0 else "AB"[abs(c) - 1] for c in spelled.letters)
+        assert x.render() == (names or "1")
+        assert x.to_json() == spelled.to_json()
+        image = garside.normal_form(BraidWord(3, letters)).permutation()
+        assert x.to_perm3() == Perm3(tuple(c + 1 for c in image))
+        largest = max(largest, abs(x.p), abs(x.q), abs(x.r), abs(x.s))
+    assert largest > 10**6
+
+
+@pytest.mark.parametrize("fields", [(2, 0, 0, 1, 0), (1, 0, 0, 1, 5)])
+def test_render_rejects_a_key_that_is_no_braid(fields):
+    # determinant 2, and the identity matrix with an exponent sum that no
+    # power of Delta^4 reaches
+    with pytest.raises(ValueError, match="not the key"):
+        Artin3(*fields).render()
+
+
+def test_perm3_tables_match_tuple_composition():
+    def compose(p, q):  # apply p, then q
+        return tuple(q[x - 1] for x in p)
+
+    perms = list(itertools.permutations((1, 2, 3)))
+    for p, q in itertools.product(perms, repeat=2):
+        assert (Perm3(p) * Perm3(q)).images == compose(p, q)
+    for p in perms:
+        assert compose(Perm3(p).inverse().images, p) == (1, 2, 3)
+        assert Perm3(p) is Perm3(list(p))
+    assert Perm3((2, 1, 3)) is PERM3_S
+    assert pickle.loads(pickle.dumps(PERM3_S)) is PERM3_S
+    assert len({Perm3(p) for p in perms}) == 6
+    for bad in ((1, 1, 2), (1, 2), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            Perm3(bad)

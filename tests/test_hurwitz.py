@@ -127,6 +127,13 @@ def test_orbit_cap_raises():
         orbit(coxeter_system(6), cap=100)
 
 
+@pytest.mark.parametrize("base", [coxeter_system(3), artin_system(3)])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_orbit_rejects_a_non_positive_cap(base, cap):
+    with pytest.raises(ValueError, match="cap"):
+        orbit(base, cap=cap)
+
+
 def test_artin_orbit_needs_a_cap():
     # the length-5 alternating Artin system has an infinite orbit
     with pytest.raises(OrbitCapExceeded):
