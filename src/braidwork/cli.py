@@ -31,6 +31,7 @@ from .families import (
     WeierstrassFamily,
     branch_points,
     catalogue_family,
+    complex_from_json,
 )
 from .catalog import CheckResult
 from .groups import artin_from_word, perm_from_name
@@ -40,30 +41,29 @@ from .garside import equal
 from .words import BraidWord
 
 
-def _complex_from_json(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
-
-
 def _loop_from_spec(spec: dict) -> ParameterLoop:
+    if not isinstance(spec, dict):
+        raise ValueError("a loop spec must be a JSON object")
     kind = spec.get("kind", "polyline")
+    if kind not in ("circle", "polyline"):
+        raise ValueError(f"unknown loop kind {kind!r}")
+    for field in ("param", "radius") if kind == "circle" else ("points",):
+        if field not in spec:
+            raise ValueError(f"{kind} loop spec is missing the field {field!r}")
     if kind == "circle":
-        fixed = {k: _complex_from_json(v) for k, v in spec.get("fixed", {}).items()}
+        fixed = {k: complex_from_json(v) for k, v in spec.get("fixed", {}).items()}
         return ParameterLoop.circle(
             spec["param"],
-            _complex_from_json(spec.get("center", 0)),
+            complex_from_json(spec.get("center", 0)),
             float(spec["radius"]),
             int(spec.get("turns", 1)),
             fixed,
         )
-    if kind == "polyline":
-        points = [
-            {k: _complex_from_json(v) for k, v in pt.items()}
-            for pt in spec["points"]
-        ]
-        return ParameterLoop.polyline(points)
-    raise ValueError(f"unknown loop kind {kind!r}")
+    points = [
+        {k: complex_from_json(v) for k, v in pt.items()}
+        for pt in spec["points"]
+    ]
+    return ParameterLoop.polyline(points)
 
 
 def _family_from_args(args) -> WeierstrassFamily:
@@ -191,13 +191,13 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
         lo, hi = (int(tok) for tok in text.split(":"))
         cfg = branch_points(family, params)
         return arcs.chord(cfg.point(lo), cfg.point(hi))
-    return [_complex_from_json(v) for v in json.loads(text)]
+    return [complex_from_json(v) for v in json.loads(text)]
 
 
 def cmd_admissible(args) -> int:
     family = _family_from_args(args)
     params = {
-        k: _complex_from_json(v) for k, v in json.loads(args.params or "{}").items()
+        k: complex_from_json(v) for k, v in json.loads(args.params or "{}").items()
     }
     arc = _arc_from_spec(args.arc, family, params)
     options = TrackOptions(collision_tol=args.tolerance)

@@ -7,35 +7,144 @@ parameters.  The branch points at a parameter value are the roots in x of
 p^3 - q^2 (cubic fibers) or of q (quadratic fibers); a configuration with
 a near-double root is flagged as degenerate, never silently returned.
 
+A coefficient entry is a number, an ``[re, im]`` pair or a string.  A
+string is a polynomial in the parameters: numeric literals, ``I`` for the
+imaginary unit, parameter names, unary ``+``/``-`` and binary ``+ - *``;
+``/`` only by a subexpression free of parameters, ``**`` only to an
+integer literal from 0 to ``MAX_EXPONENT``, and at most ``MAX_NESTING``
+operators deep.  ``compile_coefficient`` reads the syntax tree of the
+string and builds an evaluator from it; the text itself is never run,
+and anything outside this grammar raises
+``ValueError("coefficient '<text>': <reason>")``.  ``to_json`` echoes
+each entry's text: strings as given, numbers as ``str(x)`` and pairs as
+``str(complex(re, im))``, which read back to the same values.
+
 Branch points are labeled by increasing argument starting from the point
 closest to 1, matching the labeling used by all catalogued computations.
 """
 
 from __future__ import annotations
 
+import ast
 import cmath
 import dataclasses
 import math
-from typing import Iterable
+import operator
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import sympy as sp
 from numpy.polynomial import polynomial as npoly
 
 DEFAULT_COLLISION_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-12
+MAX_EXPONENT = 64
+MAX_NESTING = 100
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 class DegenerateConfigurationError(RuntimeError):
     """A branch configuration has a (near-)multiple point."""
 
 
-def _to_expr(entry, symbols: dict[str, sp.Symbol]) -> sp.Expr:
+def complex_from_json(value) -> complex:
+    """A complex scalar written in JSON as a number or an ``[re, im]`` pair."""
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(value[0], value[1])
+        return complex(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a number or an [re, im] pair, got {value!r}") from None
+
+
+def _entry_text(entry) -> str:
     if isinstance(entry, str):
-        return sp.sympify(entry, locals=dict(symbols))
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return sp.sympify(complex(entry[0], entry[1]))
-    return sp.sympify(entry)
+        return entry
+    if isinstance(entry, (int, float, complex)):
+        return str(entry)
+    try:
+        return str(complex_from_json(entry))
+    except ValueError:
+        raise ValueError(
+            f"coefficient '{entry!r}': not a string, a number or an [re, im] pair"
+        ) from None
+
+
+def compile_coefficient(
+    text: str, params: Sequence[str]
+) -> complex | Callable[[Sequence[complex]], complex]:
+    """The polynomial ``text`` in ``params``: its value if it has no
+    parameter, else a function of the parameter values, given as a
+    sequence in the order of ``params``.
+
+    Constant subexpressions are folded here; the rest becomes closures
+    applying the operators of the text in its own order.
+    """
+    def fail(reason: str) -> ValueError:
+        return ValueError(f"coefficient '{text}': {reason}")
+
+    def constant(value):
+        try:
+            finite = cmath.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise fail("a constant is outside the floating-point range")
+        return value
+
+    index = {name: i for i, name in enumerate(params)}
+
+    def build(node, depth=0):
+        """A folded constant, or a function of the parameter values."""
+        if depth > MAX_NESTING:
+            raise fail(f"nested more than {MAX_NESTING} operators deep")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float, complex):
+                raise fail(f"{node.value!r} is not a number")
+            return constant(node.value)
+        if isinstance(node, ast.Name):
+            if node.id == "I":
+                return 1j
+            if node.id not in index:
+                raise fail(f"unknown name {node.id!r}")
+            return operator.itemgetter(index[node.id])
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            operand = build(node.operand, depth + 1)
+            if isinstance(node.op, ast.UAdd):
+                return operand
+            return (lambda v: -operand(v)) if callable(operand) else -operand
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            op = _OPERATORS[type(node.op)]
+            if isinstance(node.op, ast.Pow) and not (
+                isinstance(node.right, ast.Constant) and type(node.right.value) is int
+                and 0 <= node.right.value <= MAX_EXPONENT
+            ):
+                raise fail(f"an exponent must be an integer literal from 0 to {MAX_EXPONENT}")
+            left, right = build(node.left, depth + 1), build(node.right, depth + 1)
+            if isinstance(node.op, ast.Div) and callable(right):
+                raise fail("division by an expression in the parameters")
+            if isinstance(node.op, ast.Div) and right == 0:
+                raise fail("division by zero")
+            if callable(left) and callable(right):
+                return lambda v: op(left(v), right(v))
+            if callable(left):
+                return lambda v: op(left(v), right)
+            if callable(right):
+                return lambda v: op(left, right(v))
+            try:
+                return constant(op(left, right))
+            except OverflowError:  # float and complex powers raise instead of giving inf
+                return constant(math.inf)
+        raise fail(f"{type(getattr(node, 'op', node)).__name__} is not allowed")
+
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise fail(f"not an expression ({exc})") from None
+    except (RecursionError, MemoryError):  # how the parser reports very deep nesting
+        raise fail(f"nested more than {MAX_NESTING} operators deep") from None
+    return build(tree.body)
 
 
 class WeierstrassFamily:
@@ -48,38 +157,53 @@ class WeierstrassFamily:
         p_coeffs: Iterable = (),
         q_coeffs: Iterable = (),
         catalogue_id: str | None = None,
-        degenerations: str | None = None,
     ):
         if y_degree not in (2, 3):
             raise ValueError("fiber degree must be 2 or 3")
         self.y_degree = y_degree
         self.params = tuple(params)
+        for name in self.params:
+            if not isinstance(name, str) or not name.isidentifier() or name == "I":
+                raise ValueError(f"parameter {name!r}: names are identifiers other than I")
         self.catalogue_id = catalogue_id
-        self.degenerations = degenerations
-        symbols = {name: sp.Symbol(name) for name in self.params}
-        self._p_exprs = tuple(_to_expr(c, symbols) for c in p_coeffs)
-        self._q_exprs = tuple(_to_expr(c, symbols) for c in q_coeffs)
-        if y_degree == 2 and self._p_exprs:
+        self._p_texts = tuple(_entry_text(c) for c in p_coeffs)
+        self._q_texts = tuple(_entry_text(c) for c in q_coeffs)
+        if y_degree == 2 and self._p_texts:
             raise ValueError("quadratic fibers take no p coefficients")
-        if not self._q_exprs:
+        if not self._q_texts:
             raise ValueError("q coefficients are required")
-        args = [symbols[name] for name in self.params]
-        self._p_fn = sp.lambdify(args, list(self._p_exprs), "numpy") if self._p_exprs else None
-        self._q_fn = sp.lambdify(args, list(self._q_exprs), "numpy")
+        self._p = self._compiled(self._p_texts)
+        self._q = self._compiled(self._q_texts)
+
+    def _compiled(self, texts: tuple[str, ...]) -> tuple[list, tuple]:
+        """Entries without parameters as a template list, the others as
+        (index, function) slots to fill in."""
+        entries = [compile_coefficient(text, self.params) for text in texts]
+        template = [0 if callable(e) else e for e in entries]
+        return template, tuple((i, e) for i, e in enumerate(entries) if callable(e))
+
+    def _array(self, compiled: tuple[list, tuple], t: dict[str, complex]) -> np.ndarray:
+        template, slots = compiled
+        values = self._values(t)
+        out = list(template)
+        for i, f in slots:
+            out[i] = f(values)
+        return np.array(out, dtype=complex)
 
     def _values(self, t: dict[str, complex]) -> list[complex]:
-        missing = [name for name in self.params if name not in t]
-        if missing:
-            raise ValueError(f"missing parameter values: {missing}")
-        return [complex(t[name]) for name in self.params]
+        try:
+            return [complex(t[name]) for name in self.params]
+        except KeyError:
+            missing = [name for name in self.params if name not in t]
+            raise ValueError(f"missing parameter values: {missing}") from None
 
     def p_array(self, t: dict[str, complex]) -> np.ndarray:
-        if self._p_fn is None:
+        if not self._p_texts:
             return np.zeros(1, dtype=complex)
-        return np.asarray(self._p_fn(*self._values(t)), dtype=complex)
+        return self._array(self._p, t)
 
     def q_array(self, t: dict[str, complex]) -> np.ndarray:
-        return np.asarray(self._q_fn(*self._values(t)), dtype=complex)
+        return self._array(self._q, t)
 
     def branch_coeffs(self, t: dict[str, complex]) -> np.ndarray:
         """Coefficients in x (low to high) whose roots are the branch points."""
@@ -102,14 +226,19 @@ class WeierstrassFamily:
             "catalogue_id": self.catalogue_id,
             "y_degree": self.y_degree,
             "params": list(self.params),
-            "p_coeffs": [str(c) for c in self._p_exprs],
-            "q_coeffs": [str(c) for c in self._q_exprs],
+            "p_coeffs": list(self._p_texts),
+            "q_coeffs": list(self._q_texts),
         }
 
     @staticmethod
     def from_json(data: dict) -> "WeierstrassFamily":
-        if "catalogue_id" in data and data["catalogue_id"] and "q_coeffs" not in data:
+        if not isinstance(data, dict):
+            raise ValueError("a family spec must be a JSON object")
+        if data.get("catalogue_id") and "q_coeffs" not in data:
             return catalogue_family(data["catalogue_id"], int(data.get("k", 1)))
+        for field in ("y_degree", "q_coeffs"):
+            if field not in data:
+                raise ValueError(f"family spec is missing the field {field!r}")
         return WeierstrassFamily(
             y_degree=int(data["y_degree"]),
             params=data.get("params", ()),
@@ -179,6 +308,8 @@ class BranchConfiguration:
         return len(self.points)
 
     def point(self, label: int) -> complex:
+        if not 1 <= label <= len(self.points):
+            raise ValueError(f"branch point label {label} is not in 1..{len(self.points)}")
         return self.points[label - 1]
 
     def min_gap(self) -> float:
@@ -231,63 +362,59 @@ def _monomial_q(k: int, shift: str | complex = 0, linear: str | complex = 0) -> 
 
 
 def catalogue_family(name: str, k: int = 1) -> WeierstrassFamily:
-    """Families used by the catalogued monodromy computations.
+    """Families used by the catalogued monodromy computations, with the
+    parameter values where their branch points collide.
 
-    cusp            y^3 - 3 lam y + 2 x                     (branch: lam^3 = x^2)
-    tangency        y^2 - x^2 + lam                         (branch: x^2 = lam)
-    base            y^3 - 3 y + 2 x^k                       (branch: x^2k = 1)
-    ray             y^3 - 3 y + 2 (x^k - lam - k mu x)      (ray-confined degenerations)
-    circle          y^3 - 3 (1 - lam) y + 2 (x^k - i lam)   (circle-confined points)
-    cusp_merge      y^3 + mu y + 2 (x^k - i - mu)           (local cusp at each root of x^k = i)
-    double_point    y^3 - 3 eps (x - alpha) y + 2 (x^k - i) (single double branch point)
-    pair_merge      p = 1 - t1 + t1 s0 (x - alpha), q = x^k - i t2 - w
-    tame            y^2 - x^k + k x + lam                   (full braid group on k points)
+    cusp          y^3 - 3 lam y + 2 x                      branch: lam^3 = x^2
+                  degenerate at lam = 0
+    tangency      y^2 - x^2 + lam                          branch: x^2 = lam
+                  degenerate at lam = 0
+    base          y^3 - 3 y + 2 x^k                        branch: x^2k = 1
+                  no parameters
+    ray           y^3 - 3 y + 2 (x^k - lam - k mu x)       ray-confined points
+                  degenerate where critical values of x^k - k mu x meet
+                  lam + 1 or lam - 1
+    circle        y^3 - 3 (1 - lam) y + 2 (x^k - i lam)    circle-confined points
+                  degenerate at lam = 1
+    cusp_merge    y^3 + mu y + 2 (x^k - i - mu)            local cusp at each root
+                  degenerate at mu = 0                     of x^k = i
+    double_point  y^3 - 3 eps (x - alpha) y + 2 (x^k - i)  single double branch point
+                  degenerate at eps = 0 and on a finite bad set
+    pair_merge    p = 1 - t1 + t1 s0 (x - alpha), q = x^k - i t2 - w
+                  degenerate at t1 = 1, w = 0 (double point at alpha)
+    tame          y^2 - x^k + k x + lam  (k >= 2)          full braid group on k points
+                  y^2 - x + lam          (k = 1)
+                  degenerate where lam is a critical value of x^k - k x
     """
     if name == "cusp":
-        return WeierstrassFamily(3, ("lam",), ("lam",), (0, 1),
-                                 catalogue_id="cusp", degenerations="lam = 0")
+        return WeierstrassFamily(3, ("lam",), ("lam",), (0, 1), catalogue_id="cusp")
     if name == "tangency":
-        return WeierstrassFamily(2, ("lam",), (), ("lam", 0, -1),
-                                 catalogue_id="tangency", degenerations="lam = 0")
+        return WeierstrassFamily(2, ("lam",), (), ("lam", 0, -1), catalogue_id="tangency")
     if name == "base":
-        return WeierstrassFamily(3, (), (1,), _monomial_q(k),
-                                 catalogue_id=f"base:{k}", degenerations=None)
+        return WeierstrassFamily(3, (), (1,), _monomial_q(k), catalogue_id=f"base:{k}")
     if name == "ray":
-        return WeierstrassFamily(
-            3, ("lam", "mu"), (1,), _monomial_q(k, "-lam", f"-{k}*mu"),
-            catalogue_id=f"ray:{k}",
-            degenerations="critical values of x^k - k mu x meet lam + 1 or lam - 1",
-        )
+        return WeierstrassFamily(3, ("lam", "mu"), (1,), _monomial_q(k, "-lam", f"-{k}*mu"),
+                                 catalogue_id=f"ray:{k}")
     if name == "circle":
-        return WeierstrassFamily(
-            3, ("lam",), ("1 - lam",), _monomial_q(k, "-I*lam"),
-            catalogue_id=f"circle:{k}", degenerations="lam = 1",
-        )
+        return WeierstrassFamily(3, ("lam",), ("1 - lam",), _monomial_q(k, "-I*lam"),
+                                 catalogue_id=f"circle:{k}")
     if name == "cusp_merge":
-        return WeierstrassFamily(
-            3, ("mu",), ("-mu/3",), _monomial_q(k, "-I - mu"),
-            catalogue_id=f"cusp_merge:{k}", degenerations="mu = 0",
-        )
+        return WeierstrassFamily(3, ("mu",), ("-mu/3",), _monomial_q(k, "-mu - I"),
+                                 catalogue_id=f"cusp_merge:{k}")
     if name == "double_point":
-        return WeierstrassFamily(
-            3, ("eps", "alpha"), ("-eps*alpha", "eps"), _monomial_q(k, "-I"),
-            catalogue_id=f"double_point:{k}",
-            degenerations="eps = 0 and a finite bad set",
-        )
+        return WeierstrassFamily(3, ("eps", "alpha"), ("-alpha*eps", "eps"),
+                                 _monomial_q(k, "-I"), catalogue_id=f"double_point:{k}")
     if name == "pair_merge":
         return WeierstrassFamily(
             3, ("t1", "t2", "w", "s0", "alpha"),
-            ("1 - t1 - t1*s0*alpha", "t1*s0"),
+            ("-alpha*s0*t1 - t1 + 1", "s0*t1"),
             _monomial_q(k, "-I*t2 - w"),
             catalogue_id=f"pair_merge:{k}",
-            degenerations="t1 = 1, w = 0 (double point at alpha)",
         )
     if name == "tame":
         coeffs = [0] * (k + 1)
         coeffs[0] = "lam"
         coeffs[1] = k
         coeffs[k] = -1
-        return WeierstrassFamily(2, ("lam",), (), coeffs,
-                                 catalogue_id=f"tame:{k}",
-                                 degenerations="lam a critical value of x^k - k x")
+        return WeierstrassFamily(2, ("lam",), (), coeffs, catalogue_id=f"tame:{k}")
     raise ValueError(f"unknown catalogue family {name!r}")

@@ -57,6 +57,11 @@ class BraidWord:
 
     @staticmethod
     def from_json(data: dict) -> "BraidWord":
+        if not isinstance(data, dict):
+            raise ValueError("a braid word must be a JSON object")
+        for field in ("n", "word"):
+            if field not in data:
+                raise ValueError(f"braid word is missing the field {field!r}")
         return BraidWord(int(data["n"]), tuple(int(x) for x in data["word"]))
 
 

@@ -10,6 +10,8 @@ import braidwork
 from braidwork.catalog import verify_identities
 from braidwork.cli import CHECKS, SCOPES, main
 
+SRC = pathlib.Path(braidwork.__file__).resolve().parents[1]
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -212,13 +214,39 @@ def test_orbit_certificates_are_pinned(argv, body_sha256, capsys):
 def test_transversal_does_not_depend_on_the_hash_seed():
     # permutations hash by identity, so hashes differ between processes;
     # the transversal order must not follow them
-    src = pathlib.Path(braidwork.__file__).resolve().parents[1]
     hashes = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
         out = subprocess.run(
             [sys.executable, "-m", "braidwork", "transversal", "--n", "6", "--format", "json"],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         ).stdout
         hashes.append(json.loads(out)["body_sha256"])
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["monodromy", "--family-file", "family.json"], "'q_coeffs'"),
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam"}'], "'radius'"),
+    (["monodromy", "--expect", '{"n":2}'], "'word'"),
+    (["admissible", "--family", "base", "--k", "2", "--arc", "1:9"], "label 9"),
+    (["admissible", "--family", "base", "--k", "2", "--arc", "0:1"], "label 0"),
+])
+def test_malformed_inputs_are_usage_errors(argv, named, tmp_path):
+    (tmp_path / "family.json").write_text('{"y_degree": 3, "params": ["lam"]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidwork", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_the_cli_does_not_import_sympy():
+    subprocess.run(
+        [sys.executable, "-c", 'import braidwork.cli, sys; assert "sympy" not in sys.modules'],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=120,
+    )
