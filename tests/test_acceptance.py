@@ -2,6 +2,8 @@
 line (run with -s to see them live).  Tolerances and runtime bounds are
 pinned here; nothing is deferred to later calibration."""
 
+import hashlib
+import json
 import math
 import time
 
@@ -191,6 +193,14 @@ def test_criterion_08_geometry_checks():
     report(8, ok, "; ".join(details))
 
 
+# sha256 of the JSON list [contraction letters, [loop id, match, letters]
+# per outcome]: every tracked word is pinned letter for letter
+TRACKED_WORDS_SHA256 = {
+    2: "8753f4d7b8d33d67f01b9ac702e3e989d5641c967bd9b42d7a262d41aefd3c69",
+    3: "97dfabff3290d8aee1670cbd0c941afeee7debbf20b9f739314979483fb78fba",
+}
+
+
 def test_criterion_09_generator_realization():
     start = time.perf_counter()
     details = []
@@ -200,6 +210,10 @@ def test_criterion_09_generator_realization():
         rep = bifurcation_generators(k)
         matched = {o.matched for o in rep.outcomes if o.matched}
         ok &= rep.passed and expected <= matched
+        words = [list(rep.contraction.letters)] + [
+            [o.loop_id, o.matched, list(o.braid.letters)] for o in rep.outcomes]
+        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+        ok &= digest == TRACKED_WORDS_SHA256[k]
         details.append(f"k={k}: {sorted(matched)}")
     elapsed = time.perf_counter() - start
     ok &= elapsed < 300

@@ -21,6 +21,9 @@ def test_single_cusp_realizes_the_triple_twist():
     report = bifurcation_generators(1)
     assert report.passed
     assert report.outcomes[0].matched == "e_12"
+    # tracked words, letter for letter
+    assert report.contraction.letters == (-1,)
+    assert report.outcomes[0].braid.letters == (1, 1, 1)
 
 
 def test_degree_four_generators():
@@ -28,6 +31,17 @@ def test_degree_four_generators():
     assert report.passed
     matched = {o.matched for o in report.outcomes}
     assert {"e_12", "e_13", "e_24"} <= matched
+    # tracked words, letter for letter
+    conj = (-1, -3, -2, -3, -1, -2, -3)
+    prefix = (3, 2, 1, 3, 2)
+    assert report.contraction.letters == conj
+    assert [(o.loop_id, o.matched, o.braid.letters) for o in report.outcomes] == [
+        ("ray-odd-0", "e_13", prefix + (2, 1, 3) + conj),
+        ("ray-odd-1", "e_13", prefix + (2, 1, 3) + conj),
+        ("ray-even-0", "e_24", prefix + (3, 1, 2) + conj),
+        ("ray-even-1", "e_24", prefix + (3, 1, 2) + conj),
+        ("pair-merge", "e_12", prefix + (3, 3, 3, -2, -3, -1, -2, -3)),
+    ]
 
 
 def test_degree_four_loops_give_transpositions():

@@ -211,6 +211,34 @@ def test_orbit_certificates_are_pinned(argv, body_sha256, capsys):
     assert cert["body_sha256"] == body_sha256
 
 
+_HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
+
+
+# body hashes of the numerical certificates: they move if a tracked loop
+# or an arc's endpoint loops move, or if the tracker decides differently
+@pytest.mark.parametrize("argv, body_sha256", [
+    (["admissible", "--family", "base", "--k", "3", "--arc", "1:2"],
+     "cc4c5cda49419cafd9648c6e7ff7cfd014381c7fd2a8ea11d5fb5f0fb7373dab"),
+    (["admissible", "--family", "base", "--k", "2", "--arc", "1:3"],
+     "77c7166c4ebb6ccaac25fa3a5d1812cdc1a3429927e7aa32d8dd6da0083c2d67"),
+    (["monodromy", "--family", "tangency"],
+     "34ffb4cf3e843cc713fa5a90e57349df53d71ca863b96bd47465a11727d0572d"),
+    (["monodromy", "--family", "circle", "--k", "2", "--loop", _HALF_CIRCLE % ""],
+     "47953625b7910a6d93c72c5b875e5bc928c72d163e3d1c4e2f5d6b3e1a4f84d8"),
+    (["monodromy", "--family", "ray", "--k", "2", "--loop",
+      _HALF_CIRCLE % ',"fixed":{"mu":0}'],
+     "3df7fdfc3e3778a25691d5e1f5ce4924a433cfb09d345f37f6074986a0937c8f"),
+    (["monodromy", "--family", "cusp", "--loop",
+      '{"kind":"circle","param":"lam","center":0,"radius":1.0,"turns":-2}'],
+     "797c54292a5f57be0ddd666806908160fc994e0b4b0f20acc94841ee9bdefa0d"),
+])
+def test_numerical_certificates_are_pinned(argv, body_sha256, capsys):
+    code, cert = run_json(argv, capsys)
+    assert code == 0
+    assert cert["summary"]["verified"] == 1
+    assert cert["body_sha256"] == body_sha256
+
+
 def test_transversal_does_not_depend_on_the_hash_seed():
     # permutations hash by identity, so hashes differ between processes;
     # the transversal order must not follow them
