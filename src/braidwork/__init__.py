@@ -14,7 +14,7 @@ from .catalog import (
     verify_stabilizer_tables,
 )
 from .families import BranchConfiguration, WeierstrassFamily, branch_points, catalogue_family
-from .tracking import BraidTrace, ParameterLoop, TrackOptions, fiber_monodromy, loop_to_braid, star_basis, track_loop
+from .tracking import BraidTrace, ParameterLoop, fiber_monodromy, loop_to_braid, star_basis, track_loop
 from .arcs import admissible, chord
 from .bifurcation import bifurcation_generators
 from .certificates import Certificate

@@ -10,16 +10,21 @@ same fiber braid; braid admissibility implies permutation admissibility.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .families import BranchConfiguration, WeierstrassFamily, branch_points
+from .families import DEFAULT_COLLISION_TOL, WeierstrassFamily, branch_points
 from .garside import equal
-from .tracking import TrackOptions, circle_path, fiber_monodromy
+from .tracking import circle_path, fiber_monodromy, lasso
 from .words import BraidWord
+
+CHORD_SAMPLES = 16  # segments of a chord
+APPROACH_SAMPLES = 24  # segments from the arc midpoint to an endpoint circle
+ENDPOINT_SAMPLES = 48  # vertices on an endpoint circle
+RADIUS_FACTOR = 0.2  # endpoint circle radius over the nearest distance
 
 
 class ArcError(ValueError):
@@ -67,10 +72,10 @@ def _point_at(vertices: list[complex], lengths: list[float], s: float) -> comple
 
 
 def _resample(vertices: list[complex], lengths: list[float],
-              s0: float, s1: float, count: int = 24) -> list[complex]:
+              s0: float, s1: float) -> list[complex]:
     return [
-        _point_at(vertices, lengths, s0 + (s1 - s0) * j / count)
-        for j in range(count + 1)
+        _point_at(vertices, lengths, s0 + (s1 - s0) * j / APPROACH_SAMPLES)
+        for j in range(APPROACH_SAMPLES + 1)
     ]
 
 
@@ -88,23 +93,23 @@ def _exit_parameter(vertices, lengths, center: complex, radius: float,
     raise ArcError("arc never leaves the endpoint circle")
 
 
-def chord(a: complex, b: complex, samples: int = 16) -> list[complex]:
-    return [a + (b - a) * j / samples for j in range(samples + 1)]
+def chord(a: complex, b: complex) -> list[complex]:
+    return [a + (b - a) * j / CHORD_SAMPLES for j in range(CHORD_SAMPLES + 1)]
 
 
 def admissible(
     family: WeierstrassFamily,
     t: dict[str, complex],
     arc: Sequence[complex],
-    options: TrackOptions = TrackOptions(),
-    radius_factor: float = 0.2,
+    *,
+    collision_tol: float = DEFAULT_COLLISION_TOL,
 ) -> AdmissibilityReport:
     """Decide permutation- and braid-admissibility of an embedded arc
     whose endpoints are branch points of the family at parameter t."""
     vertices = [complex(z) for z in arc]
     if len(vertices) < 2:
         raise ArcError("arc needs at least two vertices")
-    cfg = branch_points(family, t, options.collision_tol, options.residual_tol)
+    cfg = branch_points(family, t, collision_tol)
     gap = cfg.min_gap()
 
     def nearest_label(z: complex) -> int:
@@ -141,8 +146,8 @@ def admissible(
                     f"arc interior passes within {d:.3g} of branch point x_{label}"
                 )
 
-    r_a = radius_factor * min(gap, abs(point_a - vertices[-1]))
-    r_b = radius_factor * min(gap, abs(point_b - vertices[0]))
+    r_a = RADIUS_FACTOR * min(gap, abs(point_a - vertices[-1]))
+    r_b = RADIUS_FACTOR * min(gap, abs(point_b - vertices[0]))
     s_a = _exit_parameter(vertices, lengths, point_a, r_a, from_start=True)
     s_b = _exit_parameter(vertices, lengths, point_b, r_b, from_start=False)
     if not s_a < 0.5 < s_b:
@@ -154,15 +159,14 @@ def admissible(
     def endpoint_loop(entry: complex, s_entry: float, center: complex,
                       radius: float) -> list[complex]:
         approach = _resample(vertices, lengths, 0.5, s_entry)
-        angle = math.atan2((entry - center).imag, (entry - center).real)
-        circle = circle_path(center, radius, angle, 1.0, 48)
-        return approach + circle[1:] + approach[::-1][1:]
+        angle = cmath.phase(entry - center)
+        return lasso(approach, circle_path(center, radius, angle, 1, ENDPOINT_SAMPLES))
 
     loop_a = endpoint_loop(entry_a, s_a, point_a, r_a)
     loop_b = endpoint_loop(entry_b, s_b, point_b, r_b)
 
-    matching_a, word_a = fiber_monodromy(family, t, loop_a, options)
-    matching_b, word_b = fiber_monodromy(family, t, loop_b, options)
+    matching_a, word_a = fiber_monodromy(family, t, loop_a, collision_tol=collision_tol)
+    matching_b, word_b = fiber_monodromy(family, t, loop_b, collision_tol=collision_tol)
 
     coxeter = matching_a == matching_b
     artin = coxeter and equal(word_a, word_b)

@@ -33,19 +33,25 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .catalog import CheckResult, _band_table, build_e, build_matrix
-from .families import WeierstrassFamily, branch_points, catalogue_family
+from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
 from .garside import equal
 from .geometry import permutation_closure
 from .tracking import (
     ParameterLoop,
-    TrackOptions,
+    circle_path,
+    lasso,
     loop_to_braid,
     track_coefficients,
     track_loop,
 )
 from .words import BraidWord, conjugate_right, permutation_image
 
-PIPELINE_ANGLE = 0.0737
+PIPELINE_ANGLE = 0.0737  # projection angle shared by every trace of a run
+LAM0 = 0.9  # the shrinking parameter where the ray loops circle mu
+RHO_HAT = 0.2  # ray-loop circle radius over |critical value|
+DETOUR = cmath.exp(0.5j)  # the ray-loop approach turns 0.5 rad off the ray
+S0 = 0.4  # slope in x of the pair-merge family's p once t1 = 1
+MERGE_RADIUS = 0.05  # radius of the w circle round the double point
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,9 +74,7 @@ class BifurcationReport:
         return all(r.passed for r in self.results)
 
 
-def contraction_to_reference(
-    points: tuple[complex, ...], options: TrackOptions
-) -> BraidWord:
+def contraction_to_reference(points: tuple[complex, ...]) -> BraidWord:
     """Braid of the spiral contraction taking labeled points onto the real
     positions 1, 2, ..., m."""
     args = [math.atan2(z.imag, z.real) % (2 * math.pi) for z in points]
@@ -84,7 +88,7 @@ def contraction_to_reference(
         ]
         return npoly.polyfromroots(positions)
 
-    return loop_to_braid(track_coefficients(coeffs, options))
+    return loop_to_braid(track_coefficients(coeffs, projection_angle=PIPELINE_ANGLE))
 
 
 def _ray_critical(k: int, level: float) -> list[complex]:
@@ -101,58 +105,45 @@ def _ray_critical(k: int, level: float) -> list[complex]:
     ]
 
 
-def _mu_loop(
-    lam0: float, mc: complex, rho_hat: float = 0.2, detour: float = 0.5
-) -> ParameterLoop:
+def _tame_critical(k: int) -> list[complex]:
+    """Critical values -(k-1) z^k of x^k - k x, z running over the
+    (k-1)-th roots of unity."""
+    return [complex(-(k - 1) * z**k)
+            for z in [cmath.exp(2j * math.pi * m / (k - 1)) for m in range(k - 1)]]
+
+
+def _mu_loop(mc: complex) -> ParameterLoop:
     """Travel out in the shrinking parameter, circle one critical value of
     the pair-collision parameter, and come back.  The approach leaves the
     ray of the critical value (where other critical values also sit) by a
     fixed angular detour."""
-    entry = mc * (1 - rho_hat)
-    waypoint = entry * cmath.exp(1j * detour)
-    points = [
+    entry = mc * (1 - RHO_HAT)
+    waypoint = entry * DETOUR
+    approach = [
         {"lam": 0.0, "mu": 0.0},
-        {"lam": lam0, "mu": 0.0},
-        {"lam": lam0, "mu": waypoint},
-        {"lam": lam0, "mu": entry},
+        {"lam": LAM0, "mu": 0.0},
+        {"lam": LAM0, "mu": waypoint},
+        {"lam": LAM0, "mu": entry},
     ]
-    rho = abs(mc) * rho_hat
-    start_angle = math.atan2((entry - mc).imag, (entry - mc).real)
-    segments = 48
-    for j in range(1, segments + 1):
-        theta = start_angle + 2 * math.pi * j / segments
-        points.append(
-            {"lam": lam0, "mu": mc + rho * complex(math.cos(theta), math.sin(theta))}
-        )
-    points += [
-        {"lam": lam0, "mu": waypoint},
-        {"lam": lam0, "mu": 0.0},
-        {"lam": 0.0, "mu": 0.0},
-    ]
-    return ParameterLoop.polyline(points)
+    circle = circle_path(mc, abs(mc) * RHO_HAT, cmath.phase(entry - mc), 1, 48)
+    return ParameterLoop.polyline(lasso(approach, [{"lam": LAM0, "mu": z} for z in circle]))
 
 
-def _merge_loop(k: int, s0: float = 0.4, r: float = 0.05) -> tuple[WeierstrassFamily, ParameterLoop]:
+def _merge_loop(k: int) -> tuple[WeierstrassFamily, ParameterLoop]:
     """Path realizing the triple twist: shift the fiber so the first two
     branch points head for a common limit, switch the fiber coefficient on
     so the limit becomes a double point with a local cusp, and circle it."""
-    alpha = cmath.exp(1j * math.pi / (2 * k))
     family = catalogue_family("pair_merge", k)
-    fixed = {"s0": complex(s0), "alpha": alpha}
+    fixed = {"s0": complex(S0), "alpha": merge_point(k)}
 
     def at(t1: complex, t2: complex, w: complex) -> dict[str, complex]:
         return {"t1": complex(t1), "t2": complex(t2), "w": complex(w), **fixed}
 
-    points = [at(0, 0, 0), at(0, 1, 0), at(0, 1, r)]
-    points += [at(t1, 1, r) for t1 in np.linspace(0.1, 1.0, 10)]
-    segments = 64
-    points += [
-        at(1, 1, r * cmath.exp(2j * math.pi * j / segments))
-        for j in range(1, segments + 1)
-    ]
-    points += [at(t1, 1, r) for t1 in np.linspace(0.9, 0.0, 10)]
-    points += [at(0, 1, 0), at(0, 0, 0)]
-    return family, ParameterLoop.polyline(points)
+    r = MERGE_RADIUS
+    approach = [at(0, 0, 0), at(0, 1, 0), at(0, 1, r)]
+    approach += [at(t1, 1, r) for t1 in np.linspace(0.1, 1.0, 10)]
+    circle = [at(1, 1, w) for w in circle_path(0, r, 0.0, 1, 64)]
+    return family, ParameterLoop.polyline(lasso(approach, circle))
 
 
 def expected_generators(k: int) -> dict[str, BraidWord]:
@@ -164,25 +155,20 @@ def expected_generators(k: int) -> dict[str, BraidWord]:
     return names
 
 
-def bifurcation_generators(
-    k: int,
-    lam0: float = 0.9,
-    options: TrackOptions | None = None,
-) -> BifurcationReport:
+def bifurcation_generators(k: int) -> BifurcationReport:
     """Track the catalogued loops for x-degree k and match the resulting
     braids, rewritten in star-basis coordinates, against the band
     generators."""
     if k not in (1, 2, 3):
         raise ValueError("generator realization is catalogued for k = 1, 2, 3")
-    options = options or TrackOptions(projection_angle=PIPELINE_ANGLE)
 
     if k == 1:
         cusp = catalogue_family("cusp")
         loop = ParameterLoop.circle("lam", 0.0, 1.0)
-        trace = track_loop(cusp, loop, options)
+        trace = track_loop(cusp, loop, projection_angle=PIPELINE_ANGLE)
         braid = loop_to_braid(trace)
         config = branch_points(cusp, {"lam": 1.0})
-        conj = contraction_to_reference(config.points, options)
+        conj = contraction_to_reference(config.points)
         std = conjugate_right(braid, conj)
         expected = expected_generators(1)
         ok = equal(std, expected["e_12"])
@@ -196,7 +182,7 @@ def bifurcation_generators(
     n = 2 * k
     ray = catalogue_family("ray", k)
     base = branch_points(ray, {"lam": 0.0, "mu": 0.0})
-    conj = contraction_to_reference(base.points, options)
+    conj = contraction_to_reference(base.points)
 
     outcomes: list[LoopOutcome] = []
     band = {f"e_{i}{j}": w for (i, j), w in _band_table(n).items()}
@@ -209,20 +195,17 @@ def bifurcation_generators(
                 break
         outcomes.append(LoopOutcome(loop_id, braid_std, matched))
 
-    for parity, level in (("odd", lam0 + 1), ("even", lam0 - 1)):
+    for parity, level in (("odd", LAM0 + 1), ("even", LAM0 - 1)):
         for idx, mc in enumerate(_ray_critical(k, level)):
-            loop = _mu_loop(lam0, mc)
-            trace = track_loop(ray, loop, options)
+            trace = track_loop(ray, _mu_loop(mc), projection_angle=PIPELINE_ANGLE)
             std = conjugate_right(loop_to_braid(trace), conj)
             classify(f"ray-{parity}-{idx}", std)
 
     merge_family, merge_loop = _merge_loop(k)
-    merge_base = branch_points(
-        merge_family, merge_loop.points[0], options.collision_tol
-    )
+    merge_base = branch_points(merge_family, merge_loop.points[0])
     if any(abs(a - b) > 1e-9 for a, b in zip(merge_base.points, base.points)):
         raise RuntimeError("merge-family base configuration mismatch")
-    trace = track_loop(merge_family, merge_loop, options)
+    trace = track_loop(merge_family, merge_loop, projection_angle=PIPELINE_ANGLE)
     classify("pair-merge", conjugate_right(loop_to_braid(trace), conj))
 
     expected = expected_generators(k)
@@ -248,25 +231,18 @@ def bifurcation_generators(
     )
 
 
-def full_braid_monodromy_check(k: int = 3, options: TrackOptions | None = None) -> tuple[CheckResult, ...]:
+def full_braid_monodromy_check(k: int) -> tuple[CheckResult, ...]:
     """For the degree-two family whose branch points follow x^k - k x =
     lam: braids from loops around the k-1 critical levels have permutation
     images generating the full symmetric group on k letters."""
-    options = options or TrackOptions(projection_angle=PIPELINE_ANGLE)
     family = catalogue_family("tame", k)
-    criticals = [complex(-(k - 1) * z**k)
-                 for z in [cmath.exp(2j * math.pi * m / (k - 1)) for m in range(k - 1)]]
     perms = []
-    for idx, lam_c in enumerate(criticals):
-        entry = lam_c * (1 - 0.25) if abs(lam_c) > 1e-9 else 0.5
-        points = [{"lam": 0.0}, {"lam": entry}]
-        rho = 0.25 * abs(lam_c)
-        start_angle = math.atan2((entry - lam_c).imag, (entry - lam_c).real)
-        for j in range(1, 49):
-            theta = start_angle + 2 * math.pi * j / 48
-            points.append({"lam": lam_c + rho * complex(math.cos(theta), math.sin(theta))})
-        points += [{"lam": entry}, {"lam": 0.0}]
-        trace = track_loop(family, ParameterLoop.polyline(points), options)
+    for lam_c in _tame_critical(k):
+        entry = lam_c * (1 - 0.25)
+        circle = circle_path(lam_c, 0.25 * abs(lam_c), cmath.phase(entry - lam_c), 1, 48)
+        loop = lasso([{"lam": 0.0}, {"lam": entry}], [{"lam": z} for z in circle])
+        trace = track_loop(family, ParameterLoop.polyline(loop),
+                           projection_angle=PIPELINE_ANGLE)
         perms.append(permutation_image(loop_to_braid(trace)))
     closure = permutation_closure(perms)
     ok = len(closure) == math.factorial(k)

@@ -627,9 +627,9 @@ class HalfTwistReport:
         return all(r.passed for r in self.results)
 
 
-def half_twist_classification(n: int = 6) -> HalfTwistReport:
-    """Enumerate the orbit transversal of the alternating Coxeter system,
-    filter the transversal conjugates of e_13 that fix the alternating
+def half_twist_classification() -> HalfTwistReport:
+    """Enumerate the orbit transversal of the alternating Coxeter system
+    on six strands, filter the transversal conjugates of e_13 that fix the alternating
     Artin system, and match the distinct nontrivial conjugates against the
     tabulated rows.
 
@@ -637,8 +637,6 @@ def half_twist_classification(n: int = 6) -> HalfTwistReport:
     mates) is reported separately; the tabulated count refers to the
     nontrivial classes.
     """
-    if n != 6:
-        raise ValueError("the transversal conjugate table is catalogued for n = 6")
     cat = catalog()
     e13 = cat.named_braids["e_13@6"].word
     table = orbit(cat.coxeter_systems[6])

@@ -36,32 +36,31 @@ from .families import (
 from .catalog import CheckResult
 from .groups import artin_from_word, perm_from_name
 from .hurwitz import DEFAULT_ORBIT_CAP, OrbitCapExceeded, orbit
-from .tracking import ParameterLoop, TrackOptions, TrackingError, loop_to_braid, track_loop
+from .tracking import ParameterLoop, TrackingError, loop_to_braid, track_loop
 from .garside import equal
-from .words import BraidWord
+from .words import BraidWord, json_field, json_value
 
 
 def _loop_from_spec(spec: dict) -> ParameterLoop:
-    if not isinstance(spec, dict):
-        raise ValueError("a loop spec must be a JSON object")
+    json_value(spec, dict, "a loop spec")
     kind = spec.get("kind", "polyline")
     if kind not in ("circle", "polyline"):
-        raise ValueError(f"unknown loop kind {kind!r}")
-    for field in ("param", "radius") if kind == "circle" else ("points",):
-        if field not in spec:
-            raise ValueError(f"{kind} loop spec is missing the field {field!r}")
+        raise ValueError(f"unknown loop kind {kind!r:.40}")
+    owner = f"{kind} loop spec"
     if kind == "circle":
-        fixed = {k: complex_from_json(v) for k, v in spec.get("fixed", {}).items()}
+        param = json_field(spec, "param", str, owner)
+        radius = json_field(spec, "radius", float, owner)
+        fixed = json_field(spec, "fixed", dict, owner, {})
         return ParameterLoop.circle(
-            spec["param"],
+            param,
             complex_from_json(spec.get("center", 0)),
-            float(spec["radius"]),
-            int(spec.get("turns", 1)),
-            fixed,
+            float(radius),
+            spec.get("turns", 1),
+            {k: complex_from_json(v) for k, v in fixed.items()},
         )
     points = [
-        {k: complex_from_json(v) for k, v in pt.items()}
-        for pt in spec["points"]
+        {k: complex_from_json(v) for k, v in json_value(pt, dict, "a polyline point").items()}
+        for pt in json_field(spec, "points", list, owner)
     ]
     return ParameterLoop.polyline(points)
 
@@ -161,11 +160,10 @@ def cmd_monodromy(args) -> int:
     else:
         spec = json.loads(args.loop)
     loop = _loop_from_spec(spec)
-    options = TrackOptions(collision_tol=args.tolerance)
     inputs = {"family": family.to_json(), "loop": loop.to_json()}
     start = time.perf_counter()
     try:
-        trace = track_loop(family, loop, options)
+        trace = track_loop(family, loop, collision_tol=args.tolerance)
         word = loop_to_braid(trace)
         ms = (time.perf_counter() - start) * 1000
         witness = {"trace": trace.to_json()}
@@ -191,16 +189,14 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
         lo, hi = (int(tok) for tok in text.split(":"))
         cfg = branch_points(family, params)
         return arcs.chord(cfg.point(lo), cfg.point(hi))
-    return [complex_from_json(v) for v in json.loads(text)]
+    return [complex_from_json(v) for v in json_value(json.loads(text), list, "--arc")]
 
 
 def cmd_admissible(args) -> int:
     family = _family_from_args(args)
-    params = {
-        k: complex_from_json(v) for k, v in json.loads(args.params or "{}").items()
-    }
+    params = json_value(json.loads(args.params or "{}"), dict, "--params")
+    params = {k: complex_from_json(v) for k, v in params.items()}
     arc = _arc_from_spec(args.arc, family, params)
-    options = TrackOptions(collision_tol=args.tolerance)
     inputs = {
         "family": family.to_json(),
         "params": {k: [v.real, v.imag] for k, v in params.items()},
@@ -208,7 +204,7 @@ def cmd_admissible(args) -> int:
     }
     start = time.perf_counter()
     try:
-        report = arcs.admissible(family, params, arc, options)
+        report = arcs.admissible(family, params, arc, collision_tol=args.tolerance)
         ms = (time.perf_counter() - start) * 1000
         result = CheckResult(
             "admissible/arc", "arc-admissibility", "verified", report.to_json()

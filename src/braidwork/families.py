@@ -35,8 +35,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .words import json_field, json_value
+
 DEFAULT_COLLISION_TOL = 1e-8
-DEFAULT_RESIDUAL_TOL = 1e-12
+RESIDUAL_TOL = 1e-12  # Newton converges when every relative residual is below it
+NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
 MAX_NESTING = 100
 
@@ -232,28 +235,20 @@ class WeierstrassFamily:
 
     @staticmethod
     def from_json(data: dict) -> "WeierstrassFamily":
-        if not isinstance(data, dict):
-            raise ValueError("a family spec must be a JSON object")
+        json_value(data, dict, "a family spec")
         if data.get("catalogue_id") and "q_coeffs" not in data:
-            return catalogue_family(data["catalogue_id"], int(data.get("k", 1)))
-        for field in ("y_degree", "q_coeffs"):
-            if field not in data:
-                raise ValueError(f"family spec is missing the field {field!r}")
+            k = json_field(data, "k", int, "family spec", 1)
+            return catalogue_family(data["catalogue_id"], k)
         return WeierstrassFamily(
-            y_degree=int(data["y_degree"]),
-            params=data.get("params", ()),
-            p_coeffs=data.get("p_coeffs", ()),
-            q_coeffs=data["q_coeffs"],
+            y_degree=json_field(data, "y_degree", int, "family spec"),
+            params=json_field(data, "params", list, "family spec", ()),
+            p_coeffs=json_field(data, "p_coeffs", list, "family spec", ()),
+            q_coeffs=json_field(data, "q_coeffs", list, "family spec"),
             catalogue_id=data.get("catalogue_id"),
         )
 
 
-def refine_roots(
-    coeffs: np.ndarray,
-    roots: np.ndarray,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    max_iter: int = 24,
-) -> np.ndarray:
+def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Newton-polish roots of the polynomial with the given coefficients.
 
     Residuals are measured relative to sum_i |c_i| |z|^i, so the criterion
@@ -262,22 +257,22 @@ def refine_roots(
     deriv = npoly.polyder(coeffs)
     z = np.array(roots, dtype=complex)
     scale_coeffs = np.abs(coeffs)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         vals = npoly.polyval(z, coeffs)
         scale = npoly.polyval(np.abs(z), scale_coeffs) + 1e-300
         rel = np.abs(vals) / scale
-        if np.all(rel < residual_tol):
+        if np.all(rel < RESIDUAL_TOL):
             return z
         dvals = npoly.polyval(z, deriv)
         bad = np.abs(dvals) < 1e-300
-        if np.any(bad & (rel >= residual_tol)):
+        if np.any(bad & (rel >= RESIDUAL_TOL)):
             raise DegenerateConfigurationError("Newton step hit a critical point")
         step = np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
         z = z - step
     raise DegenerateConfigurationError("root refinement did not converge")
 
 
-def solve_roots(coeffs: np.ndarray, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> np.ndarray:
+def solve_roots(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     lead = np.abs(coeffs)
     if lead.max() == 0:
@@ -285,7 +280,7 @@ def solve_roots(coeffs: np.ndarray, residual_tol: float = DEFAULT_RESIDUAL_TOL) 
     if abs(coeffs[-1]) < 1e-13 * lead.max():
         raise DegenerateConfigurationError("leading coefficient vanished: degree dropped")
     raw = npoly.polyroots(coeffs)
-    return refine_roots(coeffs, raw, residual_tol)
+    return refine_roots(coeffs, raw)
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
@@ -334,11 +329,10 @@ def branch_points(
     family: WeierstrassFamily,
     t: dict[str, complex],
     collision_tol: float = DEFAULT_COLLISION_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> BranchConfiguration:
     """All branch points at parameter t, labeled; degenerate configurations
     (a pair closer than the collision tolerance) raise."""
-    roots = solve_roots(family.branch_coeffs(t), residual_tol)
+    roots = solve_roots(family.branch_coeffs(t))
     if min_pairwise_distance(roots) < collision_tol:
         raise DegenerateConfigurationError(
             f"branch points collide at parameters {t}"
@@ -359,6 +353,12 @@ def _monomial_q(k: int, shift: str | complex = 0, linear: str | complex = 0) -> 
             raise ValueError("cannot merge a linear term into x^1")
         return [shift, 1]
     return [shift, linear] + [0] * (k - 2) + [1]
+
+
+def merge_point(k: int) -> complex:
+    """exp(i pi / 2k), the root of x^k = i of least positive argument,
+    where the merge families put their double branch point."""
+    return cmath.exp(1j * math.pi / (2 * k))
 
 
 def catalogue_family(name: str, k: int = 1) -> WeierstrassFamily:

@@ -152,12 +152,6 @@ class NormalForm:
     inf: int
     factors: tuple[Perm, ...]
 
-    def is_identity(self) -> bool:
-        return self.inf == 0 and not self.factors
-
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def spelled_word(self) -> BraidWord:
         """A braid word spelling this element: Delta^inf then factor words."""
         delta = _delta_word(self.n)

@@ -21,9 +21,17 @@ from .families import (
     _monomial_q,
     catalogue_family,
     label_points,
+    merge_point,
     min_pairwise_distance,
     solve_roots,
 )
+
+GRID_SAMPLES = 100  # parameter values on the confinement grids
+CONFINEMENT_TOL = 1e-9  # largest ray deviation or modulus spread allowed
+EPS_MAGNITUDES = (1e-2, 1e-3, 1e-4)  # |eps| on the double-root grid
+EPS_ANGLES = 16  # arguments of eps per magnitude
+MU_RANGE = (1e-5, 1e-3)  # mu range of the cusp-exponent fit
+MU_SAMPLES = 13  # geometric samples of mu in that range
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,11 +54,11 @@ def _sorted_by_initial(cfg0: list[complex], points: np.ndarray) -> list[complex]
     return out
 
 
-def ray_confinement(k: int, samples: int = 100, tol: float = 1e-9) -> GeometryReport:
+def ray_confinement(k: int) -> GeometryReport:
     """Branch points of the shrinking family stay on fixed rays, and the
     even-labeled points shrink to the origin as the parameter approaches 1."""
     family = catalogue_family("ray", k)
-    lam_grid = np.linspace(-0.99, 0.99, samples)
+    lam_grid = np.linspace(-0.99, 0.99, GRID_SAMPLES)
     cfg0 = list(label_points(solve_roots(family.branch_coeffs({"lam": 0.0, "mu": 0.0}))))
     ray_args = [cmath.phase(z) for z in cfg0]
     max_dev = 0.0
@@ -72,7 +80,7 @@ def ray_confinement(k: int, samples: int = 100, tol: float = 1e-9) -> GeometryRe
     )
     results = (
         CheckResult(f"geometry/ray-confinement@k{k}", "ray-family",
-                    "verified" if max_dev < tol else "failed",
+                    "verified" if max_dev < CONFINEMENT_TOL else "failed",
                     {"max_ray_deviation": max_dev}),
         CheckResult(f"geometry/ray-merge@k{k}", "ray-family",
                     "verified" if merge_ok else "failed",
@@ -87,12 +95,12 @@ def _angle_diff(a: float, b: float) -> float:
     return d - 2 * math.pi if d > math.pi else d
 
 
-def circle_confinement(k: int, samples: int = 100, tol: float = 1e-9) -> GeometryReport:
+def circle_confinement(k: int) -> GeometryReport:
     """Branch points of the circle family share a common modulus at every
     parameter value, and their arguments move strictly monotonically:
     increasing for odd labels, decreasing for even labels."""
     family = catalogue_family("circle", k)
-    lam_grid = np.linspace(0.0, 0.99, samples)
+    lam_grid = np.linspace(0.0, 0.99, GRID_SAMPLES)
     cfg0 = list(label_points(solve_roots(family.branch_coeffs({"lam": 0.0}))))
     max_spread = 0.0
     args = [[] for _ in cfg0]
@@ -115,7 +123,7 @@ def circle_confinement(k: int, samples: int = 100, tol: float = 1e-9) -> Geometr
             monotone_ok &= bool(np.all(diffs < 0))
     results = (
         CheckResult(f"geometry/circle-modulus@k{k}", "circle-family",
-                    "verified" if max_spread < tol else "failed",
+                    "verified" if max_spread < CONFINEMENT_TOL else "failed",
                     {"max_modulus_spread": max_spread}),
         CheckResult(f"geometry/circle-monotone-args@k{k}", "circle-family",
                     "verified" if monotone_ok else "failed"),
@@ -123,23 +131,16 @@ def circle_confinement(k: int, samples: int = 100, tol: float = 1e-9) -> Geometr
     return GeometryReport(results, {"max_modulus_spread": max_spread})
 
 
-def double_root_uniqueness(
-    k: int,
-    magnitudes: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    angles: int = 16,
-    alpha: complex | None = None,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
-) -> GeometryReport:
+def double_root_uniqueness(k: int) -> GeometryReport:
     """For the perturbation with vanishing locus eps (x - alpha)^3 -
     (x^k - i)^2: exactly one double root (at alpha), all other roots
     simple and separated, for every epsilon on the grid."""
-    if alpha is None:
-        alpha = cmath.exp(1j * math.pi / (2 * k))
+    alpha = merge_point(k)
     rows = []
     all_ok = True
-    for mag in magnitudes:
-        for j in range(angles):
-            eps = mag * cmath.exp(2j * math.pi * (j + 0.3) / angles)
+    for mag in EPS_MAGNITUDES:
+        for j in range(EPS_ANGLES):
+            eps = mag * cmath.exp(2j * math.pi * (j + 0.3) / EPS_ANGLES)
             # eps (x - alpha)^3 - (x^k - i)^2, coefficients low to high
             cubic = np.zeros(4, dtype=complex)
             cubic[:4] = [-(alpha**3), 3 * alpha**2, -3 * alpha, 1]
@@ -156,7 +157,7 @@ def double_root_uniqueness(
             rest = near_alpha[2:]
             pair_tight = all(abs(z - alpha) < 1e-4 for z in double_pair)
             rest_simple = (
-                min_pairwise_distance(np.array(rest)) > collision_tol
+                min_pairwise_distance(np.array(rest)) > DEFAULT_COLLISION_TOL
                 if len(rest) > 1 else True
             )
             rest_clear = all(abs(z - alpha) > 1e-2 for z in rest)
@@ -166,22 +167,16 @@ def double_root_uniqueness(
     results = (
         CheckResult(f"geometry/double-root-unique@k{k}", "double-point-family",
                     "verified" if all_ok else "failed",
-                    {"grid": f"{angles} angles x {len(magnitudes)} magnitudes"}),
+                    {"grid": f"{EPS_ANGLES} angles x {len(EPS_MAGNITUDES)} magnitudes"}),
     )
     return GeometryReport(results, {"rows": rows})
 
 
-def cusp_exponent(
-    k: int,
-    decades: tuple[float, float] = (1e-5, 1e-3),
-    samples: int = 13,
-    alpha: complex | None = None,
-) -> GeometryReport:
+def cusp_exponent(k: int) -> GeometryReport:
     """The two branch points that merge at a root of x^k = i separate like
     |pair gap|^2 ~ mu^3 in the merge family; fit the exponent."""
-    if alpha is None:
-        alpha = cmath.exp(1j * math.pi / (2 * k))
-    mus = np.geomspace(decades[0], decades[1], samples)
+    alpha = merge_point(k)
+    mus = np.geomspace(*MU_RANGE, MU_SAMPLES)
     logs = []
     for mu in mus:
         # p is constant in x here, so the branch polynomial factors exactly

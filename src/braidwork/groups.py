@@ -20,25 +20,9 @@ Elements are immutable values; all operations are pure.
 from __future__ import annotations
 
 import dataclasses
-from typing import Protocol, runtime_checkable
 
 from . import garside
 from .words import BraidWord
-
-
-@runtime_checkable
-class GroupElement(Protocol):
-    """What a coefficient-group value must provide:
-
-    identity element, multiplication in writing order, inversion, and
-    equality/hash agreeing with the group's element equality.
-    """
-
-    def __mul__(self, other): ...
-
-    def inverse(self): ...
-
-    def __hash__(self) -> int: ...
 
 
 class Perm3:
@@ -68,9 +52,6 @@ class Perm3:
 
     def inverse(self) -> "Perm3":
         return _PERM3_INV[self]
-
-    def is_transposition(self) -> bool:
-        return sum(1 for i, x in enumerate(self._images) if x != i + 1) == 2
 
     def render(self) -> str:
         return _PERM3_NAMES[self._images]

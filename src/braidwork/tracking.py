@@ -1,12 +1,22 @@
 """Numerical braid monodromy: root tracking and crossing bookkeeping.
 
 A trace follows the roots of a polynomial whose coefficients vary along a
-path, with adaptive step halving.  A step is accepted only when every
-root's Newton correction converges, no root moves more than a quarter of
-the smallest pairwise gap, the predicted-to-corrected matching is
-unambiguous, and the rank order changes by at most disjoint adjacent
-swaps.  Failures halve the step; underflow raises with the offending
-parameter region.
+path, with adaptive step halving.  A trial step from parameter time s to
+s + h is accepted only when
+
+* every root's Newton correction converges (``families.refine_roots``:
+  relative residual below ``families.RESIDUAL_TOL`` within
+  ``families.NEWTON_STEPS`` iterations),
+* no root moves more than a quarter of the smallest pairwise gap,
+* the predicted-to-corrected matching is unambiguous (each corrected root
+  lies nearer its own prediction than half the distance to any other),
+* no two corrected roots are closer than the collision tolerance, and
+* the rank order changes by at most disjoint adjacent swaps.
+
+A trace starts with h = ``INITIAL_STEP``.  A rejected step halves h, and
+h below ``MIN_STEP`` raises with the offending parameter time, as does a
+trace needing more than ``MAX_STEPS`` trials; an accepted step grows h by
+half, up to ``MAX_STEP``.
 
 Strands are ordered by the real part of the rotated coordinate
 z * exp(-i * angle), imaginary part breaking ties.  A crossing of
@@ -14,8 +24,13 @@ adjacent ranks emits the generator with positive sign when the strand
 moving up in rank passes with the smaller imaginary part, which makes a
 counterclockwise half turn of two points the positive generator.  If two
 tracked points stay vertically aligned within tolerance over a whole
-step, the whole trace is recomputed with the projection rotated by a
-fixed small angle (recorded on the trace).
+step, the whole trace is recomputed with the projection rotated by
+``ROTATION_STEP`` (recorded on the trace), at most ``MAX_ROTATIONS``
+times.
+
+The collision tolerance and the projection angle are the only settings a
+caller chooses.  Circles are sampled by ``circle_path`` alone; ``lasso``
+joins an approach path, a circle and the way back into one loop.
 
 Each trace runs on one worker; independent traces share no state and can
 run concurrently.
@@ -23,6 +38,7 @@ run concurrently.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from typing import Callable, Sequence
@@ -31,7 +47,6 @@ import numpy as np
 
 from .families import (
     DEFAULT_COLLISION_TOL,
-    DEFAULT_RESIDUAL_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
     branch_points,
@@ -41,22 +56,21 @@ from .families import (
 )
 from .words import BraidWord
 
+INITIAL_STEP = 1 / 32
+MIN_STEP = 1e-12
+MAX_STEP = 1 / 16
+MAX_STEPS = 500_000
+ROTATION_STEP = 0.0737
+MAX_ROTATIONS = 8
+
+MAX_TURNS = 100  # turns of a circle loop, either way
+SAMPLES_PER_TURN = 48  # vertices per turn of a circle loop
+STAR_SAMPLES = 32  # vertices on each circle of a star basis
+STAR_RADIUS_FACTOR = 0.2  # star-basis circle radius over the nearest distance
+
 
 class TrackingError(RuntimeError):
     """Continuation failed; the message names the parameter region."""
-
-
-@dataclasses.dataclass(frozen=True)
-class TrackOptions:
-    collision_tol: float = DEFAULT_COLLISION_TOL
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
-    initial_step: float = 1 / 32
-    min_step: float = 1e-12
-    max_step: float = 1 / 16
-    projection_angle: float = 0.0
-    rotation_step: float = 0.0737
-    max_rotations: int = 8
-    max_steps: int = 500_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,16 +119,16 @@ def _rank_order(points: np.ndarray, angle: float) -> list[int]:
 
 def _track_once(
     coeff_fn: Callable[[float], np.ndarray],
-    options: TrackOptions,
+    collision_tol: float,
     angle: float,
 ) -> tuple[list[Crossing], np.ndarray, np.ndarray, list[int]]:
     rot = np.exp(-1j * angle)
     c0 = np.asarray(coeff_fn(0.0), dtype=complex)
-    roots = solve_roots(c0, options.residual_tol)
+    roots = solve_roots(c0)
     order = _rank_order(roots, angle)
     roots = roots[order]  # strand j = start rank j
     m = len(roots)
-    if min_pairwise_distance(roots) < options.collision_tol:
+    if min_pairwise_distance(roots) < collision_tol:
         raise DegenerateConfigurationError("start configuration is degenerate")
 
     def aligned(points: np.ndarray) -> bool:
@@ -132,13 +146,13 @@ def _track_once(
 
     crossings: list[Crossing] = []
     s = 0.0
-    h = options.initial_step
+    h = INITIAL_STEP
     steps = 0
     start = roots.copy()
 
     while s < 1.0 - 1e-15:
         steps += 1
-        if steps > options.max_steps:
+        if steps > MAX_STEPS:
             raise TrackingError(f"step budget exhausted near parameter time {s:.6f}")
         h = min(h, 1.0 - s)
         trial = s + h
@@ -146,7 +160,7 @@ def _track_once(
         def reject():
             nonlocal h
             h /= 2
-            if h < options.min_step:
+            if h < MIN_STEP:
                 raise TrackingError(
                     f"step underflow near parameter time {s:.6f}: "
                     "the path runs too close to a degeneration"
@@ -158,7 +172,7 @@ def _track_once(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )
         try:
-            new_roots = refine_roots(coeffs, roots, options.residual_tol)
+            new_roots = refine_roots(coeffs, roots)
         except DegenerateConfigurationError:
             reject()
             continue
@@ -175,7 +189,7 @@ def _track_once(
         if np.any(np.diag(dist) > 0.5 * off.min(axis=1)):
             reject()
             continue
-        if min_pairwise_distance(new_roots) < options.collision_tol:
+        if min_pairwise_distance(new_roots) < collision_tol:
             reject()
             continue
 
@@ -196,7 +210,7 @@ def _track_once(
 
         roots = new_roots
         s = trial
-        h = min(h * 1.5, options.max_step)
+        h = min(h * 1.5, MAX_STEP)
 
     return crossings, start, roots, ranks
 
@@ -244,22 +258,24 @@ def _emit(
 
 def track_coefficients(
     coeff_fn: Callable[[float], np.ndarray],
-    options: TrackOptions = TrackOptions(),
+    *,
+    collision_tol: float = DEFAULT_COLLISION_TOL,
+    projection_angle: float = 0.0,
 ) -> BraidTrace:
     """Track the root set of coeff_fn(s) for s in [0, 1]."""
-    angle = options.projection_angle
+    angle = projection_angle
     rotations = 0
     while True:
         try:
-            crossings, start, end, ranks = _track_once(coeff_fn, options, angle)
+            crossings, start, end, ranks = _track_once(coeff_fn, collision_tol, angle)
             break
         except _Restart:
             rotations += 1
-            if rotations > options.max_rotations:
+            if rotations > MAX_ROTATIONS:
                 raise TrackingError(
                     "projection rotation limit exceeded; points remain aligned"
                 )
-            angle += options.rotation_step
+            angle += ROTATION_STEP
 
     m = len(start)
     end_rank_order = _rank_order(end, angle)
@@ -307,16 +323,19 @@ class ParameterLoop:
         radius: float,
         turns: int = 1,
         fixed: dict[str, complex] | None = None,
-        samples_per_turn: int = 48,
         start_angle: float = 0.0,
     ) -> "ParameterLoop":
+        """``turns`` times round the circle in ``param`` (clockwise when
+        negative), the other parameters held at ``fixed``."""
+        if not (isinstance(turns, int) and not isinstance(turns, bool)
+                and 0 < abs(turns) <= MAX_TURNS):
+            raise ValueError(
+                f"circle loop turns must be a nonzero integer from -{MAX_TURNS} "
+                f"to {MAX_TURNS}, got {turns!r:.40}"
+            )
         fixed = dict(fixed or {})
-        count = samples_per_turn * abs(turns)
-        pts = []
-        for j in range(count + 1):
-            theta = start_angle + 2 * math.pi * turns * j / count
-            value = center + radius * complex(math.cos(theta), math.sin(theta))
-            pts.append({**fixed, param: value})
+        circle = circle_path(center, radius, start_angle, turns, SAMPLES_PER_TURN)
+        pts = [{**fixed, param: z} for z in circle]
         pts[-1] = pts[0]
         return ParameterLoop(tuple(pts))
 
@@ -348,38 +367,36 @@ def _interp_path(points: Sequence, s: float):
     return complex(p0) * (1 - frac) + complex(p1) * frac
 
 
-def validate_loop(
-    family: WeierstrassFamily,
-    loop: ParameterLoop,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
-) -> None:
-    """Check every vertex stays clear of the degeneration locus (branch
-    points pairwise separated beyond the collision tolerance)."""
-    for point in loop.points:
-        branch_points(family, point, collision_tol)
-
-
 def track_loop(
     family: WeierstrassFamily,
     loop: ParameterLoop,
-    options: TrackOptions = TrackOptions(),
+    *,
+    collision_tol: float = DEFAULT_COLLISION_TOL,
+    projection_angle: float = 0.0,
 ) -> BraidTrace:
-    """Track the branch points of the family along a closed parameter loop."""
-    validate_loop(family, loop, options.collision_tol)
+    """Track the branch points of the family along a closed parameter loop.
+    Every vertex must stay clear of the degeneration locus: its branch
+    points pairwise farther apart than the collision tolerance."""
+    for point in loop.points:
+        branch_points(family, point, collision_tol)
 
     def coeff_fn(s: float) -> np.ndarray:
         return family.branch_coeffs(loop.at(s))
 
-    return track_coefficients(coeff_fn, options)
+    return track_coefficients(
+        coeff_fn, collision_tol=collision_tol, projection_angle=projection_angle
+    )
 
 
-def track_x_path(
+def fiber_monodromy(
     family: WeierstrassFamily,
     t: dict[str, complex],
     path: Sequence[complex],
-    options: TrackOptions = TrackOptions(),
-) -> BraidTrace:
-    """Track the fiber roots in y along a path in the x-plane."""
+    *,
+    collision_tol: float = DEFAULT_COLLISION_TOL,
+) -> tuple[tuple[int, ...], BraidWord]:
+    """Endpoint matching and braid word of the fiber roots in y along a
+    path in the x-plane."""
     vertices = [complex(z) for z in path]
     if len(vertices) < 2:
         raise ValueError("a path needs at least two vertices")
@@ -387,17 +404,7 @@ def track_x_path(
     def coeff_fn(s: float) -> np.ndarray:
         return family.fiber_coeffs(_interp_path(vertices, s), t)
 
-    return track_coefficients(coeff_fn, options)
-
-
-def fiber_monodromy(
-    family: WeierstrassFamily,
-    t: dict[str, complex],
-    path: Sequence[complex],
-    options: TrackOptions = TrackOptions(),
-) -> tuple[tuple[int, ...], BraidWord]:
-    """Endpoint matching and fiber braid word along an x-plane path."""
-    trace = track_x_path(family, t, path, options)
+    trace = track_coefficients(coeff_fn, collision_tol=collision_tol)
     return trace.final_matching, loop_to_braid(trace)
 
 
@@ -406,9 +413,10 @@ def fiber_monodromy(
 
 
 def circle_path(
-    center: complex, radius: float, start_angle: float, turns: float = 1.0,
-    samples: int = 32,
+    center: complex, radius: float, start_angle: float, turns: float, samples: int
 ) -> list[complex]:
+    """Points of the circle from ``start_angle``, ``samples`` per turn;
+    the last point closes the circle up to rounding."""
     pts = []
     count = max(8, int(samples * abs(turns)))
     for j in range(count + 1):
@@ -417,31 +425,30 @@ def circle_path(
     return pts
 
 
-def loop_around(
-    target: complex,
-    base: complex,
-    radius: float,
-    samples: int = 32,
-) -> list[complex]:
+def lasso(approach: list, circle: list) -> list:
+    """The closed path out along ``approach``, round ``circle`` (which
+    starts where the approach ends) and back along the approach."""
+    return approach + circle[1:] + approach[::-1][1:]
+
+
+def loop_around(target: complex, base: complex, radius: float) -> list[complex]:
     """Radial approach from base, a positive circle around target, return."""
     direction = target - base
     dist = abs(direction)
     if dist <= radius:
         raise ValueError("base point sits inside the requested circle")
     entry = target - radius * direction / dist
-    start_angle = math.atan2((entry - target).imag, (entry - target).real)
     approach_steps = max(2, int(8 * dist / max(radius, 1e-9)) // 4)
     approach = [
         base + (entry - base) * j / approach_steps for j in range(approach_steps + 1)
     ]
-    circle = circle_path(target, radius, start_angle, 1.0, samples)
-    return approach + circle[1:] + approach[::-1][1:]
+    circle = circle_path(target, radius, cmath.phase(entry - target), 1, STAR_SAMPLES)
+    return lasso(approach, circle)
 
 
 def star_basis(
     points: Sequence[complex],
     base: complex | None = None,
-    radius_factor: float = 0.2,
 ) -> list[list[complex]]:
     """Disjoint positive loops around each point, ordered so that their
     product is the boundary class of a large disc.
@@ -469,6 +476,6 @@ def star_basis(
     for z in pts:
         others = [abs(z - w) for w in pts if w != z]
         reach = min(others) if others else 2 * abs(z - base)
-        radius = radius_factor * min(reach, abs(z - base))
+        radius = STAR_RADIUS_FACTOR * min(reach, abs(z - base))
         loops.append(loop_around(z, base, radius))
     return loops

@@ -9,6 +9,10 @@ All values are immutable; every operation returns a fresh word.  The
 canonical JSON form of a word is ``{"n": strand_count, "word": [..]}``
 with the signed-letter encoding above, e.g. sigma_1^3 in Br_6 is
 ``{"n": 6, "word": [1, 1, 1]}``.
+
+``json_value`` and ``json_field`` are the type checks every JSON reader
+of the package applies to its input: a value of the wrong type raises
+``ValueError`` naming the field, never a ``TypeError`` further in.
 """
 
 from __future__ import annotations
@@ -49,20 +53,44 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return invert(self)
 
-    def conjugated_by(self, b: "BraidWord") -> "BraidWord":
-        return conjugate_right(self, b)
-
     def to_json(self) -> dict:
         return {"n": self.n, "word": list(self.letters)}
 
     @staticmethod
     def from_json(data: dict) -> "BraidWord":
-        if not isinstance(data, dict):
-            raise ValueError("a braid word must be a JSON object")
-        for field in ("n", "word"):
-            if field not in data:
-                raise ValueError(f"braid word is missing the field {field!r}")
-        return BraidWord(int(data["n"]), tuple(int(x) for x in data["word"]))
+        json_value(data, dict, "a braid word")
+        n = json_field(data, "n", int, "braid word")
+        letters = json_field(data, "word", list, "braid word")
+        return BraidWord(n, tuple(json_value(x, int, "a braid word letter") for x in letters))
+
+
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "an array"),
+    dict: ((dict,), "an object"),
+}
+_REQUIRED = object()
+
+
+def json_value(value, kind: type, name: str):
+    """``value``, checked to be a JSON value of ``kind`` (int, float, str,
+    list or dict; a bool is not a number); otherwise ValueError naming it."""
+    types, what = _JSON_KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {what}, got {value!r:.40}")
+    return value
+
+
+def json_field(data: dict, field: str, kind: type, owner: str, default=_REQUIRED):
+    """``data[field]`` checked by ``json_value``; ``default`` if the field
+    is absent, and ValueError naming it if it is absent and required."""
+    if field not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{owner} is missing the field {field!r}")
+        return default
+    return json_value(data[field], kind, f"{owner} field {field!r}")
 
 
 def word(n: int, *letters: int) -> BraidWord:
@@ -72,10 +100,6 @@ def word(n: int, *letters: int) -> BraidWord:
 
 def identity(n: int) -> BraidWord:
     return BraidWord(n, ())
-
-
-def generator(n: int, i: int, sign: int = 1) -> BraidWord:
-    return BraidWord(n, (i if sign > 0 else -i,))
 
 
 def _check_same_n(u: BraidWord, v: BraidWord) -> None:

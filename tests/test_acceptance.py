@@ -177,9 +177,9 @@ def test_criterion_08_geometry_checks():
     details = []
     ok = True
     for k in (2, 3):
-        ray = ray_confinement(k, samples=100)
-        circle = circle_confinement(k, samples=100)
-        double = double_root_uniqueness(k, magnitudes=(1e-2, 1e-3, 1e-4), angles=16)
+        ray = ray_confinement(k)
+        circle = circle_confinement(k)
+        double = double_root_uniqueness(k)
         cusp = cusp_exponent(k)
         ok &= ray.passed and ray.metrics["max_ray_deviation"] < 1e-9
         ok &= circle.passed and circle.metrics["max_modulus_spread"] < 1e-9

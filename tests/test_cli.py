@@ -259,9 +259,31 @@ def test_transversal_does_not_depend_on_the_hash_seed():
     (["monodromy", "--expect", '{"n":2}'], "'word'"),
     (["admissible", "--family", "base", "--k", "2", "--arc", "1:9"], "label 9"),
     (["admissible", "--family", "base", "--k", "2", "--arc", "0:1"], "label 0"),
+    # circle turns: a nonzero integer of at most MAX_TURNS either way
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"turns":1000000000'], "turns"),
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"turns":0'], "turns"),
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"turns":1.5'], "turns"),
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"turns":true'], "turns"),
+    # JSON fields of the wrong type
+    (["admissible", "--params", "[1]", "--arc", "1:3"], "--params"),
+    (["admissible", "--arc", "5"], "--arc"),
+    (["monodromy", "--loop", '{"kind":"polyline","points":[1]}'], "polyline point"),
+    (["monodromy", "--loop", '{"kind":"polyline","points":{"lam":1}}'], "'points'"),
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":null}'], "'radius'"),
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"fixed":[0]'], "'fixed'"),
+    (["monodromy", "--family-file", "null_degree.json"], "'y_degree'"),
+    (["monodromy", "--family-file", "string_params.json"], "'params'"),
+    (["monodromy", "--family-file", "string_q.json"], "'q_coeffs'"),
+    (["monodromy", "--family-file", "string_k.json"], "'k'"),
+    (["monodromy", "--expect", '{"n":2.5,"word":[1]}'], "'n'"),
 ])
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path):
     (tmp_path / "family.json").write_text('{"y_degree": 3, "params": ["lam"]}')
+    (tmp_path / "null_degree.json").write_text('{"y_degree": null, "q_coeffs": [0, 1]}')
+    (tmp_path / "string_params.json").write_text(
+        '{"y_degree": 3, "params": "lam", "p_coeffs": ["lam"], "q_coeffs": [0, 1]}')
+    (tmp_path / "string_q.json").write_text('{"y_degree": 2, "params": ["lam"], "q_coeffs": "lam"}')
+    (tmp_path / "string_k.json").write_text('{"catalogue_id": "ray", "k": "2"}')
     proc = subprocess.run(
         [sys.executable, "-m", "braidwork", *argv], cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,

@@ -7,7 +7,6 @@ from braidwork.families import catalogue_family, branch_points
 from braidwork.garside import equal
 from braidwork.tracking import (
     ParameterLoop,
-    TrackOptions,
     TrackingError,
     circle_path,
     fiber_monodromy,
@@ -82,6 +81,18 @@ def test_loop_through_degeneration_raises():
     with pytest.raises(Exception) as err:
         track_loop(TANGENCY, bad)
     assert "degenerat" in str(err.value).lower() or "collide" in str(err.value).lower()
+
+
+@pytest.mark.parametrize("turns", [0, 1.5, True, 101, -101, "1"])
+def test_circle_turns_must_be_a_bounded_nonzero_integer(turns):
+    with pytest.raises(ValueError, match="turns"):
+        ParameterLoop.circle("lam", 0.0, 1.0, turns)
+
+
+def test_circle_turns_bound_is_inclusive():
+    for turns in (100, -100):
+        loop = ParameterLoop.circle("lam", 0.0, 1.0, turns)
+        assert len(loop.points) == 48 * 100 + 1
 
 
 def test_loop_must_be_closed():

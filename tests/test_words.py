@@ -6,7 +6,6 @@ from braidwork.words import (
     BraidWord,
     compose,
     conjugate_right,
-    generator,
     identity,
     invert,
     permutation_image,
