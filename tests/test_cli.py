@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -209,6 +210,32 @@ def test_orbit_certificates_are_pinned(argv, body_sha256, capsys):
     code, cert = run_json(argv, capsys)
     assert code == 0
     assert cert["body_sha256"] == body_sha256
+
+
+# body hashes of the symbolic suites: every row, witness and word of the
+# ledger, stabiliser, theorem and conjugacy-class checks
+@pytest.mark.parametrize("scope, body_sha256", [
+    ("identities", "8f89cc3d394ecb6aa1b3f538f2fc5d0859d42632236ebf5cd167e0472ebd24f0"),
+    ("stabilizers", "ffacf975044fa518a07f18e26d67e3087a2d5100fa48bc439455d7a61b29351a"),
+    ("theorem", "03d6432fc8c06cc7d1030244196a20c378237bb7c021e377867dce2f0b420900"),
+    ("conclass", "5738203b7f9d868ac85e01823a3409e81cd9f79729c21124888698fa1bd47a93"),
+    ("all", "120e9dc260c6cab4d031a5c6c0464e3560639774f83be591af825ff54554b2c9"),
+])
+def test_verify_certificates_are_pinned(scope, body_sha256, capsys):
+    code, cert = run_json(["verify", scope], capsys)
+    assert code == 0
+    assert cert["body_sha256"] == body_sha256
+
+
+def test_report_rows_are_pinned(capsys):
+    # the (id, status) list, not the body hash: report's float witnesses
+    # may differ in their last digits between numpy builds
+    code, cert = run_json(["report"], capsys)
+    assert code == 0
+    rows = [[r["id"], r["status"]] for r in cert["results"]]
+    assert len(rows) == 141
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "d316f684ad7ef520f1ba13caa7589be2be6b3cef8d07ed4d0ea9407d17eac27f"
 
 
 _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
