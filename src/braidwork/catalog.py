@@ -1,11 +1,13 @@
-"""Catalogue of named braids, distinguished systems and word identities.
+"""Catalogued braids, distinguished systems and word identities.
 
-The catalogue carries, in machine-readable form, the band generators
-e_ij built from the alternating Coxeter matrix, the extra stabilizers
-tau_1 and tau_2, the conjugating elements relating alternating systems
-to the reference systems, the generator lists for the reference-system
-stabilizers, and every tabulated word identity used to certify the
-stabilizer structure, together with verifier pipelines.
+Each catalogued object is built by one function: the band generators
+e_ij from the alternating Coxeter matrix, the extra stabilizers tau_1
+and tau_2, the conjugating elements relating alternating systems to the
+reference systems, and the generator lists for the reference-system
+stabilizers.  ``catalog()`` is the ledger of every tabulated word
+identity used to certify the stabilizer structure.  The verifier
+pipelines below are the checks: each returns ``CheckResult`` rows, and
+each stabilizer fact is computed by exactly one of them.
 
 Some table rows are transcribed in several readings: the source tables
 contain a handful of single-symbol discrepancies, and this module's job
@@ -17,6 +19,7 @@ the verifier reports which reading holds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable
 
 from .garside import equal, normal_form
@@ -35,6 +38,8 @@ from .words import (
     compose_all,
     conjugate_right,
     invert,
+    json_field,
+    json_value,
     power,
     word,
 )
@@ -143,13 +148,6 @@ def reference_system_generators(n: int, kind: str) -> list[BraidWord]:
 
 
 @dataclasses.dataclass(frozen=True)
-class NamedBraid:
-    name: str
-    word: BraidWord
-    source: str
-
-
-@dataclasses.dataclass(frozen=True)
 class IdentityRecord:
     """One reading of a tabulated identity lhs = rhs in Br_n.
 
@@ -165,10 +163,6 @@ class IdentityRecord:
     variant: str = "as written"
     row: str | None = None
 
-    @property
-    def flagged(self) -> bool:
-        return self.row is not None
-
 
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
@@ -180,14 +174,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.status == "verified"
-
-
-@dataclasses.dataclass(frozen=True)
-class Catalog:
-    coxeter_systems: dict[int, tuple[Perm3, ...]]
-    artin_systems: dict[int, tuple[Artin3, ...]]
-    named_braids: dict[str, NamedBraid]
-    identities: tuple[IdentityRecord, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +189,9 @@ def _band_table(n: int) -> dict[tuple[int, int], BraidWord]:
     }
 
 
-def _named_braids() -> dict[str, NamedBraid]:
-    out: dict[str, NamedBraid] = {}
-
-    def add(name: str, source: str, braid: BraidWord):
-        out[name] = NamedBraid(name, braid, source)
-
-    for n in range(2, 7):
-        for (i, j), band in _band_table(n).items():
-            add(f"e_{i}{j}@{n}", "band-generators", band)
-    for n in (5, 6):
-        add(f"tau_1@{n}", "extra-stabilizers", tau_word(1, n))
-    add("tau_2@6", "extra-stabilizers", tau_word(2, 6))
-    for n in range(3, 7):
-        add(f"c_{n}", "system-conjugators", conjugator_to_reference(n))
-    for n in range(2, 7):
-        for kind in ("A", "B"):
-            for idx, gen in enumerate(reference_system_generators(n, kind), start=1):
-                add(f"bw{kind}{n}_{idx}", "reference-stabilizer-generators", gen)
-    return out
-
-
-def _identities() -> tuple[IdentityRecord, ...]:
+@functools.cache
+def catalog() -> tuple[IdentityRecord, ...]:
+    """The built-in identity ledger; built once and cached."""
     records: list[IdentityRecord] = []
 
     def ctx(n: int):
@@ -437,28 +404,12 @@ def _identities() -> tuple[IdentityRecord, ...]:
     return tuple(records)
 
 
-_CATALOG: Catalog | None = None
-
-
-def catalog() -> Catalog:
-    """The full catalogue; built once and cached."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = Catalog(
-            coxeter_systems={n: coxeter_system(n) for n in range(2, 7)},
-            artin_systems={n: artin_system(n) for n in range(2, 7)},
-            named_braids=_named_braids(),
-            identities=_identities(),
-        )
-    return _CATALOG
-
-
 # ---------------------------------------------------------------------------
 # Verifier pipelines
 
 
 def ledger_to_json(records: Iterable[IdentityRecord] | None = None) -> list[dict]:
-    records = list(records) if records is not None else list(catalog().identities)
+    records = list(records) if records is not None else list(catalog())
     out = []
     for r in records:
         row = {
@@ -475,19 +426,29 @@ def ledger_to_json(records: Iterable[IdentityRecord] | None = None) -> list[dict
     return out
 
 
-def ledger_from_json(rows: list[dict]) -> list[IdentityRecord]:
+def ledger_from_json(rows: list) -> list[IdentityRecord]:
+    """Read a ledger written by ``ledger_to_json``; a malformed row raises
+    ValueError naming the row and the field."""
     out = []
-    for row in rows:
-        n = int(row["n"])
+    for idx, row in enumerate(json_value(rows, list, "a ledger")):
+        owner = f"ledger row {idx}"
+        json_value(row, dict, owner)
+        n = json_field(row, "n", int, owner)
+
+        def side(field: str) -> BraidWord:
+            letters = json_field(row, field, list, owner)
+            return BraidWord(n, tuple(json_value(x, int, f"{owner} field {field!r} letter")
+                                      for x in letters))
+
         out.append(
             IdentityRecord(
-                id=row["id"],
+                id=json_field(row, "id", str, owner),
                 strand_count=n,
-                lhs=BraidWord(n, tuple(row["lhs"])),
-                rhs=BraidWord(n, tuple(row["rhs"])),
-                source=row.get("source", "external-ledger"),
-                variant=row.get("variant", "as written"),
-                row=row.get("row"),
+                lhs=side("lhs"),
+                rhs=side("rhs"),
+                source=json_field(row, "source", str, owner, "external-ledger"),
+                variant=json_field(row, "variant", str, owner, "as written"),
+                row=json_field(row, "row", str, owner, None),
             )
         )
     return out
@@ -515,7 +476,7 @@ def verify_identity(record: IdentityRecord) -> CheckResult:
 def verify_identities(records: Iterable[IdentityRecord] | None = None) -> list[CheckResult]:
     """Verify the ledger.  Multi-reading rows are aggregated: the row is
     verified when at least one reading holds, and the verdict names it."""
-    records = list(records) if records is not None else list(catalog().identities)
+    records = list(records) if records is not None else list(catalog())
     results: list[CheckResult] = []
     rows: dict[str, list[tuple[IdentityRecord, CheckResult]]] = {}
     for record in records:
@@ -541,14 +502,13 @@ def verify_stabilizer_tables() -> list[CheckResult]:
     """Stabilizer membership checks for all band generators, the extra
     twists, the reference-system generator lists, and the displayed
     conjugator computations."""
-    cat = catalog()
     out: list[CheckResult] = []
 
     def check(id_: str, source: str, ok: bool, witness: dict | None = None):
         out.append(CheckResult(id_, source, "verified" if ok else "failed", witness))
 
     for n in range(2, 7):
-        cox, art = cat.coxeter_systems[n], cat.artin_systems[n]
+        cox, art = coxeter_system(n), artin_system(n)
         bands = _band_table(n)
         check(f"stabilizers/bands-fix-coxeter@{n}", "band-generators",
               all(stabilizes(w, cox) for w in bands.values()))
@@ -557,20 +517,20 @@ def verify_stabilizer_tables() -> list[CheckResult]:
 
     for n in (5, 6):
         t1 = tau_word(1, n)
-        cox, art = cat.coxeter_systems[n], cat.artin_systems[n]
+        cox, art = coxeter_system(n), artin_system(n)
         check(f"stabilizers/tau1-fixes-coxeter@{n}", "extra-stabilizers",
               stabilizes(t1, cox))
         check(f"stabilizers/tau1-moves-artin@{n}", "extra-stabilizers",
               not stabilizes(t1, art))
     t2 = tau_word(2, 6)
     check("stabilizers/tau2-fixes-coxeter@6", "extra-stabilizers",
-          stabilizes(t2, cat.coxeter_systems[6]))
+          stabilizes(t2, coxeter_system(6)))
     check("stabilizers/tau2-moves-artin@6", "extra-stabilizers",
-          not stabilizes(t2, cat.artin_systems[6]))
+          not stabilizes(t2, artin_system(6)))
 
     for n in range(3, 7):
         conj_word = conjugator_to_reference(n)
-        image = act_word(conj_word, cat.coxeter_systems[n])
+        image = act_word(conj_word, coxeter_system(n))
         expected = REFERENCE_IMAGES[n]
         check(f"stabilizers/conjugator-image@{n}", "system-conjugators",
               image == expected,
@@ -594,40 +554,23 @@ def verify_stabilizer_tables() -> list[CheckResult]:
 def verify_theorem_rows() -> list[CheckResult]:
     """The headline containment and strictness rows: every band generator
     fixes the alternating Artin system (n = 2..6), and tau_1 / tau_2
-    witness that the Coxeter stabilizer is strictly larger for n >= 5."""
-    cat = catalog()
-    out: list[CheckResult] = []
-    for n in range(2, 7):
-        art = cat.artin_systems[n]
-        ok = all(stabilizes(w, art) for w in _band_table(n).values())
-        out.append(CheckResult(f"theorem/bands-in-artin-stabilizer@{n}",
-                               "stabilizer-theorem", "verified" if ok else "failed"))
-    for n in (5, 6):
-        t1 = tau_word(1, n)
-        ok = stabilizes(t1, cat.coxeter_systems[n]) and not stabilizes(t1, cat.artin_systems[n])
-        out.append(CheckResult(f"theorem/strictness-tau1@{n}", "stabilizer-theorem",
-                               "verified" if ok else "failed"))
-    ok = stabilizes(t2 := tau_word(2, 6), cat.coxeter_systems[6]) and \
-        not stabilizes(t2, cat.artin_systems[6])
-    out.append(CheckResult("theorem/strictness-tau2@6", "stabilizer-theorem",
-                           "verified" if ok else "failed"))
-    return out
+    witness that the Coxeter stabilizer is strictly larger for n >= 5.
+    Each row is read off the ``verify_stabilizer_tables`` rows it restates."""
+    status = {r.id: r.status for r in verify_stabilizer_tables()}
+
+    def row(id_: str, *facts: str) -> CheckResult:
+        ok = all(status[f"stabilizers/{fact}"] == "verified" for fact in facts)
+        return CheckResult(f"theorem/{id_}", "stabilizer-theorem",
+                           "verified" if ok else "failed")
+
+    return [row(f"bands-in-artin-stabilizer@{n}", f"bands-fix-artin@{n}")
+            for n in range(2, 7)] + [
+        row(f"strictness-{tau}@{n}", f"{tau}-fixes-coxeter@{n}", f"{tau}-moves-artin@{n}")
+        for tau, n in (("tau1", 5), ("tau1", 6), ("tau2", 6))
+    ]
 
 
-@dataclasses.dataclass(frozen=True)
-class HalfTwistReport:
-    orbit_size: int
-    stabilizing_word_count: int
-    distinct_conjugates: int  # including the trivial class of e_13 itself
-    nontrivial_conjugates: int
-    results: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
-def half_twist_classification() -> HalfTwistReport:
+def half_twist_classification() -> list[CheckResult]:
     """Enumerate the orbit transversal of the alternating Coxeter system
     on six strands, filter the transversal conjugates of e_13 that fix the alternating
     Artin system, and match the distinct nontrivial conjugates against the
@@ -637,22 +580,16 @@ def half_twist_classification() -> HalfTwistReport:
     mates) is reported separately; the tabulated count refers to the
     nontrivial classes.
     """
-    cat = catalog()
-    e13 = cat.named_braids["e_13@6"].word
-    table = orbit(cat.coxeter_systems[6])
-    art = cat.artin_systems[6]
+    e13 = _band_table(6)[1, 3]
+    table = orbit(coxeter_system(6))
+    art = artin_system(6)
 
-    stabilizing: list[tuple[BraidWord, BraidWord]] = []
+    classes = set()
     for gamma in table.transversal.values():
         candidate = conjugate_right(e13, gamma)
         if stabilizes(candidate, art):
-            stabilizing.append((gamma, candidate))
-
-    classes: dict = {}
-    for gamma, candidate in stabilizing:
-        classes.setdefault(normal_form(candidate), []).append(gamma)
-    trivial_nf = normal_form(e13)
-    nontrivial = {nf: gs for nf, gs in classes.items() if nf != trivial_nf}
+            classes.add(normal_form(candidate))
+    nontrivial = classes - {normal_form(e13)}
 
     results: list[CheckResult] = [
         CheckResult("conclass/orbit-240", "halftwist-transversal-table",
@@ -666,7 +603,7 @@ def half_twist_classification() -> HalfTwistReport:
 
     # match classes against the verifying reading of each tabulated row
     row_values: dict[str, object] = {}
-    for record in cat.identities:
+    for record in catalog():
         if record.source != "halftwist-transversal-table":
             continue
         row_id = record.row or record.id
@@ -675,16 +612,8 @@ def half_twist_classification() -> HalfTwistReport:
         if equal(record.lhs, record.rhs):
             row_values[row_id] = normal_form(record.lhs)
     matched = set(row_values.values())
-    class_set = set(nontrivial.keys())
     results.append(CheckResult(
         "conclass/rows-match-classes", "halftwist-transversal-table",
-        "verified" if matched == class_set and len(row_values) == 18 else "failed",
-        {"verifying_rows": len(row_values)} if matched != class_set else None))
-
-    return HalfTwistReport(
-        orbit_size=len(table),
-        stabilizing_word_count=len(stabilizing),
-        distinct_conjugates=len(classes),
-        nontrivial_conjugates=len(nontrivial),
-        results=tuple(results),
-    )
+        "verified" if matched == nontrivial and len(row_values) == 18 else "failed",
+        {"verifying_rows": len(row_values)} if matched != nontrivial else None))
+    return results

@@ -69,7 +69,7 @@ def _family_from_args(args) -> WeierstrassFamily:
     if args.family_file:
         with open(args.family_file) as fh:
             return WeierstrassFamily.from_json(json.load(fh))
-    return catalogue_family(args.family, getattr(args, "k", 1) or 1)
+    return catalogue_family(args.family, args.k)
 
 
 def _emit(cert: Certificate, args) -> int:
@@ -131,25 +131,17 @@ def cmd_orbit(args, emit_transversal: bool = False) -> int:
         "cap": cap,
         "base": [g.render() for g in base],
     }
-    start = time.perf_counter()
-    try:
+
+    def compute() -> tuple[str, dict]:
         table = orbit(base, cap)
-        ms = (time.perf_counter() - start) * 1000
         witness = {"orbit_size": len(table)}
         if emit_transversal:
             witness["transversal"] = table.to_json(lambda g: g.render())
-        result = CheckResult(
-            f"orbit/{coefficient}@n{args.n}", "orbit-enumeration", "verified", witness
-        )
-    except OrbitCapExceeded as exc:
-        ms = (time.perf_counter() - start) * 1000
-        result = CheckResult(
-            f"orbit/{coefficient}@n{args.n}", "orbit-enumeration", "degenerate",
-            {"error": str(exc), "cap": cap},
-        )
+        return "verified", witness
+
     command = "transversal" if emit_transversal else "orbit"
-    cert = Certificate.build(command, inputs, [(result, ms)])
-    return _emit(cert, args)
+    return _run_one(args, command, inputs, f"orbit/{coefficient}@n{args.n}",
+                    "orbit-enumeration", compute, (OrbitCapExceeded,), cap=cap)
 
 
 def cmd_monodromy(args) -> int:
@@ -160,28 +152,19 @@ def cmd_monodromy(args) -> int:
     else:
         spec = json.loads(args.loop)
     loop = _loop_from_spec(spec)
+    expected = BraidWord.from_json(json.loads(args.expect)) if args.expect else None
     inputs = {"family": family.to_json(), "loop": loop.to_json()}
-    start = time.perf_counter()
-    try:
+
+    def compute() -> tuple[str, dict]:
         trace = track_loop(family, loop, collision_tol=args.tolerance)
-        word = loop_to_braid(trace)
-        ms = (time.perf_counter() - start) * 1000
         witness = {"trace": trace.to_json()}
-        if args.expect:
-            expected = BraidWord.from_json(json.loads(args.expect))
-            ok = equal(word, expected)
-            witness["expected"] = expected.to_json()
-            status = "verified" if ok else "failed"
-        else:
-            status = "verified"
-        result = CheckResult("monodromy/loop", "loop-tracking", status, witness)
-    except (TrackingError, DegenerateConfigurationError) as exc:
-        ms = (time.perf_counter() - start) * 1000
-        result = CheckResult(
-            "monodromy/loop", "loop-tracking", "degenerate", {"error": str(exc)}
-        )
-    cert = Certificate.build("monodromy", inputs, [(result, ms)])
-    return _emit(cert, args)
+        if expected is None:
+            return "verified", witness
+        witness["expected"] = expected.to_json()
+        return "verified" if equal(loop_to_braid(trace), expected) else "failed", witness
+
+    return _run_one(args, "monodromy", inputs, "monodromy/loop", "loop-tracking", compute,
+                    (TrackingError, DegenerateConfigurationError))
 
 
 def _arc_from_spec(text: str, family, params) -> list[complex]:
@@ -202,20 +185,13 @@ def cmd_admissible(args) -> int:
         "params": {k: [v.real, v.imag] for k, v in params.items()},
         "arc": [[z.real, z.imag] for z in arc],
     }
-    start = time.perf_counter()
-    try:
+
+    def compute() -> tuple[str, dict]:
         report = arcs.admissible(family, params, arc, collision_tol=args.tolerance)
-        ms = (time.perf_counter() - start) * 1000
-        result = CheckResult(
-            "admissible/arc", "arc-admissibility", "verified", report.to_json()
-        )
-    except (arcs.ArcError, TrackingError, DegenerateConfigurationError) as exc:
-        ms = (time.perf_counter() - start) * 1000
-        result = CheckResult(
-            "admissible/arc", "arc-admissibility", "degenerate", {"error": str(exc)}
-        )
-    cert = Certificate.build("admissible", inputs, [(result, ms)])
-    return _emit(cert, args)
+        return "verified", report.to_json()
+
+    return _run_one(args, "admissible", inputs, "admissible/arc", "arc-admissibility",
+                    compute, (arcs.ArcError, TrackingError, DegenerateConfigurationError))
 
 
 def cmd_report(args) -> int:
@@ -255,9 +231,9 @@ def _admissibility_checks() -> list[CheckResult]:
 
 
 # Every catalogued check, once.  A check is a zero-argument callable that
-# returns CheckResults or a report carrying them as ``.results``.  Entries
-# with a scope are the symbolic suites behind ``verify SCOPE``; entries
-# without one are numerical and run only in ``report``.
+# returns CheckResults.  Entries with a scope are the symbolic suites behind
+# ``verify SCOPE``; entries without one are numerical and run only in
+# ``report``.
 CHECKS: tuple[tuple[str | None, Callable], ...] = (
     ("identities", catalog.verify_identities),
     ("stabilizers", catalog.verify_stabilizer_tables),
@@ -268,7 +244,7 @@ CHECKS: tuple[tuple[str | None, Callable], ...] = (
       for check in (geometry.ray_confinement, geometry.circle_confinement,
                     geometry.double_root_uniqueness, geometry.cusp_exponent)),
     (None, _anchor_checks),
-    *((None, partial(bifurcation.bifurcation_generators, k)) for k in (1, 2, 3)),
+    *((None, lambda k=k: bifurcation.bifurcation_generators(k).results) for k in (1, 2, 3)),
     (None, partial(bifurcation.full_braid_monodromy_check, 3)),
     (None, _admissibility_checks),
 )
@@ -280,11 +256,27 @@ def _run(checks) -> list[tuple[CheckResult, float]]:
     rows: list[tuple[CheckResult, float]] = []
     for check in checks:
         start = time.perf_counter()
-        out = check()
+        results = check()
         ms = (time.perf_counter() - start) * 1000
-        results = out.results if hasattr(out, "results") else out
         rows += [(r, ms / max(1, len(results))) for r in results]
     return rows
+
+
+def _run_one(args, command: str, inputs: dict, row_id: str, source: str,
+             compute: Callable[[], tuple[str, dict]], degenerate: tuple[type, ...],
+             **degenerate_witness) -> int:
+    """Emit the one-row certificate of ``command``: ``compute()`` gives the
+    row's status and witness, and one of the ``degenerate`` exceptions
+    makes it a degenerate row whose witness is the error plus
+    ``degenerate_witness``."""
+    def check() -> list[CheckResult]:
+        try:
+            status, witness = compute()
+        except degenerate as exc:
+            status, witness = "degenerate", {"error": str(exc), **degenerate_witness}
+        return [CheckResult(row_id, source, status, witness)]
+
+    return _emit(Certificate.build(command, inputs, _run([check])), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,6 +42,7 @@ RESIDUAL_TOL = 1e-12  # Newton converges when every relative residual is below i
 NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
 MAX_NESTING = 100
+MAX_X_DEGREE = 64  # largest x-degree k of a family; covers every catalogued and benchmarked k
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -171,6 +172,10 @@ class WeierstrassFamily:
         self.catalogue_id = catalogue_id
         self._p_texts = tuple(_entry_text(c) for c in p_coeffs)
         self._q_texts = tuple(_entry_text(c) for c in q_coeffs)
+        for field, texts in (("p_coeffs", self._p_texts), ("q_coeffs", self._q_texts)):
+            if len(texts) > MAX_X_DEGREE + 1:
+                raise ValueError(f"{field} has {len(texts)} entries; the x-degree is at "
+                                 f"most {MAX_X_DEGREE}, so at most {MAX_X_DEGREE + 1}")
         if y_degree == 2 and self._p_texts:
             raise ValueError("quadratic fibers take no p coefficients")
         if not self._q_texts:
@@ -385,7 +390,11 @@ def catalogue_family(name: str, k: int = 1) -> WeierstrassFamily:
     tame          y^2 - x^k + k x + lam  (k >= 2)          full braid group on k points
                   y^2 - x + lam          (k = 1)
                   degenerate where lam is a critical value of x^k - k x
+
+    The x-degree k runs from 1 to ``MAX_X_DEGREE``.
     """
+    if not 1 <= k <= MAX_X_DEGREE:
+        raise ValueError(f"x-degree k must be from 1 to {MAX_X_DEGREE}, got {k}")
     if name == "cusp":
         return WeierstrassFamily(3, ("lam",), ("lam",), (0, 1), catalogue_id="cusp")
     if name == "tangency":

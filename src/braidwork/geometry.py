@@ -10,7 +10,6 @@ cusp scaling exponent of the pairwise merge.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -34,16 +33,6 @@ MU_RANGE = (1e-5, 1e-3)  # mu range of the cusp-exponent fit
 MU_SAMPLES = 13  # geometric samples of mu in that range
 
 
-@dataclasses.dataclass(frozen=True)
-class GeometryReport:
-    results: tuple[CheckResult, ...]
-    metrics: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
 def _sorted_by_initial(cfg0: list[complex], points: np.ndarray) -> list[complex]:
     """Match points to the labels of the initial configuration by argument."""
     out = [None] * len(cfg0)
@@ -54,7 +43,7 @@ def _sorted_by_initial(cfg0: list[complex], points: np.ndarray) -> list[complex]
     return out
 
 
-def ray_confinement(k: int) -> GeometryReport:
+def ray_confinement(k: int) -> tuple[CheckResult, ...]:
     """Branch points of the shrinking family stay on fixed rays, and the
     even-labeled points shrink to the origin as the parameter approaches 1."""
     family = catalogue_family("ray", k)
@@ -78,7 +67,7 @@ def ray_confinement(k: int) -> GeometryReport:
         abs(m - expected_final) < 1e-6 and m < 0.5 * e0
         for m, e0 in zip(even_final, even_initial)
     )
-    results = (
+    return (
         CheckResult(f"geometry/ray-confinement@k{k}", "ray-family",
                     "verified" if max_dev < CONFINEMENT_TOL else "failed",
                     {"max_ray_deviation": max_dev}),
@@ -87,7 +76,6 @@ def ray_confinement(k: int) -> GeometryReport:
                     {"even_moduli_at_end": even_final,
                      "expected": expected_final}),
     )
-    return GeometryReport(results, {"max_ray_deviation": max_dev})
 
 
 def _angle_diff(a: float, b: float) -> float:
@@ -95,7 +83,7 @@ def _angle_diff(a: float, b: float) -> float:
     return d - 2 * math.pi if d > math.pi else d
 
 
-def circle_confinement(k: int) -> GeometryReport:
+def circle_confinement(k: int) -> tuple[CheckResult, ...]:
     """Branch points of the circle family share a common modulus at every
     parameter value, and their arguments move strictly monotonically:
     increasing for odd labels, decreasing for even labels."""
@@ -121,22 +109,20 @@ def circle_confinement(k: int) -> GeometryReport:
             monotone_ok &= bool(np.all(diffs > 0))
         else:
             monotone_ok &= bool(np.all(diffs < 0))
-    results = (
+    return (
         CheckResult(f"geometry/circle-modulus@k{k}", "circle-family",
                     "verified" if max_spread < CONFINEMENT_TOL else "failed",
                     {"max_modulus_spread": max_spread}),
         CheckResult(f"geometry/circle-monotone-args@k{k}", "circle-family",
                     "verified" if monotone_ok else "failed"),
     )
-    return GeometryReport(results, {"max_modulus_spread": max_spread})
 
 
-def double_root_uniqueness(k: int) -> GeometryReport:
+def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
     """For the perturbation with vanishing locus eps (x - alpha)^3 -
     (x^k - i)^2: exactly one double root (at alpha), all other roots
     simple and separated, for every epsilon on the grid."""
     alpha = merge_point(k)
-    rows = []
     all_ok = True
     for mag in EPS_MAGNITUDES:
         for j in range(EPS_ANGLES):
@@ -161,18 +147,15 @@ def double_root_uniqueness(k: int) -> GeometryReport:
                 if len(rest) > 1 else True
             )
             rest_clear = all(abs(z - alpha) > 1e-2 for z in rest)
-            ok = pair_tight and rest_simple and rest_clear
-            all_ok &= ok
-            rows.append({"eps": [eps.real, eps.imag], "ok": ok})
-    results = (
+            all_ok &= pair_tight and rest_simple and rest_clear
+    return (
         CheckResult(f"geometry/double-root-unique@k{k}", "double-point-family",
                     "verified" if all_ok else "failed",
                     {"grid": f"{EPS_ANGLES} angles x {len(EPS_MAGNITUDES)} magnitudes"}),
     )
-    return GeometryReport(results, {"rows": rows})
 
 
-def cusp_exponent(k: int) -> GeometryReport:
+def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
     """The two branch points that merge at a root of x^k = i separate like
     |pair gap|^2 ~ mu^3 in the merge family; fit the exponent."""
     alpha = merge_point(k)
@@ -194,12 +177,11 @@ def cusp_exponent(k: int) -> GeometryReport:
     ys = np.array([p[1] for p in logs])
     slope = float(np.polyfit(xs, ys, 1)[0])
     ok = abs(slope - 3.0) < 0.05 * 3.0
-    results = (
+    return (
         CheckResult(f"geometry/cusp-exponent@k{k}", "merge-family",
                     "verified" if ok else "failed",
                     {"fitted_exponent": slope}),
     )
-    return GeometryReport(results, {"fitted_exponent": slope})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable
 
 from .words import BraidWord, compose, invert
 
@@ -85,15 +85,8 @@ class OrbitTable:
     n: int
     transversal: dict[System, BraidWord]
 
-    @property
-    def elements(self) -> Sequence[System]:
-        return list(self.transversal.keys())
-
     def __len__(self) -> int:
         return len(self.transversal)
-
-    def words(self) -> list[BraidWord]:
-        return list(self.transversal.values())
 
     def to_json(self, render: Callable) -> list[dict]:
         return [

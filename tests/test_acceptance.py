@@ -61,11 +61,12 @@ def test_criterion_01_orbit_count(orbit_c6):
 
 def test_criterion_02_conjugate_filter():
     start = time.perf_counter()
-    result = half_twist_classification()
+    results = half_twist_classification()
     elapsed = time.perf_counter() - start
+    by_id = {r.id: r for r in results}
     ok = (
-        result.nontrivial_conjugates == 18
-        and result.passed
+        by_id["conclass/distinct-18"].witness["nontrivial_classes"] == 18
+        and all(r.passed for r in results)
         and elapsed < 120
     )
     report(2, ok, f"18 nontrivial conjugate classes matched, {elapsed:.1f}s")
@@ -177,19 +178,15 @@ def test_criterion_08_geometry_checks():
     details = []
     ok = True
     for k in (2, 3):
-        ray = ray_confinement(k)
-        circle = circle_confinement(k)
-        double = double_root_uniqueness(k)
-        cusp = cusp_exponent(k)
-        ok &= ray.passed and ray.metrics["max_ray_deviation"] < 1e-9
-        ok &= circle.passed and circle.metrics["max_modulus_spread"] < 1e-9
-        ok &= double.passed
-        ok &= cusp.passed and abs(cusp.metrics["fitted_exponent"] - 3) < 0.15
-        details.append(
-            f"k={k}: ray {ray.metrics['max_ray_deviation']:.1e}, "
-            f"circle {circle.metrics['max_modulus_spread']:.1e}, "
-            f"exponent {cusp.metrics['fitted_exponent']:.3f}"
-        )
+        rows = {r.id.split("@")[0]: r for check in (
+            ray_confinement, circle_confinement, double_root_uniqueness, cusp_exponent)
+            for r in check(k)}
+        ray = rows["geometry/ray-confinement"].witness["max_ray_deviation"]
+        spread = rows["geometry/circle-modulus"].witness["max_modulus_spread"]
+        exponent = rows["geometry/cusp-exponent"].witness["fitted_exponent"]
+        ok &= all(r.passed for r in rows.values()) and len(rows) == 6
+        ok &= ray < 1e-9 and spread < 1e-9 and abs(exponent - 3) < 0.15
+        details.append(f"k={k}: ray {ray:.1e}, circle {spread:.1e}, exponent {exponent:.3f}")
     report(8, ok, "; ".join(details))
 
 

@@ -9,6 +9,7 @@ from braidwork.catalog import (
     conjugator_to_reference,
     coxeter_system,
     half_twist_classification,
+    reference_system_generators,
     tau_word,
     verify_identities,
     verify_identity,
@@ -45,23 +46,21 @@ def test_build_e_examples():
 
 
 def test_catalog_contents():
-    cat = catalog()
-    assert set(cat.coxeter_systems) == {2, 3, 4, 5, 6}
-    assert cat.coxeter_systems[3] == (PERM3_S, PERM3_T, PERM3_S)
-    assert "e_13@6" in cat.named_braids
-    assert "tau_1@5" in cat.named_braids
-    assert "c_6" in cat.named_braids
-    assert "bwB6_7" in cat.named_braids
-    ids = {r.id for r in cat.identities}
+    assert [len(coxeter_system(n)) for n in range(2, 7)] == [2, 3, 4, 5, 6]
+    assert coxeter_system(3) == (PERM3_S, PERM3_T, PERM3_S)
+    assert build_e(1, 3, build_matrix(6)).n == 6
+    assert tau_word(1, 5).n == 5
+    assert conjugator_to_reference(6).n == 6
+    assert len(reference_system_generators(6, "B")) == 7
+    ids = {r.id for r in catalog()}
     assert "band-reduction/e14@6" in ids
     assert "twist-normality/e12-tau1@5" in ids
     assert "twist-normality/e12-tau1@6" in ids
-    assert any(r.id.startswith("halftwist-transversal/row01") for r in cat.identities)
+    assert any(r.id.startswith("halftwist-transversal/row01") for r in catalog())
 
 
 def test_verify_identity_pass_and_corrupted_fail():
-    cat = catalog()
-    rec = next(r for r in cat.identities if r.id == "band-reduction/e14@6")
+    rec = next(r for r in catalog() if r.id == "band-reduction/e14@6")
     assert verify_identity(rec).status == "verified"
     corrupted = IdentityRecord(
         rec.id, rec.strand_count, rec.lhs, compose(rec.rhs, word(6, 1)), rec.source
@@ -109,11 +108,13 @@ def test_theorem_rows():
 
 
 def test_half_twist_classification_counts():
-    report = half_twist_classification()
-    assert report.orbit_size == 240
-    assert report.nontrivial_conjugates == 18
-    assert report.distinct_conjugates == 19  # the trivial class rides along
-    assert report.passed
+    results = half_twist_classification()
+    by_id = {r.id: r for r in results}
+    assert by_id["conclass/orbit-240"].witness["orbit_size"] == 240
+    assert by_id["conclass/distinct-18"].witness["nontrivial_classes"] == 18
+    # the trivial class rides along
+    assert by_id["conclass/distinct-18"].witness["including_trivial"] == 19
+    assert all(r.passed for r in results)
 
 
 def test_tau_word_requires_enough_strands():

@@ -4,12 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import braidwork
 from braidwork.catalog import verify_identities
 from braidwork.cli import CHECKS, SCOPES, main
+from braidwork.families import MAX_X_DEGREE
 
 SRC = pathlib.Path(braidwork.__file__).resolve().parents[1]
 
@@ -280,6 +282,21 @@ def test_transversal_does_not_depend_on_the_hash_seed():
     assert hashes[0] == hashes[1]
 
 
+def _write_malformed_inputs(tmp_path):
+    (tmp_path / "family.json").write_text('{"y_degree": 3, "params": ["lam"]}')
+    (tmp_path / "null_degree.json").write_text('{"y_degree": null, "q_coeffs": [0, 1]}')
+    (tmp_path / "string_params.json").write_text(
+        '{"y_degree": 3, "params": "lam", "p_coeffs": ["lam"], "q_coeffs": [0, 1]}')
+    (tmp_path / "string_q.json").write_text('{"y_degree": 2, "params": ["lam"], "q_coeffs": "lam"}')
+    (tmp_path / "string_k.json").write_text('{"catalogue_id": "ray", "k": "2"}')
+    (tmp_path / "q66.json").write_text(json.dumps(
+        {"y_degree": 3, "params": [], "p_coeffs": [1], "q_coeffs": [0] * 65 + [1]}))
+    (tmp_path / "k65.json").write_text('{"catalogue_id": "base", "k": 65}')
+    (tmp_path / "empty_row.json").write_text("[{}]")
+    (tmp_path / "number_lhs.json").write_text('[{"id": "x", "n": 3, "lhs": 5, "rhs": []}]')
+    (tmp_path / "object_ledger.json").write_text('{"id": "x", "n": 3, "lhs": [], "rhs": []}')
+
+
 @pytest.mark.parametrize("argv, named", [
     (["monodromy", "--family-file", "family.json"], "'q_coeffs'"),
     (["monodromy", "--loop", '{"kind":"circle","param":"lam"}'], "'radius'"),
@@ -303,23 +320,51 @@ def test_transversal_does_not_depend_on_the_hash_seed():
     (["monodromy", "--family-file", "string_q.json"], "'q_coeffs'"),
     (["monodromy", "--family-file", "string_k.json"], "'k'"),
     (["monodromy", "--expect", '{"n":2.5,"word":[1]}'], "'n'"),
+    # the x-degree: 1 <= k <= MAX_X_DEGREE, at most MAX_X_DEGREE + 1 coefficients
+    (["admissible", "--family", "base", "--k", "0", "--arc", "1:2"], "x-degree"),
+    (["admissible", "--family", "base", "--k", "65", "--arc", "1:2"], "x-degree"),
+    (["admissible", "--family", "base", "--k", "1000000000", "--arc", "1:2"], "x-degree"),
+    (["monodromy", "--family", "tame", "--k", "0"], "x-degree"),
+    (["monodromy", "--family-file", "k65.json"], "x-degree"),
+    (["monodromy", "--family-file", "q66.json"], "q_coeffs"),
+    # identity ledgers
+    (["verify", "identities", "--ledger", "empty_row.json"], "'n'"),
+    (["verify", "identities", "--ledger", "number_lhs.json"], "'lhs'"),
+    (["verify", "identities", "--ledger", "object_ledger.json"], "a ledger"),
 ])
-def test_malformed_inputs_are_usage_errors(argv, named, tmp_path):
-    (tmp_path / "family.json").write_text('{"y_degree": 3, "params": ["lam"]}')
-    (tmp_path / "null_degree.json").write_text('{"y_degree": null, "q_coeffs": [0, 1]}')
-    (tmp_path / "string_params.json").write_text(
-        '{"y_degree": 3, "params": "lam", "p_coeffs": ["lam"], "q_coeffs": [0, 1]}')
-    (tmp_path / "string_q.json").write_text('{"y_degree": 2, "params": ["lam"], "q_coeffs": "lam"}')
-    (tmp_path / "string_k.json").write_text('{"catalogue_id": "ray", "k": "2"}')
+def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
+    _write_malformed_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ")
+    assert named in err
+    assert out == ""
+    assert elapsed < 10
+
+
+def test_a_usage_error_exits_two_without_a_traceback(tmp_path):
+    _write_malformed_inputs(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "braidwork", *argv], cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "braidwork", "verify", "identities", "--ledger", "empty_row.json"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert named in proc.stderr
+    assert proc.stderr.startswith("error: ledger row 0 is missing the field 'n'")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_the_largest_x_degree_is_accepted(capsys):
+    code, cert = run_json(
+        ["admissible", "--family", "base", "--k", str(MAX_X_DEGREE), "--arc", "1:2"], capsys)
+    assert code == 0
+    assert cert["inputs"]["family"]["catalogue_id"] == f"base:{MAX_X_DEGREE}"
+    assert cert["summary"]["verified"] == 1
 
 
 def test_the_cli_does_not_import_sympy():
