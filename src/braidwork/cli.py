@@ -230,6 +230,10 @@ def _admissibility_checks() -> list[CheckResult]:
     return out
 
 
+def _bifurcation_rows(k: int) -> tuple[CheckResult, ...]:
+    return bifurcation.bifurcation_generators(k).results
+
+
 # Every catalogued check, once.  A check is a zero-argument callable that
 # returns CheckResults.  Entries with a scope are the symbolic suites behind
 # ``verify SCOPE``; entries without one are numerical and run only in
@@ -244,7 +248,7 @@ CHECKS: tuple[tuple[str | None, Callable], ...] = (
       for check in (geometry.ray_confinement, geometry.circle_confinement,
                     geometry.double_root_uniqueness, geometry.cusp_exponent)),
     (None, _anchor_checks),
-    *((None, lambda k=k: bifurcation.bifurcation_generators(k).results) for k in (1, 2, 3)),
+    *((None, partial(_bifurcation_rows, k)) for k in (1, 2, 3)),
     (None, partial(bifurcation.full_braid_monodromy_check, 3)),
     (None, _admissibility_checks),
 )
