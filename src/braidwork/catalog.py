@@ -39,6 +39,7 @@ from .words import (
     conjugate_right,
     invert,
     json_field,
+    json_strand_count,
     json_value,
     power,
     word,
@@ -433,7 +434,7 @@ def ledger_from_json(rows: list) -> list[IdentityRecord]:
     for idx, row in enumerate(json_value(rows, list, "a ledger")):
         owner = f"ledger row {idx}"
         json_value(row, dict, owner)
-        n = json_field(row, "n", int, owner)
+        n = json_strand_count(row, owner)
 
         def side(field: str) -> BraidWord:
             letters = json_field(row, field, list, owner)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 import cmath
 import dataclasses
+import functools
 import math
 import operator
 from typing import Callable, Iterable, Sequence
@@ -214,19 +215,30 @@ class WeierstrassFamily:
         return self._array(self._q, t)
 
     def branch_coeffs(self, t: dict[str, complex]) -> np.ndarray:
-        """Coefficients in x (low to high) whose roots are the branch points."""
+        """Coefficients in x (low to high) whose roots are the branch points.
+
+        For cubic fibers, p^3 - q^2 by convolution, with trailing exact
+        zeros trimmed as numpy's ``polysub`` trims them, so a degree drop
+        shows as a shorter array."""
         q = self.q_array(t)
         if self.y_degree == 2:
             return q
-        p = self.p_array(t)
-        return npoly.polysub(npoly.polypow(p, 3), npoly.polypow(q, 2))
+        p, q = _trim(self.p_array(t)), _trim(q)
+        p3, q2 = _trim(np.convolve(np.convolve(p, p), p)), _trim(np.convolve(q, q))
+        # numpy's polysub, branch for branch: same operations, same bits
+        if len(p3) > len(q2):
+            p3[:len(q2)] -= q2
+            return _trim(p3)
+        q2 = -q2
+        q2[:len(p3)] += p3
+        return _trim(q2)
 
     def fiber_coeffs(self, x: complex, t: dict[str, complex]) -> np.ndarray:
         """Coefficients in y (low to high) of the fiber polynomial over x."""
-        q = complex(npoly.polyval(x, self.q_array(t)))
+        q = complex(_horner(self.q_array(t), x))
         if self.y_degree == 2:
             return np.array([q, 0.0, 1.0], dtype=complex)
-        p = complex(npoly.polyval(x, self.p_array(t)))
+        p = complex(_horner(self.p_array(t), x))
         return np.array([2 * q, -3 * p, 0.0, 1.0], dtype=complex)
 
     def to_json(self) -> dict:
@@ -253,24 +265,50 @@ class WeierstrassFamily:
         )
 
 
+def _trim(c: np.ndarray) -> np.ndarray:
+    """``c`` without trailing exact zeros, keeping at least one entry
+    (numpy's ``trimseq``); a view, not a copy."""
+    if len(c) == 0 or c[-1] != 0:
+        return c
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if len(nonzero) else c[:1]
+
+
+def _horner(c: np.ndarray, x):
+    """The polynomial with coefficients ``c`` (low to high) at ``x``, with
+    the operations of numpy's ``polyval`` in its order: ``c[-1] + x*0``,
+    then ``c[i] + v*x`` down to ``c[0]``."""
+    v = c[-1] + x * 0
+    for i in range(len(c) - 2, -1, -1):
+        v = c[i] + v * x
+    return v
+
+
 def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Newton-polish roots of the polynomial with the given coefficients.
 
     Residuals are measured relative to sum_i |c_i| |z|^i, so the criterion
     is scale invariant.  Raises if a root fails to converge.
+
+    Value, scale and derivative are evaluated by ``_horner`` in numpy's
+    ``polyval`` operation order, and the derivative coefficients are
+    ``polyder``'s products ``i * c_i``, so the roots are bit for bit those
+    of the numpy.polynomial calls, without their per-call argument
+    handling.
     """
-    deriv = npoly.polyder(coeffs)
+    n = len(coeffs)
+    deriv = coeffs[1:] * np.arange(1, n) if n > 1 else coeffs[:1] * 0
     z = np.array(roots, dtype=complex)
     scale_coeffs = np.abs(coeffs)
     for _ in range(NEWTON_STEPS):
-        vals = npoly.polyval(z, coeffs)
-        scale = npoly.polyval(np.abs(z), scale_coeffs) + 1e-300
+        vals = _horner(coeffs, z)
+        scale = _horner(scale_coeffs, np.abs(z)) + 1e-300
         rel = np.abs(vals) / scale
-        if np.all(rel < RESIDUAL_TOL):
+        if (rel < RESIDUAL_TOL).all():
             return z
-        dvals = npoly.polyval(z, deriv)
+        dvals = _horner(deriv, z)
         bad = np.abs(dvals) < 1e-300
-        if np.any(bad & (rel >= RESIDUAL_TOL)):
+        if (bad & (rel >= RESIDUAL_TOL)).any():
             raise DegenerateConfigurationError("Newton step hit a critical point")
         step = np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
         z = z - step
@@ -288,13 +326,19 @@ def solve_roots(coeffs: np.ndarray) -> np.ndarray:
     return refine_roots(coeffs, raw)
 
 
+@functools.lru_cache(maxsize=2 * MAX_X_DEGREE)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the pairs i < j of m points; a root count is at
+    most 2 * MAX_X_DEGREE, so the cache holds every count in use."""
+    return np.triu_indices(m, 1)
+
+
 def min_pairwise_distance(points: np.ndarray) -> float:
     pts = np.asarray(points)
     if len(pts) < 2:
         return math.inf
-    diff = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diff, math.inf)
-    return float(diff.min())
+    i, j = _pairs(len(pts))
+    return float(np.abs(pts[i] - pts[j]).min())
 
 
 @dataclasses.dataclass(frozen=True)

@@ -32,6 +32,12 @@ The collision tolerance and the projection angle are the only settings a
 caller chooses.  Circles are sampled by ``circle_path`` alone; ``lasso``
 joins an approach path, a circle and the way back into one loop.
 
+Each trial evaluates the branch polynomial and its derivative with
+``families.refine_roots``, whose Horner passes keep numpy ``polyval``'s
+operation order, and reuses the corrected roots' smallest gap as the next
+step's move bound; a trace's roots, crossing times and words are bit for
+bit those of the numpy.polynomial calls.
+
 Each trace runs on one worker; independent traces share no state and can
 run concurrently.
 """
@@ -128,8 +134,10 @@ def _track_once(
     order = _rank_order(roots, angle)
     roots = roots[order]  # strand j = start rank j
     m = len(roots)
-    if min_pairwise_distance(roots) < collision_tol:
+    gap = min_pairwise_distance(roots)
+    if gap < collision_tol:
         raise DegenerateConfigurationError("start configuration is degenerate")
+    inf_diagonal = np.diag([math.inf] * m)
 
     def aligned(points: np.ndarray) -> bool:
         scale = max(1.0, float(np.abs(points).max()))
@@ -178,18 +186,18 @@ def _track_once(
             continue
 
         moves = np.abs(new_roots - roots)
-        gap = min_pairwise_distance(roots)
         if moves.max() > gap / 4:
             reject()
             continue
         # matching ambiguity: each corrected root must be clearly nearest
         # to its own prediction
         dist = np.abs(roots[:, None] - new_roots[None, :])
-        off = dist + np.diag([math.inf] * m)
-        if np.any(np.diag(dist) > 0.5 * off.min(axis=1)):
+        off = dist + inf_diagonal
+        if (dist.diagonal() > 0.5 * off.min(axis=1)).any():
             reject()
             continue
-        if min_pairwise_distance(new_roots) < collision_tol:
+        new_gap = min_pairwise_distance(new_roots)
+        if new_gap < collision_tol:
             reject()
             continue
 
@@ -208,7 +216,7 @@ def _track_once(
         elif aligned(new_roots) and aligned(roots):
             raise _Restart()
 
-        roots = new_roots
+        roots, gap = new_roots, new_gap
         s = trial
         h = min(h * 1.5, MAX_STEP)
 

@@ -12,13 +12,17 @@ with the signed-letter encoding above, e.g. sigma_1^3 in Br_6 is
 
 ``json_value`` and ``json_field`` are the type checks every JSON reader
 of the package applies to its input: a value of the wrong type raises
-``ValueError`` naming the field, never a ``TypeError`` further in.
+``ValueError`` naming the field, never a ``TypeError`` further in.  A
+strand count read from JSON is at most ``MAX_STRANDS``
+(``json_strand_count``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Iterable, Iterator
+
+MAX_STRANDS = 64  # largest strand count a JSON word or ledger row may name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,7 +63,7 @@ class BraidWord:
     @staticmethod
     def from_json(data: dict) -> "BraidWord":
         json_value(data, dict, "a braid word")
-        n = json_field(data, "n", int, "braid word")
+        n = json_strand_count(data, "braid word")
         letters = json_field(data, "word", list, "braid word")
         return BraidWord(n, tuple(json_value(x, int, "a braid word letter") for x in letters))
 
@@ -91,6 +95,17 @@ def json_field(data: dict, field: str, kind: type, owner: str, default=_REQUIRED
             raise ValueError(f"{owner} is missing the field {field!r}")
         return default
     return json_value(data[field], kind, f"{owner} field {field!r}")
+
+
+def json_strand_count(data: dict, owner: str) -> int:
+    """The required field ``n`` of ``data``: an integer of at most
+    ``MAX_STRANDS``, so that no input can ask for permutations of
+    millions of points."""
+    n = json_field(data, "n", int, owner)
+    if n > MAX_STRANDS:
+        raise ValueError(f"{owner} field 'n': the strand count is at most {MAX_STRANDS}, "
+                         f"got {n}")
+    return n
 
 
 def word(n: int, *letters: int) -> BraidWord:

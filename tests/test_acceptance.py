@@ -14,7 +14,6 @@ from braidwork.arcs import admissible, chord
 from braidwork.bifurcation import bifurcation_generators
 from braidwork.catalog import (
     artin_system,
-    catalog,
     coxeter_system,
     half_twist_classification,
     tau_word,
@@ -30,9 +29,9 @@ from braidwork.geometry import (
     ray_confinement,
 )
 from braidwork.groups import ARTIN3_A, ARTIN3_B, PERM3_R, PERM3_S, PERM3_T, artin_from_word
-from braidwork.hurwitz import act_letter, act_word, orbit, ordered_product, stabilizes
+from braidwork.hurwitz import act_word, orbit, ordered_product
 from braidwork.tracking import ParameterLoop, loop_to_braid, track_loop
-from braidwork.words import BraidWord, compose, conjugate_right, invert, word
+from braidwork.words import BraidWord, compose, invert, word
 
 
 def report(num: int, ok: bool, detail: str = ""):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from braidwork.arcs import ArcError, admissible, chord

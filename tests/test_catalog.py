@@ -1,7 +1,6 @@
 import pytest
 
 from braidwork.catalog import (
-    CheckResult,
     IdentityRecord,
     build_e,
     build_matrix,

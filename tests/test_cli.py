@@ -12,6 +12,7 @@ import braidwork
 from braidwork.catalog import verify_identities
 from braidwork.cli import CHECKS, SCOPES, main
 from braidwork.families import MAX_X_DEGREE
+from braidwork.words import MAX_STRANDS
 
 SRC = pathlib.Path(braidwork.__file__).resolve().parents[1]
 
@@ -295,6 +296,8 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "empty_row.json").write_text("[{}]")
     (tmp_path / "number_lhs.json").write_text('[{"id": "x", "n": 3, "lhs": 5, "rhs": []}]')
     (tmp_path / "object_ledger.json").write_text('{"id": "x", "n": 3, "lhs": [], "rhs": []}')
+    (tmp_path / "huge_n.json").write_text(
+        '[{"id": "x", "n": 1000000000, "lhs": [1, 2, 1], "rhs": [2, 1, 2]}]')
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -331,6 +334,9 @@ def _write_malformed_inputs(tmp_path):
     (["verify", "identities", "--ledger", "empty_row.json"], "'n'"),
     (["verify", "identities", "--ledger", "number_lhs.json"], "'lhs'"),
     (["verify", "identities", "--ledger", "object_ledger.json"], "a ledger"),
+    # strand counts read from JSON: at most MAX_STRANDS
+    (["verify", "identities", "--ledger", "huge_n.json"], "ledger row 0 field 'n'"),
+    (["monodromy", "--expect", '{"n":65,"word":[1]}'], "strand count"),
 ])
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)
@@ -364,6 +370,15 @@ def test_the_largest_x_degree_is_accepted(capsys):
         ["admissible", "--family", "base", "--k", str(MAX_X_DEGREE), "--arc", "1:2"], capsys)
     assert code == 0
     assert cert["inputs"]["family"]["catalogue_id"] == f"base:{MAX_X_DEGREE}"
+    assert cert["summary"]["verified"] == 1
+
+
+def test_the_largest_strand_count_is_accepted(tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(
+        [{"id": "x", "n": MAX_STRANDS, "lhs": [1, 2, 1], "rhs": [2, 1, 2]}]))
+    code, cert = run_json(["verify", "identities", "--ledger", str(path)], capsys)
+    assert code == 0
     assert cert["summary"]["verified"] == 1
 
 

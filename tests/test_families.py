@@ -5,17 +5,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from braidwork.cli import main
 from braidwork.families import (
-    BranchConfiguration,
+    NEWTON_STEPS,
+    RESIDUAL_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
     branch_points,
     catalogue_family,
     label_points,
     min_pairwise_distance,
+    refine_roots,
     solve_roots,
 )
 
@@ -186,3 +190,117 @@ def test_fiber_coefficients():
 def test_min_pairwise_distance():
     assert min_pairwise_distance(np.array([0.0, 3.0, 1.0])) == 1.0
     assert math.isinf(min_pairwise_distance(np.array([1.0])))
+
+
+# ---------------------------------------------------------------------------
+# The hot path against the numpy.polynomial calls it replaces
+
+
+def _oracle_refine_roots(coeffs, roots):
+    """refine_roots as written with numpy.polynomial calls."""
+    deriv = npoly.polyder(coeffs)
+    z = np.array(roots, dtype=complex)
+    scale_coeffs = np.abs(coeffs)
+    for _ in range(NEWTON_STEPS):
+        vals = npoly.polyval(z, coeffs)
+        scale = npoly.polyval(np.abs(z), scale_coeffs) + 1e-300
+        rel = np.abs(vals) / scale
+        if np.all(rel < RESIDUAL_TOL):
+            return z
+        dvals = npoly.polyval(z, deriv)
+        bad = np.abs(dvals) < 1e-300
+        if np.any(bad & (rel >= RESIDUAL_TOL)):
+            raise DegenerateConfigurationError("Newton step hit a critical point")
+        step = np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
+        z = z - step
+    raise DegenerateConfigurationError("root refinement did not converge")
+
+
+def _oracle_branch_coeffs(family, t):
+    """WeierstrassFamily.branch_coeffs as written with numpy.polynomial calls."""
+    q = family.q_array(t)
+    if family.y_degree == 2:
+        return q
+    p = family.p_array(t)
+    return npoly.polysub(npoly.polypow(p, 3), npoly.polypow(q, 2))
+
+
+def _bits(a):
+    """The raw bits of a complex array: signed zeros and length count."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64).tolist()
+
+
+def _outcome(refine, coeffs, roots):
+    try:
+        return _bits(refine(coeffs, roots))
+    except DegenerateConfigurationError as exc:
+        return str(exc)
+
+
+class _FixedFamily(WeierstrassFamily):
+    """A cubic family whose p and q arrays are given outright, signed
+    zeros and trailing zeros included."""
+
+    def __init__(self, p, q):
+        super().__init__(3, (), (1,), (1,))
+        self._fixed_p, self._fixed_q = p, q
+
+    def p_array(self, t):
+        return self._fixed_p.copy()
+
+    def q_array(self, t):
+        return self._fixed_q.copy()
+
+
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    # magnitudes from 1e-6 to 100, so that polyroots stays finite
+    st.floats(min_value=-100, max_value=100).filter(lambda x: abs(x) > 1e-6),
+)
+_entries = st.builds(complex, _parts, _parts)
+_zeros = st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j]),
+                  max_size=3)
+
+
+@st.composite
+def _coefficients(draw, max_degree=12):
+    """Degree 0 to max_degree, then up to three trailing exact zeros."""
+    body = draw(st.lists(_entries, min_size=1, max_size=max_degree + 1))
+    return np.array(body + draw(_zeros), dtype=complex)
+
+
+@st.composite
+def _polynomials_and_starts(draw):
+    coeffs = draw(_coefficients())
+    raw = npoly.polyroots(coeffs)  # the trimmed polynomial's roots, maybe none
+    if len(raw) and draw(st.booleans()):
+        return coeffs, raw + draw(st.sampled_from([0.0, 1e-9, 1e-3j, 0.1 - 0.1j]))
+    return coeffs, np.array(draw(st.lists(_entries, min_size=1, max_size=13)), dtype=complex)
+
+
+@given(_polynomials_and_starts())
+@settings(max_examples=400)
+def test_refine_roots_is_bit_identical_to_numpy_polynomial(case):
+    coeffs, starts = case
+    with np.errstate(all="ignore"):
+        assert _outcome(refine_roots, coeffs, starts) == _outcome(
+            _oracle_refine_roots, coeffs, starts)
+
+
+@given(_coefficients(max_degree=6), _coefficients(max_degree=12))
+@settings(max_examples=400)
+def test_branch_coeffs_is_bit_identical_to_numpy_polynomial(p, q):
+    family = _FixedFamily(p, q)
+    assert _bits(family.branch_coeffs({})) == _bits(_oracle_branch_coeffs(family, {}))
+
+
+@pytest.mark.parametrize("name, k", CATALOGUE)
+def test_catalogue_hot_path_is_bit_identical(name, k):
+    family = catalogue_family(name, k)
+    for t in POINTS:
+        coeffs = family.branch_coeffs(t)
+        assert _bits(coeffs) == _bits(_oracle_branch_coeffs(family, t))
+        starts = npoly.polyroots(coeffs)
+        for shift in (0.0, 1e-6, 1e-2 + 1e-2j):
+            assert _outcome(refine_roots, coeffs, starts + shift) == _outcome(
+                _oracle_refine_roots, coeffs, starts + shift)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidwork.garside import equal, left_descents, normal_form, perm_word, pinv, pmul
-from braidwork.words import BraidWord, compose, conjugate_right, invert, reduce_free, word
+from braidwork.words import BraidWord, compose, conjugate_right, invert, word
 
 from test_words import words_strategy
 

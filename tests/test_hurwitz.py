@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,7 @@ from braidwork.hurwitz import (
     stabilizes,
 )
 from braidwork.garside import equal
-from braidwork.words import BraidWord, compose, conjugate_right, invert, word
+from braidwork.words import compose, invert, word
 
 from test_words import words_strategy
 

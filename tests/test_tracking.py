@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from braidwork.families import catalogue_family, branch_points
+from braidwork.families import WeierstrassFamily, branch_points, catalogue_family
 from braidwork.garside import equal
 from braidwork.tracking import (
     ParameterLoop,
@@ -15,7 +15,7 @@ from braidwork.tracking import (
     track_coefficients,
     track_loop,
 )
-from braidwork.words import BraidWord, compose, compose_all, invert, permutation_image, word
+from braidwork.words import compose, compose_all, invert, permutation_image
 
 CUSP = catalogue_family("cusp")
 TANGENCY = catalogue_family("tangency")
@@ -198,6 +198,22 @@ def test_degree_drop_mid_path_raises():
         return np.array([1.0, 0.5, complex(s - 0.5)], dtype=complex)
 
     with pytest.raises(TrackingError):
+        track_coefficients(coeffs)
+
+
+def test_degree_drop_through_trimming_raises():
+    # p^3 - q^2 = c^6 (1 - x^2): the roots stay at +-1 for c != 0, and at
+    # c = 0 every coefficient is an exact zero.  Only trimming shortens the
+    # array there; untrimmed, the zero polynomial passes every test.
+    family = WeierstrassFamily(3, ("c",), ("c**2",), (0, "c**3"))
+    assert len(family.branch_coeffs({"c": 0j})) == 1
+    loop = ParameterLoop.polyline([{"c": 1}, {"c": 0}, {"c": 1}])
+
+    def coeffs(s):
+        # the first half of the loop; a trace's last trial is exactly s = 1
+        return family.branch_coeffs(loop.at(s / 2))
+
+    with pytest.raises(TrackingError, match="degree dropped"):
         track_coefficients(coeffs)
 
 

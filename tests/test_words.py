@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidwork.words import (
+    MAX_STRANDS,
     BraidWord,
     compose,
     conjugate_right,
-    identity,
     invert,
     permutation_image,
     power,
@@ -62,6 +62,13 @@ def test_json_round_trip():
     w = word(6, 1, 1, 1)
     assert w.to_json() == {"n": 6, "word": [1, 1, 1]}
     assert BraidWord.from_json(w.to_json()) == w
+
+
+def test_json_strand_count_is_bounded():
+    top = word(MAX_STRANDS, MAX_STRANDS - 1)
+    assert BraidWord.from_json(top.to_json()) == top
+    with pytest.raises(ValueError, match="strand count is at most"):
+        BraidWord.from_json({"n": MAX_STRANDS + 1, "word": [1]})
 
 
 @given(words_strategy(4))
