@@ -380,8 +380,11 @@ def branch_points(
     collision_tol: float = DEFAULT_COLLISION_TOL,
 ) -> BranchConfiguration:
     """All branch points at parameter t, labeled; degenerate configurations
-    (a pair closer than the collision tolerance) raise."""
+    (a pair closer than the collision tolerance) raise, and so does a family
+    with no branch points at t."""
     roots = solve_roots(family.branch_coeffs(t))
+    if not len(roots):
+        raise ValueError(f"the family has no branch points at these parameters {t}")
     if min_pairwise_distance(roots) < collision_tol:
         raise DegenerateConfigurationError(
             f"branch points collide at parameters {t}"

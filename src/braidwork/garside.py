@@ -13,9 +13,14 @@ with ``p[i]`` the end position of the strand starting at position i.
 Products are taken in writing order (apply left, then right), matching
 `words.permutation_image`.
 
+Normal forms are built incrementally: each simple factor is appended to a
+left-weighted list, and one right-to-left sweep restores left-weightedness.
+Left-weighting a pair is the only cached step, in one bounded cache of
+`LEFTWEIGHT_CACHE_SIZE` pairs; nothing is precomputed over S_n x S_n.
+
 Everything here is a pure function of immutable values and safe for
 unrestricted concurrent use.  Designed for the small strand counts
-(n <= 8) this package needs; tables are never precomputed over S_n x S_n.
+(n <= 8) this package needs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ import functools
 from .words import BraidWord, reduce_free
 
 Perm = tuple[int, ...]
+
+# Pairs remembered by `_leftweight`.  Long words at n = 8 meet tens of
+# thousands of distinct pairs out of 40 320^2; the bound keeps memory flat.
+LEFTWEIGHT_CACHE_SIZE = 1 << 16
 
 
 def identity_perm(n: int) -> Perm:
@@ -51,7 +60,6 @@ def pmul(p: Perm, q: Perm) -> Perm:
     return tuple(q[x] for x in p)
 
 
-@functools.lru_cache(maxsize=None)
 def pinv(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, x in enumerate(p):
@@ -59,7 +67,6 @@ def pinv(p: Perm) -> Perm:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
 def left_descents(p: Perm) -> frozenset[int]:
     """Indices i (1-based) with p = sigma_i * rest for a permutation braid p."""
     return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
@@ -69,7 +76,6 @@ def right_descents(p: Perm) -> frozenset[int]:
     return left_descents(pinv(p))
 
 
-@functools.lru_cache(maxsize=None)
 def perm_word(p: Perm) -> tuple[int, ...]:
     """The shortlex-minimal positive word spelling the permutation braid p."""
     n = len(p)
@@ -84,46 +90,73 @@ def perm_word(p: Perm) -> tuple[int, ...]:
         p = pmul(t, p)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=LEFTWEIGHT_CACHE_SIZE)
 def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
-    """Slide starting letters of y into x until the pair (x, y) is left-weighted."""
+    """Left-weight the pair (x, y): move the left meet of y and x^-1 Delta into x.
+
+    Slides sigma_i from the front of y to the back of x while i is a left
+    descent of y and not a right descent of x.  A slide swaps two entries of
+    x and of y and updates x's inverse; the scan then steps back one index,
+    the only place where a new slide can open.  The moved prefix is unique,
+    so the order of the slides does not change the result.
+    """
     n = len(x)
-    while True:
-        movable = left_descents(y) - right_descents(x)
-        if not movable:
-            return x, y
-        t = letter_perm(n, min(movable))
-        x = pmul(x, t)
-        y = pmul(t, y)
+    xs, ys = list(x), list(y)
+    xinv = [0] * n
+    for j, v in enumerate(xs):
+        xinv[v] = j
+    moved = False
+    i = 1
+    while i < n:
+        if ys[i - 1] > ys[i] and xinv[i - 1] < xinv[i]:
+            a, b = xinv[i - 1], xinv[i]
+            xs[a], xs[b] = i, i - 1
+            xinv[i - 1], xinv[i] = b, a
+            ys[i - 1], ys[i] = ys[i], ys[i - 1]
+            moved = True
+            if i > 1:
+                i -= 1
+        else:
+            i += 1
+    if not moved:
+        return x, y
+    return tuple(xs), tuple(ys)
 
 
 def _normalize_factors(n: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight a factor list; returns (power of Delta absorbed, factors)."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            x, y = _leftweight(factors[i], factors[i + 1])
-            if x != factors[i]:
-                factors[i], factors[i + 1] = x, y
-                changed = True
-    # after left-weighting, Delta factors sit at the front and identities at the back
-    w0 = longest_perm(n)
+    """Left-weight a factor list; returns (power of Delta absorbed, factors).
+
+    The factors are folded in one at a time.  Right-multiplying a
+    left-weighted list by one simple element needs a single right-to-left
+    sweep, which stops at the first pair whose left factor does not change
+    (Epstein et al., Word Processing in Groups, ch. 9).  A factor absorbed
+    whole leaves an identity at the back, which is dropped at once.
+    """
     ident = identity_perm(n)
-    lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == w0:
+    out: list[Perm] = []
+    for f in factors:
+        out.append(f)
+        i = len(out) - 2
+        while i >= 0:
+            x, y = _leftweight(out[i], out[i + 1])
+            if x == out[i]:
+                break
+            out[i], out[i + 1] = x, y
+            i -= 1
+        if out[-1] == ident:
+            out.pop()
+    # after left-weighting, Delta factors sit at the front
+    w0 = longest_perm(n)
+    lo = 0
+    while lo < len(out) and out[lo] == w0:
         lo += 1
-    while lo < hi and factors[hi - 1] == ident:
-        hi -= 1
-    return lo, tuple(factors[lo:hi])
+    return lo, tuple(out[lo:])
 
 
-@functools.lru_cache(maxsize=None)
 def _flip(p: Perm) -> Perm:
     """Conjugation by Delta (an involution on permutation braids)."""
     n = len(p)
-    w0 = longest_perm(n)
-    return pmul(pmul(w0, p), w0)
+    return tuple(n - 1 - x for x in reversed(p))
 
 
 def _assemble(n: int, items: list[tuple[int, Perm | None]]) -> "NormalForm":
@@ -154,7 +187,7 @@ class NormalForm:
 
     def spelled_word(self) -> BraidWord:
         """A braid word spelling this element: Delta^inf then factor words."""
-        delta = _delta_word(self.n)
+        delta = perm_word(longest_perm(self.n))
         letters: list[int] = []
         if self.inf >= 0:
             letters.extend(delta * self.inf)
@@ -191,11 +224,6 @@ class NormalForm:
 
     def to_json(self) -> dict:
         return self.spelled_word().to_json()
-
-
-@functools.lru_cache(maxsize=None)
-def _delta_word(n: int) -> tuple[int, ...]:
-    return perm_word(longest_perm(n))
 
 
 def normal_form(w: BraidWord) -> NormalForm:

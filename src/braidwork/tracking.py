@@ -175,7 +175,9 @@ def _track_once(
                 )
 
         coeffs = np.asarray(coeff_fn(trial), dtype=complex)
-        if len(coeffs) - 1 != m or abs(coeffs[-1]) < 1e-13 * np.abs(coeffs).max():
+        # an exact zero leading coefficient also catches the zero polynomial
+        lead = abs(coeffs[-1])
+        if len(coeffs) - 1 != m or lead == 0 or lead < 1e-13 * np.abs(coeffs).max():
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )

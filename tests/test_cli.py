@@ -293,6 +293,9 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "q66.json").write_text(json.dumps(
         {"y_degree": 3, "params": [], "p_coeffs": [1], "q_coeffs": [0] * 65 + [1]}))
     (tmp_path / "k65.json").write_text('{"catalogue_id": "base", "k": 65}')
+    # p^3 - q^2 = 7: a nonzero constant, so there is no branch point
+    (tmp_path / "no_branch_points.json").write_text(
+        '{"y_degree": 3, "params": [], "p_coeffs": [2], "q_coeffs": [1, 0]}')
     (tmp_path / "empty_row.json").write_text("[{}]")
     (tmp_path / "number_lhs.json").write_text('[{"id": "x", "n": 3, "lhs": 5, "rhs": []}]')
     (tmp_path / "object_ledger.json").write_text('{"id": "x", "n": 3, "lhs": [], "rhs": []}')
@@ -337,6 +340,11 @@ def _write_malformed_inputs(tmp_path):
     # strand counts read from JSON: at most MAX_STRANDS
     (["verify", "identities", "--ledger", "huge_n.json"], "ledger row 0 field 'n'"),
     (["monodromy", "--expect", '{"n":65,"word":[1]}'], "strand count"),
+    # a family without branch points
+    (["monodromy", "--family-file", "no_branch_points.json"],
+     "the family has no branch points at these parameters"),
+    (["admissible", "--family-file", "no_branch_points.json", "--arc", "1:2"],
+     "the family has no branch points at these parameters"),
 ])
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -1,10 +1,24 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidwork.garside import equal, left_descents, normal_form, perm_word, pinv, pmul
+from braidwork import garside
+from braidwork.garside import (
+    _leftweight,
+    equal,
+    left_descents,
+    letter_perm,
+    longest_perm,
+    normal_form,
+    perm_word,
+    pinv,
+    pmul,
+    right_descents,
+)
 from braidwork.words import BraidWord, compose, conjugate_right, invert, word
 
 from test_words import words_strategy
@@ -60,15 +74,100 @@ def test_normal_form_idempotent_on_spelled_word():
         assert normal_form(nf.spelled_word()) == nf
 
 
-def test_normal_form_factors_are_proper_and_left_weighted():
-    nf = normal_form(word(5, 1, -2, 3, 4, -1, 2, 2, 3, -4, 1))
+def words_on_common_strands(count, max_n=8, max_len=80):
+    """`count` words on one strand count n, drawn from 2..max_n."""
+    return st.integers(min_value=2, max_value=max_n).flatmap(
+        lambda n: st.tuples(*[words_strategy(n, max_len=max_len)] * count))
+
+
+@given(words_on_common_strands(1))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_factors_are_proper_and_left_weighted(words):
+    (w,) = words
+    # the check reads descents directly; it does not call _leftweight
+    nf = normal_form(w)
     n = nf.n
     ident = tuple(range(n))
     delta = tuple(range(n - 1, -1, -1))
     for f in nf.factors:
+        assert sorted(f) == list(range(n))
         assert f != ident and f != delta
     for x, y in zip(nf.factors, nf.factors[1:]):
         assert left_descents(y) <= left_descents(pinv(x))
+
+
+# ---------------------------------------------------------------------------
+# The incremental core against the bubble passes it replaces
+
+
+def _oracle_leftweight(x, y):
+    """_leftweight as written before: one letter per pass through pmul."""
+    n = len(x)
+    while True:
+        movable = left_descents(y) - right_descents(x)
+        if not movable:
+            return x, y
+        t = letter_perm(n, min(movable))
+        x = pmul(x, t)
+        y = pmul(t, y)
+
+
+def _oracle_normalize_factors(n, factors):
+    """_normalize_factors as written before: full passes until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            x, y = _oracle_leftweight(factors[i], factors[i + 1])
+            if x != factors[i]:
+                factors[i], factors[i + 1] = x, y
+                changed = True
+    w0 = longest_perm(n)
+    ident = tuple(range(n))
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo] == w0:
+        lo += 1
+    while lo < hi and factors[hi - 1] == ident:
+        hi -= 1
+    return lo, tuple(factors[lo:hi])
+
+
+def _oracle_flip(p):
+    w0 = longest_perm(len(p))
+    return pmul(pmul(w0, p), w0)
+
+
+def oracle(fn, *args):
+    """fn(*args) with the old core in place of the new one."""
+    with mock.patch.object(garside, "_normalize_factors", _oracle_normalize_factors), \
+            mock.patch.object(garside, "_flip", _oracle_flip):
+        return fn(*args)
+
+
+@given(words_on_common_strands(2))
+@settings(max_examples=150, deadline=None)
+def test_normal_forms_equal_the_bubble_pass_oracle(pair):
+    u, v = pair
+    nu, nv = normal_form(u), normal_form(v)
+    assert nu == oracle(normal_form, u)
+    assert nv == oracle(normal_form, v)
+    assert nu * nv == oracle(garside.NormalForm.__mul__, nu, nv)
+    assert nu.inverse() == oracle(garside.NormalForm.inverse, nu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_leftweight_equals_the_oracle_on_every_pair(n):
+    perms = list(itertools.permutations(range(n)))
+    for x, y in itertools.product(perms, perms):
+        assert _leftweight(x, y) == _oracle_leftweight(x, y)
+
+
+def test_leftweight_equals_the_oracle_on_random_pairs_at_eight_strands():
+    rng = random.Random(8)
+    for _ in range(3000):
+        x = tuple(rng.sample(range(8), 8))
+        y = tuple(rng.sample(range(8), 8))
+        assert _leftweight(x, y) == _oracle_leftweight(x, y)
 
 
 @given(words_strategy(4, max_len=16), st.data())

@@ -1,8 +1,12 @@
-"""Every imported name is used: an ``ast`` scan of the package and the tests.
+"""``ast`` scans of the package and the tests.
 
-Package ``__init__.py`` files are skipped, as their imports are the
-re-exports.  A name counts as used when it appears as a name in the code,
-in a string annotation, or in ``__all__``.
+Every imported name is used.  Package ``__init__.py`` files are skipped, as
+their imports are the re-exports.  A name counts as used when it appears as
+a name in the code, in a string annotation, or in ``__all__``.
+
+No cache in the package grows without bound: a function that takes
+arguments is never wrapped in ``lru_cache(maxsize=None)`` or
+``functools.cache``.
 """
 
 import ast
@@ -65,3 +69,53 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in _used(tree)}
     assert not unused, f"{path.name}: unused imports {sorted(unused.items(), key=lambda kv: kv[1])}"
+
+
+def _name(node: ast.expr) -> str | None:
+    """The last component of a decorator's dotted name."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _unbounded(decorator: ast.expr) -> bool:
+    if _name(decorator) == "cache":
+        return True
+    if isinstance(decorator, ast.Call) and _name(decorator.func) in ("cache", "lru_cache"):
+        sizes = decorator.args[:1] + [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
+        return any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+    return False
+
+
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """Functions with arguments under an unbounded cache decorator."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if (args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg) \
+                    and any(_unbounded(d) for d in node.decorator_list):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("@functools.lru_cache(maxsize=None)\ndef f(x): pass", True),
+    ("@lru_cache(None)\ndef f(x): pass", True),
+    ("@functools.cache\ndef f(*xs): pass", True),
+    ("@cache\ndef f(self): pass", True),
+    ("@functools.cache\ndef f(): pass", False),
+    ("@functools.lru_cache(maxsize=1 << 16)\ndef f(x): pass", False),
+    ("@functools.lru_cache\ndef f(x): pass", False),
+])
+def test_the_cache_scan_flags_unbounded_caches(source, flagged):
+    assert bool(_unbounded_caches(ast.parse(source))) is flagged
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "braidwork"],
+                         ids=lambda path: path.name)
+def test_every_cache_with_arguments_is_bounded(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _unbounded_caches(tree), f"{path.name}: unbounded caches {_unbounded_caches(tree)}"

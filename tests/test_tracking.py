@@ -217,6 +217,14 @@ def test_degree_drop_through_trimming_raises():
         track_coefficients(coeffs)
 
 
+def test_the_zero_branch_polynomial_raises():
+    # q = c + c x is untrimmed for y_degree 2, so at c = 0 (the last trial)
+    # the array keeps its length and every coefficient is an exact zero
+    family = WeierstrassFamily(2, ("c",), (), ("c", "c"))
+    with pytest.raises(TrackingError, match="degree dropped"):
+        track_coefficients(lambda s: family.branch_coeffs({"c": 1 - s}))
+
+
 def test_trace_json_round_trip():
     trace = track_loop(CUSP, UNIT_LOOP)
     data = trace.to_json()
