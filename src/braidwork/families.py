@@ -290,28 +290,46 @@ def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     Residuals are measured relative to sum_i |c_i| |z|^i, so the criterion
     is scale invariant.  Raises if a root fails to converge.
 
-    Value, scale and derivative are evaluated by ``_horner`` in numpy's
-    ``polyval`` operation order, and the derivative coefficients are
-    ``polyder``'s products ``i * c_i``, so the roots are bit for bit those
-    of the numpy.polynomial calls, without their per-call argument
-    handling.
+    Each Newton iteration evaluates value, scale and derivative of all m
+    roots in one Horner pass over a stacked ``(3, m)`` array, 2n ufunc
+    calls for n coefficients: row 0 is the polynomial at z, row 1 the
+    moduli |c_i| at |z| (complex with zero imaginary parts, so each
+    product is the real product), row 2 ``polyder``'s products
+    ``i * c_i``, padded with a top zero, at z.  Every row sees numpy
+    ``polyval``'s operations in its order (``c[-1] + x*0``, then
+    ``c[i] + v*x``), and the padded row's ``(0 + z*0) * z`` is ``z*0``
+    for finite z.  So the roots are bit for bit those of the
+    numpy.polynomial calls while the scale stays finite; an overflowed
+    scale may read NaN here where the real pass gives inf.
     """
     n = len(coeffs)
     deriv = coeffs[1:] * np.arange(1, n) if n > 1 else coeffs[:1] * 0
     z = np.array(roots, dtype=complex)
-    scale_coeffs = np.abs(coeffs)
+    block = np.zeros((n, 3, len(z)), dtype=complex)
+    block[:, 0] = coeffs[:, None]
+    block[:, 1] = np.abs(coeffs)[:, None]
+    block[:len(deriv), 2] = deriv[:, None]
+    x = np.zeros((3, len(z)), dtype=complex)  # rows z, |z| + 0j, z
+    v = np.empty_like(x)
+    abs_z, vals, scale, dvals = x[1].real, v[0], v[1].real, v[2]
     for _ in range(NEWTON_STEPS):
-        vals = _horner(coeffs, z)
-        scale = _horner(scale_coeffs, np.abs(z)) + 1e-300
-        rel = np.abs(vals) / scale
+        x[0::2] = z
+        np.abs(z, out=abs_z)
+        np.multiply(x, 0, out=v)
+        np.add(block[-1], v, out=v)
+        for i in range(n - 2, -1, -1):
+            np.multiply(v, x, out=v)
+            np.add(block[i], v, out=v)
+        rel = np.abs(vals) / (scale + 1e-300)
         if (rel < RESIDUAL_TOL).all():
             return z
-        dvals = _horner(deriv, z)
         bad = np.abs(dvals) < 1e-300
+        if not bad.any():  # the np.where form below, bit for bit
+            z = z - vals / dvals
+            continue
         if (bad & (rel >= RESIDUAL_TOL)).any():
             raise DegenerateConfigurationError("Newton step hit a critical point")
-        step = np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
-        z = z - step
+        z = z - np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
     raise DegenerateConfigurationError("root refinement did not converge")
 
 
@@ -374,14 +392,14 @@ def label_points(points: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted(pts, key=key))
 
 
-def branch_points(
+def branch_roots(
     family: WeierstrassFamily,
     t: dict[str, complex],
     collision_tol: float = DEFAULT_COLLISION_TOL,
-) -> BranchConfiguration:
-    """All branch points at parameter t, labeled; degenerate configurations
-    (a pair closer than the collision tolerance) raise, and so does a family
-    with no branch points at t."""
+) -> np.ndarray:
+    """All branch points at parameter t, unlabeled; degenerate
+    configurations (a pair closer than the collision tolerance) raise, and
+    so does a family with no branch points at t."""
     roots = solve_roots(family.branch_coeffs(t))
     if not len(roots):
         raise ValueError(f"the family has no branch points at these parameters {t}")
@@ -389,7 +407,16 @@ def branch_points(
         raise DegenerateConfigurationError(
             f"branch points collide at parameters {t}"
         )
-    return BranchConfiguration(label_points(roots))
+    return roots
+
+
+def branch_points(
+    family: WeierstrassFamily,
+    t: dict[str, complex],
+    collision_tol: float = DEFAULT_COLLISION_TOL,
+) -> BranchConfiguration:
+    """``branch_roots`` at parameter t, labeled."""
+    return BranchConfiguration(label_points(branch_roots(family, t, collision_tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ The collision tolerance and the projection angle are the only settings a
 caller chooses.  Circles are sampled by ``circle_path`` alone; ``lasso``
 joins an approach path, a circle and the way back into one loop.
 
-Each trial evaluates the branch polynomial and its derivative with
-``families.refine_roots``, whose Horner passes keep numpy ``polyval``'s
-operation order, and reuses the corrected roots' smallest gap as the next
+Each trial evaluates the branch polynomial, its residual scale and its
+derivative with ``families.refine_roots``, in one stacked Horner pass per
+Newton iteration that keeps numpy ``polyval``'s operation order for each
+of the three, and reuses the corrected roots' smallest gap as the next
 step's move bound; a trace's roots, crossing times and words are bit for
-bit those of the numpy.polynomial calls.
+bit those of the numpy.polynomial calls.  A loop may name only the
+family's parameters, and its vertices are checked before tracking.
 
 Each trace runs on one worker; independent traces share no state and can
 run concurrently.
@@ -55,7 +57,7 @@ from .families import (
     DEFAULT_COLLISION_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
-    branch_points,
+    branch_roots,
     min_pairwise_distance,
     refine_roots,
     solve_roots,
@@ -386,9 +388,13 @@ def track_loop(
 ) -> BraidTrace:
     """Track the branch points of the family along a closed parameter loop.
     Every vertex must stay clear of the degeneration locus: its branch
-    points pairwise farther apart than the collision tolerance."""
+    points pairwise farther apart than the collision tolerance.  The loop
+    may name only the family's parameters."""
     for point in loop.points:
-        branch_points(family, point, collision_tol)
+        branch_roots(family, point, collision_tol)
+    unknown = [name for name in loop.names if name not in family.params]
+    if unknown:
+        raise ValueError(f"the loop names parameters the family does not have: {unknown}")
 
     def coeff_fn(s: float) -> np.ndarray:
         return family.branch_coeffs(loop.at(s))

@@ -296,6 +296,9 @@ def _write_malformed_inputs(tmp_path):
     # p^3 - q^2 = 7: a nonzero constant, so there is no branch point
     (tmp_path / "no_branch_points.json").write_text(
         '{"y_degree": 3, "params": [], "p_coeffs": [2], "q_coeffs": [1, 0]}')
+    # branch points x^3 = 1 everywhere, but no parameter for the default loop in lam
+    (tmp_path / "no_params.json").write_text(
+        '{"y_degree": 3, "params": [], "p_coeffs": [0, 1], "q_coeffs": [1]}')
     (tmp_path / "empty_row.json").write_text("[{}]")
     (tmp_path / "number_lhs.json").write_text('[{"id": "x", "n": 3, "lhs": 5, "rhs": []}]')
     (tmp_path / "object_ledger.json").write_text('{"id": "x", "n": 3, "lhs": [], "rhs": []}')
@@ -345,6 +348,8 @@ def _write_malformed_inputs(tmp_path):
      "the family has no branch points at these parameters"),
     (["admissible", "--family-file", "no_branch_points.json", "--arc", "1:2"],
      "the family has no branch points at these parameters"),
+    # a loop in a parameter the family does not have
+    (["monodromy", "--family-file", "no_params.json"], "does not have: ['lam']"),
 ])
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

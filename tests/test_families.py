@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -278,13 +278,54 @@ def _polynomials_and_starts(draw):
     return coeffs, np.array(draw(st.lists(_entries, min_size=1, max_size=13)), dtype=complex)
 
 
+def _case(coeffs, starts):
+    return np.array(coeffs, dtype=complex), np.array(starts, dtype=complex)
+
+
+# kernel edge cases random draws may miss: a zero derivative, one at a
+# root that has converged while another still moves, a Newton cycle
+# (0 -> 1 -> 0), a constant, more starts than roots, and -0.0 imaginary
+# parts at the top, where the padded derivative row begins
+_EDGE_CASES = {
+    "critical point": _case([1, 0, 1], [0]),
+    "converged at a critical point": _case([1, -2, 1], [1, 3]),
+    "Newton cycle": _case([2, -2, 0, 1], [0]),
+    "degree 0": _case([3], [0, 1]),
+    "more starts than roots": _case([-1, 0, 1], [0.5, -2, 1 + 1j, 3]),
+    "signed zeros on top": _case([-2, complex(-1, -0.0), complex(1, -0.0)], [1.9, -1.1]),
+}
+
+
 @given(_polynomials_and_starts())
 @settings(max_examples=400)
+@example(_EDGE_CASES["critical point"])
+@example(_EDGE_CASES["converged at a critical point"])
+@example(_EDGE_CASES["Newton cycle"])
+@example(_EDGE_CASES["degree 0"])
+@example(_EDGE_CASES["more starts than roots"])
+@example(_EDGE_CASES["signed zeros on top"])
 def test_refine_roots_is_bit_identical_to_numpy_polynomial(case):
     coeffs, starts = case
     with np.errstate(all="ignore"):
         assert _outcome(refine_roots, coeffs, starts) == _outcome(
             _oracle_refine_roots, coeffs, starts)
+
+
+@pytest.mark.parametrize("name, outcome", [
+    ("critical point", "Newton step hit a critical point"),
+    ("converged at a critical point", 2),
+    ("Newton cycle", "root refinement did not converge"),
+    ("degree 0", "Newton step hit a critical point"),
+    ("more starts than roots", 4),
+    ("signed zeros on top", 2),
+])
+def test_refine_roots_edge_cases_reach_their_outcome(name, outcome):
+    """Each pinned edge case ends as named: an error, or that many roots."""
+    result = _outcome(refine_roots, *_EDGE_CASES[name])
+    if isinstance(outcome, str):
+        assert result == outcome
+    else:
+        assert len(result) == 2 * outcome  # two uint64 words per root
 
 
 @given(_coefficients(max_degree=6), _coefficients(max_degree=12))

@@ -225,6 +225,16 @@ def test_the_zero_branch_polynomial_raises():
         track_coefficients(lambda s: family.branch_coeffs({"c": 1 - s}))
 
 
+def test_a_loop_may_name_only_the_family_parameters():
+    # branch points x^3 = 1 at every vertex; the family never reads lam
+    family = WeierstrassFamily(3, (), (0, 1), (1,))
+    with pytest.raises(ValueError, match=r"does not have: \['lam'\]"):
+        track_loop(family, UNIT_LOOP)
+    extra = ParameterLoop.circle("lam", 0.0, 1.0, fixed={"mu": 0.5})
+    with pytest.raises(ValueError, match=r"does not have: \['mu'\]"):
+        track_loop(CUSP, extra)
+
+
 def test_trace_json_round_trip():
     trace = track_loop(CUSP, UNIT_LOOP)
     data = trace.to_json()
