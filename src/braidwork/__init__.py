@@ -17,6 +17,6 @@ from .families import BranchConfiguration, WeierstrassFamily, branch_points, cat
 from .tracking import BraidTrace, ParameterLoop, fiber_monodromy, loop_to_braid, star_basis, track_loop
 from .arcs import admissible, chord
 from .bifurcation import bifurcation_generators
-from .certificates import Certificate
+from .certificates import TOOL_VERSION, Certificate
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION

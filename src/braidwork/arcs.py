@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import DEFAULT_COLLISION_TOL, WeierstrassFamily, branch_points
+from .families import WeierstrassFamily, branch_points
 from .garside import equal
 from .tracking import circle_path, fiber_monodromy, lasso
 from .words import BraidWord
@@ -101,15 +101,13 @@ def admissible(
     family: WeierstrassFamily,
     t: dict[str, complex],
     arc: Sequence[complex],
-    *,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
 ) -> AdmissibilityReport:
     """Decide permutation- and braid-admissibility of an embedded arc
     whose endpoints are branch points of the family at parameter t."""
     vertices = [complex(z) for z in arc]
     if len(vertices) < 2:
         raise ArcError("arc needs at least two vertices")
-    cfg = branch_points(family, t, collision_tol)
+    cfg = branch_points(family, t)
     gap = cfg.min_gap()
 
     def nearest_label(z: complex) -> int:
@@ -165,8 +163,8 @@ def admissible(
     loop_a = endpoint_loop(entry_a, s_a, point_a, r_a)
     loop_b = endpoint_loop(entry_b, s_b, point_b, r_b)
 
-    matching_a, word_a = fiber_monodromy(family, t, loop_a, collision_tol=collision_tol)
-    matching_b, word_b = fiber_monodromy(family, t, loop_b, collision_tol=collision_tol)
+    matching_a, word_a = fiber_monodromy(family, t, loop_a)
+    matching_b, word_b = fiber_monodromy(family, t, loop_b)
 
     coxeter = matching_a == matching_b
     artin = coxeter and equal(word_a, word_b)

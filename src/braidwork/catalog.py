@@ -409,10 +409,10 @@ def catalog() -> tuple[IdentityRecord, ...]:
 # Verifier pipelines
 
 
-def ledger_to_json(records: Iterable[IdentityRecord] | None = None) -> list[dict]:
-    records = list(records) if records is not None else list(catalog())
+def ledger_to_json() -> list[dict]:
+    """The built-in identity ledger, in the format ``ledger_from_json`` reads."""
     out = []
-    for r in records:
+    for r in catalog():
         row = {
             "id": r.id,
             "n": r.strand_count,

@@ -23,7 +23,6 @@ class Certificate:
     command: str
     inputs: dict
     results: list[dict]
-    tool_version: str = TOOL_VERSION
 
     @staticmethod
     def build(
@@ -65,7 +64,7 @@ class Certificate:
 
     def _body(self) -> dict:
         return {
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
@@ -85,7 +84,7 @@ class Certificate:
         return body
 
     def render_text(self) -> str:
-        lines = [f"# {self.command} (tool {self.tool_version})"]
+        lines = [f"# {self.command} (tool {TOOL_VERSION})"]
         for row in self.results:
             mark = {"verified": "ok", "failed": "FAIL",
                     "skipped": "skip", "degenerate": "degen"}[row["status"]]

@@ -26,7 +26,6 @@ from typing import Callable
 from . import arcs, bifurcation, catalog, geometry
 from .certificates import Certificate
 from .families import (
-    DEFAULT_COLLISION_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
     branch_points,
@@ -38,7 +37,7 @@ from .groups import artin_from_word, perm_from_name
 from .hurwitz import DEFAULT_ORBIT_CAP, OrbitCapExceeded, orbit
 from .tracking import ParameterLoop, TrackingError, loop_to_braid, track_loop
 from .garside import equal
-from .words import BraidWord, json_field, json_value
+from .words import MAX_STRANDS, BraidWord, json_field, json_value
 
 
 def _loop_from_spec(spec: dict) -> ParameterLoop:
@@ -121,6 +120,8 @@ def cmd_orbit(args, emit_transversal: bool = False) -> int:
     coefficient = args.coefficient
     if coefficient == "s3" and not 2 <= args.n <= 8:
         raise ValueError("orbit enumeration over s3 supports 2 <= n <= 8")
+    if coefficient == "br3" and not 1 <= args.n <= MAX_STRANDS:
+        raise ValueError(f"--n for br3 orbits is from 1 to {MAX_STRANDS}, got {args.n}")
     if coefficient == "br3" and args.cap is None:
         raise ValueError("a --cap is required for br3 orbits")
     cap = args.cap if args.cap is not None else DEFAULT_ORBIT_CAP
@@ -156,7 +157,7 @@ def cmd_monodromy(args) -> int:
     inputs = {"family": family.to_json(), "loop": loop.to_json()}
 
     def compute() -> tuple[str, dict]:
-        trace = track_loop(family, loop, collision_tol=args.tolerance)
+        trace = track_loop(family, loop)
         witness = {"trace": trace.to_json()}
         if expected is None:
             return "verified", witness
@@ -187,7 +188,7 @@ def cmd_admissible(args) -> int:
     }
 
     def compute() -> tuple[str, dict]:
-        report = arcs.admissible(family, params, arc, collision_tol=args.tolerance)
+        report = arcs.admissible(family, params, arc)
         return "verified", report.to_json()
 
     return _run_one(args, "admissible", inputs, "admissible/arc", "arc-admissibility",
@@ -329,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inline JSON loop spec (default: the unit circle in lam)")
     p.add_argument("--loop-file", default=None, help="JSON loop spec file")
     p.add_argument("--expect", default=None, help="expected braid word JSON")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_COLLISION_TOL,
-                   help="collision tolerance for the tracker")
     common(p)
     p.set_defaults(fn=cmd_monodromy)
 
@@ -342,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc", required=True,
                    help="'i:j' for the chord between branch points i and j, "
                         "or a JSON list of [re, im] vertices")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_COLLISION_TOL,
-                   help="collision tolerance for the tracker")
     common(p)
     p.set_defaults(fn=cmd_admissible)
 

@@ -38,7 +38,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .words import json_field, json_value
 
-DEFAULT_COLLISION_TOL = 1e-8
+COLLISION_TOL = 1e-8  # branch points closer than this are a collision
 RESIDUAL_TOL = 1e-12  # Newton converges when every relative residual is below it
 NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
@@ -392,31 +392,23 @@ def label_points(points: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted(pts, key=key))
 
 
-def branch_roots(
-    family: WeierstrassFamily,
-    t: dict[str, complex],
-    collision_tol: float = DEFAULT_COLLISION_TOL,
-) -> np.ndarray:
+def branch_roots(family: WeierstrassFamily, t: dict[str, complex]) -> np.ndarray:
     """All branch points at parameter t, unlabeled; degenerate
-    configurations (a pair closer than the collision tolerance) raise, and
-    so does a family with no branch points at t."""
+    configurations (a pair closer than ``COLLISION_TOL``) raise, and so
+    does a family with no branch points at t."""
     roots = solve_roots(family.branch_coeffs(t))
     if not len(roots):
         raise ValueError(f"the family has no branch points at these parameters {t}")
-    if min_pairwise_distance(roots) < collision_tol:
+    if min_pairwise_distance(roots) < COLLISION_TOL:
         raise DegenerateConfigurationError(
             f"branch points collide at parameters {t}"
         )
     return roots
 
 
-def branch_points(
-    family: WeierstrassFamily,
-    t: dict[str, complex],
-    collision_tol: float = DEFAULT_COLLISION_TOL,
-) -> BranchConfiguration:
+def branch_points(family: WeierstrassFamily, t: dict[str, complex]) -> BranchConfiguration:
     """``branch_roots`` at parameter t, labeled."""
-    return BranchConfiguration(label_points(branch_roots(family, t, collision_tol)))
+    return BranchConfiguration(label_points(branch_roots(family, t)))
 
 
 # ---------------------------------------------------------------------------

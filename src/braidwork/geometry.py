@@ -16,7 +16,7 @@ import numpy as np
 
 from .catalog import CheckResult
 from .families import (
-    DEFAULT_COLLISION_TOL,
+    COLLISION_TOL,
     _monomial_q,
     catalogue_family,
     label_points,
@@ -143,7 +143,7 @@ def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
             rest = near_alpha[2:]
             pair_tight = all(abs(z - alpha) < 1e-4 for z in double_pair)
             rest_simple = (
-                min_pairwise_distance(np.array(rest)) > DEFAULT_COLLISION_TOL
+                min_pairwise_distance(np.array(rest)) > COLLISION_TOL
                 if len(rest) > 1 else True
             )
             rest_clear = all(abs(z - alpha) > 1e-2 for z in rest)

@@ -10,7 +10,7 @@ s + h is accepted only when
 * no root moves more than a quarter of the smallest pairwise gap,
 * the predicted-to-corrected matching is unambiguous (each corrected root
   lies nearer its own prediction than half the distance to any other),
-* no two corrected roots are closer than the collision tolerance, and
+* no two corrected roots are closer than ``families.COLLISION_TOL``, and
 * the rank order changes by at most disjoint adjacent swaps.
 
 A trace starts with h = ``INITIAL_STEP``.  A rejected step halves h, and
@@ -28,8 +28,10 @@ step, the whole trace is recomputed with the projection rotated by
 ``ROTATION_STEP`` (recorded on the trace), at most ``MAX_ROTATIONS``
 times.
 
-The collision tolerance and the projection angle are the only settings a
-caller chooses.  Circles are sampled by ``circle_path`` alone; ``lasso``
+The projection angle is the only setting a caller chooses; the collision
+tolerance is the constant ``families.COLLISION_TOL``.  Each trial ranks
+its corrected roots once, and the alignment test and the final matching
+reuse that order.  Circles are sampled by ``circle_path`` alone; ``lasso``
 joins an approach path, a circle and the way back into one loop.
 
 Each trial evaluates the branch polynomial, its residual scale and its
@@ -54,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .families import (
-    DEFAULT_COLLISION_TOL,
+    COLLISION_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
     branch_roots,
@@ -95,8 +97,6 @@ class BraidTrace:
     final_matching: tuple[int, ...]  # start rank -> end rank, 0-based
     projection_angle: float
     rotations: int
-    start_points: tuple[complex, ...]  # in start-rank order
-    end_points: tuple[complex, ...]  # end_points[j] is where strand j stopped
 
     def to_json(self) -> dict:
         return {
@@ -120,45 +120,47 @@ class _Restart(Exception):
     pass
 
 
-def _rank_order(points: np.ndarray, angle: float) -> list[int]:
-    rotated = points * np.exp(-1j * angle)
-    return sorted(range(len(points)), key=lambda j: (rotated[j].real, rotated[j].imag))
+def _rank_order(rotated: np.ndarray) -> list[int]:
+    """Indices of the rotated points by real part, imaginary part breaking ties."""
+    return sorted(range(len(rotated)), key=lambda j: (rotated[j].real, rotated[j].imag))
+
+
+def _aligned(points: np.ndarray, rotated: np.ndarray, order: list[int]) -> bool:
+    """Whether two points adjacent in rank ``order`` are vertically aligned."""
+    scale = max(1.0, float(np.abs(points).max()))
+    return any(
+        abs(rotated[a].real - rotated[b].real) < 1e-7 * scale
+        for a, b in zip(order, order[1:])
+    )
 
 
 def _track_once(
-    coeff_fn: Callable[[float], np.ndarray],
-    collision_tol: float,
-    angle: float,
-) -> tuple[list[Crossing], np.ndarray, np.ndarray, list[int]]:
+    coeff_fn: Callable[[float], np.ndarray], angle: float
+) -> tuple[list[Crossing], list[int]]:
+    """The crossings of one trace, and ``ranks``: ranks[r] is the strand
+    that ends at rank r."""
     rot = np.exp(-1j * angle)
     c0 = np.asarray(coeff_fn(0.0), dtype=complex)
     roots = solve_roots(c0)
-    order = _rank_order(roots, angle)
-    roots = roots[order]  # strand j = start rank j
+    rotated = roots * rot
+    order = _rank_order(rotated)
+    roots, rotated = roots[order], rotated[order]  # strand j = start rank j
     m = len(roots)
     gap = min_pairwise_distance(roots)
-    if gap < collision_tol:
+    if gap < COLLISION_TOL:
         raise DegenerateConfigurationError("start configuration is degenerate")
     inf_diagonal = np.diag([math.inf] * m)
 
-    def aligned(points: np.ndarray) -> bool:
-        scale = max(1.0, float(np.abs(points).max()))
-        rotated = points * rot
-        order = sorted(range(len(points)), key=lambda j: (rotated[j].real, rotated[j].imag))
-        return any(
-            abs(rotated[a].real - rotated[b].real) < 1e-7 * scale
-            for a, b in zip(order, order[1:])
-        )
-
-    ranks = list(range(m))  # ranks[r] = strand currently at rank r
-    if aligned(roots):
+    # ranks[r] = strand currently at rank r; it is always the rank order of
+    # the current roots
+    ranks = list(range(m))
+    if _aligned(roots, rotated, ranks):
         raise _Restart()
 
     crossings: list[Crossing] = []
     s = 0.0
     h = INITIAL_STEP
     steps = 0
-    start = roots.copy()
 
     while s < 1.0 - 1e-15:
         steps += 1
@@ -201,11 +203,12 @@ def _track_once(
             reject()
             continue
         new_gap = min_pairwise_distance(new_roots)
-        if new_gap < collision_tol:
+        if new_gap < COLLISION_TOL:
             reject()
             continue
 
-        new_order = _rank_order(new_roots, angle)
+        new_rotated = new_roots * rot
+        new_order = _rank_order(new_rotated)
         if new_order != ranks:
             swaps = _adjacent_swaps(ranks, new_order)
             if swaps is None:
@@ -217,14 +220,14 @@ def _track_once(
                     _emit(r, strand_low, strand_high, roots, new_roots, rot, s, h)
                 )
                 ranks[r], ranks[r + 1] = ranks[r + 1], ranks[r]
-        elif aligned(new_roots) and aligned(roots):
+        elif _aligned(new_roots, new_rotated, ranks) and _aligned(roots, rotated, ranks):
             raise _Restart()
 
-        roots, gap = new_roots, new_gap
+        roots, rotated, gap = new_roots, new_rotated, new_gap
         s = trial
         h = min(h * 1.5, MAX_STEP)
 
-    return crossings, start, roots, ranks
+    return crossings, ranks
 
 
 def _adjacent_swaps(old: list[int], new: list[int]) -> list[int] | None:
@@ -271,7 +274,6 @@ def _emit(
 def track_coefficients(
     coeff_fn: Callable[[float], np.ndarray],
     *,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
     projection_angle: float = 0.0,
 ) -> BraidTrace:
     """Track the root set of coeff_fn(s) for s in [0, 1]."""
@@ -279,7 +281,7 @@ def track_coefficients(
     rotations = 0
     while True:
         try:
-            crossings, start, end, ranks = _track_once(coeff_fn, collision_tol, angle)
+            crossings, ranks = _track_once(coeff_fn, angle)
             break
         except _Restart:
             rotations += 1
@@ -289,19 +291,15 @@ def track_coefficients(
                 )
             angle += ROTATION_STEP
 
-    m = len(start)
-    end_rank_order = _rank_order(end, angle)
-    end_rank = [0] * m
-    for rank, strand in enumerate(end_rank_order):
+    end_rank = [0] * len(ranks)
+    for rank, strand in enumerate(ranks):
         end_rank[strand] = rank
     return BraidTrace(
-        strand_count=m,
+        strand_count=len(ranks),
         crossings=tuple(crossings),
         final_matching=tuple(end_rank),
         projection_angle=angle,
         rotations=rotations,
-        start_points=tuple(start),
-        end_points=tuple(end),
     )
 
 
@@ -320,6 +318,13 @@ class ParameterLoop:
             raise ValueError("a loop needs at least two vertices")
         if self.points[0] != self.points[-1]:
             raise ValueError("loop is not closed: first and last vertices differ")
+        first = self.points[0].keys()
+        for idx, point in enumerate(self.points):
+            if point.keys() != first:
+                raise ValueError(
+                    f"every loop vertex must name the same parameters: vertex {idx} "
+                    f"names {sorted(point)}, vertex 0 names {sorted(first)}"
+                )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -383,15 +388,14 @@ def track_loop(
     family: WeierstrassFamily,
     loop: ParameterLoop,
     *,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
     projection_angle: float = 0.0,
 ) -> BraidTrace:
     """Track the branch points of the family along a closed parameter loop.
     Every vertex must stay clear of the degeneration locus: its branch
-    points pairwise farther apart than the collision tolerance.  The loop
-    may name only the family's parameters."""
+    points pairwise at least ``COLLISION_TOL`` apart.  The loop may name
+    only the family's parameters."""
     for point in loop.points:
-        branch_roots(family, point, collision_tol)
+        branch_roots(family, point)
     unknown = [name for name in loop.names if name not in family.params]
     if unknown:
         raise ValueError(f"the loop names parameters the family does not have: {unknown}")
@@ -399,17 +403,13 @@ def track_loop(
     def coeff_fn(s: float) -> np.ndarray:
         return family.branch_coeffs(loop.at(s))
 
-    return track_coefficients(
-        coeff_fn, collision_tol=collision_tol, projection_angle=projection_angle
-    )
+    return track_coefficients(coeff_fn, projection_angle=projection_angle)
 
 
 def fiber_monodromy(
     family: WeierstrassFamily,
     t: dict[str, complex],
     path: Sequence[complex],
-    *,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
 ) -> tuple[tuple[int, ...], BraidWord]:
     """Endpoint matching and braid word of the fiber roots in y along a
     path in the x-plane."""
@@ -420,7 +420,7 @@ def fiber_monodromy(
     def coeff_fn(s: float) -> np.ndarray:
         return family.fiber_coeffs(_interp_path(vertices, s), t)
 
-    trace = track_coefficients(coeff_fn, collision_tol=collision_tol)
+    trace = track_coefficients(coeff_fn)
     return trace.final_matching, loop_to_braid(trace)
 
 
@@ -462,30 +462,27 @@ def loop_around(target: complex, base: complex, radius: float) -> list[complex]:
     return lasso(approach, circle)
 
 
-def star_basis(
-    points: Sequence[complex],
-    base: complex | None = None,
-) -> list[list[complex]]:
+def star_basis(points: Sequence[complex]) -> list[list[complex]]:
     """Disjoint positive loops around each point, ordered so that their
     product is the boundary class of a large disc.
 
-    The default base sits at a small positive offset into the sector
-    between the rays of the last and the first point.
+    The base sits at a small positive offset into the sector between the
+    rays of the last and the first point; a configuration containing 0
+    puts it on a point, which raises.
     """
     pts = [complex(z) for z in points]
-    if base is None:
-        if len(pts) == 1:
-            base = pts[0] - 0.5 * max(1.0, abs(pts[0]))
-        else:
-            a_first = math.atan2(pts[0].imag, pts[0].real) % (2 * math.pi)
-            a_last = math.atan2(pts[-1].imag, pts[-1].real) % (2 * math.pi)
-            if a_last <= a_first:
-                a_last += 2 * math.pi
-            # halfway through the empty sector from the last ray around to
-            # the first ray
-            mid = (a_last + a_first + 2 * math.pi) / 2
-            scale = min(abs(z) for z in pts)
-            base = 0.15 * scale * complex(math.cos(mid), math.sin(mid))
+    if len(pts) == 1:
+        base = pts[0] - 0.5 * max(1.0, abs(pts[0]))
+    else:
+        a_first = math.atan2(pts[0].imag, pts[0].real) % (2 * math.pi)
+        a_last = math.atan2(pts[-1].imag, pts[-1].real) % (2 * math.pi)
+        if a_last <= a_first:
+            a_last += 2 * math.pi
+        # halfway through the empty sector from the last ray around to the
+        # first ray
+        mid = (a_last + a_first + 2 * math.pi) / 2
+        scale = min(abs(z) for z in pts)
+        base = 0.15 * scale * complex(math.cos(mid), math.sin(mid))
     if any(abs(z - base) < 1e-12 for z in pts):
         raise ValueError("base point collides with a configuration point")
     loops = []

@@ -173,6 +173,9 @@ def test_verify_all_is_the_disjoint_union_of_the_scopes(capsys):
 @pytest.mark.parametrize("argv", [
     ["report", "--tolerance", "1e-6"],
     ["verify", "all", "--cap", "5"],
+    # the collision tolerance is a constant, not an option
+    ["monodromy", "--tolerance", "1e-6"],
+    ["admissible", "--arc", "1:3", "--tolerance", "1e-6"],
 ])
 def test_unused_numeric_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -263,6 +266,10 @@ _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
      "797c54292a5f57be0ddd666806908160fc994e0b4b0f20acc94841ee9bdefa0d"),
 ])
 def test_numerical_certificates_are_pinned(argv, body_sha256, capsys):
+    """The pins assume numpy dispatches its FMA (X86_V3) loops: with
+    ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"`` the
+    circle-k2-r0.5 pin fails, while every bit-identity test still passes
+    (a FOUND line in CHANGES.md)."""
     code, cert = run_json(argv, capsys)
     assert code == 0
     assert cert["summary"]["verified"] == 1
@@ -350,6 +357,15 @@ def _write_malformed_inputs(tmp_path):
      "the family has no branch points at these parameters"),
     # a loop in a parameter the family does not have
     (["monodromy", "--family-file", "no_params.json"], "does not have: ['lam']"),
+    # a polyline whose vertices name different parameters
+    (["monodromy", "--family", "cusp", "--loop",
+      '{"kind":"polyline","points":[{"lam":1},{"lam":[0,1],"nu":5},{"lam":-1},'
+      '{"lam":[0,-1]},{"lam":1}]}'],
+     "vertex 1 names ['lam', 'nu'], vertex 0 names ['lam']"),
+    # the strand count of a br3 orbit: at most MAX_STRANDS
+    (["orbit", "--n", "3000000", "--coefficient", "br3", "--cap", "5"], "--n for br3 orbits"),
+    (["transversal", "--n", str(MAX_STRANDS + 1), "--coefficient", "br3", "--cap", "5"],
+     "--n for br3 orbits"),
 ])
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

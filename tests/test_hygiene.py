@@ -7,6 +7,10 @@ a name in the code, in a string annotation, or in ``__all__``.
 No cache in the package grows without bound: a function that takes
 arguments is never wrapped in ``lru_cache(maxsize=None)`` or
 ``functools.cache``.
+
+The package's settable values (defaulted parameters of named functions and
+dataclass fields with a default) are exactly the set written here, so a
+new option shows up as a diff of this file.
 """
 
 import ast
@@ -119,3 +123,84 @@ def test_the_cache_scan_flags_unbounded_caches(source, flagged):
 def test_every_cache_with_arguments_is_bounded(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not _unbounded_caches(tree), f"{path.name}: unbounded caches {_unbounded_caches(tree)}"
+
+
+# every settable value of the package, as "module.qualified_name(parameter)"
+# for a defaulted parameter and "module.Class.field" for a dataclass field
+SETTABLE_VALUES = {
+    "catalog.IdentityRecord.variant",
+    "catalog.IdentityRecord.row",
+    "catalog.CheckResult.witness",
+    "catalog.verify_identities(records)",
+    "catalog.catalog.add(variant)",
+    "catalog.catalog.add(row)",
+    "catalog.catalog.trow(alt)",
+    "catalog.verify_stabilizer_tables.check(witness)",
+    "cli.cmd_orbit(emit_transversal)",
+    "cli.main(argv)",
+    "families._monomial_q(shift)",
+    "families._monomial_q(linear)",
+    "families.catalogue_family(k)",
+    "families.compile_coefficient.build(depth)",
+    "families.WeierstrassFamily.__init__(p_coeffs)",
+    "families.WeierstrassFamily.__init__(q_coeffs)",
+    "families.WeierstrassFamily.__init__(catalogue_id)",
+    "hurwitz.orbit(cap)",
+    "tracking.track_coefficients(projection_angle)",
+    "tracking.track_loop(projection_angle)",
+    "tracking.ParameterLoop.circle(turns)",
+    "tracking.ParameterLoop.circle(fixed)",
+    "tracking.ParameterLoop.circle(start_angle)",
+    "words.BraidWord.letters",
+    "words.json_field(default)",
+}
+
+
+def _settable(tree: ast.Module, module: str) -> set[str]:
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                found.update(f"{name}({arg.arg})" for arg in defaulted)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                name = f"{scope}.{child.name}"
+                if any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                       for d in child.decorator_list):
+                    found.update(f"{name}.{stmt.target.id}" for stmt in child.body
+                                 if isinstance(stmt, ast.AnnAssign) and stmt.value is not None)
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+@pytest.mark.parametrize("source, settable", [
+    ("def f(a, b=1, *, c, d=2): pass", {"m.f(b)", "m.f(d)"}),
+    ("def f(x):\n    def g(y=0): pass", {"m.f.g(y)"}),
+    ("@dataclasses.dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 0",
+     {"m.C.b"}),
+    ("class C:\n    b: int = 0", set()),
+    ("f = lambda t=1: t", set()),
+])
+def test_the_settable_value_scan(source, settable):
+    assert _settable(ast.parse(source), "m") == settable
+
+
+def test_the_settable_values_are_the_listed_ones():
+    found = set()
+    for path in FILES:
+        if path.parent.name == "braidwork":
+            found |= _settable(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert found == SETTABLE_VALUES, (
+        f"new: {sorted(found - SETTABLE_VALUES)}, gone: {sorted(SETTABLE_VALUES - found)}")
+    assert len(found) == 25

@@ -181,8 +181,9 @@ def test_star_basis_single_point():
 
 
 def test_star_basis_base_collision_is_rejected():
-    with pytest.raises(ValueError):
-        star_basis([1.0 + 0j, -1.0 + 0j], base=1.0 + 0j)
+    # a configuration containing 0 puts the base on that point
+    with pytest.raises(ValueError, match="base point collides"):
+        star_basis([1.0 + 0j, 0j, -1.0 + 0j])
 
 
 def test_constant_fiber_path_is_trivial():
