@@ -3,12 +3,10 @@ braid monodromy."""
 
 from .words import BraidWord, compose, conjugate_right, invert, reduce_free, word
 from .garside import NormalForm, equal, normal_form
-from .groups import Artin3, Perm3, artin_from_word, perm_from_letter
+from .groups import Artin3, Perm3, artin_from_word, perm_from_name
 from .hurwitz import OrbitTable, act_letter, act_word, orbit, schreier_generators, stabilizes
 from .catalog import (
-    CoxeterMatrix,
     build_e,
-    build_matrix,
     half_twist_classification,
     verify_identities,
     verify_stabilizer_tables,

@@ -32,7 +32,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .catalog import CheckResult, _band_table, build_e, build_matrix
+from .catalog import CheckResult, _band_table
 from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
 from .garside import equal
 from .geometry import permutation_closure
@@ -148,10 +148,10 @@ def _merge_loop(k: int) -> tuple[WeierstrassFamily, ParameterLoop]:
 
 def expected_generators(k: int) -> dict[str, BraidWord]:
     n = max(2 * k, 2)
-    matrix = build_matrix(n)
-    names = {"e_12": build_e(1, 2, matrix)}
+    band = _band_table(n)
+    names = {"e_12": band[1, 2]}
     for nu in range(1, n - 1):
-        names[f"e_{nu}{nu + 2}"] = build_e(nu, nu + 2, matrix)
+        names[f"e_{nu}{nu + 2}"] = band[nu, nu + 2]
     return names
 
 

@@ -47,39 +47,19 @@ from .words import (
 
 
 # ---------------------------------------------------------------------------
-# Coxeter matrix and band generators
+# Band generators
 
 
-@dataclasses.dataclass(frozen=True)
-class CoxeterMatrix:
-    """The alternating n x n matrix: m_ij = 3 for i != j mod 2, else 1."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i - 1][j - 1]
-
-
-def build_matrix(n: int) -> CoxeterMatrix:
-    if n < 2:
-        raise ValueError("matrix size must be at least 2")
-    entries = tuple(
-        tuple(1 if i == j else (3 if (i - j) % 2 else 1) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    return CoxeterMatrix(n, entries)
-
-
-def build_e(i: int, j: int, matrix: CoxeterMatrix) -> BraidWord:
-    """The band generator e_ij = s_{j-1}..s_{i+1} s_i^{m_ij} s_{i+1}^-1..s_{j-1}^-1."""
-    if not 1 <= i < j <= matrix.n:
-        raise ValueError(f"need 1 <= i < j <= {matrix.n}, got ({i}, {j})")
+def build_e(n: int, i: int, j: int) -> BraidWord:
+    """The band generator e_ij = s_{j-1}..s_{i+1} s_i^{m_ij} s_{i+1}^-1..s_{j-1}^-1
+    of Br_n, for the alternating Coxeter matrix: m_ij = 3 when j - i is
+    odd, else 1."""
+    if not 1 <= i < j <= n:
+        raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     prefix = list(range(j - 1, i, -1))
-    core = [i] * matrix[i, j]
+    core = [i] * (3 if (j - i) % 2 else 1)
     suffix = [-k for k in range(i + 1, j)]
-    return word(matrix.n, *(prefix + core + suffix))
+    return word(n, *(prefix + core + suffix))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +162,8 @@ class CheckResult:
 
 
 def _band_table(n: int) -> dict[tuple[int, int], BraidWord]:
-    matrix = build_matrix(n)
     return {
-        (i, j): build_e(i, j, matrix)
+        (i, j): build_e(n, i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }

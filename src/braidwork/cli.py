@@ -170,7 +170,11 @@ def cmd_monodromy(args) -> int:
 
 def _arc_from_spec(text: str, family, params) -> list[complex]:
     if ":" in text and not text.strip().startswith("["):
-        lo, hi = (int(tok) for tok in text.split(":"))
+        try:
+            lo, hi = (int(tok) for tok in text.split(":"))
+        except ValueError:
+            raise ValueError(f"--arc {text!r:.40}: expected 'i:j' with integer labels i "
+                             "and j, or a JSON list of [re, im] vertices") from None
         cfg = branch_points(family, params)
         return arcs.chord(cfg.point(lo), cfg.point(hi))
     return [complex_from_json(v) for v in json_value(json.loads(text), list, "--arc")]

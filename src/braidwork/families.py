@@ -54,13 +54,17 @@ class DegenerateConfigurationError(RuntimeError):
 
 
 def complex_from_json(value) -> complex:
-    """A complex scalar written in JSON as a number or an ``[re, im]`` pair."""
+    """A finite complex scalar written in JSON as a number or an ``[re, im]`` pair."""
     try:
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(value[0], value[1])
-        return complex(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected a number or an [re, im] pair, got {value!r}") from None
+            z = complex(value[0], value[1])
+        else:
+            z = complex(value)
+        if cmath.isfinite(z):
+            return z
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"expected a finite number or an [re, im] pair, got {value!r:.40}")
 
 
 def _entry_text(entry) -> str:
@@ -159,8 +163,8 @@ class WeierstrassFamily:
         self,
         y_degree: int,
         params: Iterable[str],
-        p_coeffs: Iterable = (),
-        q_coeffs: Iterable = (),
+        p_coeffs: Iterable,
+        q_coeffs: Iterable,
         catalogue_id: str | None = None,
     ):
         if y_degree not in (2, 3):

@@ -5,8 +5,10 @@ half twist, d is an integer (the infimum) and the f_i are permutation
 braids, none equal to the identity or to Delta, such that each adjacent
 pair is left-weighted: no starting letter of f_{i+1} can be absorbed into
 f_i.  Two words represent the same element of Br_n exactly when they have
-identical normal forms, which is what makes normal forms usable as
-dictionary keys for orbit enumeration.
+identical normal forms.  That decides `equal`, keys the class set of
+`catalog.half_twist_classification`, and gives the canonical spelling
+behind `groups.Artin3.render` and `to_json`.  Normal forms are not
+multiplied or inverted; words are composed, and then normalized.
 
 Permutation braids are stored as plain tuples ``p`` of 0-based images,
 with ``p[i]`` the end position of the strand starting at position i.
@@ -159,24 +161,6 @@ def _flip(p: Perm) -> Perm:
     return tuple(n - 1 - x for x in reversed(p))
 
 
-def _assemble(n: int, items: list[tuple[int, Perm | None]]) -> "NormalForm":
-    """Normal form of a product of terms Delta^d * f, given as (d, f) pairs.
-
-    Delta powers are pushed to the front; passing Delta^d leftwards over a
-    factor applies the flip automorphism d times, so each factor is flipped
-    by the parity of the Delta power accumulated to its right.
-    """
-    acc = 0
-    reversed_factors: list[Perm] = []
-    for d, f in reversed(items):
-        if f is not None:
-            reversed_factors.append(_flip(f) if acc % 2 else f)
-        acc += d
-    factors = list(reversed(reversed_factors))
-    extra, normalized = _normalize_factors(n, factors)
-    return NormalForm(n, acc + extra, normalized)
-
-
 @dataclasses.dataclass(frozen=True)
 class NormalForm:
     """Canonical form Delta^inf * factors of an element of Br_n."""
@@ -197,48 +181,30 @@ class NormalForm:
             letters.extend(perm_word(f))
         return BraidWord(self.n, tuple(letters))
 
-    def __mul__(self, other: "NormalForm") -> "NormalForm":
-        if self.n != other.n:
-            raise ValueError(f"strand-count mismatch: {self.n} vs {other.n}")
-        items: list[tuple[int, Perm | None]] = [(self.inf, None)]
-        items += [(0, f) for f in self.factors]
-        items.append((other.inf, None))
-        items += [(0, f) for f in other.factors]
-        return _assemble(self.n, items)
-
-    def inverse(self) -> "NormalForm":
-        # (Delta^d f_1 .. f_k)^-1 = f_k^-1 .. f_1^-1 Delta^-d,
-        # and f^-1 = Delta^-1 * (Delta f^-1) with Delta f^-1 a permutation braid.
-        w0 = longest_perm(self.n)
-        items: list[tuple[int, Perm | None]] = [
-            (-1, pmul(w0, pinv(f))) for f in reversed(self.factors)
-        ]
-        items.append((-self.inf, None))
-        return _assemble(self.n, items)
-
-    def permutation(self) -> Perm:
-        p = longest_perm(self.n) if self.inf % 2 else identity_perm(self.n)
-        for f in self.factors:
-            p = pmul(p, f)
-        return p
-
     def to_json(self) -> dict:
         return self.spelled_word().to_json()
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    """The left-greedy normal form of a braid word."""
+    """The left-greedy normal form of a braid word.
+
+    Walks the letters right to left, writing sigma_i^-1 as
+    Delta^-1 (Delta sigma_i^-1).  The Delta powers are pushed to the front;
+    passing Delta^-1 leftwards over a factor flips it, so each factor is
+    flipped by the parity of the inverse letters to its right.
+    """
     n = w.n
     w0 = longest_perm(n)
-    items: list[tuple[int, Perm | None]] = []
-    for letter in reduce_free(w).letters:
+    inverses = 0
+    reversed_factors: list[Perm] = []
+    for letter in reversed(reduce_free(w).letters):
         t = letter_perm(n, abs(letter))
-        if letter > 0:
-            items.append((0, t))
-        else:
-            # sigma_i^-1 = Delta^-1 * (Delta sigma_i^-1)
-            items.append((-1, pmul(w0, t)))
-    return _assemble(n, items)
+        f = t if letter > 0 else pmul(w0, t)
+        reversed_factors.append(_flip(f) if inverses % 2 else f)
+        if letter < 0:
+            inverses += 1
+    extra, factors = _normalize_factors(n, reversed_factors[::-1])
+    return NormalForm(n, extra - inverses, factors)
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:

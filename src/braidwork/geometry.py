@@ -121,22 +121,16 @@ def circle_confinement(k: int) -> tuple[CheckResult, ...]:
 def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
     """For the perturbation with vanishing locus eps (x - alpha)^3 -
     (x^k - i)^2: exactly one double root (at alpha), all other roots
-    simple and separated, for every epsilon on the grid."""
+    simple and separated, for every epsilon on the grid.  That locus is
+    the branch polynomial of the ``double_point`` family, whose own eps is
+    a cube root of the grid value."""
     alpha = merge_point(k)
+    family = catalogue_family("double_point", k)
     all_ok = True
     for mag in EPS_MAGNITUDES:
         for j in range(EPS_ANGLES):
             eps = mag * cmath.exp(2j * math.pi * (j + 0.3) / EPS_ANGLES)
-            # eps (x - alpha)^3 - (x^k - i)^2, coefficients low to high
-            cubic = np.zeros(4, dtype=complex)
-            cubic[:4] = [-(alpha**3), 3 * alpha**2, -3 * alpha, 1]
-            cubic *= eps
-            quad = np.polynomial.polynomial.polypow(
-                _monomial_q(k, -1j), 2
-            ).astype(complex)
-            coeffs = np.polynomial.polynomial.polysub(
-                np.pad(cubic, (0, max(0, len(quad) - 4))), quad
-            )
+            coeffs = family.branch_coeffs({"eps": eps ** (1 / 3), "alpha": alpha})
             roots = np.polynomial.polynomial.polyroots(coeffs)
             near_alpha = sorted(roots, key=lambda z: abs(z - alpha))
             double_pair = near_alpha[:2]

@@ -98,14 +98,9 @@ PERM3_T = _PERM3_BY_NAME["t"]
 PERM3_R = _PERM3_BY_NAME["r"]
 
 
-def perm_from_letter(letter: str) -> Perm3:
-    """The fixed convention s = (1 2), t = (2 3), r = (1 3) = s t s."""
-    if letter not in ("s", "t", "r", "e"):
-        raise ValueError(f"unknown letter {letter!r}")
-    return _PERM3_BY_NAME[letter]
-
-
 def perm_from_name(name: str) -> Perm3:
+    """The permutation named e, s = (1 2), t = (2 3), r = (1 3) = s t s,
+    st or ts."""
     if name not in _PERM3_BY_NAME:
         raise ValueError(f"unknown permutation name {name!r}")
     return _PERM3_BY_NAME[name]

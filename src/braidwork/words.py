@@ -2,8 +2,8 @@
 
 A word is a finite sequence of signed generator letters: the integer +i
 stands for the generator sigma_i (1 <= i <= n-1), -i for its inverse.
-Composition is concatenation in writing order, so ``u * v`` means "u then
-v".  ``(s)^b`` -- conjugation on the right -- is ``b^-1 * s * b``.
+Composition is concatenation in writing order, so ``compose(u, v)`` means
+"u then v".  ``(s)^b`` -- conjugation on the right -- is ``b^-1 s b``.
 
 All values are immutable; every operation returns a fresh word.  The
 canonical JSON form of a word is ``{"n": strand_count, "word": [..]}``
@@ -20,6 +20,7 @@ strand count read from JSON is at most ``MAX_STRANDS``
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Iterator
 
 MAX_STRANDS = 64  # largest strand count a JSON word or ledger row may name
@@ -48,14 +49,8 @@ class BraidWord:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return compose(self, other)
-
     def __repr__(self) -> str:
         return f"BraidWord(n={self.n}, letters={list(self.letters)})"
-
-    def inverse(self) -> "BraidWord":
-        return invert(self)
 
     def to_json(self) -> dict:
         return {"n": self.n, "word": list(self.letters)}
@@ -70,7 +65,7 @@ class BraidWord:
 
 _JSON_KINDS = {
     int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
+    float: ((int, float), "a finite number"),
     str: ((str,), "a string"),
     list: ((list,), "an array"),
     dict: ((dict,), "an object"),
@@ -80,11 +75,20 @@ _REQUIRED = object()
 
 def json_value(value, kind: type, name: str):
     """``value``, checked to be a JSON value of ``kind`` (int, float, str,
-    list or dict; a bool is not a number); otherwise ValueError naming it."""
+    list or dict; a bool is not a number, and a float is finite);
+    otherwise ValueError naming it."""
     types, what = _JSON_KINDS[kind]
-    if not isinstance(value, types) or isinstance(value, bool):
+    if (not isinstance(value, types) or isinstance(value, bool)
+            or (kind is float and not _finite(value))):
         raise ValueError(f"{name} must be {what}, got {value!r:.40}")
     return value
+
+
+def _finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the floating-point range
+        return False
 
 
 def json_field(data: dict, field: str, kind: type, owner: str, default=_REQUIRED):

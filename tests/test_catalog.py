@@ -3,7 +3,6 @@ import pytest
 from braidwork.catalog import (
     IdentityRecord,
     build_e,
-    build_matrix,
     catalog,
     conjugator_to_reference,
     coxeter_system,
@@ -20,34 +19,23 @@ from braidwork.hurwitz import act_word, stabilizes
 from braidwork.words import compose, word
 
 
-def test_build_matrix_examples():
-    m2 = build_matrix(2)
-    assert m2.entries == ((1, 3), (3, 1))
-    m6 = build_matrix(6)
-    assert m6[1, 3] == 1
-    for i in range(1, 7):
-        for j in range(1, 7):
-            assert m6[i, j] == m6[j, i]
-            assert m6[i, i] == 1
-    with pytest.raises(ValueError):
-        build_matrix(1)
-
-
 def test_build_e_examples():
-    m6 = build_matrix(6)
-    assert build_e(1, 2, m6).letters == (1, 1, 1)
-    assert build_e(1, 3, m6).letters == (2, 1, -2)
-    assert build_e(2, 4, m6).letters == (3, 2, -3)
-    with pytest.raises(ValueError):
-        build_e(2, 2, m6)
-    with pytest.raises(ValueError):
-        build_e(1, 7, m6)
+    assert build_e(2, 1, 2).letters == (1, 1, 1)
+    assert build_e(6, 1, 2).letters == (1, 1, 1)
+    assert build_e(6, 1, 3).letters == (2, 1, -2)
+    assert build_e(6, 2, 4).letters == (3, 2, -3)
+    # m_ij = 3 when j - i is odd, else 1
+    assert build_e(6, 1, 4).letters == (3, 2, 1, 1, 1, -2, -3)
+    assert build_e(6, 2, 6).letters == (5, 4, 3, 2, -3, -4, -5)
+    for bad in [(6, 2, 2), (6, 3, 2), (6, 1, 7), (6, 0, 1), (1, 1, 2)]:
+        with pytest.raises(ValueError):
+            build_e(*bad)
 
 
 def test_catalog_contents():
     assert [len(coxeter_system(n)) for n in range(2, 7)] == [2, 3, 4, 5, 6]
     assert coxeter_system(3) == (PERM3_S, PERM3_T, PERM3_S)
-    assert build_e(1, 3, build_matrix(6)).n == 6
+    assert build_e(6, 1, 3).n == 6
     assert tau_word(1, 5).n == 5
     assert conjugator_to_reference(6).n == 6
     assert len(reference_system_generators(6, "B")) == 7

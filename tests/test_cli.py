@@ -366,6 +366,32 @@ def _write_malformed_inputs(tmp_path):
     (["orbit", "--n", "3000000", "--coefficient", "br3", "--cap", "5"], "--n for br3 orbits"),
     (["transversal", "--n", str(MAX_STRANDS + 1), "--coefficient", "br3", "--cap", "5"],
      "--n for br3 orbits"),
+    # JSON numbers that are not finite
+    (["admissible", "--family", "base", "--k", "2", "--arc", "[[NaN,0],[1,0]]"],
+     "finite number or an [re, im] pair, got [nan, 0]"),
+    (["admissible", "--family", "cusp", "--params", '{"lam":Infinity}', "--arc", "1:2"],
+     "finite number or an [re, im] pair, got inf"),
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":NaN}'],
+     "'radius' must be a finite number"),
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":-Infinity}'],
+     "'radius' must be a finite number"),
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam","center":[0,Infinity],"radius":1}'],
+     "finite number or an [re, im] pair, got [0, inf]"),
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"fixed":{"mu":NaN}'],
+     "finite number or an [re, im] pair, got nan"),
+    (["monodromy", "--family", "cusp", "--loop",
+      '{"kind":"polyline","points":[{"lam":1},{"lam":NaN},{"lam":-1},{"lam":1}]}'],
+     "finite number or an [re, im] pair, got nan"),
+    # an integer beyond the floating-point range
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":1%s}' % ("0" * 400)],
+     "'radius' must be a finite number"),
+    (["admissible", "--family", "cusp", "--params", '{"lam":1%s}' % ("0" * 400), "--arc", "1:2"],
+     "finite number or an [re, im] pair, got 1000"),
+    # an --arc of the i:j form that is malformed
+    (["admissible", "--family", "base", "--k", "2", "--arc", "1:2:3"],
+     "--arc '1:2:3': expected 'i:j'"),
+    (["admissible", "--family", "base", "--k", "2", "--arc", "1:x"],
+     "--arc '1:x': expected 'i:j'"),
 ])
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -105,7 +105,7 @@ def test_family_json_round_trip():
 
 def test_custom_family_with_complex_entries():
     family = WeierstrassFamily(
-        y_degree=2, params=("c",), q_coeffs=([0, 1], "c", 1)
+        y_degree=2, params=("c",), p_coeffs=(), q_coeffs=([0, 1], "c", 1)
     )
     arr = family.q_array({"c": 2.0})
     assert arr[0] == 1j and arr[1] == 2.0 and arr[2] == 1.0
@@ -165,7 +165,7 @@ def test_catalogue_json_is_pinned():
 ])
 def test_hostile_and_non_polynomial_entries_are_rejected(text):
     with pytest.raises(ValueError, match=re.escape(f"coefficient '{text}':")):
-        WeierstrassFamily(y_degree=2, params=("lam",), q_coeffs=(text, 1))
+        WeierstrassFamily(y_degree=2, params=("lam",), p_coeffs=(), q_coeffs=(text, 1))
 
 
 def test_a_family_file_cannot_run_code(tmp_path, capsys):

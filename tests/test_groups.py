@@ -19,25 +19,25 @@ from braidwork.groups import (
     Perm3,
     artin_from_braid,
     artin_from_word,
-    perm_from_letter,
     perm_from_name,
 )
-from braidwork.words import BraidWord
+from braidwork.words import BraidWord, permutation_image
 
 
 TRANSPOSITIONS = (PERM3_S, PERM3_T, PERM3_R)
 
 
 def test_letter_conventions():
-    assert perm_from_letter("s") == Perm3((2, 1, 3))
-    assert perm_from_letter("t") == Perm3((1, 3, 2))
+    assert perm_from_name("s") == Perm3((2, 1, 3))
+    assert perm_from_name("t") == Perm3((1, 3, 2))
+    assert perm_from_name("r") == Perm3((3, 2, 1))
     assert PERM3_S * PERM3_T * PERM3_S == PERM3_R
     assert PERM3_S * PERM3_S == PERM3_E
     assert PERM3_T * PERM3_T == PERM3_E
     st3 = PERM3_S * PERM3_T
     assert st3 * st3 * st3 == PERM3_E
     with pytest.raises(ValueError):
-        perm_from_letter("q")
+        perm_from_name("q")
 
 
 def test_rendering_round_trip():
@@ -76,7 +76,7 @@ def test_quotient_map_is_a_homomorphism(u, v):
     def quotient(text):
         out = PERM3_E
         for ch in text:
-            out = out * perm_from_letter(mapped[ch])
+            out = out * perm_from_name(mapped[ch])
         return out
 
     assert artin_from_word(u).to_perm3() == quotient(u)
@@ -189,7 +189,7 @@ def test_render_and_quotient_agree_with_garside():
         names = "".join("ab"[abs(c) - 1] if c > 0 else "AB"[abs(c) - 1] for c in spelled.letters)
         assert x.render() == (names or "1")
         assert x.to_json() == spelled.to_json()
-        image = garside.normal_form(BraidWord(3, letters)).permutation()
+        image = permutation_image(BraidWord(3, letters))
         assert x.to_perm3() == Perm3(tuple(c + 1 for c in image))
         largest = max(largest, abs(x.p), abs(x.q), abs(x.r), abs(x.s))
     assert largest > 10**6

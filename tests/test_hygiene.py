@@ -11,6 +11,10 @@ arguments is never wrapped in ``lru_cache(maxsize=None)`` or
 The package's settable values (defaulted parameters of named functions and
 dataclass fields with a default) are exactly the set written here, so a
 new option shows up as a diff of this file.
+
+The package's module-level functions and classes that only tests use are
+exactly the set written here, so a second implementation left behind when
+its callers move shows up as a diff of this file.
 """
 
 import ast
@@ -142,8 +146,6 @@ SETTABLE_VALUES = {
     "families._monomial_q(linear)",
     "families.catalogue_family(k)",
     "families.compile_coefficient.build(depth)",
-    "families.WeierstrassFamily.__init__(p_coeffs)",
-    "families.WeierstrassFamily.__init__(q_coeffs)",
     "families.WeierstrassFamily.__init__(catalogue_id)",
     "hurwitz.orbit(cap)",
     "tracking.track_coefficients(projection_angle)",
@@ -203,4 +205,73 @@ def test_the_settable_values_are_the_listed_ones():
             found |= _settable(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert found == SETTABLE_VALUES, (
         f"new: {sorted(found - SETTABLE_VALUES)}, gone: {sorted(SETTABLE_VALUES - found)}")
-    assert len(found) == 25
+    assert len(found) == 23
+
+
+# module-level functions and classes of the package that no package module,
+# script or benchmark file references: what the tests check the package by
+TEST_ONLY = {
+    "garside.right_descents",  # the oracle of garside._leftweight
+    "hurwitz.ordered_product",  # the invariant of every Hurwitz move
+    "hurwitz.schreier_generators",  # stabilizer generators of an orbit table
+    "tracking.star_basis",  # fiber loops of a star basis, for no pipeline yet
+}
+REFERRERS = sorted(
+    [path for path in FILES if path.parent.name == "braidwork"]
+    + list((ROOT / "scripts").glob("*.py"))
+    + [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
+)
+
+
+def _defined(tree: ast.Module, module: str) -> set[str]:
+    return {f"{module}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every name, attribute and imported name in the code."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) -> set[str]:
+    """The module-level functions and classes of ``defining`` (trees by
+    module name) whose names no tree in ``referring`` mentions.
+
+    Names are matched without their module, so a name that some other
+    object also bears counts as referenced.  Methods are not scanned: an
+    operator method such as ``__mul__`` is called by an operator, which
+    does not name it.
+    """
+    referenced = set().union(*map(_referenced, referring))
+    return {name for module, tree in defining.items() for name in _defined(tree, module)
+            if name.rsplit(".", 1)[1] not in referenced}
+
+
+@pytest.mark.parametrize("source, other, unreferenced", [
+    ("def f(): pass\ndef g(): f()", "", {"m.g"}),
+    ("def f(): pass\nclass C: pass", "from m import f, C", set()),
+    ("def f(): pass", "import m\nm.f()", set()),
+    ("def f(): pass", "name = 'f'", {"m.f"}),
+    ("def f():\n    def g(): pass\n    return g", "m.f", set()),
+    ("class C:\n    def __mul__(self, o): pass", "", {"m.C"}),
+])
+def test_the_unreferenced_scan(source, other, unreferenced):
+    trees = [ast.parse(source), ast.parse(other)]
+    assert _unreferenced({"m": trees[0]}, trees) == unreferenced
+
+
+def test_the_test_only_functions_are_the_listed_ones():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in REFERRERS}
+    assert {"catalog.py", "orbit_census.py", "workloads.py"} <= {path.name for path in trees}
+    defining = {path.stem: tree for path, tree in trees.items() if path.parent.name == "braidwork"}
+    found = _unreferenced(defining, list(trees.values()))
+    assert found == TEST_ONLY, (
+        f"new: {sorted(found - TEST_ONLY)}, gone: {sorted(TEST_ONLY - found)}")
