@@ -19,12 +19,23 @@ from braidwork.hurwitz import act_word, stabilizes
 from braidwork.words import compose, word
 
 
+def test_build_matrix_examples():
+    # The alternating Coxeter matrix, read off as the exponent of s_i in
+    # e_ij: m_ij = 3 when j - i is odd, else 1; n = 1 has no pair at all.
+    assert build_e(2, 1, 2).letters.count(1) == 3
+    assert build_e(6, 1, 3).letters.count(1) == 1
+    for i in range(1, 7):
+        for j in range(i + 1, 7):
+            assert build_e(6, i, j).letters.count(i) == (3 if (j - i) % 2 else 1)
+    with pytest.raises(ValueError):
+        build_e(1, 1, 2)
+
+
 def test_build_e_examples():
     assert build_e(2, 1, 2).letters == (1, 1, 1)
     assert build_e(6, 1, 2).letters == (1, 1, 1)
     assert build_e(6, 1, 3).letters == (2, 1, -2)
     assert build_e(6, 2, 4).letters == (3, 2, -3)
-    # m_ij = 3 when j - i is odd, else 1
     assert build_e(6, 1, 4).letters == (3, 2, 1, 1, 1, -2, -3)
     assert build_e(6, 2, 6).letters == (5, 4, 3, 2, -3, -4, -5)
     for bad in [(6, 2, 2), (6, 3, 2), (6, 1, 7), (6, 0, 1), (1, 1, 2)]:
