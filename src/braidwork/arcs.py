@@ -6,6 +6,11 @@ midpoint of the arc and approached along the arc itself.  The arc is
 permutation-admissible when the two endpoint monodromies give the same
 transposition of fiber sheets, and braid-admissible when they give the
 same fiber braid; braid admissibility implies permutation admissibility.
+
+The arc's interior must keep more than 0.45 of the smallest branch-point
+gap from both endpoints at its midpoint, and each endpoint circle's
+radius is at most 0.2 of that gap, so walking inwards from an endpoint
+the arc leaves its circle by the midpoint at the latest.
 """
 
 from __future__ import annotations
@@ -82,15 +87,12 @@ def _resample(vertices: list[complex], lengths: list[float],
 def _exit_parameter(vertices, lengths, center: complex, radius: float,
                     from_start: bool) -> float:
     """Arc-length parameter where the arc first leaves the circle around
-    an endpoint, walking inwards from that endpoint."""
+    an endpoint, walking inwards from that endpoint; s = 0.5 at the latest."""
     samples = 512
     span = [j / samples for j in range(samples + 1)]
     if not from_start:
         span = span[::-1]
-    for s in span:
-        if abs(_point_at(vertices, lengths, s) - center) >= radius:
-            return s
-    raise ArcError("arc never leaves the endpoint circle")
+    return next(s for s in span if abs(_point_at(vertices, lengths, s) - center) >= radius)
 
 
 def chord(a: complex, b: complex) -> list[complex]:
@@ -123,9 +125,9 @@ def admissible(
         raise ArcError("arc endpoints coincide")
     point_a, point_b = cfg.point(label_a), cfg.point(label_b)
 
+    # the endpoints lie within 0.05 gap of distinct branch points, so
+    # lengths[-1] >= 0.9 gap > 0
     lengths = _cumulative(vertices)
-    if lengths[-1] == 0:
-        raise ArcError("arc has zero length")
 
     # interior must stay clear of the branch set away from its endpoints
     for j in range(257):

@@ -201,10 +201,9 @@ def bifurcation_generators(k: int) -> BifurcationReport:
             std = conjugate_right(loop_to_braid(trace), conj)
             classify(f"ray-{parity}-{idx}", std)
 
+    # the merge loop starts at the ray family's base configuration (both
+    # have branch polynomial 1 - x^(2k) there), so conj serves it too
     merge_family, merge_loop = _merge_loop(k)
-    merge_base = branch_points(merge_family, merge_loop.points[0])
-    if any(abs(a - b) > 1e-9 for a, b in zip(merge_base.points, base.points)):
-        raise RuntimeError("merge-family base configuration mismatch")
     trace = track_loop(merge_family, merge_loop, projection_angle=PIPELINE_ANGLE)
     classify("pair-merge", conjugate_right(loop_to_braid(trace), conj))
 
@@ -219,11 +218,12 @@ def bifurcation_generators(k: int) -> BifurcationReport:
     # permutation-level cross check against the exhaustive closure oracle
     computed_perms = [permutation_image(o.braid) for o in outcomes]
     expected_perms = [permutation_image(w) for w in expected.values()]
-    closure_ok = permutation_closure(computed_perms) == permutation_closure(expected_perms)
+    closure = permutation_closure(computed_perms)
+    closure_ok = closure == permutation_closure(expected_perms)
     results.append(
         CheckResult(f"bifurcation/permutation-closure@k{k}", "generator-realization",
                     "verified" if closure_ok else "failed",
-                    {"closure_size": len(permutation_closure(computed_perms))})
+                    {"closure_size": len(closure)})
     )
 
     return BifurcationReport(

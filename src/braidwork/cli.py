@@ -52,14 +52,16 @@ def _loop_from_spec(spec: dict) -> ParameterLoop:
         fixed = json_field(spec, "fixed", dict, owner, {})
         return ParameterLoop.circle(
             param,
-            complex_from_json(spec.get("center", 0)),
+            complex_from_json(spec.get("center", 0), f"{owner} field 'center'"),
             float(radius),
             spec.get("turns", 1),
-            {k: complex_from_json(v) for k, v in fixed.items()},
+            {k: complex_from_json(v, f"{owner} field 'fixed' entry {k!r}")
+             for k, v in fixed.items()},
         )
     points = [
-        {k: complex_from_json(v) for k, v in json_value(pt, dict, "a polyline point").items()}
-        for pt in json_field(spec, "points", list, owner)
+        {k: complex_from_json(v, f"polyline point {idx} field {k!r}")
+         for k, v in json_value(pt, dict, "a polyline point").items()}
+        for idx, pt in enumerate(json_field(spec, "points", list, owner))
     ]
     return ParameterLoop.polyline(points)
 
@@ -116,7 +118,7 @@ def _parse_base(text: str, coefficient: str, n: int):
     return tuple(artin_from_word(tok) for tok in entries)
 
 
-def cmd_orbit(args, emit_transversal: bool = False) -> int:
+def cmd_orbit(args, emit_transversal: bool) -> int:
     coefficient = args.coefficient
     if coefficient == "s3" and not 2 <= args.n <= 8:
         raise ValueError("orbit enumeration over s3 supports 2 <= n <= 8")
@@ -177,13 +179,14 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
                              "and j, or a JSON list of [re, im] vertices") from None
         cfg = branch_points(family, params)
         return arcs.chord(cfg.point(lo), cfg.point(hi))
-    return [complex_from_json(v) for v in json_value(json.loads(text), list, "--arc")]
+    return [complex_from_json(v, f"--arc vertex {idx}")
+            for idx, v in enumerate(json_value(json.loads(text), list, "--arc"))]
 
 
 def cmd_admissible(args) -> int:
     family = _family_from_args(args)
     params = json_value(json.loads(args.params or "{}"), dict, "--params")
-    params = {k: complex_from_json(v) for k, v in params.items()}
+    params = {k: complex_from_json(v, f"--params field {k!r}") for k, v in params.items()}
     arc = _arc_from_spec(args.arc, family, params)
     inputs = {
         "family": family.to_json(),

@@ -53,8 +53,9 @@ class DegenerateConfigurationError(RuntimeError):
     """A branch configuration has a (near-)multiple point."""
 
 
-def complex_from_json(value) -> complex:
-    """A finite complex scalar written in JSON as a number or an ``[re, im]`` pair."""
+def complex_from_json(value, name: str) -> complex:
+    """A finite complex scalar written in JSON as a number or an ``[re, im]``
+    pair; otherwise ValueError naming it ``name``."""
     try:
         if isinstance(value, (list, tuple)) and len(value) == 2:
             z = complex(value[0], value[1])
@@ -64,7 +65,7 @@ def complex_from_json(value) -> complex:
             return z
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"expected a finite number or an [re, im] pair, got {value!r:.40}")
+    raise ValueError(f"{name} must be a finite number or an [re, im] pair, got {value!r:.40}")
 
 
 def _entry_text(entry) -> str:
@@ -73,7 +74,7 @@ def _entry_text(entry) -> str:
     if isinstance(entry, (int, float, complex)):
         return str(entry)
     try:
-        return str(complex_from_json(entry))
+        return str(complex_from_json(entry, "a coefficient"))
     except ValueError:
         raise ValueError(
             f"coefficient '{entry!r}': not a string, a number or an [re, im] pair"

@@ -8,10 +8,12 @@ s + h is accepted only when
   relative residual below ``families.RESIDUAL_TOL`` within
   ``families.NEWTON_STEPS`` iterations),
 * no root moves more than a quarter of the smallest pairwise gap,
-* the predicted-to-corrected matching is unambiguous (each corrected root
-  lies nearer its own prediction than half the distance to any other),
 * no two corrected roots are closer than ``families.COLLISION_TOL``, and
 * the rank order changes by at most disjoint adjacent swaps.
+
+The move bound makes the predicted-to-corrected matching unambiguous
+without a test of its own: a root moved by at most gap/4 lies at least
+3/4 gap from every other root's prediction, more than twice its move.
 
 A trace starts with h = ``INITIAL_STEP``.  A rejected step halves h, and
 h below ``MIN_STEP`` raises with the offending parameter time, as does a
@@ -24,9 +26,9 @@ adjacent ranks emits the generator with positive sign when the strand
 moving up in rank passes with the smaller imaginary part, which makes a
 counterclockwise half turn of two points the positive generator.  If two
 tracked points stay vertically aligned within tolerance over a whole
-step, the whole trace is recomputed with the projection rotated by
-``ROTATION_STEP`` (recorded on the trace), at most ``MAX_ROTATIONS``
-times.
+step, the whole trace is recomputed from the same start roots with the
+projection rotated by ``ROTATION_STEP`` (recorded on the trace), at most
+``MAX_ROTATIONS`` times; the start is solved and checked once per trace.
 
 The projection angle is the only setting a caller chooses; the collision
 tolerance is the constant ``families.COLLISION_TOL``.  Each trial ranks
@@ -116,10 +118,6 @@ def loop_to_braid(trace: BraidTrace) -> BraidWord:
     )
 
 
-class _Restart(Exception):
-    pass
-
-
 def _rank_order(rotated: np.ndarray) -> list[int]:
     """Indices of the rotated points by real part, imaginary part breaking ties."""
     return sorted(range(len(rotated)), key=lambda j: (rotated[j].real, rotated[j].imag))
@@ -134,28 +132,44 @@ def _aligned(points: np.ndarray, rotated: np.ndarray, order: list[int]) -> bool:
     )
 
 
+def _step(
+    coeffs: np.ndarray, roots: np.ndarray, gap: float, rot: complex, ranks: list[int]
+) -> tuple[np.ndarray, np.ndarray, float, list[int]] | None:
+    """One trial: the corrected roots, their rotation, their smallest gap
+    and the adjacent rank swaps from ``ranks``, or None if it is rejected."""
+    try:
+        new_roots = refine_roots(coeffs, roots)
+    except DegenerateConfigurationError:
+        return None
+    if np.abs(new_roots - roots).max() > gap / 4:
+        return None
+    new_gap = min_pairwise_distance(new_roots)
+    if new_gap < COLLISION_TOL:
+        return None
+    new_rotated = new_roots * rot
+    swaps = _adjacent_swaps(ranks, _rank_order(new_rotated))
+    if swaps is None:
+        return None
+    return new_roots, new_rotated, new_gap, swaps
+
+
 def _track_once(
-    coeff_fn: Callable[[float], np.ndarray], angle: float
-) -> tuple[list[Crossing], list[int]]:
-    """The crossings of one trace, and ``ranks``: ranks[r] is the strand
-    that ends at rank r."""
+    coeff_fn: Callable[[float], np.ndarray], start: np.ndarray, gap: float, angle: float
+) -> tuple[list[Crossing], list[int]] | None:
+    """The crossings of one trace from the roots ``start`` (smallest gap
+    ``gap``) projected at ``angle``, and ``ranks``: ranks[r] is the strand
+    that ends at rank r.  None if two points stay vertically aligned."""
     rot = np.exp(-1j * angle)
-    c0 = np.asarray(coeff_fn(0.0), dtype=complex)
-    roots = solve_roots(c0)
-    rotated = roots * rot
+    rotated = start * rot
     order = _rank_order(rotated)
-    roots, rotated = roots[order], rotated[order]  # strand j = start rank j
+    roots, rotated = start[order], rotated[order]  # strand j = start rank j
     m = len(roots)
-    gap = min_pairwise_distance(roots)
-    if gap < COLLISION_TOL:
-        raise DegenerateConfigurationError("start configuration is degenerate")
-    inf_diagonal = np.diag([math.inf] * m)
 
     # ranks[r] = strand currently at rank r; it is always the rank order of
     # the current roots
     ranks = list(range(m))
     if _aligned(roots, rotated, ranks):
-        raise _Restart()
+        return None
 
     crossings: list[Crossing] = []
     s = 0.0
@@ -169,15 +183,6 @@ def _track_once(
         h = min(h, 1.0 - s)
         trial = s + h
 
-        def reject():
-            nonlocal h
-            h /= 2
-            if h < MIN_STEP:
-                raise TrackingError(
-                    f"step underflow near parameter time {s:.6f}: "
-                    "the path runs too close to a degeneration"
-                )
-
         coeffs = np.asarray(coeff_fn(trial), dtype=complex)
         # an exact zero leading coefficient also catches the zero polynomial
         lead = abs(coeffs[-1])
@@ -185,43 +190,24 @@ def _track_once(
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )
-        try:
-            new_roots = refine_roots(coeffs, roots)
-        except DegenerateConfigurationError:
-            reject()
-            continue
-
-        moves = np.abs(new_roots - roots)
-        if moves.max() > gap / 4:
-            reject()
-            continue
-        # matching ambiguity: each corrected root must be clearly nearest
-        # to its own prediction
-        dist = np.abs(roots[:, None] - new_roots[None, :])
-        off = dist + inf_diagonal
-        if (dist.diagonal() > 0.5 * off.min(axis=1)).any():
-            reject()
-            continue
-        new_gap = min_pairwise_distance(new_roots)
-        if new_gap < COLLISION_TOL:
-            reject()
-            continue
-
-        new_rotated = new_roots * rot
-        new_order = _rank_order(new_rotated)
-        if new_order != ranks:
-            swaps = _adjacent_swaps(ranks, new_order)
-            if swaps is None:
-                reject()
-                continue
-            for r in swaps:
-                strand_low, strand_high = ranks[r], ranks[r + 1]
-                crossings.append(
-                    _emit(r, strand_low, strand_high, roots, new_roots, rot, s, h)
+        step = _step(coeffs, roots, gap, rot, ranks)
+        if step is None:
+            h /= 2
+            if h < MIN_STEP:
+                raise TrackingError(
+                    f"step underflow near parameter time {s:.6f}: "
+                    "the path runs too close to a degeneration"
                 )
-                ranks[r], ranks[r + 1] = ranks[r + 1], ranks[r]
-        elif _aligned(new_roots, new_rotated, ranks) and _aligned(roots, rotated, ranks):
-            raise _Restart()
+            continue
+
+        new_roots, new_rotated, new_gap, swaps = step
+        if (not swaps and _aligned(new_roots, new_rotated, ranks)
+                and _aligned(roots, rotated, ranks)):
+            return None
+        for r in swaps:
+            strand_low, strand_high = ranks[r], ranks[r + 1]
+            crossings.append(_emit(r, strand_low, strand_high, roots, new_roots, rot, s, h))
+            ranks[r], ranks[r + 1] = ranks[r + 1], ranks[r]
 
         roots, rotated, gap = new_roots, new_rotated, new_gap
         s = trial
@@ -277,19 +263,19 @@ def track_coefficients(
     projection_angle: float = 0.0,
 ) -> BraidTrace:
     """Track the root set of coeff_fn(s) for s in [0, 1]."""
+    start = solve_roots(np.asarray(coeff_fn(0.0), dtype=complex))
+    gap = min_pairwise_distance(start)
+    if gap < COLLISION_TOL:
+        raise DegenerateConfigurationError("start configuration is degenerate")
     angle = projection_angle
-    rotations = 0
-    while True:
-        try:
-            crossings, ranks = _track_once(coeff_fn, angle)
+    for rotations in range(MAX_ROTATIONS + 1):
+        tracked = _track_once(coeff_fn, start, gap, angle)
+        if tracked is not None:
             break
-        except _Restart:
-            rotations += 1
-            if rotations > MAX_ROTATIONS:
-                raise TrackingError(
-                    "projection rotation limit exceeded; points remain aligned"
-                )
-            angle += ROTATION_STEP
+        angle += ROTATION_STEP
+    else:
+        raise TrackingError("projection rotation limit exceeded; points remain aligned")
+    crossings, ranks = tracked
 
     end_rank = [0] * len(ranks)
     for rank, strand in enumerate(ranks):
@@ -448,11 +434,10 @@ def lasso(approach: list, circle: list) -> list:
 
 
 def loop_around(target: complex, base: complex, radius: float) -> list[complex]:
-    """Radial approach from base, a positive circle around target, return."""
+    """Radial approach from base, a positive circle around target, return;
+    ``radius`` must be less than the distance from base to target."""
     direction = target - base
     dist = abs(direction)
-    if dist <= radius:
-        raise ValueError("base point sits inside the requested circle")
     entry = target - radius * direction / dist
     approach_steps = max(2, int(8 * dist / max(radius, 1e-9)) // 4)
     approach = [

@@ -1,10 +1,12 @@
 import pytest
 
 from braidwork.bifurcation import (
+    _merge_loop,
     _ray_critical,
     bifurcation_generators,
     full_braid_monodromy_check,
 )
+from braidwork.families import branch_points, catalogue_family
 from braidwork.words import permutation_image
 
 
@@ -15,6 +17,15 @@ def test_ray_critical_values_k2():
     even = _ray_critical(2, -0.1)
     assert sorted(round(m.real, 6) for m in even) == [
         -round(0.1**0.5, 6), round(0.1**0.5, 6)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_merge_loop_starts_at_the_ray_base_configuration(k):
+    # the pair-merge braid is rewritten with the ray family's contraction,
+    # so both loops must start at the same branch points, bit for bit
+    family, loop = _merge_loop(k)
+    ray_base = branch_points(catalogue_family("ray", k), {"lam": 0.0, "mu": 0.0})
+    assert branch_points(family, loop.points[0]).points == ray_base.points
 
 
 def test_single_cusp_realizes_the_triple_twist():

@@ -220,13 +220,16 @@ def test_orbit_certificates_are_pinned(argv, body_sha256, capsys):
 
 # body hashes of the symbolic suites: every row, witness and word of the
 # ledger, stabiliser, theorem and conjugacy-class checks
-@pytest.mark.parametrize("scope, body_sha256", [
-    ("identities", "8f89cc3d394ecb6aa1b3f538f2fc5d0859d42632236ebf5cd167e0472ebd24f0"),
-    ("stabilizers", "ffacf975044fa518a07f18e26d67e3087a2d5100fa48bc439455d7a61b29351a"),
-    ("theorem", "03d6432fc8c06cc7d1030244196a20c378237bb7c021e377867dce2f0b420900"),
-    ("conclass", "5738203b7f9d868ac85e01823a3409e81cd9f79729c21124888698fa1bd47a93"),
-    ("all", "120e9dc260c6cab4d031a5c6c0464e3560639774f83be591af825ff54554b2c9"),
-])
+VERIFY_SHA256 = {
+    "identities": "8f89cc3d394ecb6aa1b3f538f2fc5d0859d42632236ebf5cd167e0472ebd24f0",
+    "stabilizers": "ffacf975044fa518a07f18e26d67e3087a2d5100fa48bc439455d7a61b29351a",
+    "theorem": "03d6432fc8c06cc7d1030244196a20c378237bb7c021e377867dce2f0b420900",
+    "conclass": "5738203b7f9d868ac85e01823a3409e81cd9f79729c21124888698fa1bd47a93",
+    "all": "120e9dc260c6cab4d031a5c6c0464e3560639774f83be591af825ff54554b2c9",
+}
+
+
+@pytest.mark.parametrize("scope, body_sha256", list(VERIFY_SHA256.items()))
 def test_verify_certificates_are_pinned(scope, body_sha256, capsys):
     code, cert = run_json(["verify", scope], capsys)
     assert code == 0
@@ -313,6 +316,17 @@ def _write_malformed_inputs(tmp_path):
         '[{"id": "x", "n": 1000000000, "lhs": [1, 2, 1], "rhs": [2, 1, 2]}]')
 
 
+_NOT_FINITE = " must be a finite number or an [re, im] pair, "
+
+
+def _case_id(value):
+    """Cases are named by the text they expect, a non-finite complex value's
+    case by that text after its field name."""
+    if isinstance(value, str) and _NOT_FINITE in value:
+        return value.split(" must be a ", 1)[1]
+    return None
+
+
 @pytest.mark.parametrize("argv, named", [
     (["monodromy", "--family-file", "family.json"], "'q_coeffs'"),
     (["monodromy", "--loop", '{"kind":"circle","param":"lam"}'], "'radius'"),
@@ -368,31 +382,33 @@ def _write_malformed_inputs(tmp_path):
      "--n for br3 orbits"),
     # JSON numbers that are not finite
     (["admissible", "--family", "base", "--k", "2", "--arc", "[[NaN,0],[1,0]]"],
-     "finite number or an [re, im] pair, got [nan, 0]"),
+     "--arc vertex 0 must be a finite number or an [re, im] pair, got [nan, 0]"),
     (["admissible", "--family", "cusp", "--params", '{"lam":Infinity}', "--arc", "1:2"],
-     "finite number or an [re, im] pair, got inf"),
+     "--params field 'lam' must be a finite number or an [re, im] pair, got inf"),
     (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":NaN}'],
      "'radius' must be a finite number"),
     (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":-Infinity}'],
      "'radius' must be a finite number"),
     (["monodromy", "--loop", '{"kind":"circle","param":"lam","center":[0,Infinity],"radius":1}'],
-     "finite number or an [re, im] pair, got [0, inf]"),
+     "circle loop spec field 'center' must be a finite number or an [re, im] pair, "
+     "got [0, inf]"),
     (["monodromy", "--loop", _HALF_CIRCLE % ',"fixed":{"mu":NaN}'],
-     "finite number or an [re, im] pair, got nan"),
+     "circle loop spec field 'fixed' entry 'mu' must be a finite number or an [re, im] "
+     "pair, got nan"),
     (["monodromy", "--family", "cusp", "--loop",
       '{"kind":"polyline","points":[{"lam":1},{"lam":NaN},{"lam":-1},{"lam":1}]}'],
-     "finite number or an [re, im] pair, got nan"),
+     "polyline point 1 field 'lam' must be a finite number or an [re, im] pair, got nan"),
     # an integer beyond the floating-point range
     (["monodromy", "--loop", '{"kind":"circle","param":"lam","radius":1%s}' % ("0" * 400)],
      "'radius' must be a finite number"),
     (["admissible", "--family", "cusp", "--params", '{"lam":1%s}' % ("0" * 400), "--arc", "1:2"],
-     "finite number or an [re, im] pair, got 1000"),
+     "--params field 'lam' must be a finite number or an [re, im] pair, got 1000"),
     # an --arc of the i:j form that is malformed
     (["admissible", "--family", "base", "--k", "2", "--arc", "1:2:3"],
      "--arc '1:2:3': expected 'i:j'"),
     (["admissible", "--family", "base", "--k", "2", "--arc", "1:x"],
      "--arc '1:x': expected 'i:j'"),
-])
+], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,9 @@
 import importlib.util
+import json
 import pathlib
+
+from braidwork.cli import SCOPES
+from test_cli import VERIFY_SHA256
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -18,3 +22,13 @@ def test_orbit_census_table(capsys):
     assert [row[0] for row in rows] == ["2", "3", "4", "5", "6"]
     assert [row[1] for row in rows] == ["3", "8", "27", "80", "240"]
     assert [row[2].split()[0] for row in rows] == ["3", "8", "27", ">5000", ">5000"]
+
+
+def test_run_verification_writes_one_pinned_certificate_per_scope(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert load_script("run_verification").run() == 0
+    written = sorted(path.name for path in (tmp_path / "certificates").iterdir())
+    assert written == sorted(f"verify-{scope}.json" for scope in SCOPES)
+    for scope in SCOPES:
+        cert = json.loads((tmp_path / "certificates" / f"verify-{scope}.json").read_text())
+        assert cert["body_sha256"] == VERIFY_SHA256[scope]

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from braidwork.families import WeierstrassFamily, branch_points, catalogue_family
+from braidwork.families import (
+    COLLISION_TOL,
+    WeierstrassFamily,
+    branch_points,
+    catalogue_family,
+    min_pairwise_distance,
+)
 from braidwork.garside import equal
 from braidwork.tracking import (
     ParameterLoop,
@@ -72,6 +80,31 @@ def test_matching_agrees_with_word_image():
     for family, loop in ((CUSP, UNIT_LOOP), (TANGENCY, UNIT_LOOP)):
         trace = track_loop(family, loop)
         assert permutation_image(loop_to_braid(trace)) == trace.final_matching
+
+
+@given(
+    st.lists(st.complex_numbers(max_magnitude=10), min_size=2, max_size=12),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_the_move_bound_makes_the_matching_unambiguous(points, data):
+    # a trial that passes the move test, every root moved by at most a
+    # quarter of the smallest gap, has an unambiguous matching, so the
+    # tracker tests it no further: each corrected root lies nearer its own
+    # prediction than half the distance from that prediction to any other
+    # corrected root
+    roots = np.array(points)
+    gap = min_pairwise_distance(roots)
+    assume(gap >= COLLISION_TOL)  # the tracker's gaps never fall below it
+    m = len(roots)
+    fractions = data.draw(st.lists(st.floats(0, 1), min_size=m, max_size=m))
+    angles = data.draw(st.lists(st.floats(0, 2 * math.pi), min_size=m, max_size=m))
+    new_roots = roots + np.array(
+        [gap / 4 * f * complex(math.cos(a), math.sin(a)) for f, a in zip(fractions, angles)])
+    assume(not np.abs(new_roots - roots).max() > gap / 4)
+    dist = np.abs(roots[:, None] - new_roots[None, :])
+    off = dist + np.diag([math.inf] * m)
+    assert not (dist.diagonal() > 0.5 * off.min(axis=1)).any()
 
 
 def test_loop_through_degeneration_raises():
