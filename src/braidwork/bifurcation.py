@@ -32,7 +32,8 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .catalog import CheckResult, _band_table
+from .catalog import _band_table
+from .certificates import CheckResult
 from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
 from .garside import equal
 from .geometry import permutation_closure
@@ -63,10 +64,8 @@ class LoopOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class BifurcationReport:
-    k: int
     contraction: BraidWord
     outcomes: tuple[LoopOutcome, ...]
-    expected: tuple[str, ...]
     results: tuple[CheckResult, ...]
 
     @property
@@ -177,7 +176,7 @@ def bifurcation_generators(k: int) -> BifurcationReport:
             CheckResult("bifurcation/e_12@k1", "generator-realization",
                         "verified" if ok else "failed"),
         )
-        return BifurcationReport(1, conj, (outcome,), ("e_12",), results)
+        return BifurcationReport(conj, (outcome,), results)
 
     n = 2 * k
     ray = catalogue_family("ray", k)
@@ -226,9 +225,7 @@ def bifurcation_generators(k: int) -> BifurcationReport:
                     {"closure_size": len(closure)})
     )
 
-    return BifurcationReport(
-        k, conj, tuple(outcomes), tuple(expected.keys()), tuple(results)
-    )
+    return BifurcationReport(conj, tuple(outcomes), tuple(results))
 
 
 def full_braid_monodromy_check(k: int) -> tuple[CheckResult, ...]:

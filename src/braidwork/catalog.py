@@ -22,6 +22,7 @@ import dataclasses
 import functools
 from typing import Iterable
 
+from .certificates import CheckResult
 from .garside import equal, normal_form
 from .groups import (
     ARTIN3_A,
@@ -137,24 +138,11 @@ class IdentityRecord:
     """
 
     id: str
-    strand_count: int
     lhs: BraidWord
     rhs: BraidWord
     source: str
     variant: str = "as written"
     row: str | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    id: str
-    source: str
-    status: str  # verified | failed | degenerate | skipped
-    witness: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "verified"
 
 
 # ---------------------------------------------------------------------------
@@ -185,46 +173,43 @@ def catalog() -> tuple[IdentityRecord, ...]:
 
         return e, sig, conj
 
-    def add(id_: str, n: int, lhs: BraidWord, rhs: BraidWord, source: str,
+    def add(id_: str, lhs: BraidWord, rhs: BraidWord, source: str,
             variant: str = "as written", row: str | None = None):
-        records.append(IdentityRecord(id_, n, lhs, rhs, source, variant, row))
+        records.append(IdentityRecord(id_, lhs, rhs, source, variant, row))
 
     # -- three-strand basics
     e, sig, conj = ctx(3)
-    add("basics/braid-relation", 3, sig(1, 2, 1), sig(2, 1, 2), "three-strand-basics")
-    add("basics/conj-chain-1", 3, sig(1, 2, 2, 1, -2, -2, -1), sig(1, 2, -1, 2, 1, -2, -1),
+    add("basics/braid-relation", sig(1, 2, 1), sig(2, 1, 2), "three-strand-basics")
+    add("basics/conj-chain-1", sig(1, 2, 2, 1, -2, -2, -1), sig(1, 2, -1, 2, 1, -2, -1),
         "three-strand-basics")
-    add("basics/conj-chain-2", 3, sig(1, 2, -1, 2, 1, -2, -1), sig(-2, 1, 2, 2, -2, -1, 2),
+    add("basics/conj-chain-2", sig(1, 2, -1, 2, 1, -2, -1), sig(-2, 1, 2, 2, -2, -1, 2),
         "three-strand-basics")
-    add("basics/conj-chain-3", 3, sig(-2, 1, 2, 2, -2, -1, 2), sig(-2, 1, 2, -1, 2),
+    add("basics/conj-chain-3", sig(-2, 1, 2, 2, -2, -1, 2), sig(-2, 1, 2, -1, 2),
         "three-strand-basics")
-    add("basics/conj-chain-4", 3, sig(-2, 1, 2, -1, 2), sig(-2, -2, 1, 2, 2),
-        "three-strand-basics")
+    add("basics/conj-chain-4", sig(-2, 1, 2, -1, 2), sig(-2, -2, 1, 2, 2), "three-strand-basics")
 
     # -- stabilizer-generator expressions (lengths 3..6)
     e, sig, conj = ctx(3)
-    add("stab-gen/3-1", 3, sig(1, 1, 1), e[1, 2], "stabilizer-generator-table")
-    add("stab-gen/3-2", 3, conjugate_right(sig(2), sig(1)), e[1, 3], "stabilizer-generator-table")
+    add("stab-gen/3-1", sig(1, 1, 1), e[1, 2], "stabilizer-generator-table")
+    add("stab-gen/3-2", conjugate_right(sig(2), sig(1)), e[1, 3], "stabilizer-generator-table")
 
     e, sig, conj = ctx(4)
-    add("stab-gen/4-1", 4, conjugate_right(sig(1, 1, 1), sig(2)),
+    add("stab-gen/4-1", conjugate_right(sig(1, 1, 1), sig(2)),
         conj(e[1, 2], invert(e[2, 3]), invert(e[1, 3])), "stabilizer-generator-table")
-    add("stab-gen/4-2", 4, conjugate_right(sig(2), sig(-1, 2)),
+    add("stab-gen/4-2", conjugate_right(sig(2), sig(-1, 2)),
         conj(e[1, 3], e[2, 3]), "stabilizer-generator-table")
-    add("stab-gen/4-3", 4, conjugate_right(sig(3), sig(2)), e[2, 4],
-        "stabilizer-generator-table")
+    add("stab-gen/4-3", conjugate_right(sig(3), sig(2)), e[2, 4], "stabilizer-generator-table")
 
     e, sig, conj = ctx(5)
     tau1_5 = tau_word(1, 5)
-    add("stab-gen/5-1", 5, conjugate_right(sig(1, 1, 1), sig(-2, 3)),
+    add("stab-gen/5-1", conjugate_right(sig(1, 1, 1), sig(-2, 3)),
         conj(e[3, 4], invert(e[1, 3])), "stabilizer-generator-table")
-    add("stab-gen/5-2", 5, conjugate_right(sig(2), sig(1, -2, 3)),
+    add("stab-gen/5-2", conjugate_right(sig(2), sig(1, -2, 3)),
         conj(e[2, 4], e[3, 4], invert(e[1, 3])), "stabilizer-generator-table")
-    add("stab-gen/5-3", 5, conjugate_right(sig(3), sig(-2, 3)),
+    add("stab-gen/5-3", conjugate_right(sig(3), sig(-2, 3)),
         conj(e[2, 4], e[3, 4]), "stabilizer-generator-table")
-    add("stab-gen/5-4", 5, conjugate_right(sig(4), sig(3)), e[3, 5],
-        "stabilizer-generator-table")
-    add("stab-gen/5-5", 5,
+    add("stab-gen/5-4", conjugate_right(sig(4), sig(3)), e[3, 5], "stabilizer-generator-table")
+    add("stab-gen/5-5",
         conjugate_right(sig(4), sig(3, 2, 1, 1, 2, 3, 3, 2, 1, 1, -2, 3)),
         conj(tau1_5, e[3, 5], e[4, 5], e[3, 4], invert(e[1, 5])),
         "stabilizer-generator-table")
@@ -232,26 +217,24 @@ def catalog() -> tuple[IdentityRecord, ...]:
     e, sig, conj = ctx(6)
     tau1 = tau_word(1, 6)
     tau2 = tau_word(2, 6)
-    add("stab-gen/6-1", 6, conjugate_right(sig(2, 2, 2), sig(-3, 4)),
+    add("stab-gen/6-1", conjugate_right(sig(2, 2, 2), sig(-3, 4)),
         conj(e[4, 5], invert(e[2, 4])), "stabilizer-generator-table")
-    add("stab-gen/6-2", 6, conjugate_right(sig(3), sig(2, -3, 4)),
+    add("stab-gen/6-2", conjugate_right(sig(3), sig(2, -3, 4)),
         conj(e[3, 5], e[4, 5], invert(e[2, 4])), "stabilizer-generator-table")
     # row with a generator-list/table-column mismatch: both readings encoded
-    add("stab-gen/6-3.generator-list", 6, conjugate_right(sig(4), sig(-3, 4)),
+    add("stab-gen/6-3.generator-list", conjugate_right(sig(4), sig(-3, 4)),
         conj(e[3, 5], e[4, 5]), "stabilizer-generator-table",
         variant="generator list: conjugated sigma_4", row="stab-gen/6-3")
-    add("stab-gen/6-3.table-column", 6, conjugate_right(sig(2), sig(-3, 4)),
+    add("stab-gen/6-3.table-column", conjugate_right(sig(2), sig(-3, 4)),
         conj(e[3, 5], e[4, 5]), "stabilizer-generator-table",
         variant="table column: conjugated sigma_2", row="stab-gen/6-3")
-    add("stab-gen/6-4", 6, conjugate_right(sig(5), sig(4)), e[4, 6],
-        "stabilizer-generator-table")
-    add("stab-gen/6-5", 6,
+    add("stab-gen/6-4", conjugate_right(sig(5), sig(4)), e[4, 6], "stabilizer-generator-table")
+    add("stab-gen/6-5",
         conjugate_right(sig(5), sig(4, 3, 2, 2, 3, 4, 4, 3, 2, 2, -3, 4)),
         conj(tau2, e[4, 6], e[5, 6], e[4, 5], invert(e[2, 6])),
         "stabilizer-generator-table")
-    add("stab-gen/6-6", 6, conjugate_right(sig(1), sig(2, -3, 4)), tau1,
-        "stabilizer-generator-table")
-    add("stab-gen/6-7", 6,
+    add("stab-gen/6-6", conjugate_right(sig(1), sig(2, -3, 4)), tau1, "stabilizer-generator-table")
+    add("stab-gen/6-7",
         conjugate_right(sig(3), sig(-2, -1, -1, 2, 2, 1, 2, -3, 4)), e[1, 3],
         "stabilizer-generator-table")
 
@@ -270,42 +253,42 @@ def catalog() -> tuple[IdentityRecord, ...]:
         (5, 6): conj(e[1, 2], e[1, 3], e[2, 4], e[3, 5], e[4, 6]),
     }
     for (i, j), rhs in reductions.items():
-        add(f"band-reduction/e{i}{j}@6", 6, e[i, j], rhs, "band-reduction")
+        add(f"band-reduction/e{i}{j}@6", e[i, j], rhs, "band-reduction")
 
     # -- normality of the band subgroup under tau conjugation
     for n in (5, 6):
         e, sig, conj = ctx(n)
         t1 = tau_word(1, n)
-        add(f"twist-normality/e12-tau1@{n}", n, conj(e[1, 2], invert(t1)),
+        add(f"twist-normality/e12-tau1@{n}", conj(e[1, 2], invert(t1)),
             conj(e[4, 5], invert(e[2, 4])), "twist-normality-table")
-        add(f"twist-normality/e13-tau1@{n}", n, conj(e[1, 3], invert(t1)),
+        add(f"twist-normality/e13-tau1@{n}", conj(e[1, 3], invert(t1)),
             conj(e[1, 3], invert(e[1, 2]), e[2, 4], e[4, 5], invert(e[2, 4])),
             "twist-normality-table")
-        add(f"twist-normality/e24-tau1@{n}", n, conj(e[2, 4], invert(t1)), e[2, 4],
+        add(f"twist-normality/e24-tau1@{n}", conj(e[2, 4], invert(t1)), e[2, 4],
             "twist-normality-table")
-        add(f"twist-normality/e35-tau1@{n}", n, conj(e[3, 5], invert(t1)),
+        add(f"twist-normality/e35-tau1@{n}", conj(e[3, 5], invert(t1)),
             conj(e[3, 5], e[1, 5], invert(e[1, 2]), invert(e[1, 5]), invert(e[1, 2]), e[4, 5]),
             "twist-normality-table")
 
     e, sig, conj = ctx(6)
-    add("twist-normality/e23-tau2@6", 6, conj(e[2, 3], invert(tau2)),
+    add("twist-normality/e23-tau2@6", conj(e[2, 3], invert(tau2)),
         conj(e[5, 6], invert(e[3, 5])), "twist-normality-table")
-    add("twist-normality/e24-tau2@6", 6, conj(e[2, 4], invert(tau2)),
+    add("twist-normality/e24-tau2@6", conj(e[2, 4], invert(tau2)),
         conj(e[2, 4], invert(e[2, 3]), e[3, 5], e[5, 6], invert(e[3, 5])),
         "twist-normality-table")
-    add("twist-normality/e35-tau2@6", 6, conj(e[3, 5], invert(tau2)), e[3, 5],
+    add("twist-normality/e35-tau2@6", conj(e[3, 5], invert(tau2)), e[3, 5],
         "twist-normality-table")
-    add("twist-normality/e46-tau2@6", 6, conj(e[4, 6], invert(tau2)),
+    add("twist-normality/e46-tau2@6", conj(e[4, 6], invert(tau2)),
         conj(e[4, 6], e[2, 6], invert(e[2, 3]), invert(e[2, 6]), invert(e[2, 3]), e[5, 6]),
         "twist-normality-table")
-    add("twist-normality/e12-tau2@6", 6, conj(e[1, 2], invert(tau2)),
+    add("twist-normality/e12-tau2@6", conj(e[1, 2], invert(tau2)),
         conj(e[5, 6], invert(e[3, 5]), invert(e[1, 3])), "twist-normality-table")
     # row printed in the tau_2 block but spelled with tau_1: both readings
     rhs_e56 = conj(e[1, 2], invert(e[1, 5]), invert(e[1, 2]), e[4, 5], e[4, 6])
-    add("twist-normality/e56.tau1", 6, conj(e[5, 6], invert(tau1)), rhs_e56,
+    add("twist-normality/e56.tau1", conj(e[5, 6], invert(tau1)), rhs_e56,
         "twist-normality-table", variant="as written: conjugation by tau_1",
         row="twist-normality/e56")
-    add("twist-normality/e56.tau2", 6, conj(e[5, 6], invert(tau2)), rhs_e56,
+    add("twist-normality/e56.tau2", conj(e[5, 6], invert(tau2)), rhs_e56,
         "twist-normality-table", variant="block placement: conjugation by tau_2",
         row="twist-normality/e56")
 
@@ -313,22 +296,21 @@ def catalog() -> tuple[IdentityRecord, ...]:
     for n in (5, 6):
         e, sig, conj = ctx(n)
         t1 = tau_word(1, n)
-        add(f"halftwist-twist/e13-tau1@{n}", n, conj(e[1, 3], t1),
+        add(f"halftwist-twist/e13-tau1@{n}", conj(e[1, 3], t1),
             conj(e[1, 3], invert(e[3, 5]), e[4, 5], e[3, 5], e[4, 5], e[1, 3], invert(e[1, 2])),
             "halftwist-twist-table")
         # as printed the inverse row disagrees with the normality table; both encoded
-        add(f"halftwist-twist/e13-tau1inv.printed@{n}", n, conj(e[1, 3], invert(t1)),
+        add(f"halftwist-twist/e13-tau1inv.printed@{n}", conj(e[1, 3], invert(t1)),
             conj(e[1, 3], invert(e[1, 2]), e[2, 3], e[4, 5], invert(e[2, 4])),
             "halftwist-twist-table", variant="as written: e_23 factor",
             row=f"halftwist-twist/e13-tau1inv@{n}")
-        add(f"halftwist-twist/e13-tau1inv.emended@{n}", n, conj(e[1, 3], invert(t1)),
+        add(f"halftwist-twist/e13-tau1inv.emended@{n}", conj(e[1, 3], invert(t1)),
             conj(e[1, 3], invert(e[1, 2]), e[2, 4], e[4, 5], invert(e[2, 4])),
             "halftwist-twist-table", variant="emended: e_24 factor",
             row=f"halftwist-twist/e13-tau1inv@{n}")
     e, sig, conj = ctx(6)
-    add("halftwist-twist/e13-tau2@6", 6, conj(e[1, 3], tau2), e[1, 3],
-        "halftwist-twist-table")
-    add("halftwist-twist/e13-tau2inv@6", 6, conj(e[1, 3], invert(tau2)), e[1, 3],
+    add("halftwist-twist/e13-tau2@6", conj(e[1, 3], tau2), e[1, 3], "halftwist-twist-table")
+    add("halftwist-twist/e13-tau2inv@6", conj(e[1, 3], invert(tau2)), e[1, 3],
         "halftwist-twist-table")
 
     # -- the transversal conjugate table at n=6 (18 rows)
@@ -338,13 +320,12 @@ def catalog() -> tuple[IdentityRecord, ...]:
              alt: tuple[str, tuple[int, ...] | None, BraidWord | None] | None = None):
         rid = f"halftwist-transversal/row{idx:02d}"
         if alt is None:
-            add(rid, 6, conjugate_right(e[1, 3], sig(*gamma)), rhs,
-                "halftwist-transversal-table")
+            add(rid, conjugate_right(e[1, 3], sig(*gamma)), rhs, "halftwist-transversal-table")
             return
         label, gamma2, rhs2 = alt
-        add(f"{rid}.printed", 6, conjugate_right(e[1, 3], sig(*gamma)), rhs,
+        add(f"{rid}.printed", conjugate_right(e[1, 3], sig(*gamma)), rhs,
             "halftwist-transversal-table", variant="as written", row=rid)
-        add(f"{rid}.emended", 6,
+        add(f"{rid}.emended",
             conjugate_right(e[1, 3], sig(*(gamma2 if gamma2 is not None else gamma))),
             rhs2 if rhs2 is not None else rhs,
             "halftwist-transversal-table", variant=label, row=rid)
@@ -394,7 +375,7 @@ def ledger_to_json() -> list[dict]:
     for r in catalog():
         row = {
             "id": r.id,
-            "n": r.strand_count,
+            "n": r.lhs.n,
             "lhs": list(r.lhs.letters),
             "rhs": list(r.rhs.letters),
             "source": r.source,
@@ -408,7 +389,8 @@ def ledger_to_json() -> list[dict]:
 
 def ledger_from_json(rows: list) -> list[IdentityRecord]:
     """Read a ledger written by ``ledger_to_json``; a malformed row raises
-    ValueError naming the row and the field."""
+    ValueError naming the row and the field, two rows that would report
+    under one result id raise naming both."""
     out = []
     for idx, row in enumerate(json_value(rows, list, "a ledger")):
         owner = f"ledger row {idx}"
@@ -423,7 +405,6 @@ def ledger_from_json(rows: list) -> list[IdentityRecord]:
         out.append(
             IdentityRecord(
                 id=json_field(row, "id", str, owner),
-                strand_count=n,
                 lhs=side("lhs"),
                 rhs=side("rhs"),
                 source=json_field(row, "source", str, owner, "external-ledger"),
@@ -431,6 +412,18 @@ def ledger_from_json(rows: list) -> list[IdentityRecord]:
                 row=json_field(row, "row", str, owner, None),
             )
         )
+    # a row reports under its id, or under the ``row`` its readings share
+    index: dict[str, int] = {}
+    for idx, record in enumerate(out):
+        if record.id in index:
+            raise ValueError(f"ledger rows {index[record.id]} and {idx} share the id "
+                             f"{record.id!r:.40}")
+        index[record.id] = idx
+    for idx, record in enumerate(out):
+        other = index.get(record.row)
+        if other is not None and out[other].row is None:
+            raise ValueError(f"ledger row {idx} field 'row' is {record.row!r:.40}, the id "
+                             f"of ledger row {other}; both would report under it")
     return out
 
 

@@ -1,9 +1,11 @@
-"""Machine-readable certificates emitted by the command-line pipelines.
+"""Check results and the machine-readable certificates that collect them.
 
-A certificate collects check results with stable ids, a summary, and a
-reproducibility hash.  The hash covers a canonical JSON dump of the body
-with all timing fields removed, so two runs over identical inputs with
-the same tool version produce byte-identical hashed bodies.
+Every check of the package returns ``CheckResult`` rows.  A certificate
+collects such rows with stable ids, a summary, and a reproducibility
+hash.  The hash covers a canonical JSON dump of the body with all timing
+fields removed, so two runs over identical inputs with the same tool
+version produce byte-identical hashed bodies.  This module imports
+nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -13,9 +15,19 @@ import hashlib
 import json
 from typing import Iterable
 
-from .catalog import CheckResult
-
 TOOL_VERSION = "0.1.0"
+
+
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    id: str
+    source: str
+    status: str  # verified | failed | degenerate | skipped
+    witness: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "verified"
 
 
 @dataclasses.dataclass

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable
 
 from . import arcs, bifurcation, catalog, geometry
-from .certificates import Certificate
+from .certificates import Certificate, CheckResult
 from .families import (
     DegenerateConfigurationError,
     WeierstrassFamily,
@@ -32,7 +32,6 @@ from .families import (
     catalogue_family,
     complex_from_json,
 )
-from .catalog import CheckResult
 from .groups import artin_from_word, perm_from_name
 from .hurwitz import DEFAULT_ORBIT_CAP, OrbitCapExceeded, orbit
 from .tracking import ParameterLoop, TrackingError, loop_to_braid, track_loop
@@ -164,7 +163,9 @@ def cmd_monodromy(args) -> int:
         if expected is None:
             return "verified", witness
         witness["expected"] = expected.to_json()
-        return "verified" if equal(loop_to_braid(trace), expected) else "failed", witness
+        braid = loop_to_braid(trace)
+        ok = braid.n == expected.n and equal(braid, expected)
+        return "verified" if ok else "failed", witness
 
     return _run_one(args, "monodromy", inputs, "monodromy/loop", "loop-tracking", compute,
                     (TrackingError, DegenerateConfigurationError))
@@ -177,6 +178,8 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
         except ValueError:
             raise ValueError(f"--arc {text!r:.40}: expected 'i:j' with integer labels i "
                              "and j, or a JSON list of [re, im] vertices") from None
+        if lo == hi:
+            raise ValueError(f"--arc {text!r:.40}: the two branch point labels are equal")
         cfg = branch_points(family, params)
         return arcs.chord(cfg.point(lo), cfg.point(hi))
     return [complex_from_json(v, f"--arc vertex {idx}")

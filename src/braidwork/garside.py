@@ -10,10 +10,9 @@ identical normal forms.  That decides `equal`, keys the class set of
 behind `groups.Artin3.render` and `to_json`.  Normal forms are not
 multiplied or inverted; words are composed, and then normalized.
 
-Permutation braids are stored as plain tuples ``p`` of 0-based images,
-with ``p[i]`` the end position of the strand starting at position i.
-Products are taken in writing order (apply left, then right), matching
-`words.permutation_image`.
+Permutation braids are stored as the permutations of `words`: plain
+tuples ``p`` of 0-based images, multiplied by `words.pmul` in writing
+order.
 
 Normal forms are built incrementally: each simple factor is appended to a
 left-weighted list, and one right-to-left sweep restores left-weightedness.
@@ -30,9 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from .words import BraidWord, reduce_free
-
-Perm = tuple[int, ...]
+from .words import BraidWord, Perm, letter_perm, pinv, pmul, reduce_free
 
 # Pairs remembered by `_leftweight`.  Long words at n = 8 meet tens of
 # thousands of distinct pairs out of 40 320^2; the bound keeps memory flat.
@@ -46,27 +43,6 @@ def identity_perm(n: int) -> Perm:
 def longest_perm(n: int) -> Perm:
     """The permutation of the half twist Delta: full reversal."""
     return tuple(range(n - 1, -1, -1))
-
-
-def letter_perm(n: int, i: int) -> Perm:
-    """The transposition of sigma_i (1-based i)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    p = list(range(n))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
-
-
-def pmul(p: Perm, q: Perm) -> Perm:
-    """Composition in writing order: apply p, then q."""
-    return tuple(q[x] for x in p)
-
-
-def pinv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def left_descents(p: Perm) -> frozenset[int]:

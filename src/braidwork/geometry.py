@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .catalog import CheckResult
+from .certificates import CheckResult
 from .families import (
     COLLISION_TOL,
     _monomial_q,
@@ -24,6 +24,7 @@ from .families import (
     min_pairwise_distance,
     solve_roots,
 )
+from .words import Perm, pmul
 
 GRID_SAMPLES = 100  # parameter values on the confinement grids
 CONFINEMENT_TOL = 1e-9  # largest ray deviation or modulus spread allowed
@@ -179,7 +180,7 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
 # Exhaustive subgroup closure over small symmetric groups
 
 
-def permutation_closure(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+def permutation_closure(perms: list[Perm]) -> set[Perm]:
     """Brute-force closure of a set of permutations under composition."""
     if not perms:
         return set()
@@ -192,7 +193,7 @@ def permutation_closure(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(g[x] for x in p)
+                q = pmul(p, g)
                 if q not in closure:
                     closure.add(q)
                     nxt.append(q)

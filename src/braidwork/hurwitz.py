@@ -82,7 +82,6 @@ class OrbitTable:
     """
 
     base: System
-    n: int
     transversal: dict[System, BraidWord]
 
     def __len__(self) -> int:
@@ -112,17 +111,18 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
                     raise OrbitCapExceeded(cap, len(transversal))
                 transversal[image] = BraidWord(n, (i,) + current_word.letters)
                 queue.append(image)
-    return OrbitTable(base=base, n=n, transversal=transversal)
+    return OrbitTable(base=base, transversal=transversal)
 
 
 def schreier_generators(table: OrbitTable) -> list[BraidWord]:
     """Stabilizer generators rep(sigma_i t)^-1 * (sigma_i t), one per
     (transversal word, generator) pair; every output fixes the base tuple."""
+    n = len(table.base)
     out: list[BraidWord] = []
     for element, t_word in table.transversal.items():
-        for i in range(1, table.n):
+        for i in range(1, n):
             image = act_letter(i, 1, element)
-            extended = BraidWord(table.n, (i,) + t_word.letters)
+            extended = BraidWord(n, (i,) + t_word.letters)
             rep = table.transversal[image]
             out.append(compose(invert(rep), extended))
     return out

@@ -44,8 +44,7 @@ step's move bound; a trace's roots, crossing times and words are bit for
 bit those of the numpy.polynomial calls.  A loop may name only the
 family's parameters, and its vertices are checked before tracking.
 
-Each trace runs on one worker; independent traces share no state and can
-run concurrently.
+Traces share no state.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .families import (
     refine_roots,
     solve_roots,
 )
-from .words import BraidWord
+from .words import BraidWord, pinv
 
 INITIAL_STEP = 1 / 32
 MIN_STEP = 1e-12
@@ -94,15 +93,14 @@ class Crossing:
 
 @dataclasses.dataclass(frozen=True)
 class BraidTrace:
-    strand_count: int
     crossings: tuple[Crossing, ...]
-    final_matching: tuple[int, ...]  # start rank -> end rank, 0-based
+    final_matching: tuple[int, ...]  # start rank -> end rank, 0-based; one per strand
     projection_angle: float
     rotations: int
 
     def to_json(self) -> dict:
         return {
-            "strand_count": self.strand_count,
+            "strand_count": len(self.final_matching),
             "crossings": [[c.index, c.sign, c.time] for c in self.crossings],
             "final_matching": list(self.final_matching),
             "projection_angle": self.projection_angle,
@@ -112,10 +110,7 @@ class BraidTrace:
 
 def loop_to_braid(trace: BraidTrace) -> BraidWord:
     """The braid word read off a trace: crossings in time order."""
-    return BraidWord(
-        trace.strand_count,
-        tuple(c.sign * c.index for c in trace.crossings),
-    )
+    return BraidWord(len(trace.final_matching), tuple(c.sign * c.index for c in trace.crossings))
 
 
 def _rank_order(rotated: np.ndarray) -> list[int]:
@@ -276,14 +271,9 @@ def track_coefficients(
     else:
         raise TrackingError("projection rotation limit exceeded; points remain aligned")
     crossings, ranks = tracked
-
-    end_rank = [0] * len(ranks)
-    for rank, strand in enumerate(ranks):
-        end_rank[strand] = rank
     return BraidTrace(
-        strand_count=len(ranks),
         crossings=tuple(crossings),
-        final_matching=tuple(end_rank),
+        final_matching=pinv(ranks),
         projection_angle=angle,
         rotations=rotations,
     )
@@ -380,7 +370,7 @@ def track_loop(
     Every vertex must stay clear of the degeneration locus: its branch
     points pairwise at least ``COLLISION_TOL`` apart.  The loop may name
     only the family's parameters."""
-    for point in loop.points:
+    for point in loop.points[:-1]:  # the last vertex is the first
         branch_roots(family, point)
     unknown = [name for name in loop.names if name not in family.params]
     if unknown:

@@ -15,11 +15,18 @@ of the package applies to its input: a value of the wrong type raises
 ``ValueError`` naming the field, never a ``TypeError`` further in.  A
 strand count read from JSON is at most ``MAX_STRANDS``
 (``json_strand_count``).
+
+A permutation of the n strand positions is a tuple ``p`` of 0-based
+images: ``p[i]`` is the end position of the strand starting at position
+i.  ``pmul`` multiplies in writing order, as for words, so
+``permutation_image`` is a homomorphism Br_n -> S_n (Epstein et al., Word
+Processing in Groups, ch. 9).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Iterator
 
@@ -167,15 +174,35 @@ def conjugate_right(s: BraidWord, b: BraidWord) -> BraidWord:
     return reduce_free(compose(compose(invert(b), s), b))
 
 
-def permutation_image(w: BraidWord) -> tuple[int, ...]:
-    """The image of w under Br_n -> S_n, as a tuple of 0-based images.
+# ---------------------------------------------------------------------------
+# Permutations of n points
 
-    Entry p[i] is the end position of the strand starting at position i;
-    the map is a homomorphism for writing-order composition.
-    """
-    perm = list(range(w.n))
-    for letter in w.letters:
-        i = abs(letter) - 1
-        # a generator and its inverse induce the same transposition
-        perm = [i + 1 if p == i else i if p == i + 1 else p for p in perm]
-    return tuple(perm)
+Perm = tuple[int, ...]
+
+
+def letter_perm(n: int, i: int) -> Perm:
+    """The transposition of sigma_i (1-based i)."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for {n} strands")
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def pmul(p: Perm, q: Perm) -> Perm:
+    """Composition in writing order: apply p, then q."""
+    return tuple(q[x] for x in p)
+
+
+def pinv(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def permutation_image(w: BraidWord) -> Perm:
+    """The image of w under Br_n -> S_n; a generator and its inverse
+    induce the same transposition."""
+    return functools.reduce(pmul, (letter_perm(w.n, abs(letter)) for letter in w.letters),
+                            tuple(range(w.n)))

@@ -7,6 +7,8 @@ from braidwork.catalog import (
     conjugator_to_reference,
     coxeter_system,
     half_twist_classification,
+    ledger_from_json,
+    ledger_to_json,
     reference_system_generators,
     tau_word,
     verify_identities,
@@ -61,13 +63,28 @@ def test_verify_identity_pass_and_corrupted_fail():
     rec = next(r for r in catalog() if r.id == "band-reduction/e14@6")
     assert verify_identity(rec).status == "verified"
     corrupted = IdentityRecord(
-        rec.id, rec.strand_count, rec.lhs, compose(rec.rhs, word(6, 1)), rec.source
+        rec.id, rec.lhs, compose(rec.rhs, word(6, 1)), rec.source
     )
     result = verify_identity(corrupted)
     assert result.status == "failed"
     assert "lhs" in result.witness and "rhs" in result.witness
     forms = result.witness["witness_normal_forms"]
     assert "lhs" in forms and "rhs" in forms
+
+
+def test_words_on_different_strand_counts_fail():
+    # the words of a record fix its strand count; two that disagree fail
+    result = verify_identity(IdentityRecord("x", word(3, 1), word(4, 1), "s"))
+    assert result.status == "failed"
+    assert result.witness == {"lhs": [1], "rhs": [1], "error": "strand-count mismatch"}
+
+
+def test_the_result_ids_of_the_ledger_are_distinct():
+    # 79 readings report as 70 rows, and the dump reads back unchanged
+    assert len(catalog()) == 79
+    ids = [r.id for r in verify_identities()]
+    assert len(ids) == len(set(ids)) == 70
+    assert tuple(ledger_from_json(ledger_to_json())) == catalog()
 
 
 def test_full_ledger_verifies_and_flagged_rows_are_named():

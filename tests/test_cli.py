@@ -103,6 +103,17 @@ def test_monodromy_anchor_and_expectation(capsys):
     assert code == 1
 
 
+def test_an_expected_word_on_other_strands_fails_the_row(capsys):
+    code, cert = run_json(
+        ["monodromy", "--family", "cusp", "--expect", '{"n":3,"word":[1]}'], capsys
+    )
+    assert code == 1
+    (row,) = cert["results"]
+    assert row["status"] == "failed"
+    assert row["witness"]["expected"] == {"n": 3, "word": [1]}
+    assert row["witness"]["trace"]["word"] == {"n": 2, "word": [1, 1, 1]}
+
+
 def test_monodromy_through_degeneration_is_degenerate(capsys):
     loop = json.dumps(
         {"kind": "polyline", "points": [{"lam": [1, 0]}, {"lam": [-1, 0]}, {"lam": [1, 0]}]}
@@ -314,6 +325,11 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "object_ledger.json").write_text('{"id": "x", "n": 3, "lhs": [], "rhs": []}')
     (tmp_path / "huge_n.json").write_text(
         '[{"id": "x", "n": 1000000000, "lhs": [1, 2, 1], "rhs": [2, 1, 2]}]')
+    (tmp_path / "repeated_id.json").write_text(
+        '[{"id": "a", "n": 3, "lhs": [1], "rhs": [1]}, {"id": "a", "n": 3, "lhs": [1], "rhs": [2]}]')
+    (tmp_path / "row_is_an_id.json").write_text(
+        '[{"id": "r", "n": 3, "lhs": [1], "rhs": [1]},'
+        ' {"id": "r.2", "n": 3, "lhs": [1], "rhs": [2], "row": "r"}]')
 
 
 _NOT_FINITE = " must be a finite number or an [re, im] pair, "
@@ -408,6 +424,14 @@ def _case_id(value):
      "--arc '1:2:3': expected 'i:j'"),
     (["admissible", "--family", "base", "--k", "2", "--arc", "1:x"],
      "--arc '1:x': expected 'i:j'"),
+    # an --arc from a branch point to itself
+    (["admissible", "--family", "base", "--k", "2", "--arc", "1:1"],
+     "--arc '1:1': the two branch point labels are equal"),
+    # ledger rows that would report under one result id
+    (["verify", "identities", "--ledger", "repeated_id.json"],
+     "ledger rows 0 and 1 share the id 'a'"),
+    (["verify", "identities", "--ledger", "row_is_an_id.json"],
+     "ledger row 1 field 'row' is 'r', the id of ledger row 0"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

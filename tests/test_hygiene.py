@@ -15,6 +15,9 @@ new option shows up as a diff of this file.
 The package's module-level functions and classes that only tests use are
 exactly the set written here, so a second implementation left behind when
 its callers move shows up as a diff of this file.
+
+The result rows and the numerical layer import nothing from the identity
+catalogue.
 """
 
 import ast
@@ -134,12 +137,12 @@ def test_every_cache_with_arguments_is_bounded(path):
 SETTABLE_VALUES = {
     "catalog.IdentityRecord.variant",
     "catalog.IdentityRecord.row",
-    "catalog.CheckResult.witness",
     "catalog.verify_identities(records)",
     "catalog.catalog.add(variant)",
     "catalog.catalog.add(row)",
     "catalog.catalog.trow(alt)",
     "catalog.verify_stabilizer_tables.check(witness)",
+    "certificates.CheckResult.witness",
     "cli.main(argv)",
     "families._monomial_q(shift)",
     "families._monomial_q(linear)",
@@ -274,3 +277,39 @@ def test_the_test_only_functions_are_the_listed_ones():
     found = _unreferenced(defining, list(trees.values()))
     assert found == TEST_ONLY, (
         f"new: {sorted(found - TEST_ONLY)}, gone: {sorted(TEST_ONLY - found)}")
+
+
+# modules that sit below the identity catalogue: the result rows and the
+# numerical layer
+BELOW_CATALOG = ("certificates", "families", "tracking", "geometry", "arcs")
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every component of every module name an import statement names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("source, imports_catalog", [
+    ("from .catalog import CheckResult", True),
+    ("from . import catalog", True),
+    ("import braidwork.catalog", True),
+    ("from braidwork.catalog import build_e as b", True),
+    ("from .certificates import CheckResult", False),
+    ("catalog = 1", False),
+])
+def test_the_import_scan(source, imports_catalog):
+    assert ("catalog" in _imported_modules(ast.parse(source))) is imports_catalog
+
+
+@pytest.mark.parametrize("module", BELOW_CATALOG)
+def test_the_lower_layers_do_not_import_the_catalog(module):
+    path = ROOT / "src" / "braidwork" / f"{module}.py"
+    assert "catalog" not in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
