@@ -15,7 +15,6 @@ the arc leaves its circle by the midpoint at the latest.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .families import WeierstrassFamily, branch_points
 from .garside import equal
-from .tracking import circle_path, fiber_monodromy, lasso
+from .tracking import fiber_monodromy, lasso
 from .words import BraidWord
 
 CHORD_SAMPLES = 16  # segments of a chord
@@ -84,17 +83,6 @@ def _resample(vertices: list[complex], lengths: list[float],
     ]
 
 
-def _exit_parameter(vertices, lengths, center: complex, radius: float,
-                    from_start: bool) -> float:
-    """Arc-length parameter where the arc first leaves the circle around
-    an endpoint, walking inwards from that endpoint; s = 0.5 at the latest."""
-    samples = 512
-    span = [j / samples for j in range(samples + 1)]
-    if not from_start:
-        span = span[::-1]
-    return next(s for s in span if abs(_point_at(vertices, lengths, s) - center) >= radius)
-
-
 def chord(a: complex, b: complex) -> list[complex]:
     return [a + (b - a) * j / CHORD_SAMPLES for j in range(CHORD_SAMPLES + 1)]
 
@@ -146,27 +134,21 @@ def admissible(
                     f"arc interior passes within {d:.3g} of branch point x_{label}"
                 )
 
-    r_a = RADIUS_FACTOR * min(gap, abs(point_a - vertices[-1]))
-    r_b = RADIUS_FACTOR * min(gap, abs(point_b - vertices[0]))
-    s_a = _exit_parameter(vertices, lengths, point_a, r_a, from_start=True)
-    s_b = _exit_parameter(vertices, lengths, point_b, r_b, from_start=False)
-    if not s_a < 0.5 < s_b:
+    # walking inwards from an endpoint, the arc leaves its circle at some
+    # s = j/512, where the approach of the endpoint's loop ends exactly
+    exits, loops = [], []
+    for point, far_end, span in ((point_a, vertices[-1], range(513)),
+                                 (point_b, vertices[0], range(512, -1, -1))):
+        radius = RADIUS_FACTOR * min(gap, abs(point - far_end))
+        exits.append(next(j / 512 for j in span
+                          if abs(_point_at(vertices, lengths, j / 512) - point) >= radius))
+        approach = _resample(vertices, lengths, 0.5, exits[-1])
+        loops.append(lasso(approach, point, radius, ENDPOINT_SAMPLES, None))
+    if not exits[0] < 0.5 < exits[1]:
         raise ArcError("endpoint circles overlap the arc midpoint")
 
-    entry_a = _point_at(vertices, lengths, s_a)
-    entry_b = _point_at(vertices, lengths, s_b)
-
-    def endpoint_loop(entry: complex, s_entry: float, center: complex,
-                      radius: float) -> list[complex]:
-        approach = _resample(vertices, lengths, 0.5, s_entry)
-        angle = cmath.phase(entry - center)
-        return lasso(approach, circle_path(center, radius, angle, 1, ENDPOINT_SAMPLES))
-
-    loop_a = endpoint_loop(entry_a, s_a, point_a, r_a)
-    loop_b = endpoint_loop(entry_b, s_b, point_b, r_b)
-
-    matching_a, word_a = fiber_monodromy(family, t, loop_a)
-    matching_b, word_b = fiber_monodromy(family, t, loop_b)
+    matching_a, word_a = fiber_monodromy(family, t, loops[0])
+    matching_b, word_b = fiber_monodromy(family, t, loops[1])
 
     coxeter = matching_a == matching_b
     artin = coxeter and equal(word_a, word_b)

@@ -9,18 +9,22 @@ subgroup inside the bifurcation braid monodromy group:
   even-labeled branch points;
 * a path that first merges the first two branch points and then circles
   the resulting double point (which carries a local cusp) realizes the
-  triple twist on the first pair.
+  triple twist on the first pair;
+* at k = 1, one circle in the cusp family's parameter realizes it.
 
-Every tracked braid is rewritten in star-basis coordinates by
-conjugating with the braid of a contraction that carries the branch
-configuration onto labeled reference positions on the real line; the
+``_catalogued_loops`` gives each k its base configuration and its loops.
+Each loop takes one path: it is tracked, its braid is rewritten in
+star-basis coordinates by conjugating with the braid of a contraction
+that carries the base configuration onto labeled reference positions on
+the real line, and the result is looked up in the band table.  The
 contraction moves each point along a spiral (radii distinct for every
 positive time, arguments distinct at the start), so it is collision free
 by construction.
 
 All traces of one run share a single projection angle so their words
 compose meaningfully.  The computed set may contain band elements beyond
-the expected generators; these are reported, not discarded.
+the expected generators; these are reported, not discarded.  For k >= 2
+a last row checks the permutation images against the closure oracle.
 """
 
 from __future__ import annotations
@@ -37,14 +41,7 @@ from .certificates import CheckResult
 from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
 from .garside import equal
 from .geometry import permutation_closure
-from .tracking import (
-    ParameterLoop,
-    circle_path,
-    lasso,
-    loop_to_braid,
-    track_coefficients,
-    track_loop,
-)
+from .tracking import ParameterLoop, lasso, loop_to_braid, track_coefficients, track_loop
 from .words import BraidWord, conjugate_right, permutation_image
 
 PIPELINE_ANGLE = 0.0737  # projection angle shared by every trace of a run
@@ -91,11 +88,9 @@ def contraction_to_reference(points: tuple[complex, ...]) -> BraidWord:
 
 
 def _ray_critical(k: int, level: float) -> list[complex]:
-    """Parameter values mu where x^k - k mu x has a double root on the
-    given level: critical points satisfy x_c^k = -level/(k-1) and
+    """Parameter values mu where x^k - k mu x (k >= 2) has a double root on
+    the given level: critical points satisfy x_c^k = -level/(k-1) and
     mu = x_c^(k-1), so the mu are the k-th roots of (-level/(k-1))^(k-1)."""
-    if k < 2:
-        return []
     rhs = complex(-level / (k - 1)) ** (k - 1)
     magnitude = abs(rhs) ** (1.0 / k)
     phase = cmath.phase(rhs)
@@ -117,15 +112,13 @@ def _mu_loop(mc: complex) -> ParameterLoop:
     ray of the critical value (where other critical values also sit) by a
     fixed angular detour."""
     entry = mc * (1 - RHO_HAT)
-    waypoint = entry * DETOUR
     approach = [
         {"lam": 0.0, "mu": 0.0},
         {"lam": LAM0, "mu": 0.0},
-        {"lam": LAM0, "mu": waypoint},
+        {"lam": LAM0, "mu": entry * DETOUR},
         {"lam": LAM0, "mu": entry},
     ]
-    circle = circle_path(mc, abs(mc) * RHO_HAT, cmath.phase(entry - mc), 1, 48)
-    return ParameterLoop.polyline(lasso(approach, [{"lam": LAM0, "mu": z} for z in circle]))
+    return ParameterLoop.polyline(lasso(approach, mc, abs(mc) * RHO_HAT, 48, "mu"))
 
 
 def _merge_loop(k: int) -> tuple[WeierstrassFamily, ParameterLoop]:
@@ -141,17 +134,33 @@ def _merge_loop(k: int) -> tuple[WeierstrassFamily, ParameterLoop]:
     r = MERGE_RADIUS
     approach = [at(0, 0, 0), at(0, 1, 0), at(0, 1, r)]
     approach += [at(t1, 1, r) for t1 in np.linspace(0.1, 1.0, 10)]
-    circle = [at(1, 1, w) for w in circle_path(0, r, 0.0, 1, 64)]
-    return family, ParameterLoop.polyline(lasso(approach, circle))
+    return family, ParameterLoop.polyline(lasso(approach, 0, r, 64, "w"))
+
+
+def _catalogued_loops(
+    k: int,
+) -> tuple[tuple[complex, ...], list[tuple[str, WeierstrassFamily, ParameterLoop]]]:
+    """The base branch points of the loops for x-degree k, and the loops
+    as (loop id, family, loop).  At k = 1 the one loop is the cusp
+    family's unit circle.  Otherwise the ray loops circle each critical
+    value, and the merge loop starts at the ray family's base
+    configuration (both have branch polynomial 1 - x^(2k) there)."""
+    if k == 1:
+        cusp = catalogue_family("cusp")
+        circle = ParameterLoop.circle("lam", 0.0, 1.0)
+        return branch_points(cusp, {"lam": 1.0}).points, [("cusp-circle", cusp, circle)]
+    ray = catalogue_family("ray", k)
+    loops = [(f"ray-{parity}-{idx}", ray, _mu_loop(mc))
+             for parity, level in (("odd", LAM0 + 1), ("even", LAM0 - 1))
+             for idx, mc in enumerate(_ray_critical(k, level))]
+    loops.append(("pair-merge", *_merge_loop(k)))
+    return branch_points(ray, {"lam": 0.0, "mu": 0.0}).points, loops
 
 
 def expected_generators(k: int) -> dict[str, BraidWord]:
-    n = max(2 * k, 2)
-    band = _band_table(n)
-    names = {"e_12": band[1, 2]}
-    for nu in range(1, n - 1):
-        names[f"e_{nu}{nu + 2}"] = band[nu, nu + 2]
-    return names
+    band = _band_table(2 * k)
+    pairs = [(1, 2)] + [(nu, nu + 2) for nu in range(1, 2 * k - 1)]
+    return {f"e_{i}{j}": band[i, j] for i, j in pairs}
 
 
 def bifurcation_generators(k: int) -> BifurcationReport:
@@ -160,71 +169,32 @@ def bifurcation_generators(k: int) -> BifurcationReport:
     generators."""
     if k not in (1, 2, 3):
         raise ValueError("generator realization is catalogued for k = 1, 2, 3")
-
-    if k == 1:
-        cusp = catalogue_family("cusp")
-        loop = ParameterLoop.circle("lam", 0.0, 1.0)
-        trace = track_loop(cusp, loop, projection_angle=PIPELINE_ANGLE)
-        braid = loop_to_braid(trace)
-        config = branch_points(cusp, {"lam": 1.0})
-        conj = contraction_to_reference(config.points)
-        std = conjugate_right(braid, conj)
-        expected = expected_generators(1)
-        ok = equal(std, expected["e_12"])
-        outcome = LoopOutcome("cusp-circle", std, "e_12" if ok else None)
-        results = (
-            CheckResult("bifurcation/e_12@k1", "generator-realization",
-                        "verified" if ok else "failed"),
-        )
-        return BifurcationReport(conj, (outcome,), results)
-
-    n = 2 * k
-    ray = catalogue_family("ray", k)
-    base = branch_points(ray, {"lam": 0.0, "mu": 0.0})
-    conj = contraction_to_reference(base.points)
-
-    outcomes: list[LoopOutcome] = []
-    band = {f"e_{i}{j}": w for (i, j), w in _band_table(n).items()}
-
-    def classify(loop_id: str, braid_std: BraidWord):
-        matched = None
-        for name, wrd in band.items():
-            if equal(braid_std, wrd):
-                matched = name
-                break
-        outcomes.append(LoopOutcome(loop_id, braid_std, matched))
-
-    for parity, level in (("odd", LAM0 + 1), ("even", LAM0 - 1)):
-        for idx, mc in enumerate(_ray_critical(k, level)):
-            trace = track_loop(ray, _mu_loop(mc), projection_angle=PIPELINE_ANGLE)
-            std = conjugate_right(loop_to_braid(trace), conj)
-            classify(f"ray-{parity}-{idx}", std)
-
-    # the merge loop starts at the ray family's base configuration (both
-    # have branch polynomial 1 - x^(2k) there), so conj serves it too
-    merge_family, merge_loop = _merge_loop(k)
-    trace = track_loop(merge_family, merge_loop, projection_angle=PIPELINE_ANGLE)
-    classify("pair-merge", conjugate_right(loop_to_braid(trace), conj))
+    base, loops = _catalogued_loops(k)
+    conj = contraction_to_reference(base)
+    band = {f"e_{i}{j}": w for (i, j), w in _band_table(2 * k).items()}
+    outcomes = []
+    for loop_id, family, loop in loops:
+        trace = track_loop(family, loop, projection_angle=PIPELINE_ANGLE)
+        std = conjugate_right(loop_to_braid(trace), conj)
+        matched = next((name for name, w in band.items() if equal(std, w)), None)
+        outcomes.append(LoopOutcome(loop_id, std, matched))
 
     expected = expected_generators(k)
-    matched_names = {o.matched for o in outcomes if o.matched}
+    matched_names = {o.matched for o in outcomes}
     results = [
         CheckResult(f"bifurcation/{name}@k{k}", "generator-realization",
                     "verified" if name in matched_names else "failed")
         for name in expected
     ]
-
-    # permutation-level cross check against the exhaustive closure oracle
-    computed_perms = [permutation_image(o.braid) for o in outcomes]
-    expected_perms = [permutation_image(w) for w in expected.values()]
-    closure = permutation_closure(computed_perms)
-    closure_ok = closure == permutation_closure(expected_perms)
-    results.append(
-        CheckResult(f"bifurcation/permutation-closure@k{k}", "generator-realization",
-                    "verified" if closure_ok else "failed",
-                    {"closure_size": len(closure)})
-    )
-
+    if k >= 2:
+        # permutation-level cross check against the exhaustive closure oracle
+        closure = permutation_closure([permutation_image(o.braid) for o in outcomes])
+        expected_closure = permutation_closure([permutation_image(w) for w in expected.values()])
+        results.append(
+            CheckResult(f"bifurcation/permutation-closure@k{k}", "generator-realization",
+                        "verified" if closure == expected_closure else "failed",
+                        {"closure_size": len(closure)})
+        )
     return BifurcationReport(conj, tuple(outcomes), tuple(results))
 
 
@@ -235,11 +205,9 @@ def full_braid_monodromy_check(k: int) -> tuple[CheckResult, ...]:
     family = catalogue_family("tame", k)
     perms = []
     for lam_c in _tame_critical(k):
-        entry = lam_c * (1 - 0.25)
-        circle = circle_path(lam_c, 0.25 * abs(lam_c), cmath.phase(entry - lam_c), 1, 48)
-        loop = lasso([{"lam": 0.0}, {"lam": entry}], [{"lam": z} for z in circle])
-        trace = track_loop(family, ParameterLoop.polyline(loop),
-                           projection_angle=PIPELINE_ANGLE)
+        approach = [{"lam": 0.0}, {"lam": lam_c * (1 - 0.25)}]
+        loop = ParameterLoop.polyline(lasso(approach, lam_c, 0.25 * abs(lam_c), 48, "lam"))
+        trace = track_loop(family, loop, projection_angle=PIPELINE_ANGLE)
         perms.append(permutation_image(loop_to_braid(trace)))
     closure = permutation_closure(perms)
     ok = len(closure) == math.factorial(k)

@@ -42,6 +42,7 @@ from .words import (
     json_field,
     json_strand_count,
     json_value,
+    json_word,
     power,
     word,
 )
@@ -396,17 +397,11 @@ def ledger_from_json(rows: list) -> list[IdentityRecord]:
         owner = f"ledger row {idx}"
         json_value(row, dict, owner)
         n = json_strand_count(row, owner)
-
-        def side(field: str) -> BraidWord:
-            letters = json_field(row, field, list, owner)
-            return BraidWord(n, tuple(json_value(x, int, f"{owner} field {field!r} letter")
-                                      for x in letters))
-
         out.append(
             IdentityRecord(
                 id=json_field(row, "id", str, owner),
-                lhs=side("lhs"),
-                rhs=side("rhs"),
+                lhs=json_word(row, "lhs", n, owner),
+                rhs=json_word(row, "rhs", n, owner),
                 source=json_field(row, "source", str, owner, "external-ledger"),
                 variant=json_field(row, "variant", str, owner, "as written"),
                 row=json_field(row, "row", str, owner, None),

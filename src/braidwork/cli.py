@@ -154,7 +154,7 @@ def cmd_monodromy(args) -> int:
     else:
         spec = json.loads(args.loop)
     loop = _loop_from_spec(spec)
-    expected = BraidWord.from_json(json.loads(args.expect)) if args.expect else None
+    expected = BraidWord.from_json(json.loads(args.expect), "--expect") if args.expect else None
     inputs = {"family": family.to_json(), "loop": loop.to_json()}
 
     def compute() -> tuple[str, dict]:
@@ -190,6 +190,7 @@ def cmd_admissible(args) -> int:
     family = _family_from_args(args)
     params = json_value(json.loads(args.params or "{}"), dict, "--params")
     params = {k: complex_from_json(v, f"--params field {k!r}") for k, v in params.items()}
+    family.check_names(params, "--params")
     arc = _arc_from_spec(args.arc, family, params)
     inputs = {
         "family": family.to_json(),

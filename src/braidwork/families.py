@@ -211,6 +211,12 @@ class WeierstrassFamily:
             missing = [name for name in self.params if name not in t]
             raise ValueError(f"missing parameter values: {missing}") from None
 
+    def check_names(self, names: Iterable[str], owner: str) -> None:
+        """ValueError if ``owner`` names a parameter the family does not have."""
+        unknown = [name for name in names if name not in self.params]
+        if unknown:
+            raise ValueError(f"{owner} names parameters the family does not have: {unknown}")
+
     def p_array(self, t: dict[str, complex]) -> np.ndarray:
         if not self._p_texts:
             return np.zeros(1, dtype=complex)

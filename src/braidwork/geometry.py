@@ -5,6 +5,10 @@ statements the monodromy computations rely on: branch points confined to
 straight rays or to a common circle, merge behavior at the degeneration,
 uniqueness of the double branch point of the perturbed family, and the
 cusp scaling exponent of the pairwise merge.
+
+Both confinement checks walk their grid through ``_follow``: it labels the
+branch points at a start value, then solves each grid value in turn and
+matches its points, by argument, to the labels of the value before.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .certificates import CheckResult
 from .families import (
     COLLISION_TOL,
-    _monomial_q,
+    WeierstrassFamily,
     catalogue_family,
     label_points,
     merge_point,
@@ -34,34 +38,33 @@ MU_RANGE = (1e-5, 1e-3)  # mu range of the cusp-exponent fit
 MU_SAMPLES = 13  # geometric samples of mu in that range
 
 
-def _sorted_by_initial(cfg0: list[complex], points: np.ndarray) -> list[complex]:
-    """Match points to the labels of the initial configuration by argument."""
-    out = [None] * len(cfg0)
-    remaining = list(points)
-    for idx, ref in enumerate(cfg0):
-        j = int(np.argmin([abs(cmath.phase(z / ref)) for z in remaining]))
-        out[idx] = remaining.pop(j)
-    return out
+def _follow(family: WeierstrassFamily, params: list[dict[str, complex]],
+            start: dict[str, complex]) -> list[list[complex]]:
+    """The branch points at ``start`` in label order, then at each of
+    ``params`` in turn, each matched by argument to the labels of the
+    configuration before it."""
+    configs = [list(label_points(solve_roots(family.branch_coeffs(start))))]
+    for t in params:
+        remaining = list(solve_roots(family.branch_coeffs(t)))
+        matched = []
+        for ref in configs[-1]:
+            j = int(np.argmin([abs(cmath.phase(z / ref)) for z in remaining]))
+            matched.append(remaining.pop(j))
+        configs.append(matched)
+    return configs
 
 
 def ray_confinement(k: int) -> tuple[CheckResult, ...]:
     """Branch points of the shrinking family stay on fixed rays, and the
     even-labeled points shrink to the origin as the parameter approaches 1."""
-    family = catalogue_family("ray", k)
     lam_grid = np.linspace(-0.99, 0.99, GRID_SAMPLES)
-    cfg0 = list(label_points(solve_roots(family.branch_coeffs({"lam": 0.0, "mu": 0.0}))))
-    ray_args = [cmath.phase(z) for z in cfg0]
-    max_dev = 0.0
-    even_initial = [abs(cfg0[i]) for i in range(1, len(cfg0), 2)]
-    even_final: list[float] = []
-    for lam in lam_grid:
-        pts = solve_roots(family.branch_coeffs({"lam": complex(lam), "mu": 0.0}))
-        matched = _sorted_by_initial(cfg0, pts)
-        for idx, z in enumerate(matched):
-            dev = abs(_angle_diff(cmath.phase(z), ray_args[idx]))
-            max_dev = max(max_dev, dev)
-        if lam == lam_grid[-1]:
-            even_final = [abs(matched[i]) for i in range(1, len(matched), 2)]
+    cfg0, *path = _follow(catalogue_family("ray", k),
+                          [{"lam": complex(lam), "mu": 0.0} for lam in lam_grid],
+                          {"lam": 0.0, "mu": 0.0})
+    max_dev = max(abs(_angle_diff(cmath.phase(z), cmath.phase(z0)))
+                  for cfg in path for z, z0 in zip(cfg, cfg0))
+    even_initial = [abs(z) for z in cfg0[1::2]]
+    even_final = [abs(z) for z in path[-1][1::2]]
     # analytic merge rate: even points solve x^k = lam - 1
     expected_final = abs(lam_grid[-1] - 1) ** (1.0 / k)
     merge_ok = all(
@@ -88,28 +91,14 @@ def circle_confinement(k: int) -> tuple[CheckResult, ...]:
     """Branch points of the circle family share a common modulus at every
     parameter value, and their arguments move strictly monotonically:
     increasing for odd labels, decreasing for even labels."""
-    family = catalogue_family("circle", k)
     lam_grid = np.linspace(0.0, 0.99, GRID_SAMPLES)
-    cfg0 = list(label_points(solve_roots(family.branch_coeffs({"lam": 0.0}))))
-    max_spread = 0.0
-    args = [[] for _ in cfg0]
-    prev = cfg0
-    for lam in lam_grid:
-        pts = solve_roots(family.branch_coeffs({"lam": complex(lam)}))
-        matched = _sorted_by_initial(prev, pts)
-        prev = matched
-        moduli = [abs(z) for z in matched]
-        max_spread = max(max_spread, max(moduli) - min(moduli))
-        for idx, z in enumerate(matched):
-            args[idx].append(cmath.phase(z))
-    monotone_ok = True
-    for idx, series in enumerate(args):
-        unwrapped = np.unwrap(series)
-        diffs = np.diff(unwrapped)
-        if idx % 2 == 0:  # odd label
-            monotone_ok &= bool(np.all(diffs > 0))
-        else:
-            monotone_ok &= bool(np.all(diffs < 0))
+    _, *path = _follow(catalogue_family("circle", k),
+                       [{"lam": complex(lam)} for lam in lam_grid], {"lam": 0.0})
+    max_spread = max(max(map(abs, cfg)) - min(map(abs, cfg)) for cfg in path)
+    args = zip(*[[cmath.phase(z) for z in cfg] for cfg in path])
+    # label idx + 1 is odd for even idx, whose arguments must increase
+    monotone_ok = all(bool(np.all(np.diff(np.unwrap(series)) * (-1) ** idx > 0))
+                      for idx, series in enumerate(args))
     return (
         CheckResult(f"geometry/circle-modulus@k{k}", "circle-family",
                     "verified" if max_spread < CONFINEMENT_TOL else "failed",
@@ -151,23 +140,25 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
     """The two branch points that merge at a root of x^k = i separate like
     |pair gap|^2 ~ mu^3 in the merge family; fit the exponent."""
     alpha = merge_point(k)
+    family = catalogue_family("cusp_merge", k)
     mus = np.geomspace(*MU_RANGE, MU_SAMPLES)
-    logs = []
+    xs, ys = [], []
     for mu in mus:
-        # p is constant in x here, so the branch polynomial factors exactly
-        # as (q - sqrt(p^3))(q + sqrt(p^3)); solving the factors keeps the
-        # nearly-merged pair well conditioned
+        # p = -mu/3 is constant in x here, so the branch polynomial factors
+        # exactly as (q - sqrt(p^3))(q + sqrt(p^3)); solving the factors
+        # keeps the nearly-merged pair well conditioned.  sqrt(p^3) is
+        # written out, as the family's (-mu/3)^3 rounds differently.
         s = cmath.sqrt(-(mu**3) / 27)
+        q = family.q_array({"mu": mu})
         pair = []
         for sign in (1, -1):
-            coeffs = _monomial_q(k, -(1j + mu + sign * s))
+            coeffs = q.copy()
+            coeffs[0] -= sign * s
             roots = solve_roots(coeffs)
             pair.append(min(roots, key=lambda z: abs(z - alpha)))
-        gap_sq = abs(pair[0] - pair[1]) ** 2
-        logs.append((math.log(mu), math.log(gap_sq)))
-    xs = np.array([p[0] for p in logs])
-    ys = np.array([p[1] for p in logs])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+        xs.append(math.log(mu))
+        ys.append(math.log(abs(pair[0] - pair[1]) ** 2))
+    slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
     ok = abs(slope - 3.0) < 0.05 * 3.0
     return (
         CheckResult(f"geometry/cusp-exponent@k{k}", "merge-family",

@@ -33,8 +33,10 @@ projection rotated by ``ROTATION_STEP`` (recorded on the trace), at most
 The projection angle is the only setting a caller chooses; the collision
 tolerance is the constant ``families.COLLISION_TOL``.  Each trial ranks
 its corrected roots once, and the alignment test and the final matching
-reuse that order.  Circles are sampled by ``circle_path`` alone; ``lasso``
-joins an approach path, a circle and the way back into one loop.
+reuse that order.  Circles are sampled by ``circle_path`` alone, and
+every catalogued loop round a point is a ``lasso``: out along an approach,
+once round a circle drawn from where the approach ends, and back, in plain
+points or in one parameter with the others held.
 
 Each trial evaluates the branch polynomial, its residual scale and its
 derivative with ``families.refine_roots``, in one stacked Horner pass per
@@ -372,9 +374,7 @@ def track_loop(
     only the family's parameters."""
     for point in loop.points[:-1]:  # the last vertex is the first
         branch_roots(family, point)
-    unknown = [name for name in loop.names if name not in family.params]
-    if unknown:
-        raise ValueError(f"the loop names parameters the family does not have: {unknown}")
+    family.check_names(loop.names, "the loop")
 
     def coeff_fn(s: float) -> np.ndarray:
         return family.branch_coeffs(loop.at(s))
@@ -409,17 +409,23 @@ def circle_path(
 ) -> list[complex]:
     """Points of the circle from ``start_angle``, ``samples`` per turn;
     the last point closes the circle up to rounding."""
-    pts = []
-    count = max(8, int(samples * abs(turns)))
-    for j in range(count + 1):
-        theta = start_angle + 2 * math.pi * turns * j / count
-        pts.append(center + radius * complex(math.cos(theta), math.sin(theta)))
-    return pts
+    count = int(samples * abs(turns))
+    thetas = (start_angle + 2 * math.pi * turns * j / count for j in range(count + 1))
+    return [center + radius * complex(math.cos(t), math.sin(t)) for t in thetas]
 
 
-def lasso(approach: list, circle: list) -> list:
-    """The closed path out along ``approach``, round ``circle`` (which
-    starts where the approach ends) and back along the approach."""
+def lasso(approach: list, center: complex, radius: float, samples: int,
+          param: str | None) -> list:
+    """The closed path out along ``approach``, once positively round the
+    circle of ``radius`` about ``center`` in ``samples`` steps from the
+    angle where the approach ends, and back along the approach.  With a
+    ``param``, the vertices are parameter points and the circle runs in
+    ``param`` with the other parameters held at the approach's end."""
+    end = approach[-1]
+    z = end if param is None else end[param]
+    circle = circle_path(center, radius, cmath.phase(z - center), 1, samples)
+    if param is not None:
+        circle = [{**end, param: w} for w in circle]
     return approach + circle[1:] + approach[::-1][1:]
 
 
@@ -430,11 +436,8 @@ def loop_around(target: complex, base: complex, radius: float) -> list[complex]:
     dist = abs(direction)
     entry = target - radius * direction / dist
     approach_steps = max(2, int(8 * dist / max(radius, 1e-9)) // 4)
-    approach = [
-        base + (entry - base) * j / approach_steps for j in range(approach_steps + 1)
-    ]
-    circle = circle_path(target, radius, cmath.phase(entry - target), 1, STAR_SAMPLES)
-    return lasso(approach, circle)
+    approach = [base + (entry - base) * j / approach_steps for j in range(approach_steps)]
+    return lasso(approach + [entry], target, radius, STAR_SAMPLES, None)
 
 
 def star_basis(points: Sequence[complex]) -> list[list[complex]]:

@@ -13,8 +13,9 @@ with the signed-letter encoding above, e.g. sigma_1^3 in Br_6 is
 ``json_value`` and ``json_field`` are the type checks every JSON reader
 of the package applies to its input: a value of the wrong type raises
 ``ValueError`` naming the field, never a ``TypeError`` further in.  A
-strand count read from JSON is at most ``MAX_STRANDS``
-(``json_strand_count``).
+strand count read from JSON is from 1 to ``MAX_STRANDS``
+(``json_strand_count``), and ``json_word`` reads the letters of one word
+field, naming the field if a letter is out of range.
 
 A permutation of the n strand positions is a tuple ``p`` of 0-based
 images: ``p[i]`` is the end position of the strand starting at position
@@ -63,11 +64,11 @@ class BraidWord:
         return {"n": self.n, "word": list(self.letters)}
 
     @staticmethod
-    def from_json(data: dict) -> "BraidWord":
-        json_value(data, dict, "a braid word")
-        n = json_strand_count(data, "braid word")
-        letters = json_field(data, "word", list, "braid word")
-        return BraidWord(n, tuple(json_value(x, int, "a braid word letter") for x in letters))
+    def from_json(data: dict, owner: str) -> "BraidWord":
+        """The word ``data`` in its canonical JSON form; a malformed one
+        raises ValueError naming ``owner`` and the field."""
+        json_value(data, dict, owner)
+        return json_word(data, "word", json_strand_count(data, owner), owner)
 
 
 _JSON_KINDS = {
@@ -109,14 +110,25 @@ def json_field(data: dict, field: str, kind: type, owner: str, default=_REQUIRED
 
 
 def json_strand_count(data: dict, owner: str) -> int:
-    """The required field ``n`` of ``data``: an integer of at most
+    """The required field ``n`` of ``data``: an integer from 1 to
     ``MAX_STRANDS``, so that no input can ask for permutations of
     millions of points."""
     n = json_field(data, "n", int, owner)
-    if n > MAX_STRANDS:
-        raise ValueError(f"{owner} field 'n': the strand count is at most {MAX_STRANDS}, "
-                         f"got {n}")
+    if not 1 <= n <= MAX_STRANDS:
+        raise ValueError(f"{owner} field 'n': the strand count is at most {MAX_STRANDS} "
+                         f"and positive, got {n}")
     return n
+
+
+def json_word(data: dict, field: str, n: int, owner: str) -> BraidWord:
+    """The word on ``n`` strands whose letters are the required list
+    ``data[field]``; ValueError naming ``owner`` and the field."""
+    letters = json_field(data, field, list, owner)
+    letters = tuple(json_value(x, int, f"{owner} field {field!r} letter") for x in letters)
+    try:
+        return BraidWord(n, letters)
+    except ValueError as exc:
+        raise ValueError(f"{owner} field {field!r}: {exc}") from None
 
 
 def word(n: int, *letters: int) -> BraidWord:

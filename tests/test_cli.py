@@ -325,6 +325,9 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "object_ledger.json").write_text('{"id": "x", "n": 3, "lhs": [], "rhs": []}')
     (tmp_path / "huge_n.json").write_text(
         '[{"id": "x", "n": 1000000000, "lhs": [1, 2, 1], "rhs": [2, 1, 2]}]')
+    (tmp_path / "zero_n.json").write_text('[{"id": "x", "n": 0, "lhs": [], "rhs": []}]')
+    (tmp_path / "letter_out_of_range.json").write_text(
+        '[{"id": "x", "n": 3, "lhs": [1, 5], "rhs": [2]}]')
     (tmp_path / "repeated_id.json").write_text(
         '[{"id": "a", "n": 3, "lhs": [1], "rhs": [1]}, {"id": "a", "n": 3, "lhs": [1], "rhs": [2]}]')
     (tmp_path / "row_is_an_id.json").write_text(
@@ -432,6 +435,16 @@ def _case_id(value):
      "ledger rows 0 and 1 share the id 'a'"),
     (["verify", "identities", "--ledger", "row_is_an_id.json"],
      "ledger row 1 field 'row' is 'r', the id of ledger row 0"),
+    # a strand count below 1
+    (["verify", "identities", "--ledger", "zero_n.json"], "ledger row 0 field 'n'"),
+    # a letter out of range names the word's owner and field
+    (["verify", "identities", "--ledger", "letter_out_of_range.json"],
+     "ledger row 0 field 'lhs': letter 5 out of range for 3 strands"),
+    (["monodromy", "--expect", '{"n":2,"word":[0]}'],
+     "--expect field 'word': letter 0 out of range for 2 strands"),
+    # --params naming a parameter the family does not have
+    (["admissible", "--family", "base", "--k", "2", "--params", '{"lam":1}', "--arc", "1:3"],
+     "--params names parameters the family does not have: ['lam']"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -17,7 +17,8 @@ exactly the set written here, so a second implementation left behind when
 its callers move shows up as a diff of this file.
 
 The result rows and the numerical layer import nothing from the identity
-catalogue.
+catalogue.  Only ``tracking`` samples circles (``circle_path``), and
+``geometry`` imports no private name of ``families``.
 """
 
 import ast
@@ -313,3 +314,18 @@ def test_the_import_scan(source, imports_catalog):
 def test_the_lower_layers_do_not_import_the_catalog(module):
     path = ROOT / "src" / "braidwork" / f"{module}.py"
     assert "catalog" not in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+
+
+def test_circles_are_sampled_in_tracking_alone():
+    # every other module draws its loops round a point with tracking.lasso
+    samplers = {path.stem for path in FILES if path.parent.name == "braidwork"
+                and "circle_path" in _referenced(ast.parse(path.read_text(), filename=str(path)))}
+    assert samplers == {"tracking"}
+
+
+def test_geometry_imports_no_private_name_of_families():
+    path = ROOT / "src" / "braidwork" / "geometry.py"
+    private = {alias.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.ImportFrom) and node.module == "families"
+               for alias in node.names if alias.name.startswith("_")}
+    assert not private

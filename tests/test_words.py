@@ -61,14 +61,14 @@ def test_conjugate_right_spells_the_seven_letter_twist():
 def test_json_round_trip():
     w = word(6, 1, 1, 1)
     assert w.to_json() == {"n": 6, "word": [1, 1, 1]}
-    assert BraidWord.from_json(w.to_json()) == w
+    assert BraidWord.from_json(w.to_json(), "a braid word") == w
 
 
 def test_json_strand_count_is_bounded():
     top = word(MAX_STRANDS, MAX_STRANDS - 1)
-    assert BraidWord.from_json(top.to_json()) == top
+    assert BraidWord.from_json(top.to_json(), "a braid word") == top
     with pytest.raises(ValueError, match="strand count is at most"):
-        BraidWord.from_json({"n": MAX_STRANDS + 1, "word": [1]})
+        BraidWord.from_json({"n": MAX_STRANDS + 1, "word": [1]}, "a braid word")
 
 
 @given(words_strategy(4))
