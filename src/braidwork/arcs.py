@@ -93,7 +93,9 @@ def admissible(
     arc: Sequence[complex],
 ) -> AdmissibilityReport:
     """Decide permutation- and braid-admissibility of an embedded arc
-    whose endpoints are branch points of the family at parameter t."""
+    whose endpoints are branch points of the family at parameter t, which
+    may name only the family's parameters."""
+    family.check_names(t, "the parameter point")
     vertices = [complex(z) for z in arc]
     if len(vertices) < 2:
         raise ArcError("arc needs at least two vertices")

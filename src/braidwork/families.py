@@ -21,6 +21,16 @@ each entry's text: strings as given, numbers as ``str(x)`` and pairs as
 
 Branch points are labeled by increasing argument starting from the point
 closest to 1, matching the labeling used by all catalogued computations.
+
+A root solve is numpy's companion-matrix ``polyroots`` start polished by
+Newton's method (``solve_roots``).  Many independent polynomials are
+solved in one stacked pass (``solve_stack``): the rows of one length share
+one ``eigvals`` call on their companion matrices and one Newton pass over
+a block holding all their roots, chunked to at most ``STACK_ENTRIES``
+complex entries, and every root and every error is bit for bit that of
+one call per row.  ``branch_roots`` solves a sequence of parameter points
+this way; a single tracker trial is ``refine_roots``, the one-group case
+of the same Newton pass.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import polyutils as pu
 
 from .words import json_field, json_value
 
@@ -44,6 +55,7 @@ NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
 MAX_NESTING = 100
 MAX_X_DEGREE = 64  # largest x-degree k of a family; covers every catalogued and benchmarked k
+STACK_ENTRIES = 1 << 18  # complex entries of one solve_stack chunk: matrices plus Newton block
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -311,7 +323,8 @@ def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     ``c[i] + v*x``), and the padded row's ``(0 + z*0) * z`` is ``z*0``
     for finite z.  So the roots are bit for bit those of the
     numpy.polynomial calls while the scale stays finite; an overflowed
-    scale may read NaN here where the real pass gives inf.
+    scale may read NaN here where the real pass gives inf.  This is the
+    one-group case of the pass ``solve_stack`` runs over many polynomials.
     """
     n = len(coeffs)
     deriv = coeffs[1:] * np.arange(1, n) if n > 1 else coeffs[:1] * 0
@@ -320,6 +333,28 @@ def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     block[:, 0] = coeffs[:, None]
     block[:, 1] = np.abs(coeffs)[:, None]
     block[:len(deriv), 2] = deriv[:, None]
+    (polished,) = _polish(block, z, 1)
+    if isinstance(polished, DegenerateConfigurationError):
+        raise polished
+    return polished
+
+
+def _polish(block: np.ndarray, z: np.ndarray,
+            groups: int) -> list[np.ndarray | DegenerateConfigurationError]:
+    """The Newton pass of ``refine_roots`` over ``groups`` polynomials at
+    once: ``z`` holds m roots of each in turn, and column j of ``block``
+    (n, 3, groups * m) the coefficient rows of root j's polynomial.  Each
+    group's polished roots, or the error that ends its refinement.
+
+    Every operation is elementwise, so a column sees the operations of a
+    pass over its group alone.  A group whose roots have all converged,
+    or whose step hits a critical point, leaves the block; one group
+    alone takes ``refine_roots``' own steps and nothing more.
+    """
+    m = len(z) // groups
+    live = list(range(groups))  # groups still in the block, in column order
+    out: list = [None] * groups
+    top, *rest = block[::-1]  # coefficient rows in Horner's order, from the top
     x = np.zeros((3, len(z)), dtype=complex)  # rows z, |z| + 0j, z
     v = np.empty_like(x)
     abs_z, vals, scale, dvals = x[1].real, v[0], v[1].real, v[2]
@@ -327,32 +362,169 @@ def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
         x[0::2] = z
         np.abs(z, out=abs_z)
         np.multiply(x, 0, out=v)
-        np.add(block[-1], v, out=v)
-        for i in range(n - 2, -1, -1):
+        np.add(top, v, out=v)
+        for row in rest:
             np.multiply(v, x, out=v)
-            np.add(block[i], v, out=v)
+            np.add(row, v, out=v)
         rel = np.abs(vals) / (scale + 1e-300)
-        if (rel < RESIDUAL_TOL).all():
-            return z
+        converged = rel < RESIDUAL_TOL
+        if converged.all():
+            break
         bad = np.abs(dvals) < 1e-300
+        if len(live) > 1:
+            done = converged.reshape(len(live), m).all(axis=1)
+            stuck = (bad & (rel >= RESIDUAL_TOL)).reshape(len(live), m).any(axis=1)
+            leaving = done | stuck
+            if leaving.any():
+                for j, g in enumerate(live):
+                    if done[j]:
+                        out[g] = z[j * m:(j + 1) * m]
+                    elif stuck[j]:
+                        out[g] = DegenerateConfigurationError("Newton step hit a critical point")
+                live = [g for g, gone in zip(live, leaving) if not gone]
+                if not live:
+                    return out
+                # the groups that stay take their step (their bad roots have
+                # converged, so the np.where form), then a block of their own
+                keep = np.repeat(~leaving, m)
+                bad = bad[keep]
+                z = z[keep] - np.where(bad, 0.0, vals[keep] / np.where(bad, 1.0, dvals[keep]))
+                block = block[:, :, keep]
+                top, *rest = block[::-1]
+                x = np.zeros((3, len(z)), dtype=complex)
+                v = np.empty_like(x)
+                abs_z, vals, scale, dvals = x[1].real, v[0], v[1].real, v[2]
+                continue
         if not bad.any():  # the np.where form below, bit for bit
             z = z - vals / dvals
             continue
-        if (bad & (rel >= RESIDUAL_TOL)).any():
-            raise DegenerateConfigurationError("Newton step hit a critical point")
+        if len(live) == 1 and (bad & (rel >= RESIDUAL_TOL)).any():
+            out[live[0]] = DegenerateConfigurationError("Newton step hit a critical point")
+            return out
         z = z - np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
-    raise DegenerateConfigurationError("root refinement did not converge")
+    else:
+        for g in live:
+            out[g] = DegenerateConfigurationError("root refinement did not converge")
+        return out
+    if len(live) == 1:
+        out[live[0]] = z
+        return out
+    for j, g in enumerate(live):
+        out[g] = z[j * m:(j + 1) * m]
+    return out
 
 
-def solve_roots(coeffs: np.ndarray) -> np.ndarray:
+def _solvable(coeffs) -> np.ndarray:
+    """``coeffs`` as a complex array, if ``solve_roots`` can solve them:
+    not the zero polynomial, and with a leading coefficient that has not
+    vanished."""
     coeffs = np.asarray(coeffs, dtype=complex)
     lead = np.abs(coeffs)
     if lead.max() == 0:
         raise ValueError("zero polynomial has no root set")
     if abs(coeffs[-1]) < 1e-13 * lead.max():
         raise DegenerateConfigurationError("leading coefficient vanished: degree dropped")
+    return coeffs
+
+
+def solve_roots(coeffs: np.ndarray) -> np.ndarray:
+    coeffs = _solvable(coeffs)
     raw = npoly.polyroots(coeffs)
     return refine_roots(coeffs, raw)
+
+
+def _polyroots_alone(coeffs: np.ndarray) -> np.ndarray | np.linalg.LinAlgError:
+    try:
+        return npoly.polyroots(coeffs)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgError]:
+    """``npoly.polyroots`` of each trimmed complex row of ``rows`` (G, n)
+    from one ``eigvals`` call on the stack of companion matrices, built
+    and sorted as ``polycompanion`` and ``polyroots`` build and sort one.
+    A row whose matrix is not finite, or a stack ``eigvals`` cannot
+    finish, is solved alone and may give the error that raises."""
+    groups, n = rows.shape
+    if n < 2:
+        return list(np.empty((groups, 0), dtype=complex))
+    if n == 2:  # polyroots' one root, with no matrix
+        return list(-rows[:, :1] / rows[:, 1:])
+    d = n - 1
+    mats = np.zeros((groups, d, d), dtype=complex)
+    mats.reshape(groups, -1)[:, d::d + 1] = 1
+    mats[:, :, -1] -= rows[:, :-1] / rows[:, -1:]
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    out: list = [None] * groups
+    if finite.any():
+        try:
+            roots = np.linalg.eigvals(mats if finite.all() else mats[finite])
+        except np.linalg.LinAlgError:  # a matrix of the stack did not converge
+            return [_polyroots_alone(row) for row in rows]
+        roots.sort(axis=-1)
+        for g, r in zip(np.flatnonzero(finite), roots):
+            out[g] = r
+    for g in np.flatnonzero(~finite):  # eigvals refuses these; each raises alone
+        out[g] = _polyroots_alone(rows[g])
+    return out
+
+
+def solve_stack(rows: Sequence, polish: bool) -> list[np.ndarray | Exception]:
+    """For each coefficient row, taken as a complex array, the roots
+    ``solve_roots(row)`` gives when ``polish`` is set, else those
+    ``npoly.polyroots(row)`` gives, bit for bit, or the exception that
+    call would raise.
+
+    Rows of one length share one companion step (``_companion_roots``)
+    and one Newton pass (``_polish``), at most ``STACK_ENTRIES`` complex
+    entries of matrices and Newton block at a time, so memory does not
+    grow with the number of rows."""
+    out: list = [None] * len(rows)
+    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, row in enumerate(rows):
+        try:
+            if polish:
+                c = _solvable(row)
+            else:
+                (c,) = pu.as_series([np.asarray(row, dtype=complex)])  # polyroots' own trim
+        except (ValueError, DegenerateConfigurationError) as exc:
+            out[i] = exc
+            continue
+        by_length.setdefault(len(c), []).append((i, c))
+    for n, members in by_length.items():
+        m = n - 1  # roots per row: a row takes m * m matrix and 3 * n * m block entries
+        size = max(1, STACK_ENTRIES // max(1, m * m + 3 * n * m))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            coeffs = np.array([c for _, c in chunk])
+            raw = _companion_roots(coeffs)
+            if polish:
+                raw = _polish_rows(coeffs, raw)
+            for (i, _), r in zip(chunk, raw):
+                out[i] = r
+    return out
+
+
+def _polish_rows(coeffs: np.ndarray, raw: list) -> list:
+    """``raw`` with each root row refined against its row of ``coeffs``
+    (G, n) in one ``_polish`` pass, as ``refine_roots`` refines one."""
+    ok = [g for g, r in enumerate(raw) if not isinstance(r, Exception)]
+    if not ok:
+        return raw
+    rows = coeffs[ok]
+    groups, n = rows.shape
+    m = n - 1
+    block = np.zeros((n, 3, groups, m), dtype=complex)
+    block[:, 0] = rows.T[:, :, None]
+    block[:, 1] = np.abs(rows).T[:, :, None]
+    block[:m, 2] = (rows[:, 1:] * np.arange(1, n)).T[:, :, None]
+    z = np.concatenate([raw[g] for g in ok])
+    polished = _polish(block.reshape(n, 3, groups * m), z, groups)
+    out = list(raw)
+    for g, r in zip(ok, polished):
+        out[g] = r
+    return out
 
 
 @functools.lru_cache(maxsize=2 * MAX_X_DEGREE)
@@ -403,23 +575,38 @@ def label_points(points: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted(pts, key=key))
 
 
-def branch_roots(family: WeierstrassFamily, t: dict[str, complex]) -> np.ndarray:
-    """All branch points at parameter t, unlabeled; degenerate
-    configurations (a pair closer than ``COLLISION_TOL``) raise, and so
-    does a family with no branch points at t."""
-    roots = solve_roots(family.branch_coeffs(t))
-    if not len(roots):
-        raise ValueError(f"the family has no branch points at these parameters {t}")
-    if min_pairwise_distance(roots) < COLLISION_TOL:
-        raise DegenerateConfigurationError(
-            f"branch points collide at parameters {t}"
-        )
-    return roots
+def branch_roots(family: WeierstrassFamily,
+                 points: Sequence[dict[str, complex]]) -> list[np.ndarray]:
+    """All branch points at each parameter point, unlabeled, from one
+    ``solve_stack`` call.  A degenerate configuration (a pair closer than
+    ``COLLISION_TOL``) raises, and so does a point with no branch points;
+    of several failing points, the first in input order raises."""
+    # a point whose coefficients cannot be evaluated (a missing, non-numeric
+    # or overflowing value) raises once the points before it have passed
+    rows, failure = [], None
+    for t in points:
+        try:
+            rows.append(family.branch_coeffs(t))
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            failure = exc
+            break
+    solved = solve_stack(rows, True)
+    for t, roots in zip(points, solved):
+        if isinstance(roots, Exception):
+            raise roots
+        if not len(roots):
+            raise ValueError(f"the family has no branch points at these parameters {t}")
+        if min_pairwise_distance(roots) < COLLISION_TOL:
+            raise DegenerateConfigurationError(f"branch points collide at parameters {t}")
+    if failure is not None:
+        raise failure
+    return solved
 
 
 def branch_points(family: WeierstrassFamily, t: dict[str, complex]) -> BranchConfiguration:
     """``branch_roots`` at parameter t, labeled."""
-    return BranchConfiguration(label_points(branch_roots(family, t)))
+    (roots,) = branch_roots(family, [t])
+    return BranchConfiguration(label_points(roots))
 
 
 # ---------------------------------------------------------------------------

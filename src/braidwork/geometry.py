@@ -6,9 +6,12 @@ straight rays or to a common circle, merge behavior at the degeneration,
 uniqueness of the double branch point of the perturbed family, and the
 cusp scaling exponent of the pairwise merge.
 
-Both confinement checks walk their grid through ``_follow``: it labels the
-branch points at a start value, then solves each grid value in turn and
-matches its points, by argument, to the labels of the value before.
+Both confinement checks walk their grid through ``_follow``: it solves the
+start value and every grid value in one stacked call
+(``families.solve_stack``), labels the branch points at the start, then
+matches each grid value's points, by argument, to the labels of the value
+before.  The cusp-exponent factors and the double-root grid are solved in
+one stacked call each too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .families import (
     label_points,
     merge_point,
     min_pairwise_distance,
-    solve_roots,
+    solve_stack,
 )
 from .words import Perm, pmul
 
@@ -38,14 +41,25 @@ MU_RANGE = (1e-5, 1e-3)  # mu range of the cusp-exponent fit
 MU_SAMPLES = 13  # geometric samples of mu in that range
 
 
+def _roots(rows: list[np.ndarray], polish: bool) -> list[np.ndarray]:
+    """Each row's roots from one ``solve_stack`` call; the first failing
+    row raises."""
+    solved = solve_stack(rows, polish)
+    for roots in solved:
+        if isinstance(roots, Exception):
+            raise roots
+    return solved
+
+
 def _follow(family: WeierstrassFamily, params: list[dict[str, complex]],
             start: dict[str, complex]) -> list[list[complex]]:
     """The branch points at ``start`` in label order, then at each of
     ``params`` in turn, each matched by argument to the labels of the
     configuration before it."""
-    configs = [list(label_points(solve_roots(family.branch_coeffs(start))))]
-    for t in params:
-        remaining = list(solve_roots(family.branch_coeffs(t)))
+    first, *rest = _roots([family.branch_coeffs(t) for t in [start, *params]], True)
+    configs = [list(label_points(first))]
+    for roots in rest:
+        remaining = list(roots)
         matched = []
         for ref in configs[-1]:
             j = int(np.argmin([abs(cmath.phase(z / ref)) for z in remaining]))
@@ -116,19 +130,19 @@ def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
     a cube root of the grid value."""
     alpha = merge_point(k)
     family = catalogue_family("double_point", k)
+    eps_grid = [mag * cmath.exp(2j * math.pi * (j + 0.3) / EPS_ANGLES)
+                for mag in EPS_MAGNITUDES for j in range(EPS_ANGLES)]
     all_ok = True
-    for mag in EPS_MAGNITUDES:
-        for j in range(EPS_ANGLES):
-            eps = mag * cmath.exp(2j * math.pi * (j + 0.3) / EPS_ANGLES)
-            coeffs = family.branch_coeffs({"eps": eps ** (1 / 3), "alpha": alpha})
-            roots = np.polynomial.polynomial.polyroots(coeffs)
-            near_alpha = sorted(roots, key=lambda z: abs(z - alpha))
-            double_pair = near_alpha[:2]
-            rest = near_alpha[2:]
-            pair_tight = all(abs(z - alpha) < 1e-4 for z in double_pair)
-            rest_simple = min_pairwise_distance(np.array(rest)) > COLLISION_TOL
-            rest_clear = all(abs(z - alpha) > 1e-2 for z in rest)
-            all_ok &= pair_tight and rest_simple and rest_clear
+    # the companion step alone: the pair near alpha is a double root
+    for roots in _roots([family.branch_coeffs({"eps": eps ** (1 / 3), "alpha": alpha})
+                         for eps in eps_grid], False):
+        near_alpha = sorted(roots, key=lambda z: abs(z - alpha))
+        double_pair = near_alpha[:2]
+        rest = near_alpha[2:]
+        pair_tight = all(abs(z - alpha) < 1e-4 for z in double_pair)
+        rest_simple = min_pairwise_distance(np.array(rest)) > COLLISION_TOL
+        rest_clear = all(abs(z - alpha) > 1e-2 for z in rest)
+        all_ok &= pair_tight and rest_simple and rest_clear
     return (
         CheckResult(f"geometry/double-root-unique@k{k}", "double-point-family",
                     "verified" if all_ok else "failed",
@@ -142,22 +156,21 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
     alpha = merge_point(k)
     family = catalogue_family("cusp_merge", k)
     mus = np.geomspace(*MU_RANGE, MU_SAMPLES)
-    xs, ys = [], []
+    # p = -mu/3 is constant in x here, so the branch polynomial factors
+    # exactly as (q - sqrt(p^3))(q + sqrt(p^3)); solving the factors keeps
+    # the nearly-merged pair well conditioned.  sqrt(p^3) is written out,
+    # as the family's (-mu/3)^3 rounds differently.
+    factors = []
     for mu in mus:
-        # p = -mu/3 is constant in x here, so the branch polynomial factors
-        # exactly as (q - sqrt(p^3))(q + sqrt(p^3)); solving the factors
-        # keeps the nearly-merged pair well conditioned.  sqrt(p^3) is
-        # written out, as the family's (-mu/3)^3 rounds differently.
         s = cmath.sqrt(-(mu**3) / 27)
         q = family.q_array({"mu": mu})
-        pair = []
         for sign in (1, -1):
             coeffs = q.copy()
             coeffs[0] -= sign * s
-            roots = solve_roots(coeffs)
-            pair.append(min(roots, key=lambda z: abs(z - alpha)))
-        xs.append(math.log(mu))
-        ys.append(math.log(abs(pair[0] - pair[1]) ** 2))
+            factors.append(coeffs)
+    pair = [min(roots, key=lambda z: abs(z - alpha)) for roots in _roots(factors, True)]
+    xs = [math.log(mu) for mu in mus]
+    ys = [math.log(abs(a - b) ** 2) for a, b in zip(pair[::2], pair[1::2])]
     slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
     ok = abs(slope - 3.0) < 0.05 * 3.0
     return (

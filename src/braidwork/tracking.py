@@ -44,7 +44,11 @@ Newton iteration that keeps numpy ``polyval``'s operation order for each
 of the three, and reuses the corrected roots' smallest gap as the next
 step's move bound; a trace's roots, crossing times and words are bit for
 bit those of the numpy.polynomial calls.  A loop may name only the
-family's parameters, and its vertices are checked before tracking.
+family's parameters, and its vertices are checked before tracking, all
+in one ``families.branch_roots`` call: one stacked solve, whose roots are
+bit for bit those of one ``solve_roots`` call per vertex.  The stacked
+solve runs its Newton pass in ``families`` and never calls this module's
+``refine_roots``, which the trials alone call.
 
 Traces share no state.
 """
@@ -372,8 +376,7 @@ def track_loop(
     Every vertex must stay clear of the degeneration locus: its branch
     points pairwise at least ``COLLISION_TOL`` apart.  The loop may name
     only the family's parameters."""
-    for point in loop.points[:-1]:  # the last vertex is the first
-        branch_roots(family, point)
+    branch_roots(family, loop.points[:-1])  # the last vertex is the first
     family.check_names(loop.names, "the loop")
 
     def coeff_fn(s: float) -> np.ndarray:

@@ -70,3 +70,11 @@ def test_vertical_chord_between_even_points():
     report = admissible(family, {}, chord(cfg.point(2), cfg.point(4)))
     assert report.coxeter
     assert report.artin
+
+
+def test_parameters_the_family_lacks_are_rejected():
+    family = catalogue_family("base", 2)
+    cfg = branch_points(family, {})
+    with pytest.raises(ValueError, match=r"the parameter point names parameters the family "
+                                         r"does not have: \['lam'\]"):
+        admissible(family, {"lam": 1}, chord(cfg.point(1), cfg.point(3)))

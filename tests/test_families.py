@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from braidwork import families
 from braidwork.cli import main
 from braidwork.families import (
     NEWTON_STEPS,
@@ -21,6 +23,7 @@ from braidwork.families import (
     min_pairwise_distance,
     refine_roots,
     solve_roots,
+    solve_stack,
 )
 
 # every catalogued (family, k); cusp and tangency do not depend on k
@@ -345,3 +348,150 @@ def test_catalogue_hot_path_is_bit_identical(name, k):
         for shift in (0.0, 1e-6, 1e-2 + 1e-2j):
             assert _outcome(refine_roots, coeffs, starts + shift) == _outcome(
                 _oracle_refine_roots, coeffs, starts + shift)
+
+
+# ---------------------------------------------------------------------------
+# The stacked solve against one solve_roots or polyroots call per row
+
+
+def _call_outcome(solve, row):
+    try:
+        return _stack_outcome(solve(row))
+    except (ValueError, DegenerateConfigurationError) as exc:  # LinAlgError is a ValueError
+        return _stack_outcome(exc)
+
+
+def _stack_outcome(result):
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return _bits(result)
+
+
+# rows that fail as solve_roots solves them, found by searching random
+# rows over exponents from -320 to 300, and rows with no roots to refine
+_SOLVE_ROWS = {
+    "zero polynomial": np.array([0j, complex(-0.0, 0.0), -0j]),
+    "degree drop": np.array([1, 2, 1e-14], dtype=complex),
+    "critical point": np.array([-3.2e-46 + 2.73e-45j, 1.84e-303 - 2.1e-304j, -3.3e38 + 1.69e39j,
+                                -1.88e183 - 4.5e182j, 9.5e183 - 9.1e183j]),
+    "no convergence": np.array([-1.07e-233 + 1.83e-233j, 2.02e-80 - 1.06e-80j,
+                                3.7e104 - 6.7e104j]),
+    "matrix not finite": np.array([np.nan, 1, 1], dtype=complex),
+    "one root": np.array([2 - 1j, 1 + 1j]),
+    "degree 0": np.array([3 + 0j]),
+}
+
+
+@pytest.mark.parametrize("name, outcome", [
+    ("zero polynomial", ("ValueError", "zero polynomial has no root set")),
+    ("degree drop", ("DegenerateConfigurationError",
+                     "leading coefficient vanished: degree dropped")),
+    ("critical point", ("DegenerateConfigurationError", "Newton step hit a critical point")),
+    ("no convergence", ("DegenerateConfigurationError", "root refinement did not converge")),
+    ("matrix not finite", ("LinAlgError", "Array must not contain infs or NaNs")),
+    ("one root", 1),
+    ("degree 0", 0),
+])
+def test_solve_rows_reach_their_outcome(name, outcome):
+    """Each pinned row ends as named under solve_roots: an error, or that many roots."""
+    with np.errstate(all="ignore"):
+        result = _call_outcome(solve_roots, _SOLVE_ROWS[name])
+    if isinstance(outcome, tuple):
+        assert result == outcome
+    else:
+        assert len(result) == 2 * outcome
+
+
+_rows = st.lists(
+    st.one_of(_coefficients(max_degree=8), st.sampled_from(list(_SOLVE_ROWS.values()))),
+    min_size=1, max_size=24,
+)
+
+
+@given(_rows)
+@settings(max_examples=150, deadline=None)
+@example(list(_SOLVE_ROWS.values()) * 3)
+def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
+    """Mixed lengths, failing rows among good ones, and chunks of one row,
+    of a few rows and of every row."""
+    with np.errstate(all="ignore"):
+        polished = [_call_outcome(solve_roots, row) for row in rows]
+        raw = [_call_outcome(npoly.polyroots, row) for row in rows]
+        for entries in (1, 60, families.STACK_ENTRIES):
+            with mock.patch.object(families, "STACK_ENTRIES", entries):
+                assert [_stack_outcome(r) for r in solve_stack(rows, True)] == polished
+                assert [_stack_outcome(r) for r in solve_stack(rows, False)] == raw
+
+
+@st.composite
+def _stacked_starts(draw):
+    """Rows of one length with n - 1 starts each, each row's starts its
+    roots moved by its own shift or drawn outright, so the rows converge
+    after different numbers of steps, or fail."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    coeffs, starts = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        row = np.array(draw(st.lists(_entries, min_size=n, max_size=n)), dtype=complex)
+        raw = npoly.polyroots(row) if row[-1] != 0 else np.zeros(0)
+        if len(raw) == n - 1 and draw(st.booleans()):
+            shifted = raw + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3j, 0.1 - 0.1j]))
+        else:
+            shifted = np.array(draw(st.lists(_entries, min_size=n - 1, max_size=n - 1)))
+        coeffs.append(row)
+        starts.append(np.asarray(shifted, dtype=complex))
+    return np.array(coeffs), starts
+
+
+@given(_stacked_starts())
+@settings(max_examples=300, deadline=None)
+@example((np.array([[1, 0, 1], [1, 2, 1], [-1, 0, 1]], dtype=complex),
+          [np.array([0, 1j]), np.array([-1.5, -0.5], dtype=complex),
+           np.array([1 + 1e-3, -1 - 0.1j])]))
+def test_stacked_newton_pass_is_bit_identical_to_refine_roots(case):
+    """The Newton pass of solve_stack over rows that converge after
+    different numbers of steps, hit a critical point or never converge,
+    against one refine_roots call per row."""
+    coeffs, starts = case
+    with np.errstate(all="ignore"):
+        expected = [_call_outcome(lambda c: refine_roots(c, s), c)
+                    for c, s in zip(coeffs, starts)]
+        assert [_stack_outcome(r) for r in families._polish_rows(coeffs, starts)] == expected
+
+
+def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
+    """A stack eigvals cannot finish is solved a row at a time, as
+    polyroots solves each row."""
+    eigvals = np.linalg.eigvals
+
+    def no_stacks(a):
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    rows = [_SOLVE_ROWS["critical point"], np.array([1, 0, 0, 1], dtype=complex),
+            _SOLVE_ROWS["matrix not finite"], np.array([-1, 0, 0, 1], dtype=complex)]
+    with np.errstate(all="ignore"):
+        expected = [_call_outcome(solve_roots, row) for row in rows]
+        with mock.patch.object(np.linalg, "eigvals", no_stacks):
+            assert [_stack_outcome(r) for r in solve_stack(rows, True)] == expected
+
+
+def test_chunks_bound_the_stack():
+    """A chunk holds at most STACK_ENTRIES entries of companion matrices
+    and Newton block, at least one row, whatever the number of rows."""
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def record(a):
+        sizes.append(np.shape(a))
+        return eigvals(a)
+
+    rows = [np.array([-1, 0, 0, 0, 1], dtype=complex) * (1 + j) for j in range(50)]
+    with mock.patch.object(np.linalg, "eigvals", record):
+        for entries in (1, 200, families.STACK_ENTRIES):
+            sizes.clear()
+            with mock.patch.object(families, "STACK_ENTRIES", entries):
+                solve_stack(rows, True)
+            per_row = 4 * 4 + 3 * 5 * 4
+            assert sum(shape[0] for shape in sizes) == 50
+            assert max(shape[0] for shape in sizes) == max(1, min(50, entries // per_row))

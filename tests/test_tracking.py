@@ -1,16 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from braidwork.bifurcation import _catalogued_loops, _tame_critical
 from braidwork.families import (
     COLLISION_TOL,
+    DegenerateConfigurationError,
     WeierstrassFamily,
     branch_points,
+    branch_roots,
     catalogue_family,
     min_pairwise_distance,
+    solve_roots,
 )
 from braidwork.garside import equal
 from braidwork.tracking import (
@@ -18,6 +23,7 @@ from braidwork.tracking import (
     TrackingError,
     circle_path,
     fiber_monodromy,
+    lasso,
     loop_to_braid,
     star_basis,
     track_coefficients,
@@ -267,6 +273,58 @@ def test_a_loop_may_name_only_the_family_parameters():
     extra = ParameterLoop.circle("lam", 0.0, 1.0, fixed={"mu": 0.5})
     with pytest.raises(ValueError, match=r"does not have: \['mu'\]"):
         track_loop(CUSP, extra)
+
+
+def _catalogued_loops_all():
+    """The loops of the catalogued pipelines, as (family, loop), with their
+    tame loops for k = 3 to 6 and off-centre circles that turn twice and
+    backwards."""
+    loops = [(family, circle) for family in (CUSP, TANGENCY) for circle in (
+        UNIT_LOOP, ParameterLoop.circle("lam", 0.2j, 0.7, 2, start_angle=1.0),
+        ParameterLoop.circle("lam", -0.1, 0.5, -1))]
+    for k in (1, 2, 3):
+        loops += [(family, loop) for _, family, loop in _catalogued_loops(k)[1]]
+    for k in (3, 4, 5, 6):
+        tame = catalogue_family("tame", k)
+        for lam_c in _tame_critical(k):
+            approach = [{"lam": 0.0}, {"lam": lam_c * (1 - 0.25)}]
+            loops.append((tame, ParameterLoop.polyline(
+                lasso(approach, lam_c, 0.25 * abs(lam_c), 48, "lam"))))
+    return loops
+
+
+def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
+    """track_loop's vertex check solves each catalogued loop in one stacked
+    call; every vertex's roots are, byte for byte, those of solve_roots."""
+    count = 0
+    for family, loop in _catalogued_loops_all():
+        vertices = loop.points[:-1]
+        stacked = branch_roots(family, vertices)
+        alone = [solve_roots(family.branch_coeffs(t)) for t in vertices]
+        assert [r.tobytes() for r in stacked] == [r.tobytes() for r in alone]
+        count += len(vertices)
+    assert count > 1000
+
+
+def test_the_first_degenerate_vertex_is_named():
+    """Of two failing vertices, the earlier one raises, whichever way it
+    fails: its branch points collide, its degree drops, or its
+    coefficients cannot be evaluated."""
+    family = WeierstrassFamily(2, ("a", "lam"), (), ("lam", 0, "a"))
+    collide = {"a": -1, "lam": 0}  # a double branch point at 0
+    drop = {"a": 0, "lam": 1}  # the x^2 coefficient vanishes
+    unreadable = {"a": -1, "lam": "one"}
+    start, middle = {"a": -1, "lam": 1}, {"a": -1, "lam": 2}
+    collision = re.escape(f"branch points collide at parameters {collide}")
+    for first, second, error, message in [
+        (collide, drop, DegenerateConfigurationError, collision),
+        (drop, collide, DegenerateConfigurationError, "degree dropped"),
+        (collide, unreadable, DegenerateConfigurationError, collision),
+        (unreadable, collide, ValueError, "complex"),
+    ]:
+        loop = ParameterLoop.polyline([start, first, middle, second, start])
+        with pytest.raises(error, match=message):
+            track_loop(family, loop)
 
 
 def test_trace_json_round_trip():
