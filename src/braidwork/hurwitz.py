@@ -12,13 +12,17 @@ generators only -- on a finite orbit every sigma_i acts as a bijection,
 so positive words already reach everything and the transversal consists
 of positive braids.  The search is serial and deterministic (generator
 index ascending, FIFO queue); any parallel replacement must reproduce
-its exact output.
+its exact output.  Its queue is the list of states in the order they
+enter the transversal, read front to back as it grows, and each Hurwitz
+move is computed once per distinct adjacent pair (g, h) by
+``act_letter`` and then looked up: a memo local to one ``orbit`` call,
+at most 36 pairs over S3 and at most (n - 1) * cap pairs over B3.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from collections import defaultdict
 from typing import Callable
 
 from .words import BraidWord, compose, invert
@@ -95,22 +99,35 @@ class OrbitTable:
 
 
 def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
-    """Breadth-first closure of the base tuple under sigma_1 .. sigma_{n-1}."""
+    """Breadth-first closure of the base tuple under sigma_1 .. sigma_{n-1}.
+
+    ``states`` lists the transversal's keys in insertion order and is read
+    front to back while the search appends to it, so it is the FIFO queue.
+    ``moves[g][h]`` is sigma_1's image (g h g^-1, g) of each adjacent pair
+    (g, h) met so far, computed once by ``act_letter``; it lives for this
+    call only and holds at most 36 pairs over S3, at most (n - 1) * cap
+    over B3.
+    """
     if cap < 1:
         raise ValueError(f"orbit cap must be at least 1, got {cap}")
     n = len(base)
     transversal: dict[System, BraidWord] = {base: BraidWord(n, ())}
-    queue: deque[System] = deque([base])
-    while queue:
-        current = queue.popleft()
-        current_word = transversal[current]
+    states = [base]
+    moves: defaultdict[object, dict[object, System]] = defaultdict(dict)
+    for current in states:
+        prefix = transversal[current].letters
         for i in range(1, n):
-            image = act_letter(i, 1, current)
+            g, h = current[i - 1], current[i]
+            row = moves[g]
+            moved = row.get(h)
+            if moved is None:
+                moved = row[h] = act_letter(1, 1, (g, h))
+            image = current[: i - 1] + moved + current[i + 1 :]
             if image not in transversal:
                 if len(transversal) >= cap:
                     raise OrbitCapExceeded(cap, len(transversal))
-                transversal[image] = BraidWord(n, (i,) + current_word.letters)
-                queue.append(image)
+                transversal[image] = BraidWord(n, (i,) + prefix)
+                states.append(image)
     return OrbitTable(base=base, transversal=transversal)
 
 

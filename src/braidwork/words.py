@@ -44,12 +44,14 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"strand count must be positive, got {self.n}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.n - 1:
-                raise ValueError(
-                    f"letter {letter} out of range for {self.n} strands"
-                )
+        letters = self.letters
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+            object.__setattr__(self, "letters", letters)
+        top = self.n - 1
+        for letter in letters:
+            if letter == 0 or abs(letter) > top:
+                raise ValueError(f"letter {letter} out of range for {self.n} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -1,9 +1,19 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidwork.catalog import artin_system, coxeter_system, tau_word
-from braidwork.groups import ARTIN3_A, ARTIN3_B, PERM3_R, PERM3_S, PERM3_T, artin_from_word
+from braidwork.groups import (
+    ARTIN3_A,
+    ARTIN3_B,
+    PERM3_R,
+    PERM3_S,
+    PERM3_T,
+    artin_from_word,
+    perm_from_name,
+)
 from braidwork.hurwitz import (
     OrbitCapExceeded,
     act_letter,
@@ -14,7 +24,7 @@ from braidwork.hurwitz import (
     stabilizes,
 )
 from braidwork.garside import equal
-from braidwork.words import compose, invert, word
+from braidwork.words import BraidWord, compose, invert, word
 
 from test_words import words_strategy
 
@@ -125,6 +135,15 @@ def test_orbit_cap_raises():
         orbit(coxeter_system(6), cap=100)
 
 
+@pytest.mark.parametrize("base", [coxeter_system(5), artin_system(4)])
+def test_orbit_cap_boundary(base):
+    size = len(orbit(base))
+    assert len(orbit(base, cap=size)) == size
+    with pytest.raises(OrbitCapExceeded) as info:
+        orbit(base, cap=size - 1)
+    assert (info.value.cap, info.value.seen) == (size - 1, size - 1)
+
+
 @pytest.mark.parametrize("base", [coxeter_system(3), artin_system(3)])
 @pytest.mark.parametrize("cap", [0, -1])
 def test_orbit_rejects_a_non_positive_cap(base, cap):
@@ -198,6 +217,45 @@ def test_action_is_compatible_with_composition(u, v, entries):
 def test_inverse_acts_like_square_on_transposition_tuples(i, entries):
     tup = tuple(entries)
     assert act_letter(i, -1, tup) == act_word(word(5, i, i), tup)
+
+
+def reference_orbit(base, cap):
+    """The plain search: a deque of states and one act_letter per image."""
+    n = len(base)
+    transversal = {base: BraidWord(n, ())}
+    queue = deque([base])
+    while queue:
+        current = queue.popleft()
+        current_word = transversal[current]
+        for i in range(1, n):
+            image = act_letter(i, 1, current)
+            if image not in transversal:
+                if len(transversal) >= cap:
+                    raise OrbitCapExceeded(cap, len(transversal))
+                transversal[image] = BraidWord(n, (i,) + current_word.letters)
+                queue.append(image)
+    return transversal
+
+
+def _orbit_outcome(search, base, cap):
+    try:
+        return list(search(base, cap).items())
+    except OrbitCapExceeded as exc:
+        return ("cap", exc.cap, exc.seen)
+
+
+S3_VALUES = tuple(perm_from_name(x) for x in ("e", "s", "t", "r", "st", "ts"))
+B3_VALUES = st.text("aAbB", max_size=3).map(artin_from_word)
+
+
+@given(st.one_of(st.lists(st.sampled_from(S3_VALUES), min_size=1, max_size=7),
+                 st.lists(B3_VALUES, min_size=2, max_size=5)),
+       st.integers(min_value=1, max_value=300))
+@settings(max_examples=300, deadline=None)
+def test_orbit_matches_the_reference_search(entries, cap):
+    base = tuple(entries)
+    fast = _orbit_outcome(lambda b, c: orbit(b, c).transversal, base, cap)
+    assert fast == _orbit_outcome(reference_orbit, base, cap)
 
 
 def test_equal_words_act_identically_on_the_full_orbit():

@@ -33,6 +33,30 @@ def test_letter_range_is_validated():
         word(2, -2)
 
 
+def reference_letter_check(n, letters):
+    """The range check letter by letter: the first bad letter's message, or None."""
+    for letter in letters:
+        if letter == 0 or abs(letter) > n - 1:
+            return f"letter {letter} out of range for {n} strands"
+    return None
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+           lambda n: st.tuples(st.just(n), st.lists(st.integers(-n, n), max_size=12))),
+       st.sampled_from([tuple, list, iter]))
+@settings(max_examples=300)
+def test_letter_check_matches_the_letter_by_letter_check(case, container):
+    n, letters = case
+    expected = reference_letter_check(n, letters)
+    if expected is None:
+        w = BraidWord(n, container(letters))
+        assert type(w.letters) is tuple and w.letters == tuple(letters)
+    else:
+        with pytest.raises(ValueError) as info:
+            BraidWord(n, container(letters))
+        assert str(info.value) == expected
+
+
 def test_reduce_free_examples():
     assert reduce_free(word(3, 1, -1)).letters == ()
     assert reduce_free(word(3, 1, 2, -2, 1)).letters == (1, 1)
