@@ -14,8 +14,11 @@ Permutation braids are stored as the permutations of `words`: plain
 tuples ``p`` of 0-based images, multiplied by `words.pmul` in writing
 order.
 
-Normal forms are built incrementally: each simple factor is appended to a
-left-weighted list, and one right-to-left sweep restores left-weightedness.
+Normal forms are built from same-sign runs of letters: each run is cut,
+left to right, into maximal segments that spell permutation braids
+(ElRifai and Morton, Algorithms for positive braids, 1994).  Each such
+simple factor is appended to a left-weighted list, and one right-to-left
+sweep restores left-weightedness.
 Left-weighting a pair is the only cached step, in one bounded cache of
 `LEFTWEIGHT_CACHE_SIZE` pairs; nothing is precomputed over S_n x S_n.
 
@@ -164,30 +167,47 @@ class NormalForm:
 def normal_form(w: BraidWord) -> NormalForm:
     """The left-greedy normal form of a braid word.
 
-    Walks the letters right to left, writing sigma_i^-1 as
-    Delta^-1 (Delta sigma_i^-1).  The Delta powers are pushed to the front;
-    passing Delta^-1 leftwards over a factor flips it, so each factor is
-    flipped by the parity of the inverse letters to its right.
+    The freely reduced letters are cut into groups, left to right, each a
+    maximal same-sign segment that spells a permutation braid.  A positive
+    group f takes sigma_i while f sigma_i is still simple; a negative run
+    sigma_i1^-1 ... sigma_ir^-1 is R^-1 for R = sigma_ir ... sigma_i1, and
+    R takes sigma_i on its left while sigma_i R is still simple.  Both
+    tests read one list s, the inverse of f or R itself: sigma_i joins
+    when s[i-1] < s[i], and joining swaps those two entries.  A negative
+    group R^-1 is written Delta^-1 (Delta R^-1).  The Delta powers are
+    pushed to the front; passing Delta^-1 leftwards over a factor flips
+    it, so each factor is flipped by the parity of the negative groups to
+    its right.
     """
     n = w.n
-    w0 = longest_perm(n)
-    inverses = 0
-    reversed_factors: list[Perm] = []
-    for letter in reversed(reduce_free(w).letters):
-        t = letter_perm(n, abs(letter))
-        f = t if letter > 0 else pmul(w0, t)
-        reversed_factors.append(_flip(f) if inverses % 2 else f)
-        if letter < 0:
-            inverses += 1
-    extra, factors = _normalize_factors(n, reversed_factors[::-1])
-    return NormalForm(n, extra - inverses, factors)
+    groups: list[tuple[bool, list[int]]] = []
+    s: list[int] = []
+    negative = False
+    for letter in reduce_free(w).letters:
+        i = abs(letter)
+        if not groups or (letter < 0) != negative or s[i - 1] > s[i]:
+            negative = letter < 0
+            s = list(range(n))
+            groups.append((negative, s))
+        s[i - 1], s[i] = s[i], s[i - 1]
+    inverses = sum(negative for negative, _ in groups)  # the Delta^-1s
+    right = inverses
+    factors: list[Perm] = []
+    for negative, s in groups:
+        if negative:
+            right -= 1
+            f = pinv(s)[::-1]  # Delta R^-1 = pmul(w0, pinv(R)): a reversal
+        else:
+            f = pinv(s)
+        factors.append(_flip(f) if right % 2 else f)
+    extra, normalized = _normalize_factors(n, factors)
+    return NormalForm(n, extra - inverses, normalized)
 
 
 def equal(u: BraidWord, v: BraidWord) -> bool:
     """Whether two words represent the same element of Br_n."""
     if u.n != v.n:
         raise ValueError(f"strand-count mismatch: {u.n} vs {v.n}")
-    ru, rv = reduce_free(u), reduce_free(v)
-    if ru.letters == rv.letters:
+    if u.letters == v.letters:
         return True
-    return normal_form(ru) == normal_form(rv)
+    return normal_form(u) == normal_form(v)

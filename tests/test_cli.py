@@ -54,8 +54,16 @@ def test_corrupted_ledger_fails_with_witness(tmp_path, capsys):
     code, cert = run_json(["verify", "identities", "--ledger", str(bad_path)], capsys)
     assert code == 1
     failed = [r for r in cert["results"] if r["status"] == "failed"]
-    assert failed and "witness_normal_forms" in failed[0]
-    assert "lhs" in failed[0] and "rhs" in failed[0]
+    assert len(failed) == 1
+    row = failed[0]
+    assert row["id"] == "basics/braid-relation"
+    assert row["lhs"] == [1, 2, 1]
+    assert row["rhs"] == [2, 1, 2, 1]
+    # the spelled normal forms: Delta, and Delta sigma_1
+    assert row["witness_normal_forms"] == {
+        "lhs": {"n": 3, "word": [1, 2, 1]},
+        "rhs": {"n": 3, "word": [1, 2, 1, 1]},
+    }
 
 
 def test_orbit_sizes(capsys):

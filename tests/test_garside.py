@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -19,7 +20,7 @@ from braidwork.garside import (
     pmul,
     right_descents,
 )
-from braidwork.words import BraidWord, compose, conjugate_right, invert, word
+from braidwork.words import BraidWord, compose, conjugate_right, invert, reduce_free, word
 
 from test_words import words_strategy
 
@@ -147,10 +148,90 @@ def oracle(fn, *args):
 @given(words_on_common_strands(2))
 @settings(max_examples=150, deadline=None)
 def test_normal_forms_equal_the_bubble_pass_oracle(pair):
+    """Only the left-weighting core is swapped: both sides cut the letters
+    into the same same-sign groups, which the tests below check against
+    one factor per letter."""
     u, v = pair
     nu, nv = normal_form(u), normal_form(v)
     assert nu == oracle(normal_form, u)
     assert nv == oracle(normal_form, v)
+
+
+# ---------------------------------------------------------------------------
+# Same-sign groups against one simple factor per letter
+
+
+def letter_at_a_time_normal_form(w):
+    """normal_form as written before the groups: one simple factor per letter,
+    sigma_i^-1 written Delta^-1 (Delta sigma_i^-1), read right to left."""
+    n = w.n
+    w0 = longest_perm(n)
+    inverses = 0
+    reversed_factors = []
+    for letter in reversed(reduce_free(w).letters):
+        t = letter_perm(n, abs(letter))
+        f = t if letter > 0 else pmul(w0, t)
+        reversed_factors.append(garside._flip(f) if inverses % 2 else f)
+        if letter < 0:
+            inverses += 1
+    extra, factors = garside._normalize_factors(n, reversed_factors[::-1])
+    return garside.NormalForm(n, extra - inverses, factors)
+
+
+def delta_letters(n):
+    """Delta = sigma_1 (sigma_2 sigma_1) ... (sigma_{n-1} ... sigma_1)."""
+    return [j for k in range(1, n) for j in range(k, 0, -1)]
+
+
+def run_chunks(n):
+    """Pieces with long same-sign runs: sigma_i^m, Delta^k, Delta^-k, a
+    positive word followed by its inverse or by its letters negated, and
+    a few free letters."""
+    index = st.integers(min_value=1, max_value=n - 1)
+    sign = st.sampled_from([1, -1])
+    positive = st.lists(index, min_size=1, max_size=30)
+    return st.one_of(
+        st.tuples(index, sign, st.integers(min_value=1, max_value=12)).map(
+            lambda c: [c[1] * c[0]] * c[2]),
+        st.tuples(sign, st.integers(min_value=1, max_value=3)).map(
+            lambda c: [c[0] * x for x in delta_letters(n)] * c[1]),
+        positive.map(lambda p: p + [-x for x in reversed(p)]),
+        positive.map(lambda p: p + [-x for x in p]),
+        st.lists(st.tuples(index, sign).map(lambda c: c[0] * c[1]), max_size=6),
+    )
+
+
+def run_biased_words(max_n=8, max_len=80):
+    def at(n):
+        if n == 1:
+            return st.just(BraidWord(1, ()))
+        return st.lists(run_chunks(n), max_size=8).map(
+            lambda chunks: BraidWord(n, tuple(x for c in chunks for x in c)[:max_len]))
+    return st.integers(min_value=1, max_value=max_n).flatmap(at)
+
+
+@given(run_biased_words())
+@settings(max_examples=300, deadline=None)
+def test_same_sign_groups_equal_one_factor_per_letter(w):
+    nf = normal_form(w)
+    assert dataclasses.astuple(nf) == dataclasses.astuple(letter_at_a_time_normal_form(w))
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_groups_at_delta_equal_one_factor_per_letter(n):
+    delta = delta_letters(n)
+    t1 = letter_perm(n, 1)
+    cases = [
+        (delta * 2, 2, ()),                               # Delta^2
+        ([-x for x in delta] * 2, -2, ()),                # Delta^-2
+        (delta + [1], 1, (t1,)),                          # a run ending at Delta
+        ([-x for x in delta] + [-1], -2, (pmul(longest_perm(n), t1),)),
+    ]
+    for letters, inf, factors in cases:
+        w = BraidWord(n, tuple(letters))
+        nf = normal_form(w)
+        assert (nf.n, nf.inf, nf.factors) == (n, inf, factors)
+        assert dataclasses.astuple(nf) == dataclasses.astuple(letter_at_a_time_normal_form(w))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
