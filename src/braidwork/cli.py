@@ -12,6 +12,12 @@ Subcommands:
 All inputs and outputs are the JSON formats defined by the owning
 modules; complex scalars in JSON are numbers or [re, im] pairs.  Exit
 code is 0 exactly when no result failed.
+
+Only the exact layer is imported here at module level.  ``monodromy``,
+``admissible`` and the numerical checks of ``report`` import the
+numerical layer, and with it numpy, inside the functions that run them,
+so ``verify``, ``orbit``, ``transversal`` and ``--help`` start without
+numpy.
 """
 
 from __future__ import annotations
@@ -23,23 +29,18 @@ import time
 from functools import partial
 from typing import Callable
 
-from . import arcs, bifurcation, catalog, geometry
+from . import catalog
 from .certificates import Certificate, CheckResult
-from .families import (
-    DegenerateConfigurationError,
-    WeierstrassFamily,
-    branch_points,
-    catalogue_family,
-    complex_from_json,
-)
+from .garside import equal
 from .groups import artin_from_word, perm_from_name
 from .hurwitz import DEFAULT_ORBIT_CAP, OrbitCapExceeded, orbit
-from .tracking import ParameterLoop, TrackingError, loop_to_braid, track_loop
-from .garside import equal
 from .words import MAX_STRANDS, BraidWord, json_field, json_value
 
 
-def _loop_from_spec(spec: dict) -> ParameterLoop:
+def _loop_from_spec(spec: dict):
+    from .families import complex_from_json
+    from .tracking import ParameterLoop
+
     json_value(spec, dict, "a loop spec")
     kind = spec.get("kind", "polyline")
     if kind not in ("circle", "polyline"):
@@ -65,7 +66,9 @@ def _loop_from_spec(spec: dict) -> ParameterLoop:
     return ParameterLoop.polyline(points)
 
 
-def _family_from_args(args) -> WeierstrassFamily:
+def _family_from_args(args):
+    from .families import WeierstrassFamily, catalogue_family
+
     if args.family_file:
         with open(args.family_file) as fh:
             return WeierstrassFamily.from_json(json.load(fh))
@@ -147,6 +150,9 @@ def cmd_orbit(args, emit_transversal: bool) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    from .families import DegenerateConfigurationError
+    from .tracking import TrackingError, loop_to_braid, track_loop
+
     family = _family_from_args(args)
     if args.loop_file:
         with open(args.loop_file) as fh:
@@ -172,6 +178,9 @@ def cmd_monodromy(args) -> int:
 
 
 def _arc_from_spec(text: str, family, params) -> list[complex]:
+    from .arcs import chord
+    from .families import branch_points, complex_from_json
+
     if ":" in text and not text.strip().startswith("["):
         try:
             lo, hi = (int(tok) for tok in text.split(":"))
@@ -181,12 +190,16 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
         if lo == hi:
             raise ValueError(f"--arc {text!r:.40}: the two branch point labels are equal")
         cfg = branch_points(family, params)
-        return arcs.chord(cfg.point(lo), cfg.point(hi))
+        return chord(cfg.point(lo), cfg.point(hi))
     return [complex_from_json(v, f"--arc vertex {idx}")
             for idx, v in enumerate(json_value(json.loads(text), list, "--arc"))]
 
 
 def cmd_admissible(args) -> int:
+    from . import arcs
+    from .families import DegenerateConfigurationError, complex_from_json
+    from .tracking import TrackingError
+
     family = _family_from_args(args)
     params = json_value(json.loads(args.params or "{}"), dict, "--params")
     params = {k: complex_from_json(v, f"--params field {k!r}") for k, v in params.items()}
@@ -212,6 +225,9 @@ def cmd_report(args) -> int:
 
 
 def _anchor_checks() -> list[CheckResult]:
+    from .families import catalogue_family
+    from .tracking import ParameterLoop, loop_to_braid, track_loop
+
     loop = ParameterLoop.circle("lam", 0.0, 1.0)
     out = []
     for fam_id, expected in (("cusp", (1, 1, 1)), ("tangency", (1,))):
@@ -227,12 +243,15 @@ def _anchor_checks() -> list[CheckResult]:
 
 
 def _admissibility_checks() -> list[CheckResult]:
+    from .arcs import admissible, chord
+    from .families import branch_points, catalogue_family
+
     out = []
     for k in (2, 3):
         family = catalogue_family("base", k)
         cfg = branch_points(family, {})
-        rep13 = arcs.admissible(family, {}, arcs.chord(cfg.point(1), cfg.point(3)))
-        rep12 = arcs.admissible(family, {}, arcs.chord(cfg.point(1), cfg.point(2)))
+        rep13 = admissible(family, {}, chord(cfg.point(1), cfg.point(3)))
+        rep12 = admissible(family, {}, chord(cfg.point(1), cfg.point(2)))
         out.append(CheckResult(
             f"admissible/chord-x1-x3@k{k}", "arc-admissibility",
             "verified" if rep13.artin else "failed", rep13.to_json()))
@@ -242,14 +261,40 @@ def _admissibility_checks() -> list[CheckResult]:
     return out
 
 
+def _ray_confinement(k: int) -> tuple[CheckResult, ...]:
+    from .geometry import ray_confinement
+    return ray_confinement(k)
+
+
+def _circle_confinement(k: int) -> tuple[CheckResult, ...]:
+    from .geometry import circle_confinement
+    return circle_confinement(k)
+
+
+def _double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
+    from .geometry import double_root_uniqueness
+    return double_root_uniqueness(k)
+
+
+def _cusp_exponent(k: int) -> tuple[CheckResult, ...]:
+    from .geometry import cusp_exponent
+    return cusp_exponent(k)
+
+
 def _bifurcation_rows(k: int) -> tuple[CheckResult, ...]:
-    return bifurcation.bifurcation_generators(k).results
+    from .bifurcation import bifurcation_generators
+    return bifurcation_generators(k).results
+
+
+def _full_braid_monodromy(k: int) -> tuple[CheckResult, ...]:
+    from .bifurcation import full_braid_monodromy_check
+    return full_braid_monodromy_check(k)
 
 
 # Every catalogued check, once.  A check is a zero-argument callable that
 # returns CheckResults.  Entries with a scope are the symbolic suites behind
-# ``verify SCOPE``; entries without one are numerical and run only in
-# ``report``.
+# ``verify SCOPE``; entries without one are numerical, run only in
+# ``report`` and import their module when they run.
 CHECKS: tuple[tuple[str | None, Callable], ...] = (
     ("identities", catalog.verify_identities),
     ("stabilizers", catalog.verify_stabilizer_tables),
@@ -257,11 +302,11 @@ CHECKS: tuple[tuple[str | None, Callable], ...] = (
     ("conclass", catalog.half_twist_classification),
     *((None, partial(check, k))
       for k in (2, 3)
-      for check in (geometry.ray_confinement, geometry.circle_confinement,
-                    geometry.double_root_uniqueness, geometry.cusp_exponent)),
+      for check in (_ray_confinement, _circle_confinement,
+                    _double_root_uniqueness, _cusp_exponent)),
     (None, _anchor_checks),
     *((None, partial(_bifurcation_rows, k)) for k in (1, 2, 3)),
-    (None, partial(bifurcation.full_braid_monodromy_check, 3)),
+    (None, partial(_full_braid_monodromy, 3)),
     (None, _admissibility_checks),
 )
 SCOPES = tuple(scope for scope, _ in CHECKS if scope)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -499,7 +500,87 @@ def test_the_largest_strand_count_is_accepted(tmp_path, capsys):
 
 
 def test_the_cli_does_not_import_sympy():
-    subprocess.run(
-        [sys.executable, "-c", 'import braidwork.cli, sys; assert "sympy" not in sys.modules'],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=120,
+    # the numerical modules are imported only when used, so import them too
+    script = ('import braidwork.cli, braidwork.arcs, braidwork.bifurcation, sys; '
+              'assert "sympy" not in sys.modules')
+    subprocess.run([sys.executable, "-c", script],
+                   env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=120)
+
+
+def test_a_cli_start_does_not_import_numpy():
+    script = ("import sys, braidwork.cli as cli; cli.catalog.catalog(); cli.build_parser(); "
+              'assert "numpy" not in sys.modules')
+    subprocess.run([sys.executable, "-c", script],
+                   env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=120)
+
+
+# runs the exact commands in an interpreter where importing numpy raises
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import braidwork, braidwork.cli as cli
+cli.catalog.catalog()
+cli.build_parser()
+ledger = sys.argv[1]
+codes, outputs = [], []
+for argv in (["verify", "all", "--format", "json"],
+             ["verify", "identities", "--dump-ledger", ledger],
+             ["verify", "identities", "--ledger", ledger],
+             ["orbit", "--n", "6"],
+             ["orbit", "--n", "5", "--coefficient", "br3", "--cap", "40"],
+             ["transversal", "--n", "3"]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        codes.append(cli.main(argv))
+    outputs.append(text.getvalue())
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--help"])
+except SystemExit as exc:
+    codes.append(exc.code)
+print(json.dumps({"codes": codes, "verify_all": json.loads(outputs[0])["body_sha256"]}))
+"""
+
+
+def test_the_exact_commands_run_without_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path / "ledger.json")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 7, "verify_all": VERIFY_SHA256["all"]}
+
+
+# the package's exports, by the module that defines them
+PACKAGE_EXPORTS = {
+    "words": ("BraidWord", "compose", "conjugate_right", "invert", "reduce_free", "word"),
+    "garside": ("NormalForm", "equal", "normal_form"),
+    "groups": ("Artin3", "Perm3", "artin_from_word", "perm_from_name"),
+    "hurwitz": ("OrbitTable", "act_letter", "act_word", "orbit", "schreier_generators",
+                "stabilizes"),
+    "catalog": ("build_e", "half_twist_classification", "verify_identities",
+                "verify_stabilizer_tables"),
+    "families": ("BranchConfiguration", "WeierstrassFamily", "branch_points",
+                 "catalogue_family"),
+    "tracking": ("BraidTrace", "ParameterLoop", "fiber_monodromy", "loop_to_braid",
+                 "star_basis", "track_loop"),
+    "arcs": ("admissible", "chord"),
+    "bifurcation": ("bifurcation_generators",),
+    "certificates": ("TOOL_VERSION", "Certificate"),
+}
+
+
+def test_the_package_exports_are_its_modules_names():
+    assert sorted(braidwork.__all__) == sorted(
+        name for names in PACKAGE_EXPORTS.values() for name in names)
+    for module, names in PACKAGE_EXPORTS.items():
+        defining = importlib.import_module(f"braidwork.{module}")
+        for name in names:
+            assert getattr(braidwork, name) is getattr(defining, name), name
+    starred = {}
+    exec("from braidwork import *", starred)
+    assert all(starred[name] is getattr(braidwork, name) for name in braidwork.__all__)
+    assert set(braidwork.__all__) <= set(dir(braidwork))
+    with pytest.raises(AttributeError):
+        braidwork.no_such_name

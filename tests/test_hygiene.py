@@ -19,6 +19,12 @@ its callers move shows up as a diff of this file.
 The result rows and the numerical layer import nothing from the identity
 catalogue.  Only ``tracking`` samples circles (``circle_path``), and
 ``geometry`` imports no private name of ``families``.
+
+The exact layer (``words``, ``garside``, ``groups``, ``hurwitz``,
+``catalog`` and ``certificates``) imports neither numpy nor a numerical
+module (``families``, ``tracking``, ``geometry``, ``arcs``,
+``bifurcation``), and ``cli`` imports them only inside function bodies,
+so the exact commands start without numpy.
 """
 
 import ast
@@ -329,3 +335,48 @@ def test_geometry_imports_no_private_name_of_families():
                if isinstance(node, ast.ImportFrom) and node.module == "families"
                for alias in node.names if alias.name.startswith("_")}
     assert not private
+
+
+EXACT = ("words", "garside", "groups", "hurwitz", "catalog", "certificates")
+NUMERICAL = {"numpy", "families", "tracking", "geometry", "arcs", "bifurcation"}
+
+
+def _outside_functions(tree: ast.Module) -> ast.Module:
+    """The import statements that run when the module is imported: those
+    outside every function body."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append(child)
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child)
+
+    visit(tree)
+    return ast.Module(body=found, type_ignores=[])
+
+
+@pytest.mark.parametrize("source, numerical", [
+    ("import numpy as np", {"numpy"}),
+    ("from . import arcs, catalog", {"arcs"}),
+    ("if True:\n    from .tracking import lasso", {"tracking"}),
+    ("class C:\n    from numpy.polynomial import polynomial", {"numpy"}),
+    ("def f():\n    from .families import catalogue_family", set()),
+    ("def f():\n    def g():\n        import numpy", set()),
+])
+def test_the_start_import_scan(source, numerical):
+    assert _imported_modules(_outside_functions(ast.parse(source))) & NUMERICAL == numerical
+
+
+@pytest.mark.parametrize("module", EXACT)
+def test_the_exact_layer_imports_no_numerical_module(module):
+    path = ROOT / "src" / "braidwork" / f"{module}.py"
+    assert not _imported_modules(ast.parse(path.read_text(), filename=str(path))) & NUMERICAL
+
+
+def test_the_cli_imports_numerical_modules_only_in_functions():
+    path = ROOT / "src" / "braidwork" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _imported_modules(_outside_functions(tree)) & NUMERICAL
+    assert _imported_modules(tree) & NUMERICAL == NUMERICAL - {"numpy"}
