@@ -39,7 +39,7 @@ from numpy.polynomial import polynomial as npoly
 from .catalog import _band_table
 from .certificates import CheckResult
 from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
-from .garside import equal
+from .garside import normal_form
 from .geometry import permutation_closure
 from .tracking import ParameterLoop, lasso, loop_to_braid, track_coefficients, track_loop
 from .words import BraidWord, conjugate_right, permutation_image
@@ -171,12 +171,12 @@ def bifurcation_generators(k: int) -> BifurcationReport:
         raise ValueError("generator realization is catalogued for k = 1, 2, 3")
     base, loops = _catalogued_loops(k)
     conj = contraction_to_reference(base)
-    band = {f"e_{i}{j}": w for (i, j), w in _band_table(2 * k).items()}
+    band = {normal_form(w): f"e_{i}{j}" for (i, j), w in _band_table(2 * k).items()}
     outcomes = []
     for loop_id, family, loop in loops:
         trace = track_loop(family, loop, projection_angle=PIPELINE_ANGLE)
         std = conjugate_right(loop_to_braid(trace), conj)
-        matched = next((name for name, w in band.items() if equal(std, w)), None)
+        matched = band.get(normal_form(std))
         outcomes.append(LoopOutcome(loop_id, std, matched))
 
     expected = expected_generators(k)

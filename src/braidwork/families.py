@@ -25,12 +25,12 @@ closest to 1, matching the labeling used by all catalogued computations.
 A root solve is numpy's companion-matrix ``polyroots`` start polished by
 Newton's method (``solve_roots``).  Many independent polynomials are
 solved in one stacked pass (``solve_stack``): the rows of one length share
-one ``eigvals`` call on their companion matrices and one Newton pass over
-a block holding all their roots, chunked to at most ``STACK_ENTRIES``
-complex entries, and every root and every error is bit for bit that of
-one call per row.  ``branch_roots`` solves a sequence of parameter points
-this way; a single tracker trial is ``refine_roots``, the one-group case
-of the same Newton pass.
+one ``eigvals`` call on their companion matrices and one residual test
+over all their roots, chunked to at most ``STACK_ENTRIES`` complex
+entries; a row whose roots fail that test is polished alone by
+``refine_roots``, the one Newton loop, which tracker trials also call.
+Every root and every error is bit for bit that of one call per row.
+``branch_roots`` solves a sequence of parameter points this way.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ MAX_EXPONENT = 64
 MAX_NESTING = 100
 MAX_X_DEGREE = 64  # largest x-degree k of a family; covers every catalogued and benchmarked k
 STACK_ENTRIES = 1 << 18  # complex entries of one solve_stack chunk: matrices plus Newton block
+_ZERO = np.zeros((), dtype=complex)  # the 0 of polyval's x*0; a Python 0 is converted per call
+_ZERO.flags.writeable = False
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -184,9 +186,11 @@ class WeierstrassFamily:
             raise ValueError("fiber degree must be 2 or 3")
         self.y_degree = y_degree
         self.params = tuple(params)
-        for name in self.params:
+        for i, name in enumerate(self.params):
             if not isinstance(name, str) or not name.isidentifier() or name == "I":
                 raise ValueError(f"parameter {name!r}: names are identifiers other than I")
+            if name in self.params[:i]:
+                raise ValueError(f"params names {name!r} twice")
         self.catalogue_id = catalogue_id
         self._p_texts = tuple(_entry_text(c) for c in p_coeffs)
         self._q_texts = tuple(_entry_text(c) for c in q_coeffs)
@@ -276,15 +280,18 @@ class WeierstrassFamily:
     @staticmethod
     def from_json(data: dict) -> "WeierstrassFamily":
         json_value(data, dict, "a family spec")
-        if data.get("catalogue_id") and "q_coeffs" not in data:
+        catalogue_id = data.get("catalogue_id")
+        if catalogue_id is not None:  # to_json writes null for a family without one
+            json_value(catalogue_id, str, "family spec field 'catalogue_id'")
+        if catalogue_id and "q_coeffs" not in data:
             k = json_field(data, "k", int, "family spec", 1)
-            return catalogue_family(data["catalogue_id"], k)
+            return catalogue_family(catalogue_id, k)
         return WeierstrassFamily(
             y_degree=json_field(data, "y_degree", int, "family spec"),
             params=json_field(data, "params", list, "family spec", ()),
             p_coeffs=json_field(data, "p_coeffs", list, "family spec", ()),
             q_coeffs=json_field(data, "q_coeffs", list, "family spec"),
-            catalogue_id=data.get("catalogue_id"),
+            catalogue_id=catalogue_id,
         )
 
 
@@ -313,105 +320,64 @@ def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     Residuals are measured relative to sum_i |c_i| |z|^i, so the criterion
     is scale invariant.  Raises if a root fails to converge.
 
-    Each Newton iteration evaluates value, scale and derivative of all m
-    roots in one Horner pass over a stacked ``(3, m)`` array, 2n ufunc
-    calls for n coefficients: row 0 is the polynomial at z, row 1 the
-    moduli |c_i| at |z| (complex with zero imaginary parts, so each
-    product is the real product), row 2 ``polyder``'s products
-    ``i * c_i``, padded with a top zero, at z.  Every row sees numpy
-    ``polyval``'s operations in its order (``c[-1] + x*0``, then
-    ``c[i] + v*x``), and the padded row's ``(0 + z*0) * z`` is ``z*0``
-    for finite z.  So the roots are bit for bit those of the
-    numpy.polynomial calls while the scale stays finite; an overflowed
-    scale may read NaN here where the real pass gives inf.  This is the
-    one-group case of the pass ``solve_stack`` runs over many polynomials.
+    This is the package's one Newton loop: each iteration evaluates the m
+    roots in one Horner pass (``_newton_pass``).  The roots are bit for bit
+    those of the numpy.polynomial calls while the scale stays finite; an
+    overflowed scale may read NaN here where the real pass gives inf.
     """
-    n = len(coeffs)
-    deriv = coeffs[1:] * np.arange(1, n) if n > 1 else coeffs[:1] * 0
     z = np.array(roots, dtype=complex)
-    block = np.zeros((n, 3, len(z)), dtype=complex)
-    block[:, 0] = coeffs[:, None]
-    block[:, 1] = np.abs(coeffs)[:, None]
-    block[:len(deriv), 2] = deriv[:, None]
-    (polished,) = _polish(block, z, 1)
-    if isinstance(polished, DegenerateConfigurationError):
-        raise polished
-    return polished
-
-
-def _polish(block: np.ndarray, z: np.ndarray,
-            groups: int) -> list[np.ndarray | DegenerateConfigurationError]:
-    """The Newton pass of ``refine_roots`` over ``groups`` polynomials at
-    once: ``z`` holds m roots of each in turn, and column j of ``block``
-    (n, 3, groups * m) the coefficient rows of root j's polynomial.  Each
-    group's polished roots, or the error that ends its refinement.
-
-    Every operation is elementwise, so a column sees the operations of a
-    pass over its group alone.  A group whose roots have all converged,
-    or whose step hits a critical point, leaves the block; one group
-    alone takes ``refine_roots``' own steps and nothing more.
-    """
-    m = len(z) // groups
-    live = list(range(groups))  # groups still in the block, in column order
-    out: list = [None] * groups
-    top, *rest = block[::-1]  # coefficient rows in Horner's order, from the top
-    x = np.zeros((3, len(z)), dtype=complex)  # rows z, |z| + 0j, z
-    v = np.empty_like(x)
-    abs_z, vals, scale, dvals = x[1].real, v[0], v[1].real, v[2]
+    residuals, vals, dvals = _newton_pass(coeffs[:, None, None], len(z))
     for _ in range(NEWTON_STEPS):
-        x[0::2] = z
-        np.abs(z, out=abs_z)
-        np.multiply(x, 0, out=v)
-        np.add(top, v, out=v)
-        for row in rest:
-            np.multiply(v, x, out=v)
-            np.add(row, v, out=v)
-        rel = np.abs(vals) / (scale + 1e-300)
-        converged = rel < RESIDUAL_TOL
-        if converged.all():
-            break
+        rel = residuals(z)
+        if (rel < RESIDUAL_TOL).all():
+            return z
         bad = np.abs(dvals) < 1e-300
-        if len(live) > 1:
-            done = converged.reshape(len(live), m).all(axis=1)
-            stuck = (bad & (rel >= RESIDUAL_TOL)).reshape(len(live), m).any(axis=1)
-            leaving = done | stuck
-            if leaving.any():
-                for j, g in enumerate(live):
-                    if done[j]:
-                        out[g] = z[j * m:(j + 1) * m]
-                    elif stuck[j]:
-                        out[g] = DegenerateConfigurationError("Newton step hit a critical point")
-                live = [g for g, gone in zip(live, leaving) if not gone]
-                if not live:
-                    return out
-                # the groups that stay take their step (their bad roots have
-                # converged, so the np.where form), then a block of their own
-                keep = np.repeat(~leaving, m)
-                bad = bad[keep]
-                z = z[keep] - np.where(bad, 0.0, vals[keep] / np.where(bad, 1.0, dvals[keep]))
-                block = block[:, :, keep]
-                top, *rest = block[::-1]
-                x = np.zeros((3, len(z)), dtype=complex)
-                v = np.empty_like(x)
-                abs_z, vals, scale, dvals = x[1].real, v[0], v[1].real, v[2]
-                continue
         if not bad.any():  # the np.where form below, bit for bit
             z = z - vals / dvals
             continue
-        if len(live) == 1 and (bad & (rel >= RESIDUAL_TOL)).any():
-            out[live[0]] = DegenerateConfigurationError("Newton step hit a critical point")
-            return out
+        if (bad & (rel >= RESIDUAL_TOL)).any():
+            raise DegenerateConfigurationError("Newton step hit a critical point")
         z = z - np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
-    else:
-        for g in live:
-            out[g] = DegenerateConfigurationError("root refinement did not converge")
-        return out
-    if len(live) == 1:
-        out[live[0]] = z
-        return out
-    for j, g in enumerate(live):
-        out[g] = z[j * m:(j + 1) * m]
-    return out
+    raise DegenerateConfigurationError("root refinement did not converge")
+
+
+def _newton_pass(cols: np.ndarray, m: int):
+    """The residual test of a Newton iteration for G polynomials, m roots
+    each, with coefficient columns ``cols`` (n, G, 1): a function of the
+    G * m roots, polynomial after polynomial, giving their relative
+    residuals, and views of the values and derivatives each call writes.
+
+    A call is one Horner pass, 2n ufunc calls, over a stacked (3, G * m)
+    array: row 0 the polynomial at z, row 1 the moduli |c_i| at |z|
+    (complex with zero imaginary parts, so each product is the real
+    product), row 2 ``polyder``'s products ``i * c_i``, padded with a top
+    zero, at z.  Each row sees numpy ``polyval``'s operations in its order
+    (``c[-1] + x*0``, then ``c[i] + v*x``); the padded row's
+    ``(0 + z*0) * z`` is ``z*0`` for finite z.  Every operation is
+    elementwise, so a root sees the operations of its polynomial alone.
+    """
+    n, groups, _ = cols.shape
+    block = np.zeros((n, 3, groups, m), dtype=complex)
+    block[:, 0] = cols
+    block[:, 1] = np.abs(cols)
+    block[:n - 1, 2] = cols[1:] * np.arange(1, n)[:, None, None]
+    top, *rest = block.reshape(n, 3, groups * m)[::-1]  # Horner's order, from the top
+    x = np.zeros((3, groups * m), dtype=complex)  # rows z, |z| + 0j, z
+    v = np.empty((3, groups * m), dtype=complex)
+    zs, abs_z, vals, scale, dvals = x[0::2], x[1].real, v[0], v[1].real, v[2]
+    absolute, add, multiply = np.abs, np.add, np.multiply  # looked up once, not per pass
+
+    def residuals(z: np.ndarray) -> np.ndarray:
+        zs[...] = z
+        absolute(z, out=abs_z)
+        multiply(x, _ZERO, out=v)
+        add(top, v, out=v)
+        for row in rest:
+            multiply(v, x, out=v)
+            add(row, v, out=v)
+        return absolute(vals) / (scale + 1e-300)
+
+    return residuals, vals, dvals
 
 
 def _solvable(coeffs) -> np.ndarray:
@@ -477,9 +443,9 @@ def solve_stack(rows: Sequence, polish: bool) -> list[np.ndarray | Exception]:
     call would raise.
 
     Rows of one length share one companion step (``_companion_roots``)
-    and one Newton pass (``_polish``), at most ``STACK_ENTRIES`` complex
-    entries of matrices and Newton block at a time, so memory does not
-    grow with the number of rows."""
+    and one residual test (``_polish_rows``), at most ``STACK_ENTRIES``
+    complex entries of matrices and Newton block at a time, so memory
+    does not grow with the number of rows."""
     out: list = [None] * len(rows)
     by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i, row in enumerate(rows):
@@ -508,22 +474,25 @@ def solve_stack(rows: Sequence, polish: bool) -> list[np.ndarray | Exception]:
 
 def _polish_rows(coeffs: np.ndarray, raw: list) -> list:
     """``raw`` with each root row refined against its row of ``coeffs``
-    (G, n) in one ``_polish`` pass, as ``refine_roots`` refines one."""
+    (G, n), or the error that ends its refinement, as ``refine_roots``
+    refines one.  One ``_newton_pass`` over every row's roots is
+    ``refine_roots``' first residual test: a row whose roots all pass is
+    returned as it is, as ``refine_roots`` would return it, and only the
+    others go to ``refine_roots``, one call each."""
     ok = [g for g, r in enumerate(raw) if not isinstance(r, Exception)]
     if not ok:
         return raw
-    rows = coeffs[ok]
-    groups, n = rows.shape
-    m = n - 1
-    block = np.zeros((n, 3, groups, m), dtype=complex)
-    block[:, 0] = rows.T[:, :, None]
-    block[:, 1] = np.abs(rows).T[:, :, None]
-    block[:m, 2] = (rows[:, 1:] * np.arange(1, n)).T[:, :, None]
-    z = np.concatenate([raw[g] for g in ok])
-    polished = _polish(block.reshape(n, 3, groups * m), z, groups)
+    m = coeffs.shape[1] - 1
+    residuals, _, _ = _newton_pass(coeffs[ok].T[..., None], m)
+    rel = residuals(np.concatenate([raw[g] for g in ok]))
+    passed = (rel < RESIDUAL_TOL).reshape(len(ok), m).all(axis=1)
     out = list(raw)
-    for g, r in zip(ok, polished):
-        out[g] = r
+    for g, done in zip(ok, passed):
+        if not done:
+            try:
+                out[g] = refine_roots(coeffs[g], raw[g])
+            except DegenerateConfigurationError as exc:
+                out[g] = exc
     return out
 
 

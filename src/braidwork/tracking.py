@@ -47,8 +47,9 @@ bit those of the numpy.polynomial calls.  A loop may name only the
 family's parameters, and its vertices are checked before tracking, all
 in one ``families.branch_roots`` call: one stacked solve, whose roots are
 bit for bit those of one ``solve_roots`` call per vertex.  The stacked
-solve runs its Newton pass in ``families`` and never calls this module's
-``refine_roots``, which the trials alone call.
+solve tests every vertex's companion roots in one Horner pass and polishes
+only a vertex whose roots fail it, with ``families``' own binding of
+``refine_roots``; this module's binding is called by the trials alone.
 
 Traces share no state.
 """

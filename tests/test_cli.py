@@ -320,6 +320,11 @@ def _write_malformed_inputs(tmp_path):
         '{"y_degree": 3, "params": "lam", "p_coeffs": ["lam"], "q_coeffs": [0, 1]}')
     (tmp_path / "string_q.json").write_text('{"y_degree": 2, "params": ["lam"], "q_coeffs": "lam"}')
     (tmp_path / "string_k.json").write_text('{"catalogue_id": "ray", "k": "2"}')
+    (tmp_path / "repeated_param.json").write_text(
+        '{"y_degree": 3, "params": ["lam", "lam"], "p_coeffs": ["lam"], "q_coeffs": [0, 1]}')
+    (tmp_path / "number_id.json").write_text(
+        '{"catalogue_id": 5, "y_degree": 3, "params": ["lam"], "p_coeffs": ["lam"],'
+        ' "q_coeffs": [0, 1]}')
     (tmp_path / "q66.json").write_text(json.dumps(
         {"y_degree": 3, "params": [], "p_coeffs": [1], "q_coeffs": [0] * 65 + [1]}))
     (tmp_path / "k65.json").write_text('{"catalogue_id": "base", "k": 65}')
@@ -454,6 +459,10 @@ def _case_id(value):
     # --params naming a parameter the family does not have
     (["admissible", "--family", "base", "--k", "2", "--params", '{"lam":1}', "--arc", "1:3"],
      "--params names parameters the family does not have: ['lam']"),
+    # a family spec naming a parameter twice, or with a catalogue_id that is not a string
+    (["monodromy", "--family-file", "repeated_param.json"], "params names 'lam' twice"),
+    (["monodromy", "--family-file", "number_id.json"],
+     "family spec field 'catalogue_id' must be a string, got 5"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

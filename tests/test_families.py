@@ -424,11 +424,12 @@ def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
 
 
 @st.composite
-def _stacked_starts(draw):
-    """Rows of one length with n - 1 starts each, each row's starts its
-    roots moved by its own shift or drawn outright, so the rows converge
-    after different numbers of steps, or fail."""
-    n = draw(st.integers(min_value=1, max_value=8))
+def _stacked_starts(draw, n=None):
+    """Rows of one length, n or drawn, with n - 1 starts each, each row's
+    starts its roots moved by its own shift or drawn outright, so the rows
+    converge after different numbers of steps, or fail."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=8))
     coeffs, starts = [], []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         row = np.array(draw(st.lists(_entries, min_size=n, max_size=n)), dtype=complex)
@@ -456,6 +457,52 @@ def test_stacked_newton_pass_is_bit_identical_to_refine_roots(case):
         expected = [_call_outcome(lambda c: refine_roots(c, s), c)
                     for c, s in zip(coeffs, starts)]
         assert [_stack_outcome(r) for r in families._polish_rows(coeffs, starts)] == expected
+
+
+def _passes_at_once(coeffs, starts):
+    """Whether every start passes refine_roots' first residual test, as
+    written with numpy.polynomial calls (their scale is finite here)."""
+    scale = npoly.polyval(np.abs(starts), np.abs(coeffs)) + 1e-300
+    assert np.isfinite(scale).all()
+    return bool(np.all(np.abs(npoly.polyval(starts, coeffs)) / scale < RESIDUAL_TOL))
+
+
+@st.composite
+def _routed_stack(draw):
+    """One stack of three kinds of row: x^(n-1) - 1 from its companion
+    roots, which pass at once, and from shifted starts, which take steps;
+    a pinned row whose companion roots hit a critical point or never
+    converge; then drawn rows of the same length."""
+    bad = _SOLVE_ROWS[draw(st.sampled_from(["critical point", "no convergence"]))]
+    n = len(bad)
+    unit = np.zeros(n, dtype=complex)
+    unit[[0, -1]] = -1, 1
+    coeffs, starts = draw(_stacked_starts(n))
+    roots = npoly.polyroots(unit)
+    return (np.vstack([unit, unit, bad, coeffs]),
+            [roots, roots + 1e-3j, npoly.polyroots(bad)] + starts)
+
+
+@given(_routed_stack())
+@settings(max_examples=100, deadline=None)
+def test_stacked_newton_pass_refines_only_the_rows_that_fail_the_first_test(case):
+    """The stacked solve's polish tests every row in one pass and calls
+    refine_roots once for each row whose starts do not all pass, and for
+    no other; every outcome is that of one refine_roots call per row."""
+    coeffs, starts = case
+    with np.errstate(all="ignore"):
+        failing = [g for g, (c, s) in enumerate(zip(coeffs, starts))
+                   if not _passes_at_once(c, s)]
+        assert failing[:2] == [1, 2]  # the kinds: 0 passes, 1 steps, 2 fails
+        with mock.patch.object(families, "refine_roots", wraps=refine_roots) as spy:
+            polished = families._polish_rows(coeffs, starts)
+        called = [[g for g, s in enumerate(starts) if s is call.args[1]]
+                  for call in spy.call_args_list]
+        assert called == [[g] for g in failing]
+        expected = [_call_outcome(lambda c: refine_roots(c, s), c)
+                    for c, s in zip(coeffs, starts)]
+    assert [_stack_outcome(r) for r in polished] == expected
+    assert not isinstance(polished[1], Exception) and isinstance(polished[2], Exception)
 
 
 def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
