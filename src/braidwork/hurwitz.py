@@ -13,16 +13,24 @@ so positive words already reach everything and the transversal consists
 of positive braids.  The search is serial and deterministic (generator
 index ascending, FIFO queue); any parallel replacement must reproduce
 its exact output.  Its queue is the list of states in the order they
-enter the transversal, read front to back as it grows, and each Hurwitz
-move is computed once per distinct adjacent pair (g, h) by
-``act_letter`` and then looked up: a memo local to one ``orbit`` call,
-at most 36 pairs over S3 and at most (n - 1) * cap pairs over B3.
+enter the transversal, read front to back as it grows.
+
+The search hashes group values only to intern them and to key the
+transversal, never per move.  A value gets a small int id the first time
+it is met, and a state is packed into one int, w bits per
+entry with w = (n + cap).bit_length(), which bounds every id (see
+``orbit``); the seen-set holds these ints.  Each Hurwitz move is
+computed once per distinct adjacent pair (g, h) by ``act_letter`` and
+then looked up by the pair's 2w-bit code, as the XOR mask that turns the
+pair into its image: a memo local to one ``orbit`` call, at most 36
+pairs over S3 and at most (n - 1) * cap pairs over B3.  A pair the move
+fixes (g = h) has mask 0 and is skipped.  A state's value tuple and
+transversal word are built only when it joins the transversal.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
 from typing import Callable
 
 from .words import BraidWord, compose, invert
@@ -101,33 +109,70 @@ class OrbitTable:
 def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     """Breadth-first closure of the base tuple under sigma_1 .. sigma_{n-1}.
 
-    ``states`` lists the transversal's keys in insertion order and is read
-    front to back while the search appends to it, so it is the FIFO queue.
-    ``moves[g][h]`` is sigma_1's image (g h g^-1, g) of each adjacent pair
-    (g, h) met so far, computed once by ``act_letter``; it lives for this
+    Each distinct group value gets a small id, in the order the search
+    meets it (``ids`` and ``values``), and a state is packed into one int
+    whose bits [w j, w j + w) hold entry j's id, so the seen-set holds
+    ints and no group value is hashed per move.  Ids are below n + cap,
+    so w = (n + cap).bit_length() bits hold them: the base gives at most
+    n values, and a move's only new value, g h g^-1, puts a value no
+    state has yet into its image, so it comes with a new state -- one of
+    the at most cap - 1 states after the base, or the image that hits
+    the cap and ends the search.
+
+    ``moves`` maps the 2w-bit code of each adjacent pair (g, h) met so
+    far to the XOR mask that turns it into its sigma_1 image
+    (g h g^-1, g), computed once by ``act_letter``; it lives for this
     call only and holds at most 36 pairs over S3, at most (n - 1) * cap
-    over B3.
+    over B3.  A pair the move fixes (g = h) has mask 0 and is skipped.
+
+    ``queue`` lists (code, tuple, word letters) of the transversal's
+    states in insertion order and is read front to back while the search
+    appends to it, so it is the FIFO queue.  A state's value tuple (its
+    parent's, with the moved pair read from its code) and its word are
+    built only when it joins the transversal.
     """
     if cap < 1:
         raise ValueError(f"orbit cap must be at least 1, got {cap}")
     n = len(base)
+    width = (n + cap).bit_length()
+    id_mask = (1 << width) - 1
+    pair_mask = (1 << 2 * width) - 1
+    ids: dict[object, int] = {}
+    values: list = []
+
+    def intern(value) -> int:
+        k = ids.setdefault(value, len(values))
+        if k == len(values):
+            values.append(value)
+        return k
+
+    code = sum(intern(g) << width * j for j, g in enumerate(base))
     transversal: dict[System, BraidWord] = {base: BraidWord(n, ())}
-    states = [base]
-    moves: defaultdict[object, dict[object, System]] = defaultdict(dict)
-    for current in states:
-        prefix = transversal[current].letters
-        for i in range(1, n):
-            g, h = current[i - 1], current[i]
-            row = moves[g]
-            moved = row.get(h)
-            if moved is None:
-                moved = row[h] = act_letter(1, 1, (g, h))
-            image = current[: i - 1] + moved + current[i + 1 :]
-            if image not in transversal:
+    seen = {code}
+    queue = [(code, base, ())]
+    moves: dict[int, int] = {}
+    positions = [(i, width * (i - 1)) for i in range(1, n)]
+    for code, current, prefix in queue:
+        for i, shift in positions:
+            pair = code >> shift & pair_mask
+            try:
+                flip = moves[pair]
+            except KeyError:
+                left, right = act_letter(1, 1, (values[pair & id_mask], values[pair >> width]))
+                flip = moves[pair] = pair ^ (intern(left) | intern(right) << width)
+            if not flip:
+                continue
+            image = code ^ flip << shift
+            if image not in seen:
                 if len(transversal) >= cap:
                     raise OrbitCapExceeded(cap, len(transversal))
-                transversal[image] = BraidWord(n, (i,) + prefix)
-                states.append(image)
+                seen.add(image)
+                ids_at = image >> shift
+                moved = (values[ids_at & id_mask], values[ids_at >> width & id_mask])
+                state = current[: i - 1] + moved + current[i + 1 :]
+                letters = (i,) + prefix
+                transversal[state] = BraidWord(n, letters)
+                queue.append((image, state, letters))
     return OrbitTable(base=base, transversal=transversal)
 
 

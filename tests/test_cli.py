@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidwork
 from braidwork.catalog import verify_identities
@@ -506,6 +510,53 @@ def test_the_largest_strand_count_is_accepted(tmp_path, capsys):
     code, cert = run_json(["verify", "identities", "--ledger", str(path)], capsys)
     assert code == 0
     assert cert["summary"]["verified"] == 1
+
+
+# entry names of each group, and tokens neither group reads
+_NAMES = {"s3": ["e", "s", "t", "r", "st", "ts"], "br3": ["a", "b", "A", "aB", "bbA", "1", ""]}
+_JUNK = [" ", "x", "S", "s t", "ab1", "-1", "\u00e9", "aaaaaaaaaaaa"]
+_SMALL_CAPS = ["0", "-1", "1", "2", "3", "37", "300"]
+
+
+@st.composite
+def _orbit_argv(draw):
+    command = draw(st.sampled_from(["orbit", "transversal"]))
+    coefficient = draw(st.sampled_from(["s3", "br3"]))
+    n = draw(st.one_of(st.integers(min_value=1, max_value=8),
+                       st.sampled_from([-1, 0, 9, MAX_STRANDS, MAX_STRANDS + 1])))
+    argv = [command, f"--n={n}", f"--coefficient={coefficient}"]
+    base = draw(st.sampled_from(["default", "names", "mixed"]))
+    if base == "names":
+        tokens = st.sampled_from(_NAMES[coefficient])
+        length = max(n, 0)
+    else:
+        tokens = st.sampled_from(_NAMES["s3"] + _NAMES["br3"] + _JUNK)
+        length = draw(st.sampled_from([max(n, 0), draw(st.integers(0, 9))]))
+    if base != "default":
+        entries = draw(st.lists(tokens, min_size=length, max_size=length))
+        argv.append("--base=" + ",".join(entries))
+    # a large cap (or the default one) only where every orbit is small:
+    # s3 tuples of length at most 5, or a single entry
+    caps = list(_SMALL_CAPS)
+    if (coefficient == "s3" and n <= 5) or n <= 1:
+        caps += [str(10**20), None]
+    cap = draw(st.sampled_from(caps))
+    if cap is not None:
+        argv.append(f"--cap={cap}")
+    return argv
+
+
+@given(_orbit_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_orbit_commands_exit_cleanly(argv):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert time.perf_counter() - start < 5
 
 
 def test_the_cli_does_not_import_sympy():

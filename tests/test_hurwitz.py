@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidwork import hurwitz
 from braidwork.catalog import artin_system, coxeter_system, tau_word
 from braidwork.groups import (
     ARTIN3_A,
     ARTIN3_B,
+    Artin3,
     PERM3_R,
     PERM3_S,
     PERM3_T,
@@ -248,14 +250,43 @@ S3_VALUES = tuple(perm_from_name(x) for x in ("e", "s", "t", "r", "st", "ts"))
 B3_VALUES = st.text("aAbB", max_size=3).map(artin_from_word)
 
 
-@given(st.one_of(st.lists(st.sampled_from(S3_VALUES), min_size=1, max_size=7),
-                 st.lists(B3_VALUES, min_size=2, max_size=5)),
-       st.integers(min_value=1, max_value=300))
+# caps of 1 to 3 make the id width (n + cap).bit_length() tightest
+@given(st.one_of(st.lists(st.sampled_from(S3_VALUES), min_size=1, max_size=8),
+                 st.lists(B3_VALUES, min_size=1, max_size=8)),
+       st.one_of(st.integers(min_value=1, max_value=3),
+                 st.integers(min_value=1, max_value=300)))
 @settings(max_examples=300, deadline=None)
 def test_orbit_matches_the_reference_search(entries, cap):
     base = tuple(entries)
     fast = _orbit_outcome(lambda b, c: orbit(b, c).transversal, base, cap)
     assert fast == _orbit_outcome(reference_orbit, base, cap)
+
+
+@pytest.mark.parametrize("n, cap", [(4, 1000), (5, 1000), (5, 1), (8, 3)])
+def test_orbit_hashes_each_group_value_a_bounded_number_of_times(n, cap, monkeypatch):
+    # n hashes per state for its tuple's transversal key, one per base
+    # entry and two per computed move to intern the values; a search that
+    # hashed a state's entries per move would make about n per move
+    base = artin_system(n)
+    calls = {"hash": 0, "act_letter": 0}
+    plain_hash, plain_act_letter = Artin3.__hash__, hurwitz.act_letter
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return plain_hash(self)
+
+    def counting_act_letter(*args):
+        calls["act_letter"] += 1
+        return plain_act_letter(*args)
+
+    monkeypatch.setattr(Artin3, "__hash__", counting_hash)
+    monkeypatch.setattr(hurwitz, "act_letter", counting_act_letter)
+    try:
+        states = len(orbit(base, cap))
+    except OrbitCapExceeded as exc:
+        states = exc.seen
+    assert calls["act_letter"] > 0
+    assert calls["hash"] <= (n + 1) * states + 2 * n + 2 * calls["act_letter"]
 
 
 def test_equal_words_act_identically_on_the_full_orbit():
