@@ -261,24 +261,9 @@ def _admissibility_checks() -> list[CheckResult]:
     return out
 
 
-def _ray_confinement(k: int) -> tuple[CheckResult, ...]:
-    from .geometry import ray_confinement
-    return ray_confinement(k)
-
-
-def _circle_confinement(k: int) -> tuple[CheckResult, ...]:
-    from .geometry import circle_confinement
-    return circle_confinement(k)
-
-
-def _double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
-    from .geometry import double_root_uniqueness
-    return double_root_uniqueness(k)
-
-
-def _cusp_exponent(k: int) -> tuple[CheckResult, ...]:
-    from .geometry import cusp_exponent
-    return cusp_exponent(k)
+def _geometry(name: str, k: int) -> tuple[CheckResult, ...]:
+    from . import geometry
+    return getattr(geometry, name)(k)
 
 
 def _bifurcation_rows(k: int) -> tuple[CheckResult, ...]:
@@ -300,10 +285,10 @@ CHECKS: tuple[tuple[str | None, Callable], ...] = (
     ("stabilizers", catalog.verify_stabilizer_tables),
     ("theorem", catalog.verify_theorem_rows),
     ("conclass", catalog.half_twist_classification),
-    *((None, partial(check, k))
+    *((None, partial(_geometry, name, k))
       for k in (2, 3)
-      for check in (_ray_confinement, _circle_confinement,
-                    _double_root_uniqueness, _cusp_exponent)),
+      for name in ("ray_confinement", "circle_confinement",
+                   "double_root_uniqueness", "cusp_exponent")),
     (None, _anchor_checks),
     *((None, partial(_bifurcation_rows, k)) for k in (1, 2, 3)),
     (None, partial(_full_braid_monodromy, 3)),

@@ -548,8 +548,9 @@ def branch_roots(family: WeierstrassFamily,
                  points: Sequence[dict[str, complex]]) -> list[np.ndarray]:
     """All branch points at each parameter point, unlabeled, from one
     ``solve_stack`` call.  A degenerate configuration (a pair closer than
-    ``COLLISION_TOL``) raises, and so does a point with no branch points;
-    of several failing points, the first in input order raises."""
+    ``COLLISION_TOL``) raises, and so does a point with no branch points
+    or with branch coefficients that are not finite; of several failing
+    points, the first in input order raises."""
     # a point whose coefficients cannot be evaluated (a missing, non-numeric
     # or overflowing value) raises once the points before it have passed
     rows, failure = [], None
@@ -560,8 +561,12 @@ def branch_roots(family: WeierstrassFamily,
             failure = exc
             break
     solved = solve_stack(rows, True)
-    for t, roots in zip(points, solved):
+    for t, row, roots in zip(points, rows, solved):
         if isinstance(roots, Exception):
+            # a row with an inf or a NaN fails to solve (eigvals refuses it, or
+            # an inf below a finite top looks like a dropped degree)
+            if not np.isfinite(row).all():
+                raise ValueError(f"the branch coefficients are not finite at parameters {t}")
             raise roots
         if not len(roots):
             raise ValueError(f"the family has no branch points at these parameters {t}")

@@ -31,7 +31,6 @@ from .families import (
     min_pairwise_distance,
     solve_stack,
 )
-from .words import Perm, pmul
 
 GRID_SAMPLES = 100  # parameter values on the confinement grids
 CONFINEMENT_TOL = 1e-9  # largest ray deviation or modulus spread allowed
@@ -179,27 +178,3 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
                     {"fitted_exponent": slope}),
     )
 
-
-# ---------------------------------------------------------------------------
-# Exhaustive subgroup closure over small symmetric groups
-
-
-def permutation_closure(perms: list[Perm]) -> set[Perm]:
-    """Brute-force closure of a set of permutations under composition."""
-    if not perms:
-        return set()
-    n = len(perms[0])
-    identity = tuple(range(n))
-    closure = {identity}
-    frontier = [identity]
-    gens = [tuple(p) for p in perms]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = pmul(p, g)
-                if q not in closure:
-                    closure.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return closure

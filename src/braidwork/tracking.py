@@ -377,8 +377,8 @@ def track_loop(
     Every vertex must stay clear of the degeneration locus: its branch
     points pairwise at least ``COLLISION_TOL`` apart.  The loop may name
     only the family's parameters."""
-    branch_roots(family, loop.points[:-1])  # the last vertex is the first
     family.check_names(loop.names, "the loop")
+    branch_roots(family, loop.points[:-1])  # the last vertex is the first
 
     def coeff_fn(s: float) -> np.ndarray:
         return family.branch_coeffs(loop.at(s))

@@ -1,9 +1,11 @@
 import pytest
 
 from braidwork.bifurcation import (
+    _full_symmetric_group_row,
     _merge_loop,
     _ray_critical,
     bifurcation_generators,
+    expected_generators,
     full_braid_monodromy_check,
 )
 from braidwork.families import branch_points, catalogue_family
@@ -63,10 +65,45 @@ def test_degree_four_loops_give_transpositions():
         assert len(moved) == 2
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_generator_rows_are_the_expected_generators(k):
+    ids = [r.id for r in bifurcation_generators(k).results]
+    assert ids == [f"bifurcation/{name}@k{k}" for name in expected_generators(k)]
+
+
 def test_full_braid_monodromy_degree_two():
-    results = full_braid_monodromy_check(3)
-    assert all(r.passed for r in results)
-    assert results[0].witness["closure_size"] == 6
+    (row,) = full_braid_monodromy_check(3)
+    assert row.id == "degtwo/full-symmetric-group@k3"
+    assert row.passed
+    assert row.witness == {"transpositions": [[2, 3], [1, 2]]}
+
+
+# permutations as tuples of images of 0..k-1
+@pytest.mark.parametrize("k, perms", [
+    (3, [(1, 0, 2), (0, 2, 1)]),
+    (3, [(0, 2, 1), (1, 0, 2)]),
+    (4, [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]),
+    (4, [(1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)]),  # a star, not a path
+])
+def test_transpositions_whose_product_is_a_k_cycle_pass(k, perms):
+    assert _full_symmetric_group_row(k, perms).passed
+
+
+@pytest.mark.parametrize("k, perms", [
+    # a repeated transposition: the product is the identity
+    (3, [(1, 0, 2), (1, 0, 2)]),
+    # a 3-cycle image; the products, (1 2 3) and (1 2 3)(3 4), are k-cycles
+    (3, [(1, 2, 0)]),
+    (4, [(1, 2, 0, 3), (0, 1, 3, 2)]),
+    # two disjoint transpositions at k = 4
+    (4, [(1, 0, 2, 3), (0, 1, 3, 2)]),
+    # an image that is two disjoint transpositions; the product is a 4-cycle
+    (4, [(1, 0, 3, 2), (0, 2, 1, 3)]),
+])
+def test_the_full_symmetric_group_row_fails_off_the_criterion(k, perms):
+    row = _full_symmetric_group_row(k, perms)
+    assert row.id == f"degtwo/full-symmetric-group@k{k}"
+    assert row.status == "failed"
 
 
 def test_unsupported_degree_is_rejected():

@@ -266,9 +266,9 @@ def test_report_rows_are_pinned(capsys):
     code, cert = run_json(["report"], capsys)
     assert code == 0
     rows = [[r["id"], r["status"]] for r in cert["results"]]
-    assert len(rows) == 141
+    assert len(rows) == 139
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "d316f684ad7ef520f1ba13caa7589be2be6b3cef8d07ed4d0ea9407d17eac27f"
+    assert digest == "86eb94e0393629e25df91701d4aee40686c1840b3da38ab1d5f116f8f9a01332"
 
 
 _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
@@ -332,9 +332,10 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "q66.json").write_text(json.dumps(
         {"y_degree": 3, "params": [], "p_coeffs": [1], "q_coeffs": [0] * 65 + [1]}))
     (tmp_path / "k65.json").write_text('{"catalogue_id": "base", "k": 65}')
-    # p^3 - q^2 = 7: a nonzero constant, so there is no branch point
+    # p^3 - q^2 = 7: a nonzero constant, so there is no branch point; lam is
+    # declared, unread, for the default loop
     (tmp_path / "no_branch_points.json").write_text(
-        '{"y_degree": 3, "params": [], "p_coeffs": [2], "q_coeffs": [1, 0]}')
+        '{"y_degree": 3, "params": ["lam"], "p_coeffs": [2], "q_coeffs": [1, 0]}')
     # branch points x^3 = 1 everywhere, but no parameter for the default loop in lam
     (tmp_path / "no_params.json").write_text(
         '{"y_degree": 3, "params": [], "p_coeffs": [0, 1], "q_coeffs": [1]}')
@@ -404,7 +405,8 @@ def _case_id(value):
     # a family without branch points
     (["monodromy", "--family-file", "no_branch_points.json"],
      "the family has no branch points at these parameters"),
-    (["admissible", "--family-file", "no_branch_points.json", "--arc", "1:2"],
+    (["admissible", "--family-file", "no_branch_points.json", "--params", '{"lam":1}',
+      "--arc", "1:2"],
      "the family has no branch points at these parameters"),
     # a loop in a parameter the family does not have
     (["monodromy", "--family-file", "no_params.json"], "does not have: ['lam']"),
@@ -467,6 +469,16 @@ def _case_id(value):
     (["monodromy", "--family-file", "repeated_param.json"], "params names 'lam' twice"),
     (["monodromy", "--family-file", "number_id.json"],
      "family spec field 'catalogue_id' must be a string, got 5"),
+    # a loop in a parameter the family does not have, named before any
+    # vertex is evaluated
+    (["monodromy", "--family", "cusp", "--loop", '{"kind":"circle","param":"zz","radius":1}'],
+     "the loop names parameters the family does not have: ['zz']"),
+    # branch coefficients that overflow
+    (["monodromy", "--family", "cusp", "--loop",
+      '{"kind":"circle","param":"lam","center":[1e308,1e308],"radius":1}'],
+     "the branch coefficients are not finite at parameters {'lam': (1e+308+1e+308j)}"),
+    (["admissible", "--family", "cusp", "--params", '{"lam":1e200}', "--arc", "1:2"],
+     "the branch coefficients are not finite at parameters {'lam': (1e+200+0j)}"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -1,10 +1,7 @@
-import math
-
 from braidwork.geometry import (
     circle_confinement,
     cusp_exponent,
     double_root_uniqueness,
-    permutation_closure,
     ray_confinement,
 )
 
@@ -33,12 +30,3 @@ def test_cusp_exponent_fits_three():
     assert fit.passed
     assert abs(fit.witness["fitted_exponent"] - 3.0) < 0.15
 
-
-def test_permutation_closure_small_cases():
-    s3 = permutation_closure([(1, 0, 2), (0, 2, 1)])
-    assert len(s3) == 6
-    only_swap = permutation_closure([(1, 0, 2)])
-    assert len(only_swap) == 2
-    s4 = permutation_closure([(1, 0, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1)])
-    assert len(s4) == math.factorial(4)
-    assert permutation_closure([]) == set()

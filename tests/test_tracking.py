@@ -308,19 +308,25 @@ def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
 
 def test_the_first_degenerate_vertex_is_named():
     """Of two failing vertices, the earlier one raises, whichever way it
-    fails: its branch points collide, its degree drops, or its
-    coefficients cannot be evaluated."""
+    fails: its branch points collide, its degree drops, its coefficients
+    cannot be evaluated, or they are not finite (eigvals refuses a NaN,
+    and an inf under a finite top would pass for a dropped degree)."""
     family = WeierstrassFamily(2, ("a", "lam"), (), ("lam", 0, "a"))
     collide = {"a": -1, "lam": 0}  # a double branch point at 0
     drop = {"a": 0, "lam": 1}  # the x^2 coefficient vanishes
     unreadable = {"a": -1, "lam": "one"}
+    infinite, nan = {"a": -1, "lam": math.inf}, {"a": -1, "lam": math.nan}
     start, middle = {"a": -1, "lam": 1}, {"a": -1, "lam": 2}
     collision = re.escape(f"branch points collide at parameters {collide}")
+    not_finite = "the branch coefficients are not finite at parameters "
     for first, second, error, message in [
         (collide, drop, DegenerateConfigurationError, collision),
         (drop, collide, DegenerateConfigurationError, "degree dropped"),
         (collide, unreadable, DegenerateConfigurationError, collision),
         (unreadable, collide, ValueError, "complex"),
+        (infinite, collide, ValueError, re.escape(not_finite + str(infinite))),
+        (nan, collide, ValueError, re.escape(not_finite + str(nan))),
+        (collide, infinite, DegenerateConfigurationError, collision),
     ]:
         loop = ParameterLoop.polyline([start, first, middle, second, start])
         with pytest.raises(error, match=message):
