@@ -69,8 +69,9 @@ def build_e(n: int, i: int, j: int) -> BraidWord:
 
 
 def coxeter_system(n: int) -> tuple[Perm3, ...]:
-    """The alternating tuple (s, t, s, t, ...) of length n."""
-    return tuple(PERM3_S if i % 2 == 0 else PERM3_T for i in range(n))
+    """The alternating tuple (s, t, s, t, ...) of length n: the image of
+    ``artin_system(n)`` under the quotient Br_3 -> S3, a -> s, b -> t."""
+    return tuple(g.to_perm3() for g in artin_system(n))
 
 
 def artin_system(n: int) -> tuple[Artin3, ...]:

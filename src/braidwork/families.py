@@ -50,6 +50,7 @@ from numpy.polynomial import polyutils as pu
 from .words import json_field, json_value
 
 COLLISION_TOL = 1e-8  # branch points closer than this are a collision
+LEAD_TOL = 1e-13  # a leading coefficient below this times the largest has vanished
 RESIDUAL_TOL = 1e-12  # Newton converges when every relative residual is below it
 NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
@@ -388,7 +389,7 @@ def _solvable(coeffs) -> np.ndarray:
     lead = np.abs(coeffs)
     if lead.max() == 0:
         raise ValueError("zero polynomial has no root set")
-    if abs(coeffs[-1]) < 1e-13 * lead.max():
+    if abs(coeffs[-1]) < LEAD_TOL * lead.max():
         raise DegenerateConfigurationError("leading coefficient vanished: degree dropped")
     return coeffs
 

@@ -9,10 +9,11 @@ over either group can be enumerated and hashed by the orbit machinery.
 
 Each group keeps the cheapest faithful key for equality and hashing:
 the six permutations are interned objects, compared by identity and
-multiplied by table lookup; a three-strand braid is its image in
-SL(2, Z) together with its exponent sum, multiplied as a 2x2 integer
-matrix.  Garside normal forms are computed only to spell a braid for
-output.
+multiplied by tables that ``words.pmul`` and ``words.pinv`` fill from
+the words spelling them (``_SPELLINGS``, the one place S3 is written
+down); a three-strand braid is its image in SL(2, Z) together with its
+exponent sum, multiplied as a 2x2 integer matrix.  Garside normal forms
+are computed only to spell a braid for output.
 
 Elements are immutable values; all operations are pure.
 """
@@ -22,29 +23,40 @@ from __future__ import annotations
 import dataclasses
 
 from . import garside
-from .words import BraidWord
+from .words import BraidWord, Perm, permutation_image, pinv, pmul
+
+# S3's six elements, each spelled in sigma_1 -> s and sigma_2 -> t
+_SPELLINGS = {
+    "e": (),
+    "s": (1,),
+    "t": (2,),
+    "r": (1, 2, 1),
+    "st": (1, 2),
+    "ts": (2, 1),
+}
 
 
 class Perm3:
-    """A permutation of {1, 2, 3}; images[i-1] is the image of i.
+    """A permutation of three points, as a 0-based ``words.Perm``:
+    ``perm[i]`` is the image of i.
 
-    There is exactly one instance per permutation: ``Perm3(images)``
+    There is exactly one instance per permutation: ``Perm3(perm)``
     returns it, so equality and hashing are object identity.  Hashes
     therefore differ between processes; nothing may depend on the
     iteration order of a hashed collection of permutations.
     """
 
-    __slots__ = ("_images",)
+    __slots__ = ("_perm",)
 
-    def __new__(cls, images) -> "Perm3":
-        perm = _PERM3_BY_IMAGES.get(tuple(images))
-        if perm is None:
-            raise ValueError(f"not a bijection of {{1,2,3}}: {images}")
-        return perm
+    def __new__(cls, perm) -> "Perm3":
+        element = _PERM3_BY_PERM.get(tuple(perm))
+        if element is None:
+            raise ValueError(f"not a permutation of {{0, 1, 2}}: {perm}")
+        return element
 
     @property
-    def images(self) -> tuple[int, int, int]:
-        return self._images
+    def perm(self) -> Perm:
+        return self._perm
 
     def __mul__(self, other: "Perm3") -> "Perm3":
         # writing order: apply self, then other
@@ -54,43 +66,26 @@ class Perm3:
         return _PERM3_INV[self]
 
     def render(self) -> str:
-        return _PERM3_NAMES[self._images]
+        return _PERM3_NAMES[self]
 
     def __repr__(self) -> str:
         return f"Perm3({self.render()})"
 
     def __reduce__(self):
-        return Perm3, (self._images,)
+        return Perm3, (self._perm,)
 
 
-_PERM3_NAMES = {
-    (1, 2, 3): "e",
-    (2, 1, 3): "s",
-    (1, 3, 2): "t",
-    (3, 2, 1): "r",
-    (3, 1, 2): "st",
-    (2, 3, 1): "ts",
-}
-
-
-def _interned(images: tuple[int, int, int]) -> Perm3:
-    perm = object.__new__(Perm3)
-    perm._images = images
-    return perm
-
-
-_PERM3_BY_IMAGES = {images: _interned(images) for images in _PERM3_NAMES}
+_PERM3_NAMES: dict[Perm3, str] = {}
+for _name, _letters in _SPELLINGS.items():
+    _element = object.__new__(Perm3)
+    _element._perm = permutation_image(BraidWord(3, _letters))
+    _PERM3_NAMES[_element] = _name
+_PERM3_BY_NAME = {name: element for element, name in _PERM3_NAMES.items()}
+_PERM3_BY_PERM = {element.perm: element for element in _PERM3_NAMES}
 _PERM3_MUL = {
-    _PERM3_BY_IMAGES[p]: {
-        _PERM3_BY_IMAGES[q]: _PERM3_BY_IMAGES[tuple(q[x - 1] for x in p)] for q in _PERM3_NAMES
-    }
-    for p in _PERM3_NAMES
+    p: {q: _PERM3_BY_PERM[pmul(p.perm, q.perm)] for q in _PERM3_NAMES} for p in _PERM3_NAMES
 }
-_PERM3_INV = {
-    _PERM3_BY_IMAGES[p]: _PERM3_BY_IMAGES[tuple(p.index(i) + 1 for i in (1, 2, 3))]
-    for p in _PERM3_NAMES
-}
-_PERM3_BY_NAME = {name: _PERM3_BY_IMAGES[images] for images, name in _PERM3_NAMES.items()}
+_PERM3_INV = {p: _PERM3_BY_PERM[pinv(p.perm)] for p in _PERM3_NAMES}
 
 PERM3_E = _PERM3_BY_NAME["e"]
 PERM3_S = _PERM3_BY_NAME["s"]
@@ -142,18 +137,19 @@ class Artin3:
 
     def to_perm3(self) -> Perm3:
         """The image under the quotient a -> s, b -> t, which factors
-        through SL(2, Z) -> SL(2, F_2), isomorphic to S3."""
-        return _PERM3_OF_MOD2[self.p & 1, self.q & 1, self.r & 1, self.s & 1]
+        through SL(2, Z) -> SL(2, F_2), isomorphic to S3; the exponent
+        sum e is not read."""
+        p, q, r, s = self.p, self.q, self.r, self.s
+        if p * s - q * r != 1:
+            raise _not_a_key(self)
+        return _PERM3_OF_MOD2[p & 1, q & 1, r & 1, s & 1]
 
     def _normal_form(self) -> garside.NormalForm:
         return garside.normal_form(BraidWord(3, _spell(self)))
 
     def render(self) -> str:
-        out = []
-        for letter in self._normal_form().spelled_word().letters:
-            name = "ab"[abs(letter) - 1]
-            out.append(name if letter > 0 else name.upper())
-        return "".join(out) or "1"
+        letters = self._normal_form().spelled_word().letters
+        return "".join(_LETTER_NAMES[letter] for letter in letters) or "1"
 
     def to_json(self) -> dict:
         return self._normal_form().to_json()
@@ -162,16 +158,9 @@ class Artin3:
         return f"Artin3({self.render()})"
 
 
-# the mod-2 images of e, s = a, t = b, r = aba, st = ab and ts = ba
-_PERM3_OF_MOD2 = {
-    (1, 0, 0, 1): PERM3_E,
-    (1, 1, 0, 1): PERM3_S,
-    (1, 0, 1, 1): PERM3_T,
-    (0, 1, 1, 0): PERM3_R,
-    (0, 1, 1, 1): _PERM3_BY_NAME["st"],
-    (1, 1, 1, 0): _PERM3_BY_NAME["ts"],
-}
-
+# the letters of a word in a = sigma_1 and b = sigma_2; capitals are inverses
+_LETTERS = {"a": 1, "A": -1, "b": 2, "B": -2}
+_LETTER_NAMES = {letter: name for name, letter in _LETTERS.items()}
 _DELTA = (1, 2, 1)  # a b a -> [[0, 1], [-1, 0]]; its square is -I
 
 
@@ -240,18 +229,22 @@ def artin_from_braid(w: BraidWord) -> Artin3:
 
 
 def artin_from_word(text: str) -> Artin3:
-    """Parse a word over a, b, with capitals for inverses: 'abA' = a b a^-1."""
+    """Parse a word over a, b, with capitals for inverses: 'abA' = a b a^-1.
+    Spaces and the identity 1 are skipped."""
     letters = []
     for ch in text:
-        if ch in "aA":
-            letters.append(1 if ch == "a" else -1)
-        elif ch in "bB":
-            letters.append(2 if ch == "b" else -2)
-        elif ch in " 1":
-            continue
-        else:
+        if ch in _LETTERS:
+            letters.append(_LETTERS[ch])
+        elif ch not in " 1":
             raise ValueError(f"unknown generator letter {ch!r}")
     return artin_from_braid(BraidWord(3, tuple(letters)))
+
+
+# the mod-2 image of each element's spelling, the key of ``to_perm3``
+_PERM3_OF_MOD2 = {}
+for _name, _letters in _SPELLINGS.items():
+    _key = artin_from_braid(BraidWord(3, _letters))
+    _PERM3_OF_MOD2[_key.p & 1, _key.q & 1, _key.r & 1, _key.s & 1] = _PERM3_BY_NAME[_name]
 
 
 ARTIN3_A = artin_from_word("a")

@@ -65,6 +65,7 @@ import numpy as np
 
 from .families import (
     COLLISION_TOL,
+    LEAD_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
     branch_roots,
@@ -188,7 +189,7 @@ def _track_once(
         coeffs = np.asarray(coeff_fn(trial), dtype=complex)
         # an exact zero leading coefficient also catches the zero polynomial
         lead = abs(coeffs[-1])
-        if len(coeffs) - 1 != m or lead == 0 or lead < 1e-13 * np.abs(coeffs).max():
+        if len(coeffs) - 1 != m or lead == 0 or lead < LEAD_TOL * np.abs(coeffs).max():
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )

@@ -45,6 +45,13 @@ def test_build_e_examples():
             build_e(*bad)
 
 
+def test_coxeter_systems_alternate_s_and_t():
+    # the image of (a, b, a, ...) under Br_3 -> S3, against the literal tuple
+    literal = (PERM3_S, PERM3_T, PERM3_S, PERM3_T, PERM3_S, PERM3_T, PERM3_S, PERM3_T)
+    for n in range(1, 9):
+        assert coxeter_system(n) == literal[:n]
+
+
 def test_catalog_contents():
     assert [len(coxeter_system(n)) for n in range(2, 7)] == [2, 3, 4, 5, 6]
     assert coxeter_system(3) == (PERM3_S, PERM3_T, PERM3_S)

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,9 @@ TRANSPOSITIONS = (PERM3_S, PERM3_T, PERM3_R)
 
 
 def test_letter_conventions():
-    assert perm_from_name("s") == Perm3((2, 1, 3))
-    assert perm_from_name("t") == Perm3((1, 3, 2))
-    assert perm_from_name("r") == Perm3((3, 2, 1))
+    assert perm_from_name("s") == Perm3((1, 0, 2))
+    assert perm_from_name("t") == Perm3((0, 2, 1))
+    assert perm_from_name("r") == Perm3((2, 1, 0))
     assert PERM3_S * PERM3_T * PERM3_S == PERM3_R
     assert PERM3_S * PERM3_S == PERM3_E
     assert PERM3_T * PERM3_T == PERM3_E
@@ -43,6 +44,18 @@ def test_letter_conventions():
 def test_rendering_round_trip():
     for name in ("e", "s", "t", "r", "st", "ts"):
         assert perm_from_name(name).render() == name
+
+
+# each element of S3 with a word in a -> s, b -> t that maps onto it
+SPELLED = {"e": "", "s": "a", "t": "b", "r": "aba", "st": "ab", "ts": "ba"}
+
+
+def test_the_quotient_is_a_homomorphism_on_every_pair_of_spellings():
+    for x, y in itertools.product(SPELLED, repeat=2):
+        u, v = artin_from_word(SPELLED[x]), artin_from_word(SPELLED[y])
+        assert u.to_perm3() is perm_from_name(x)
+        assert (u * v).to_perm3() is perm_from_name(x) * perm_from_name(y)
+        assert artin_from_word(SPELLED[x] + SPELLED[y]).to_perm3() is (u * v).to_perm3()
 
 
 def test_braid_relation_among_any_two_transpositions():
@@ -189,33 +202,61 @@ def test_render_and_quotient_agree_with_garside():
         names = "".join("ab"[abs(c) - 1] if c > 0 else "AB"[abs(c) - 1] for c in spelled.letters)
         assert x.render() == (names or "1")
         assert x.to_json() == spelled.to_json()
-        image = permutation_image(BraidWord(3, letters))
-        assert x.to_perm3() == Perm3(tuple(c + 1 for c in image))
+        assert x.to_perm3() == Perm3(permutation_image(BraidWord(3, letters)))
         largest = max(largest, abs(x.p), abs(x.q), abs(x.r), abs(x.s))
     assert largest > 10**6
 
 
-@pytest.mark.parametrize("fields", [(2, 0, 0, 1, 0), (1, 0, 0, 1, 5)])
+@pytest.mark.parametrize("fields", [(2, 0, 0, 1, 0), (1, 0, 0, 1, 5), (2, 1, 1, 2, 0)])
 def test_render_rejects_a_key_that_is_no_braid(fields):
-    # determinant 2, and the identity matrix with an exponent sum that no
-    # power of Delta^4 reaches
+    # determinant 2, the identity matrix with an exponent sum that no
+    # power of Delta^4 reaches, and determinant 3, whose entries mod 2 are
+    # those of r
+    key = Artin3(*fields)
     with pytest.raises(ValueError, match="not the key"):
-        Artin3(*fields).render()
+        key.render()
+    if key.p * key.s - key.q * key.r != 1:
+        with pytest.raises(ValueError, match="not the key"):
+            key.to_perm3()
+    else:  # the quotient does not read the exponent sum
+        assert key.to_perm3() is PERM3_E
+
+
+@given(artin_words(20))
+@settings(max_examples=200)
+def test_render_and_parse_round_trip(u):
+    x = artin_from_word(u)
+    assert artin_from_word(x.render()) == x
+    assert set(x.render()) <= set("abAB1")
+
+
+def test_letter_names():
+    for name, letter in (("a", 1), ("A", -1), ("b", 2), ("B", -2)):
+        assert artin_from_word(name) == artin_from_braid(BraidWord(3, (letter,)))
+    assert ARTIN3_A.render() == "a" and ARTIN3_B.render() == "b"
+    assert ARTIN3_A.inverse().render() == "ABAab"  # Delta^-1 a b
+    assert artin_from_word(" 1a b1 ") == artin_from_word("ab")
+    for text, first in (("abxyA", "x"), ("aC", "C"), ("-a", "-"), ("a2", "2")):
+        with pytest.raises(ValueError, match=re.escape(f"unknown generator letter {first!r}")):
+            artin_from_word(text)
 
 
 def test_perm3_tables_match_tuple_composition():
     def compose(p, q):  # apply p, then q
-        return tuple(q[x - 1] for x in p)
+        return tuple(q[x] for x in p)
 
-    perms = list(itertools.permutations((1, 2, 3)))
+    perms = list(itertools.permutations((0, 1, 2)))
     for p, q in itertools.product(perms, repeat=2):
-        assert (Perm3(p) * Perm3(q)).images == compose(p, q)
+        assert (Perm3(p) * Perm3(q)).perm == compose(p, q)
     for p in perms:
-        assert compose(Perm3(p).inverse().images, p) == (1, 2, 3)
+        assert Perm3(p).perm == p
+        assert compose(Perm3(p).inverse().perm, p) == (0, 1, 2)
         assert Perm3(p) is Perm3(list(p))
-    assert Perm3((2, 1, 3)) is PERM3_S
-    assert pickle.loads(pickle.dumps(PERM3_S)) is PERM3_S
+        assert pickle.loads(pickle.dumps(Perm3(p))) is Perm3(p)
+    assert Perm3((1, 0, 2)) is PERM3_S
     assert len({Perm3(p) for p in perms}) == 6
-    for bad in ((1, 1, 2), (1, 2), (0, 1, 2)):
+    for bad in ((0, 0, 1), (0, 1), (1, 2, 3)):
         with pytest.raises(ValueError):
             Perm3(bad)
+    with pytest.raises(AttributeError):
+        PERM3_S.perm = (0, 1, 2)

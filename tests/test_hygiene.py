@@ -13,8 +13,9 @@ dataclass fields with a default) are exactly the set written here, so a
 new option shows up as a diff of this file.
 
 The package's module-level functions and classes that only tests use are
-exactly the set written here, so a second implementation left behind when
-its callers move shows up as a diff of this file.
+exactly the set written here, and so are the public methods of its
+classes, so a second implementation left behind when its callers move
+shows up as a diff of this file.
 
 The result rows and the numerical layer import nothing from the identity
 catalogue.  Only ``tracking`` samples circles (``circle_path``), and
@@ -217,14 +218,16 @@ def test_the_settable_values_are_the_listed_ones():
     assert len(found) == 22
 
 
-# module-level functions and classes of the package that no package module,
-# script or benchmark file references: what the tests check the package by
+# module-level functions and classes of the package, and public methods of
+# its classes, that no package module, script or benchmark file references:
+# what the tests check the package by
 TEST_ONLY = {
     "garside.right_descents",  # the oracle of garside._leftweight
     "hurwitz.ordered_product",  # the invariant of every Hurwitz move
     "hurwitz.schreier_generators",  # stabilizer generators of an orbit table
     "tracking.star_basis",  # fiber loops of a star basis, for no pipeline yet
 }
+TEST_ONLY_METHODS: set[str] = set()
 REFERRERS = sorted(
     [path for path in FILES if path.parent.name == "braidwork"]
     + list((ROOT / "scripts").glob("*.py"))
@@ -233,8 +236,17 @@ REFERRERS = sorted(
 
 
 def _defined(tree: ast.Module, module: str) -> set[str]:
-    return {f"{module}.{node.name}" for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    """The module-level functions and classes, as "module.name", and the
+    public methods of those classes, as "module.Class.method"."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(f"{module}.{node.name}")
+        if isinstance(node, ast.ClassDef):
+            found.update(f"{module}.{node.name}.{child.name}" for child in node.body
+                         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not child.name.startswith("_"))
+    return found
 
 
 def _referenced(tree: ast.Module) -> set[str]:
@@ -252,12 +264,13 @@ def _referenced(tree: ast.Module) -> set[str]:
 
 def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) -> set[str]:
     """The module-level functions and classes of ``defining`` (trees by
-    module name) whose names no tree in ``referring`` mentions.
+    module name), and the public methods of those classes, whose names no
+    tree in ``referring`` mentions.
 
-    Names are matched without their module, so a name that some other
-    object also bears counts as referenced.  Methods are not scanned: an
-    operator method such as ``__mul__`` is called by an operator, which
-    does not name it.
+    Names are matched without their module or class, so a name that some
+    other object also bears counts as referenced.  Private and dunder
+    methods are not scanned: an operator method such as ``__mul__`` is
+    called by an operator, which does not name it.
     """
     referenced = set().union(*map(_referenced, referring))
     return {name for module, tree in defining.items() for name in _defined(tree, module)
@@ -271,6 +284,8 @@ def _unreferenced(defining: dict[str, ast.Module], referring: list[ast.Module]) 
     ("def f(): pass", "name = 'f'", {"m.f"}),
     ("def f():\n    def g(): pass\n    return g", "m.f", set()),
     ("class C:\n    def __mul__(self, o): pass", "", {"m.C"}),
+    ("class C:\n    def f(self): pass\n    def _g(self): pass", "C", {"m.C.f"}),
+    ("class C:\n    @property\n    def f(self): pass", "C().f", set()),
 ])
 def test_the_unreferenced_scan(source, other, unreferenced):
     trees = [ast.parse(source), ast.parse(other)]
@@ -282,8 +297,11 @@ def test_the_test_only_functions_are_the_listed_ones():
     assert {"catalog.py", "orbit_census.py", "workloads.py"} <= {path.name for path in trees}
     defining = {path.stem: tree for path, tree in trees.items() if path.parent.name == "braidwork"}
     found = _unreferenced(defining, list(trees.values()))
-    assert found == TEST_ONLY, (
-        f"new: {sorted(found - TEST_ONLY)}, gone: {sorted(TEST_ONLY - found)}")
+    methods = {name for name in found if name.count(".") == 2}
+    assert found - methods == TEST_ONLY, (
+        f"new: {sorted(found - methods - TEST_ONLY)}, gone: {sorted(TEST_ONLY - found)}")
+    assert methods == TEST_ONLY_METHODS, (
+        f"new: {sorted(methods - TEST_ONLY_METHODS)}, gone: {sorted(TEST_ONLY_METHODS - methods)}")
 
 
 # modules that sit below the identity catalogue: the result rows and the
