@@ -6,6 +6,8 @@ the third transposition, and the three-strand braid group presented on
 two generators a, b with a b a = b a b.  Both expose the same value
 interface -- multiplication, inversion, equality and hashing -- so tuples
 over either group can be enumerated and hashed by the orbit machinery.
+Each type also states its group's ``order`` (None for the infinite
+braid group), which bounds the value ids of ``hurwitz.orbit``.
 
 Each group keeps the cheapest faithful key for equality and hashing:
 the six permutations are interned objects, compared by identity and
@@ -47,6 +49,7 @@ class Perm3:
     """
 
     __slots__ = ("_perm",)
+    order = len(_SPELLINGS)  # S3 has six elements
 
     def __new__(cls, perm) -> "Perm3":
         element = _PERM3_BY_PERM.get(tuple(perm))
@@ -121,6 +124,7 @@ class Artin3:
     r: int
     s: int
     e: int
+    order = None  # the group is infinite
 
     def __mul__(self, other: "Artin3") -> "Artin3":
         p, q, r, s = self.p, self.q, self.r, self.s

@@ -17,15 +17,19 @@ enter the transversal, read front to back as it grows.
 
 The search hashes group values only to intern them and to key the
 transversal, never per move.  A value gets a small int id the first time
-it is met, and a state is packed into one int, w bits per
-entry with w = (n + cap).bit_length(), which bounds every id (see
-``orbit``); the seen-set holds these ints.  Each Hurwitz move is
-computed once per distinct adjacent pair (g, h) by ``act_letter`` and
-then looked up by the pair's 2w-bit code, as the XOR mask that turns the
-pair into its image: a memo local to one ``orbit`` call, at most 36
-pairs over S3 and at most (n - 1) * cap pairs over B3.  A pair the move
-fixes (g = h) has mask 0 and is skipped.  A state's value tuple and
-transversal word are built only when it joins the transversal.
+it is met, and a state is packed into one int, w bits per entry with
+w = min(n + cap, |G|).bit_length(), which bounds every id (see
+``orbit``); |G| is the coefficient type's ``order``, None for the
+infinite B3, where w = (n + cap).bit_length().  Over S3, w <= 3, so a
+state of length 8 fits in 24 bits.  The seen-set holds these ints.
+Each Hurwitz move is computed once per distinct adjacent pair (g, h) by
+``act_letter`` and then looked up by the pair's 2w-bit code, as the XOR
+mask that turns the pair into its image: a memo local to one ``orbit``
+call, at most 36 pairs over S3 and at most (n - 1) * cap pairs over B3.
+A pair the move fixes (g = h) has mask 0 and is skipped.  A state's
+value tuple and transversal word are built only when it joins the
+transversal, the word without a second letter check, as its letters are
+in range by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from .words import BraidWord, compose, invert
+from .words import BraidWord, _word_in_range, compose, invert
 
 System = tuple  # an n-tuple of coefficient-group values
 
@@ -112,12 +116,16 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     Each distinct group value gets a small id, in the order the search
     meets it (``ids`` and ``values``), and a state is packed into one int
     whose bits [w j, w j + w) hold entry j's id, so the seen-set holds
-    ints and no group value is hashed per move.  Ids are below n + cap,
-    so w = (n + cap).bit_length() bits hold them: the base gives at most
-    n values, and a move's only new value, g h g^-1, puts a value no
-    state has yet into its image, so it comes with a new state -- one of
-    the at most cap - 1 states after the base, or the image that hits
-    the cap and ends the search.
+    ints and no group value is hashed per move.  Ids are below n + cap:
+    the base gives at most n values, and a move's only new value,
+    g h g^-1, puts a value no state has yet into its image, so it comes
+    with a new state -- one of the at most cap - 1 states after the base,
+    or the image that hits the cap and ends the search.  Ids are also
+    below |G|, the ``order`` of the base's coefficient type, as they
+    index ``values``, a list of distinct group values.  So
+    w = min(n + cap, |G|).bit_length() bits hold them, with |G| infinite
+    (``order`` None) for B3; over S3 that is at most 3 bits, whatever
+    the cap.
 
     ``moves`` maps the 2w-bit code of each adjacent pair (g, h) met so
     far to the XOR mask that turns it into its sigma_1 image
@@ -129,12 +137,17 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     states in insertion order and is read front to back while the search
     appends to it, so it is the FIFO queue.  A state's value tuple (its
     parent's, with the moved pair read from its code) and its word are
-    built only when it joins the transversal.
+    built only when it joins the transversal.  The word (i,) + prefix
+    has letters from 1 to n - 1 by construction, so it is built without
+    ``BraidWord``'s letter check.
     """
+    if not base:
+        raise ValueError("orbit base must have at least one entry, got an empty tuple")
     if cap < 1:
         raise ValueError(f"orbit cap must be at least 1, got {cap}")
     n = len(base)
-    width = (n + cap).bit_length()
+    order = base[0].order
+    width = (n + cap if order is None else min(n + cap, order)).bit_length()
     id_mask = (1 << width) - 1
     pair_mask = (1 << 2 * width) - 1
     ids: dict[object, int] = {}
@@ -171,7 +184,7 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
                 moved = (values[ids_at & id_mask], values[ids_at >> width & id_mask])
                 state = current[: i - 1] + moved + current[i + 1 :]
                 letters = (i,) + prefix
-                transversal[state] = BraidWord(n, letters)
+                transversal[state] = _word_in_range(n, letters)
                 queue.append((image, state, letters))
     return OrbitTable(base=base, transversal=transversal)
 

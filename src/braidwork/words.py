@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 MAX_STRANDS = 64  # largest strand count a JSON word or ledger row may name
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class BraidWord:
     """A word in the generators sigma_1 .. sigma_{n-1} of Br_n."""
 
@@ -71,6 +71,16 @@ class BraidWord:
         raises ValueError naming ``owner`` and the field."""
         json_value(data, dict, owner)
         return json_word(data, "word", json_strand_count(data, owner), owner)
+
+
+def _word_in_range(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """The word ``BraidWord(n, letters)`` without its letter check, for a
+    caller that built ``letters`` as a tuple of letters already in range
+    for ``n`` strands."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "n", n)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 _JSON_KINDS = {

@@ -241,6 +241,19 @@ def test_letter_names():
             artin_from_word(text)
 
 
+def test_the_orders_are_the_group_orders():
+    found = {PERM3_E, PERM3_S, PERM3_T, PERM3_R}
+    frontier = list(found)
+    while frontier:
+        g = frontier.pop()
+        for h in [g.inverse()] + [g * x for x in found] + [x * g for x in found]:
+            if h not in found:
+                found.add(h)
+                frontier.append(h)
+    assert Perm3.order == len(found) == 6
+    assert Artin3.order is None
+
+
 def test_perm3_tables_match_tuple_composition():
     def compose(p, q):  # apply p, then q
         return tuple(q[x] for x in p)

@@ -1,3 +1,4 @@
+import pickle
 from collections import deque
 
 import pytest
@@ -17,6 +18,7 @@ from braidwork.groups import (
     perm_from_name,
 )
 from braidwork.hurwitz import (
+    DEFAULT_ORBIT_CAP,
     OrbitCapExceeded,
     act_letter,
     act_word,
@@ -153,6 +155,11 @@ def test_orbit_rejects_a_non_positive_cap(base, cap):
         orbit(base, cap=cap)
 
 
+def test_orbit_rejects_an_empty_base():
+    with pytest.raises(ValueError, match="orbit base"):
+        orbit(())
+
+
 def test_artin_orbit_needs_a_cap():
     # the length-5 alternating Artin system has an infinite orbit
     with pytest.raises(OrbitCapExceeded):
@@ -250,7 +257,17 @@ S3_VALUES = tuple(perm_from_name(x) for x in ("e", "s", "t", "r", "st", "ts"))
 B3_VALUES = st.text("aAbB", max_size=3).map(artin_from_word)
 
 
-# caps of 1 to 3 make the id width (n + cap).bit_length() tightest
+def _assert_words_are_checked_words(transversal):
+    # orbit builds its words without the letter check; each must be the
+    # word the checked constructor gives
+    for w in transversal.values():
+        checked = BraidWord(w.n, w.letters)
+        assert type(w) is BraidWord
+        assert w == checked and hash(w) == hash(checked)
+        assert pickle.loads(pickle.dumps(w)) == checked
+
+
+# caps of 1 to 3 make the id width min(n + cap, |G|).bit_length() tightest
 @given(st.one_of(st.lists(st.sampled_from(S3_VALUES), min_size=1, max_size=8),
                  st.lists(B3_VALUES, min_size=1, max_size=8)),
        st.one_of(st.integers(min_value=1, max_value=3),
@@ -260,6 +277,18 @@ def test_orbit_matches_the_reference_search(entries, cap):
     base = tuple(entries)
     fast = _orbit_outcome(lambda b, c: orbit(b, c).transversal, base, cap)
     assert fast == _orbit_outcome(reference_orbit, base, cap)
+    if isinstance(fast, list):
+        _assert_words_are_checked_words(dict(fast))
+
+
+# under the default cap the id width comes from |S3| = 6, not from the cap
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coxeter_orbits_under_the_default_cap_match_the_reference_search(n):
+    base = coxeter_system(n)
+    table = orbit(base)
+    assert list(table.transversal.items()) == list(
+        reference_orbit(base, DEFAULT_ORBIT_CAP).items())
+    _assert_words_are_checked_words(table.transversal)
 
 
 @pytest.mark.parametrize("n, cap", [(4, 1000), (5, 1000), (5, 1), (8, 3)])

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +97,18 @@ def test_json_strand_count_is_bounded():
     assert BraidWord.from_json(top.to_json(), "a braid word") == top
     with pytest.raises(ValueError, match="strand count is at most"):
         BraidWord.from_json({"n": MAX_STRANDS + 1, "word": [1]}, "a braid word")
+
+
+def test_a_word_is_a_slotted_frozen_value():
+    w = word(5, 1, -4, 2)
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.letters = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.n = 6
+    for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(twin) is BraidWord
+        assert twin == w and hash(twin) == hash(w)
 
 
 @given(words_strategy(4))
