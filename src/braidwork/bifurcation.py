@@ -21,9 +21,10 @@ contraction moves each point along a spiral (radii distinct for every
 positive time, arguments distinct at the start), so it is collision free
 by construction.
 
-All traces of one run share a single projection angle so their words
-compose meaningfully.  The computed set may contain band elements beyond
-the expected generators; these are reported, not discarded.
+A run's words compose only if all were read in one projection, so a
+trace read at another angle than the run's first raises ``TrackingError``.
+The computed set may contain band elements beyond the expected
+generators; these are reported, not discarded.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .catalog import _band_table
 from .certificates import CheckResult
 from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
 from .garside import normal_form
-from .tracking import ParameterLoop, lasso, loop_to_braid, track_coefficients, track_loop
+from .tracking import (BraidTrace, ParameterLoop, TrackingError, lasso, loop_to_braid,
+                       track_coefficients, track_loop)
 from .words import BraidWord, Perm, conjugate_right, permutation_image, pmul
 
-PIPELINE_ANGLE = 0.0737  # projection angle shared by every trace of a run
 LAM0 = 0.9  # the shrinking parameter where the ray loops circle mu
 RHO_HAT = 0.2  # ray-loop circle radius over |critical value|
 DETOUR = cmath.exp(0.5j)  # the ray-loop approach turns 0.5 rad off the ray
@@ -69,9 +70,9 @@ class BifurcationReport:
         return all(r.passed for r in self.results)
 
 
-def contraction_to_reference(points: tuple[complex, ...]) -> BraidWord:
+def contraction_to_reference(points: tuple[complex, ...]) -> tuple[BraidWord, float]:
     """Braid of the spiral contraction taking labeled points onto the real
-    positions 1, 2, ..., m."""
+    positions 1, 2, ..., m, and the projection angle it was read at."""
     args = [math.atan2(z.imag, z.real) % (2 * math.pi) for z in points]
     radii = [abs(z) for z in points]
 
@@ -83,7 +84,16 @@ def contraction_to_reference(points: tuple[complex, ...]) -> BraidWord:
         ]
         return npoly.polyfromroots(positions)
 
-    return loop_to_braid(track_coefficients(coeffs, projection_angle=PIPELINE_ANGLE))
+    trace = track_coefficients(coeffs)
+    return loop_to_braid(trace), trace.projection_angle
+
+
+def _same_projection(loop_id: str, trace: BraidTrace, angle: float) -> BraidWord:
+    """The word of ``trace``, if it was read at the run's projection ``angle``."""
+    if trace.projection_angle != angle:
+        raise TrackingError(f"loop {loop_id} was read at projection angle "
+                            f"{trace.projection_angle!r}, its run at {angle!r}")
+    return loop_to_braid(trace)
 
 
 def _ray_critical(k: int, level: float) -> list[complex]:
@@ -169,12 +179,12 @@ def bifurcation_generators(k: int) -> BifurcationReport:
     if k not in (1, 2, 3):
         raise ValueError("generator realization is catalogued for k = 1, 2, 3")
     base, loops = _catalogued_loops(k)
-    conj = contraction_to_reference(base)
+    conj, angle = contraction_to_reference(base)
     band = {normal_form(w): f"e_{i}{j}" for (i, j), w in _band_table(2 * k).items()}
     outcomes = []
     for loop_id, family, loop in loops:
-        trace = track_loop(family, loop, projection_angle=PIPELINE_ANGLE)
-        std = conjugate_right(loop_to_braid(trace), conj)
+        word = _same_projection(loop_id, track_loop(family, loop), angle)
+        std = conjugate_right(word, conj)
         matched = band.get(normal_form(std))
         outcomes.append(LoopOutcome(loop_id, std, matched))
 
@@ -211,10 +221,11 @@ def full_braid_monodromy_check(k: int) -> tuple[CheckResult, ...]:
     images generating the full symmetric group on k letters, decided by
     cycle type (``_full_symmetric_group_row``)."""
     family = catalogue_family("tame", k)
-    perms = []
-    for lam_c in _tame_critical(k):
+    perms, angle = [], None
+    for idx, lam_c in enumerate(_tame_critical(k)):
         approach = [{"lam": 0.0}, {"lam": lam_c * (1 - 0.25)}]
         loop = ParameterLoop.polyline(lasso(approach, lam_c, 0.25 * abs(lam_c), 48, "lam"))
-        trace = track_loop(family, loop, projection_angle=PIPELINE_ANGLE)
-        perms.append(permutation_image(loop_to_braid(trace)))
+        trace = track_loop(family, loop)
+        angle = trace.projection_angle if angle is None else angle
+        perms.append(permutation_image(_same_projection(f"tame-{idx}", trace, angle)))
     return (_full_symmetric_group_row(k, perms),)

@@ -37,11 +37,13 @@ from .hurwitz import DEFAULT_ORBIT_CAP, OrbitCapExceeded, orbit
 from .words import MAX_STRANDS, BraidWord, json_field, json_value
 
 
-def _loop_from_spec(spec: dict):
+def _loop_from_spec(spec: dict | list):
     from .families import complex_from_json
     from .tracking import ParameterLoop
 
-    json_value(spec, dict, "a loop spec")
+    if isinstance(spec, list):  # a polyline's points, as a certificate's inputs.loop echoes them
+        spec = {"kind": "polyline", "points": spec}
+    json_value(spec, dict, "a loop spec other than a vertex list")
     kind = spec.get("kind", "polyline")
     if kind not in ("circle", "polyline"):
         raise ValueError(f"unknown loop kind {kind!r:.40}")

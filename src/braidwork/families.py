@@ -29,8 +29,9 @@ one ``eigvals`` call on their companion matrices and one residual test
 over all their roots, chunked to at most ``STACK_ENTRIES`` complex
 entries; a row whose roots fail that test is polished alone by
 ``refine_roots``, the one Newton loop, which tracker trials also call.
-Every root and every error is bit for bit that of one call per row.
-``branch_roots`` solves a sequence of parameter points this way.
+Every root and every error is bit for bit that of one ``solve_roots``
+call per row; the stacked solve has no unpolished mode.  ``branch_roots``
+solves a sequence of parameter points this way.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial import polyutils as pu
 
 from .words import json_field, json_value
 
@@ -437,11 +437,10 @@ def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgErro
     return out
 
 
-def solve_stack(rows: Sequence, polish: bool) -> list[np.ndarray | Exception]:
+def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
     """For each coefficient row, taken as a complex array, the roots
-    ``solve_roots(row)`` gives when ``polish`` is set, else those
-    ``npoly.polyroots(row)`` gives, bit for bit, or the exception that
-    call would raise.
+    ``solve_roots(row)`` gives, bit for bit, or the exception that call
+    would raise.
 
     Rows of one length share one companion step (``_companion_roots``)
     and one residual test (``_polish_rows``), at most ``STACK_ENTRIES``
@@ -451,10 +450,7 @@ def solve_stack(rows: Sequence, polish: bool) -> list[np.ndarray | Exception]:
     by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i, row in enumerate(rows):
         try:
-            if polish:
-                c = _solvable(row)
-            else:
-                (c,) = pu.as_series([np.asarray(row, dtype=complex)])  # polyroots' own trim
+            c = _solvable(row)
         except (ValueError, DegenerateConfigurationError) as exc:
             out[i] = exc
             continue
@@ -465,10 +461,7 @@ def solve_stack(rows: Sequence, polish: bool) -> list[np.ndarray | Exception]:
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
             coeffs = np.array([c for _, c in chunk])
-            raw = _companion_roots(coeffs)
-            if polish:
-                raw = _polish_rows(coeffs, raw)
-            for (i, _), r in zip(chunk, raw):
+            for (i, _), r in zip(chunk, _polish_rows(coeffs, _companion_roots(coeffs))):
                 out[i] = r
     return out
 
@@ -561,7 +554,7 @@ def branch_roots(family: WeierstrassFamily,
         except (ValueError, TypeError, ArithmeticError) as exc:
             failure = exc
             break
-    solved = solve_stack(rows, True)
+    solved = solve_stack(rows)
     for t, row, roots in zip(points, rows, solved):
         if isinstance(roots, Exception):
             # a row with an inf or a NaN fails to solve (eigvals refuses it, or

@@ -7,11 +7,11 @@ uniqueness of the double branch point of the perturbed family, and the
 cusp scaling exponent of the pairwise merge.
 
 Both confinement checks walk their grid through ``_follow``: it solves the
-start value and every grid value in one stacked call
-(``families.solve_stack``), labels the branch points at the start, then
-matches each grid value's points, by argument, to the labels of the value
-before.  The cusp-exponent factors and the double-root grid are solved in
-one stacked call each too.
+start value and every grid value in one ``families.branch_roots`` call,
+with the checks of every family solve, labels the branch points at the
+start, then matches each grid value's points, by argument, to the labels
+of the value before.  The cusp-exponent factors and the double-root grid
+are solved in one ``families.solve_stack`` call each too.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .certificates import CheckResult
 from .families import (
     COLLISION_TOL,
     WeierstrassFamily,
+    branch_roots,
     catalogue_family,
     label_points,
     merge_point,
@@ -40,10 +41,10 @@ MU_RANGE = (1e-5, 1e-3)  # mu range of the cusp-exponent fit
 MU_SAMPLES = 13  # geometric samples of mu in that range
 
 
-def _roots(rows: list[np.ndarray], polish: bool) -> list[np.ndarray]:
+def _roots(rows: list[np.ndarray]) -> list[np.ndarray]:
     """Each row's roots from one ``solve_stack`` call; the first failing
     row raises."""
-    solved = solve_stack(rows, polish)
+    solved = solve_stack(rows)
     for roots in solved:
         if isinstance(roots, Exception):
             raise roots
@@ -55,7 +56,7 @@ def _follow(family: WeierstrassFamily, params: list[dict[str, complex]],
     """The branch points at ``start`` in label order, then at each of
     ``params`` in turn, each matched by argument to the labels of the
     configuration before it."""
-    first, *rest = _roots([family.branch_coeffs(t) for t in [start, *params]], True)
+    first, *rest = branch_roots(family, [start, *params])
     configs = [list(label_points(first))]
     for roots in rest:
         remaining = list(roots)
@@ -132,9 +133,8 @@ def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
     eps_grid = [mag * cmath.exp(2j * math.pi * (j + 0.3) / EPS_ANGLES)
                 for mag in EPS_MAGNITUDES for j in range(EPS_ANGLES)]
     all_ok = True
-    # the companion step alone: the pair near alpha is a double root
     for roots in _roots([family.branch_coeffs({"eps": eps ** (1 / 3), "alpha": alpha})
-                         for eps in eps_grid], False):
+                         for eps in eps_grid]):
         near_alpha = sorted(roots, key=lambda z: abs(z - alpha))
         double_pair = near_alpha[:2]
         rest = near_alpha[2:]
@@ -167,7 +167,7 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
             coeffs = q.copy()
             coeffs[0] -= sign * s
             factors.append(coeffs)
-    pair = [min(roots, key=lambda z: abs(z - alpha)) for roots in _roots(factors, True)]
+    pair = [min(roots, key=lambda z: abs(z - alpha)) for roots in _roots(factors)]
     xs = [math.log(mu) for mu in mus]
     ys = [math.log(abs(a - b) ** 2) for a, b in zip(pair[::2], pair[1::2])]
     slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])

@@ -24,15 +24,15 @@ Strands are ordered by the real part of the rotated coordinate
 z * exp(-i * angle), imaginary part breaking ties.  A crossing of
 adjacent ranks emits the generator with positive sign when the strand
 moving up in rank passes with the smaller imaginary part, which makes a
-counterclockwise half turn of two points the positive generator.  If two
-tracked points stay vertically aligned within tolerance over a whole
-step, the whole trace is recomputed from the same start roots with the
-projection rotated by ``ROTATION_STEP`` (recorded on the trace), at most
+counterclockwise half turn of two points the positive generator.  A
+trace starts at angle 0.  If two tracked points are vertically aligned
+within tolerance at the start, or over a whole step, the whole trace is
+recomputed from the same start roots with the projection rotated by
+``ROTATION_STEP`` (the angle used is recorded on the trace), at most
 ``MAX_ROTATIONS`` times; the start is solved and checked once per trace.
 
-The projection angle is the only setting a caller chooses; the collision
-tolerance is the constant ``families.COLLISION_TOL``.  Each trial ranks
-its corrected roots once, and the alignment test and the final matching
+The tracker takes no setting from its caller.  Each trial ranks its
+corrected roots once, and the alignment test and the final matching
 reuse that order.  Circles are sampled by ``circle_path`` alone, and
 every catalogued loop round a point is a ``lasso``: out along an approach,
 once round a circle drawn from where the approach ends, and back, in plain
@@ -260,17 +260,13 @@ def _emit(
     return Crossing(index=r + 1, sign=sign, time=s + frac * h)
 
 
-def track_coefficients(
-    coeff_fn: Callable[[float], np.ndarray],
-    *,
-    projection_angle: float = 0.0,
-) -> BraidTrace:
-    """Track the root set of coeff_fn(s) for s in [0, 1]."""
+def track_coefficients(coeff_fn: Callable[[float], np.ndarray]) -> BraidTrace:
+    """Track the root set of coeff_fn(s) for s in [0, 1] from projection angle 0."""
     start = solve_roots(np.asarray(coeff_fn(0.0), dtype=complex))
     gap = min_pairwise_distance(start)
     if gap < COLLISION_TOL:
         raise DegenerateConfigurationError("start configuration is degenerate")
-    angle = projection_angle
+    angle = 0.0
     for rotations in range(MAX_ROTATIONS + 1):
         tracked = _track_once(coeff_fn, start, gap, angle)
         if tracked is not None:
@@ -368,12 +364,7 @@ def _interp_path(points: Sequence, s: float):
     return complex(p0) * (1 - frac) + complex(p1) * frac
 
 
-def track_loop(
-    family: WeierstrassFamily,
-    loop: ParameterLoop,
-    *,
-    projection_angle: float = 0.0,
-) -> BraidTrace:
+def track_loop(family: WeierstrassFamily, loop: ParameterLoop) -> BraidTrace:
     """Track the branch points of the family along a closed parameter loop.
     Every vertex must stay clear of the degeneration locus: its branch
     points pairwise at least ``COLLISION_TOL`` apart.  The loop may name
@@ -384,7 +375,7 @@ def track_loop(
     def coeff_fn(s: float) -> np.ndarray:
         return family.branch_coeffs(loop.at(s))
 
-    return track_coefficients(coeff_fn, projection_angle=projection_angle)
+    return track_coefficients(coeff_fn)
 
 
 def fiber_monodromy(

@@ -1,5 +1,9 @@
+import dataclasses
+from unittest import mock
+
 import pytest
 
+from braidwork import bifurcation
 from braidwork.bifurcation import (
     _full_symmetric_group_row,
     _merge_loop,
@@ -9,6 +13,7 @@ from braidwork.bifurcation import (
     full_braid_monodromy_check,
 )
 from braidwork.families import branch_points, catalogue_family
+from braidwork.tracking import ROTATION_STEP, TrackingError, track_loop
 from braidwork.words import permutation_image
 
 
@@ -109,3 +114,35 @@ def test_the_full_symmetric_group_row_fails_off_the_criterion(k, perms):
 def test_unsupported_degree_is_rejected():
     with pytest.raises(ValueError):
         bifurcation_generators(5)
+
+
+# the run, the position and id of the loop whose trace is patched, and the
+# step that composes words, with the number of its calls before that loop
+@pytest.mark.parametrize("run, k, position, loop_id, composer, composed", [
+    (bifurcation_generators, 2, 3, "ray-even-0", "conjugate_right", 2),
+    (full_braid_monodromy_check, 3, 2, "tame-1", "_full_symmetric_group_row", 0),
+])
+def test_a_trace_read_in_another_projection_stops_the_run(
+        run, k, position, loop_id, composer, composed):
+    """One loop's trace recorded at another projection angle raises,
+    naming the loop and both angles, before its word is composed."""
+    traces = []
+
+    def track(family, loop):
+        trace = track_loop(family, loop)
+        traces.append(trace)
+        if len(traces) == position:
+            return dataclasses.replace(
+                trace, projection_angle=trace.projection_angle + ROTATION_STEP)
+        return trace
+
+    with mock.patch.object(bifurcation, "track_loop", track), \
+            mock.patch.object(bifurcation, composer,
+                              wraps=getattr(bifurcation, composer)) as spy:
+        with pytest.raises(TrackingError) as exc:
+            run(k)
+    angle = traces[0].projection_angle
+    assert str(exc.value) == (f"loop {loop_id} was read at projection angle "
+                              f"{angle + ROTATION_STEP!r}, its run at {angle!r}")
+    assert len(traces) == position
+    assert spy.call_count == composed

@@ -276,7 +276,7 @@ _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
 
 # body hashes of the numerical certificates: they move if a tracked loop
 # or an arc's endpoint loops move, or if the tracker decides differently
-@pytest.mark.parametrize("argv, body_sha256", [
+NUMERICAL_SHA256 = [
     (["admissible", "--family", "base", "--k", "3", "--arc", "1:2"],
      "cc4c5cda49419cafd9648c6e7ff7cfd014381c7fd2a8ea11d5fb5f0fb7373dab"),
     (["admissible", "--family", "base", "--k", "2", "--arc", "1:3"],
@@ -291,7 +291,10 @@ _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
     (["monodromy", "--family", "cusp", "--loop",
       '{"kind":"circle","param":"lam","center":0,"radius":1.0,"turns":-2}'],
      "797c54292a5f57be0ddd666806908160fc994e0b4b0f20acc94841ee9bdefa0d"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, body_sha256", NUMERICAL_SHA256)
 def test_numerical_certificates_are_pinned(argv, body_sha256, capsys):
     """The pins assume numpy dispatches its FMA (X86_V3) loops: with
     ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"`` the
@@ -301,6 +304,26 @@ def test_numerical_certificates_are_pinned(argv, body_sha256, capsys):
     assert code == 0
     assert cert["summary"]["verified"] == 1
     assert cert["body_sha256"] == body_sha256
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--family", "cusp", "--expect", '{"n":2,"word":[1,1,1]}'],
+    *(argv for argv, _ in NUMERICAL_SHA256 if argv[0] == "monodromy"),
+])
+def test_a_monodromy_certificate_replays_from_its_own_inputs(argv, tmp_path, capsys):
+    """inputs.family and inputs.loop, written to files as the certificate
+    echoes them (the loop as a bare vertex list), rebuild the same body."""
+    _, cert = run_json(argv, capsys)
+    replay = ["monodromy"]
+    for name in ("family", "loop"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cert["inputs"][name]))
+        replay += [f"--{name}-file", str(path)]
+    if "--expect" in argv:
+        replay += argv[argv.index("--expect"):][:2]
+    code, replayed = run_json(replay, capsys)
+    assert code == 0
+    assert replayed["body_sha256"] == cert["body_sha256"]
 
 
 def test_transversal_does_not_depend_on_the_hash_seed():
@@ -479,6 +502,9 @@ def _case_id(value):
      "the branch coefficients are not finite at parameters {'lam': (1e+308+1e+308j)}"),
     (["admissible", "--family", "cusp", "--params", '{"lam":1e200}', "--arc", "1:2"],
      "the branch coefficients are not finite at parameters {'lam': (1e+200+0j)}"),
+    # a bare list is a polyline's points; any other non-object is no loop spec
+    (["monodromy", "--loop", "[1]"], "polyline point"),
+    (["monodromy", "--loop", "5"], "loop spec other than a vertex list must be an object"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -416,11 +416,21 @@ def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
     of a few rows and of every row."""
     with np.errstate(all="ignore"):
         polished = [_call_outcome(solve_roots, row) for row in rows]
-        raw = [_call_outcome(npoly.polyroots, row) for row in rows]
         for entries in (1, 60, families.STACK_ENTRIES):
             with mock.patch.object(families, "STACK_ENTRIES", entries):
-                assert [_stack_outcome(r) for r in solve_stack(rows, True)] == polished
-                assert [_stack_outcome(r) for r in solve_stack(rows, False)] == raw
+                assert [_stack_outcome(r) for r in solve_stack(rows)] == polished
+        # the companion step on its own, against polyroots, over the rows
+        # solve_roots accepts, stacked by length
+        by_length = {}
+        for row in rows:
+            try:
+                coeffs = families._solvable(row)
+            except (ValueError, DegenerateConfigurationError):
+                continue
+            by_length.setdefault(len(coeffs), []).append(coeffs)
+        for same in by_length.values():
+            assert ([_stack_outcome(r) for r in families._companion_roots(np.array(same))]
+                    == [_call_outcome(npoly.polyroots, c) for c in same])
 
 
 @st.composite
@@ -520,7 +530,7 @@ def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
     with np.errstate(all="ignore"):
         expected = [_call_outcome(solve_roots, row) for row in rows]
         with mock.patch.object(np.linalg, "eigvals", no_stacks):
-            assert [_stack_outcome(r) for r in solve_stack(rows, True)] == expected
+            assert [_stack_outcome(r) for r in solve_stack(rows)] == expected
 
 
 def test_chunks_bound_the_stack():
@@ -538,7 +548,7 @@ def test_chunks_bound_the_stack():
         for entries in (1, 200, families.STACK_ENTRIES):
             sizes.clear()
             with mock.patch.object(families, "STACK_ENTRIES", entries):
-                solve_stack(rows, True)
+                solve_stack(rows)
             per_row = 4 * 4 + 3 * 5 * 4
             assert sum(shape[0] for shape in sizes) == 50
             assert max(shape[0] for shape in sizes) == max(1, min(50, entries // per_row))

@@ -1,3 +1,9 @@
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from braidwork import families, geometry
 from braidwork.geometry import (
     circle_confinement,
     cusp_exponent,
@@ -30,3 +36,24 @@ def test_cusp_exponent_fits_three():
     assert fit.passed
     assert abs(fit.witness["fitted_exponent"] - 3.0) < 0.15
 
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_double_root_grid_keeps_its_companion_roots(k):
+    """The stacked solve polishes every row, and on the double-root grid
+    no row fails the polish's first residual test: each row's roots are
+    its companion roots, bit for bit, so the near-double pair is never
+    moved by Newton steps."""
+    calls = []
+
+    def record(rows):
+        calls.append((rows, families.solve_stack(rows)))
+        return calls[-1][1]
+
+    with mock.patch.object(geometry, "solve_stack", record):
+        (unique,) = double_root_uniqueness(k)
+    assert unique.passed
+    ((rows, solved),) = calls
+    assert len(rows) == 48
+    companion = families._companion_roots(np.array(rows))
+    assert [r.tobytes() for r in solved] == [r.tobytes() for r in companion]

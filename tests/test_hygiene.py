@@ -158,8 +158,6 @@ SETTABLE_VALUES = {
     "families.compile_coefficient.build(depth)",
     "families.WeierstrassFamily.__init__(catalogue_id)",
     "hurwitz.orbit(cap)",
-    "tracking.track_coefficients(projection_angle)",
-    "tracking.track_loop(projection_angle)",
     "tracking.ParameterLoop.circle(turns)",
     "tracking.ParameterLoop.circle(fixed)",
     "tracking.ParameterLoop.circle(start_angle)",
@@ -215,7 +213,7 @@ def test_the_settable_values_are_the_listed_ones():
             found |= _settable(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert found == SETTABLE_VALUES, (
         f"new: {sorted(found - SETTABLE_VALUES)}, gone: {sorted(SETTABLE_VALUES - found)}")
-    assert len(found) == 22
+    assert len(found) == 20
 
 
 # module-level functions and classes of the package, and public methods of
