@@ -91,17 +91,22 @@ def _emit(cert: Certificate, args) -> int:
 
 
 def cmd_verify(args) -> int:
+    checks = {scope: check for scope, check in CHECKS
+              if scope is not None and args.scope in (scope, "all")}
+    if args.ledger and args.dump_ledger:
+        raise ValueError("--dump-ledger writes the built-in ledger and reads no --ledger; "
+                         "give one of the two")
+    if args.ledger and "identities" not in checks:
+        raise ValueError(f"verify {args.scope} reads no ledger; --ledger is for "
+                         "verify identities and verify all")
     if args.dump_ledger:
         with open(args.dump_ledger, "w") as fh:
             json.dump(catalog.ledger_to_json(), fh, indent=2)
         print(f"ledger written to {args.dump_ledger}")
         return 0
-    checks = {scope: check for scope, check in CHECKS
-              if scope is not None and args.scope in (scope, "all")}
     inputs = {"scope": args.scope}
     if args.ledger:
         inputs["ledger"] = args.ledger
-    if args.ledger and "identities" in checks:
         with open(args.ledger) as fh:
             records = catalog.ledger_from_json(json.load(fh))
         checks["identities"] = lambda: catalog.verify_identities(records)

@@ -261,8 +261,11 @@ def _emit(
 
 
 def track_coefficients(coeff_fn: Callable[[float], np.ndarray]) -> BraidTrace:
-    """Track the root set of coeff_fn(s) for s in [0, 1] from projection angle 0."""
+    """Track the root set of coeff_fn(s) for s in [0, 1] from projection
+    angle 0.  Coefficients with no root at s = 0 raise ValueError."""
     start = solve_roots(np.asarray(coeff_fn(0.0), dtype=complex))
+    if not len(start):
+        raise ValueError("the coefficients have no roots at s = 0: there is nothing to track")
     gap = min_pairwise_distance(start)
     if gap < COLLISION_TOL:
         raise DegenerateConfigurationError("start configuration is degenerate")

@@ -9,6 +9,7 @@ from braidwork.bifurcation import (
     _merge_loop,
     _ray_critical,
     bifurcation_generators,
+    contraction_to_reference,
     expected_generators,
     full_braid_monodromy_check,
 )
@@ -109,6 +110,12 @@ def test_the_full_symmetric_group_row_fails_off_the_criterion(k, perms):
     row = _full_symmetric_group_row(k, perms)
     assert row.id == f"degtwo/full-symmetric-group@k{k}"
     assert row.status == "failed"
+
+
+def test_the_contraction_of_no_points_names_the_cause():
+    # its polynomial is the constant 1, which has no root to track
+    with pytest.raises(ValueError, match="no roots at s = 0"):
+        contraction_to_reference(())
 
 
 def test_unsupported_degree_is_rejected():

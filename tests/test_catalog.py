@@ -1,5 +1,6 @@
 import pytest
 
+from braidwork import catalog as catalog_module
 from braidwork.catalog import (
     IdentityRecord,
     build_e,
@@ -125,8 +126,42 @@ def test_sigma2_conjugate_stabilizes_three_strand_system():
     assert stabilizes(word(3, 2, 1, -2), (PERM3_S, PERM3_T, PERM3_S))
 
 
+def test_stabilizer_tables_hold_only_what_no_theorem_row_states():
+    assert [r.id for r in verify_stabilizer_tables()] == (
+        [f"stabilizers/conjugator-image@{n}" for n in range(3, 7)]
+        + [f"stabilizers/reference-{kind}-generators@{n}"
+           for kind in "AB" for n in range(2, 7)])
+
+
 def test_theorem_rows():
     assert all(r.passed for r in verify_theorem_rows())
+
+
+def test_a_band_that_moves_the_artin_system_is_named(monkeypatch):
+    bands = catalog_module._band_table
+
+    def with_sigma1(n):
+        table = bands(n)
+        if n == 3:
+            table[1, 2] = word(3, 1)
+        return table
+
+    monkeypatch.setattr(catalog_module, "_band_table", with_sigma1)
+    rows = {r.id: r for r in verify_theorem_rows()}
+    failed = rows.pop("theorem/bands-in-artin-stabilizer@3")
+    assert failed.status == "failed"
+    assert failed.witness == {"moving_bands": ["e_12"]}
+    assert all(r.passed and r.witness is None for r in rows.values())
+
+
+def test_a_twist_that_fixes_the_artin_system_fails_strictness(monkeypatch):
+    monkeypatch.setattr(catalog_module, "tau_word", lambda k, n: build_e(n, 1, 3))
+    rows = [r for r in verify_theorem_rows() if "strictness" in r.id]
+    assert [r.id for r in rows] == [
+        "theorem/strictness-tau1@5", "theorem/strictness-tau1@6", "theorem/strictness-tau2@6"]
+    for r in rows:
+        assert r.status == "failed"
+        assert r.witness == {"fixes_coxeter": True, "moves_artin": False}
 
 
 def test_half_twist_classification_counts():

@@ -246,10 +246,10 @@ def test_orbit_certificates_are_pinned(argv, body_sha256, capsys):
 # ledger, stabiliser, theorem and conjugacy-class checks
 VERIFY_SHA256 = {
     "identities": "8f89cc3d394ecb6aa1b3f538f2fc5d0859d42632236ebf5cd167e0472ebd24f0",
-    "stabilizers": "ffacf975044fa518a07f18e26d67e3087a2d5100fa48bc439455d7a61b29351a",
+    "stabilizers": "79b0cb997df6b22aa3098671f7cb5025e08ec0edae40366c8f24942d7443f21d",
     "theorem": "03d6432fc8c06cc7d1030244196a20c378237bb7c021e377867dce2f0b420900",
     "conclass": "5738203b7f9d868ac85e01823a3409e81cd9f79729c21124888698fa1bd47a93",
-    "all": "120e9dc260c6cab4d031a5c6c0464e3560639774f83be591af825ff54554b2c9",
+    "all": "c0eecf0df7bffd45997169586df6a74b1f4ec3a9ec48141e137ee59602ec0d02",
 }
 
 
@@ -266,9 +266,9 @@ def test_report_rows_are_pinned(capsys):
     code, cert = run_json(["report"], capsys)
     assert code == 0
     rows = [[r["id"], r["status"]] for r in cert["results"]]
-    assert len(rows) == 139
+    assert len(rows) == 123
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "86eb94e0393629e25df91701d4aee40686c1840b3da38ab1d5f116f8f9a01332"
+    assert digest == "14f33b9f5e1e4fbf7dbb6b27e417528384adf1609293d5ee7dabf6e8258c3063"
 
 
 _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
@@ -370,6 +370,8 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "zero_n.json").write_text('[{"id": "x", "n": 0, "lhs": [], "rhs": []}]')
     (tmp_path / "letter_out_of_range.json").write_text(
         '[{"id": "x", "n": 3, "lhs": [1, 5], "rhs": [2]}]')
+    (tmp_path / "sigma1_is_sigma2.json").write_text(
+        '[{"id": "x", "n": 3, "lhs": [1], "rhs": [2]}]')
     (tmp_path / "repeated_id.json").write_text(
         '[{"id": "a", "n": 3, "lhs": [1], "rhs": [1]}, {"id": "a", "n": 3, "lhs": [1], "rhs": [2]}]')
     (tmp_path / "row_is_an_id.json").write_text(
@@ -505,6 +507,15 @@ def _case_id(value):
     # a bare list is a polyline's points; any other non-object is no loop spec
     (["monodromy", "--loop", "[1]"], "polyline point"),
     (["monodromy", "--loop", "5"], "loop spec other than a vertex list must be an object"),
+    # --dump-ledger reads no --ledger, so a failing ledger cannot pass by it
+    (["verify", "identities", "--ledger", "sigma1_is_sigma2.json", "--dump-ledger", "out.json"],
+     "--dump-ledger writes the built-in ledger and reads no --ledger"),
+    # a scope whose checks read no ledger
+    (["verify", "stabilizers", "--ledger", "sigma1_is_sigma2.json"],
+     "verify stabilizers reads no ledger"),
+    (["verify", "theorem", "--ledger", "/nonexistent/x.json"], "verify theorem reads no ledger"),
+    (["verify", "conclass", "--ledger", "sigma1_is_sigma2.json"],
+     "verify conclass reads no ledger"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -257,6 +257,25 @@ S3_VALUES = tuple(perm_from_name(x) for x in ("e", "s", "t", "r", "st", "ts"))
 B3_VALUES = st.text("aAbB", max_size=3).map(artin_from_word)
 
 
+@st.composite
+def _word_and_b3_tuple(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    values = draw(st.lists(B3_VALUES, min_size=n, max_size=n))
+    return draw(words_strategy(n, max_len=12)), tuple(values)
+
+
+@given(_word_and_b3_tuple())
+@settings(max_examples=200)
+def test_action_commutes_with_the_quotient_to_s3(case):
+    # why a band that fixes artin_system(n) fixes coxeter_system(n), its image
+    w, tup = case
+
+    def image(values):
+        return tuple(g.to_perm3() for g in values)
+
+    assert act_word(w, image(tup)) == image(act_word(w, tup))
+
+
 def _assert_words_are_checked_words(transversal):
     # orbit builds its words without the letter check; each must be the
     # word the checked constructor gives

@@ -265,6 +265,12 @@ def test_the_zero_branch_polynomial_raises():
         track_coefficients(lambda s: family.branch_coeffs({"c": 1 - s}))
 
 
+def test_coefficients_with_no_roots_at_the_start_raise():
+    # a nonzero constant has no root to track
+    with pytest.raises(ValueError, match="no roots at s = 0"):
+        track_coefficients(lambda s: np.array([7.0 + 0j]))
+
+
 def test_a_loop_may_name_only_the_family_parameters():
     # branch points x^3 = 1 at every vertex; the family never reads lam
     family = WeierstrassFamily(3, (), (0, 1), (1,))
