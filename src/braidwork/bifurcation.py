@@ -40,7 +40,7 @@ from numpy.polynomial import polynomial as npoly
 from .catalog import _band_table
 from .certificates import CheckResult
 from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
-from .garside import normal_form
+from .garside import dynnikov
 from .tracking import (BraidTrace, ParameterLoop, TrackingError, lasso, loop_to_braid,
                        track_coefficients, track_loop)
 from .words import BraidWord, Perm, conjugate_right, permutation_image, pmul
@@ -180,12 +180,12 @@ def bifurcation_generators(k: int) -> BifurcationReport:
         raise ValueError("generator realization is catalogued for k = 1, 2, 3")
     base, loops = _catalogued_loops(k)
     conj, angle = contraction_to_reference(base)
-    band = {normal_form(w): f"e_{i}{j}" for (i, j), w in _band_table(2 * k).items()}
+    band = {dynnikov(w): f"e_{i}{j}" for (i, j), w in _band_table(2 * k).items()}
     outcomes = []
     for loop_id, family, loop in loops:
         word = _same_projection(loop_id, track_loop(family, loop), angle)
         std = conjugate_right(word, conj)
-        matched = band.get(normal_form(std))
+        matched = band.get(dynnikov(std))
         outcomes.append(LoopOutcome(loop_id, std, matched))
 
     matched_names = {o.matched for o in outcomes}

@@ -26,7 +26,7 @@ import functools
 from typing import Iterable
 
 from .certificates import CheckResult
-from .garside import equal, normal_form
+from .garside import dynnikov, equal, normal_form
 from .groups import (
     ARTIN3_A,
     ARTIN3_B,
@@ -427,8 +427,8 @@ def ledger_from_json(rows: list) -> list[IdentityRecord]:
 
 
 def verify_identity(record: IdentityRecord) -> CheckResult:
-    """Check a single record by normal-form equality.  Results carry the
-    two words; failed results additionally carry both normal forms."""
+    """Check a single record by `garside.equal`.  Results carry the two
+    words; failed results additionally carry both normal forms."""
     witness = {
         "lhs": list(record.lhs.letters),
         "rhs": list(record.rhs.letters),
@@ -545,8 +545,8 @@ def half_twist_classification() -> list[CheckResult]:
     for gamma in table.transversal.values():
         candidate = conjugate_right(e13, gamma)
         if stabilizes(candidate, art):
-            classes.add(normal_form(candidate))
-    nontrivial = classes - {normal_form(e13)}
+            classes.add(dynnikov(candidate))
+    nontrivial = classes - {dynnikov(e13)}
 
     results: list[CheckResult] = [
         CheckResult("conclass/orbit-240", "halftwist-transversal-table",
@@ -560,7 +560,7 @@ def half_twist_classification() -> list[CheckResult]:
 
     # the class of every verifying reading of each tabulated row; a row's
     # verifying readings are equal braids, so each row keeps one class
-    row_values = {record.row or record.id: normal_form(record.lhs) for record in catalog()
+    row_values = {record.row or record.id: dynnikov(record.lhs) for record in catalog()
                   if record.source == "halftwist-transversal-table"
                   and equal(record.lhs, record.rhs)}
     matched = set(row_values.values())

@@ -96,8 +96,9 @@ def cmd_verify(args) -> int:
     if args.ledger and args.dump_ledger:
         raise ValueError("--dump-ledger writes the built-in ledger and reads no --ledger; "
                          "give one of the two")
-    if args.ledger and "identities" not in checks:
-        raise ValueError(f"verify {args.scope} reads no ledger; --ledger is for "
+    option = "--ledger" if args.ledger else "--dump-ledger" if args.dump_ledger else None
+    if option and "identities" not in checks:
+        raise ValueError(f"verify {args.scope} reads no ledger; {option} is for "
                          "verify identities and verify all")
     if args.dump_ledger:
         with open(args.dump_ledger, "w") as fh:

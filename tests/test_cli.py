@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -560,6 +561,34 @@ def test_the_largest_strand_count_is_accepted(tmp_path, capsys):
     assert code == 0
     assert cert["summary"]["verified"] == 1
 
+
+
+@pytest.mark.parametrize("scope", ["stabilizers", "theorem", "conclass"])
+def test_dump_ledger_on_a_scope_without_the_ledger_is_a_usage_error(scope, tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    code = main(["verify", scope, "--dump-ledger", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith(f"error: verify {scope} reads no ledger; --dump-ledger is for ")
+    assert out == ""
+    assert not path.exists()
+
+
+def test_a_long_ledger_row_verifies_within_a_cpu_budget(tmp_path, capsys):
+    # a 4 000-letter word at the largest strand count, and the same word
+    # with a braid relator inserted: linear in the letters, not in Garside
+    rng = random.Random(64)
+    lhs = [rng.choice([1, -1]) * rng.randint(1, MAX_STRANDS - 1) for _ in range(4000)]
+    pos = rng.randint(0, len(lhs))
+    rhs = lhs[:pos] + [5, 6, 5, -6, -5, -6] + lhs[pos:]
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps([{"id": "long", "n": MAX_STRANDS, "lhs": lhs, "rhs": rhs}]))
+    start = time.process_time()
+    code, cert = run_json(["verify", "identities", "--ledger", str(path)], capsys)
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert cert["summary"]["verified"] == 1
+    assert elapsed < 2.0
 
 # entry names of each group, and tokens neither group reads
 _NAMES = {"s3": ["e", "s", "t", "r", "st", "ts"], "br3": ["a", "b", "A", "aB", "bbA", "1", ""]}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidwork import garside
+from braidwork.catalog import catalog
 from braidwork.garside import (
     _leftweight,
+    dynnikov,
     equal,
     left_descents,
     letter_perm,
@@ -20,7 +23,15 @@ from braidwork.garside import (
     pmul,
     right_descents,
 )
-from braidwork.words import BraidWord, compose, conjugate_right, invert, reduce_free, word
+from braidwork.words import (
+    BraidWord,
+    compose,
+    conjugate_right,
+    invert,
+    permutation_image,
+    reduce_free,
+    word,
+)
 
 from test_words import words_strategy
 
@@ -305,3 +316,146 @@ def test_delta_square_is_central():
     delta2 = word(3, 1, 2, 1, 1, 2, 1)
     for g in (word(3, 1), word(3, 2), word(3, 1, -2)):
         assert equal(compose(delta2, g), compose(g, delta2))
+
+
+# ---------------------------------------------------------------------------
+# Dynnikov coordinates against the Garside oracle
+
+
+def all_words(n, max_len):
+    letters = list(range(1, n)) + [-i for i in range(1, n)]
+    return [BraidWord(n, t) for length in range(max_len + 1)
+            for t in itertools.product(letters, repeat=length)]
+
+
+@pytest.mark.parametrize("n, max_len, count", [(3, 7, 21845), (4, 5, 9331)])
+def test_dynnikov_splits_short_words_into_the_normal_form_classes(n, max_len, count):
+    words = all_words(n, max_len)
+    assert len(words) == count
+    keys = {(dynnikov(w), normal_form(w)) for w in words}
+    # equal coordinates exactly when equal normal forms: each key of one
+    # side meets one key of the other
+    assert len(keys) == len({d for d, _ in keys}) == len({f for _, f in keys})
+
+
+def commutator_of_squares(i):
+    """[sigma_i^2, sigma_(i+1)^2]: a nontrivial pure braid of exponent sum 0."""
+    return (i, i, i + 1, i + 1, -i, -i, -(i + 1), -(i + 1))
+
+
+@st.composite
+def engineered_pairs(draw, max_len=40):
+    """Pairs on one strand count n in 2..8: two random words, or a word
+    and a copy with a relator inserted (equal), a letter inserted
+    (unequal), a nontrivial pure braid of exponent sum 0 inserted when
+    n > 2 (unequal, same exponent sum and permutation), or two adjacent
+    letters swapped (equal when they commute)."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    u = draw(words_strategy(n, max_len=max_len))
+    pos = draw(st.integers(min_value=0, max_value=len(u.letters)))
+    index = st.integers(min_value=1, max_value=n - 1)
+    kind = draw(st.sampled_from(["random", "relator", "letter", "swap"] + ["pure"] * (n > 2)))
+    if kind == "random":
+        return u, draw(words_strategy(n, max_len=max_len))
+    if kind == "relator":
+        piece = draw(st.sampled_from(relators(n)))
+    elif kind == "letter":
+        piece = (draw(index) * draw(st.sampled_from([1, -1])),)
+    elif kind == "pure":
+        piece = commutator_of_squares(draw(st.integers(min_value=1, max_value=n - 2)))
+    else:
+        ls = list(u.letters)
+        if pos + 1 < len(ls):
+            ls[pos], ls[pos + 1] = ls[pos + 1], ls[pos]
+        return u, BraidWord(n, tuple(ls))
+    return u, BraidWord(n, u.letters[:pos] + piece + u.letters[pos:])
+
+
+@given(engineered_pairs())
+@settings(max_examples=400, deadline=None)
+def test_equal_agrees_with_the_garside_oracle(pair):
+    u, v = pair
+    assert equal(u, v) == (normal_form(u) == normal_form(v))
+
+
+@given(words_on_common_strands(1, max_len=60))
+@settings(max_examples=200, deadline=None)
+def test_a_word_times_its_inverse_fixes_the_trivial_lamination(words):
+    (w,) = words
+    assert dynnikov(compose(w, invert(w))) == (0, 1) * w.n
+    assert dynnikov(compose(invert(w), w)) == (0, 1) * w.n
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_relator_acts_trivially_after_a_random_prefix(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        prefix = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(30))
+        start = dynnikov(BraidWord(n, prefix))
+        for rel in relators(n):
+            assert dynnikov(BraidWord(n, prefix + rel)) == start
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_full_twist_is_not_the_identity(n):
+    twist = BraidWord(n, tuple(delta_letters(n)) * 2)
+    assert dynnikov(twist) != (0, 1) * n
+    assert not equal(twist, word(n))
+    assert normal_form(twist).inf == 2
+
+
+# ---------------------------------------------------------------------------
+# Hard negatives: unequal pairs with equal exponent sum and permutation,
+# whose known answer comes from the unreduced Burau matrix at t = 2
+
+
+def burau(w):
+    """The unreduced Burau matrix of w at t = 2: sigma_i acts on columns
+    i-1, i by [[1 - t, t], [1, 0]], sigma_i^-1 by its inverse."""
+    t = Fraction(2)
+    m = [[Fraction(int(r == c)) for c in range(w.n)] for r in range(w.n)]
+    for letter in w.letters:
+        i = abs(letter) - 1
+        (a, b), (c, d) = ((1 - t, t), (1, 0)) if letter > 0 else ((0, 1), (1 / t, 1 - 1 / t))
+        for row in m:
+            x, y = row[i], row[i + 1]
+            row[i], row[i + 1] = x * a + y * c, x * b + y * d
+    return m
+
+
+def exponent_sum(w):
+    return sum(1 if x > 0 else -1 for x in w.letters)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_burau_at_two_is_a_representation(n):
+    identity = burau(word(n))
+    for rel in relators(n):
+        assert burau(BraidWord(n, rel)) == identity
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_hard_negatives_are_unequal(n):
+    # v = u [sigma_1^2, sigma_2^2]: Burau is a homomorphism, so a Burau
+    # matrix of the commutator other than the identity makes u != v
+    c = commutator_of_squares(1)
+    rng = random.Random(n)
+    for _ in range(10):
+        u = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(30)))
+        v = BraidWord(n, u.letters + c)
+        assert exponent_sum(u) == exponent_sum(v)
+        assert permutation_image(u) == permutation_image(v)
+        assert burau(u) != burau(v)
+        assert not equal(u, v)
+        assert normal_form(u) != normal_form(v)
+
+
+@pytest.mark.parametrize("row", ["row14", "row15"])
+def test_the_ledger_readings_that_agree_in_exponent_sum_and_permutation(row):
+    record = {r.id: r for r in catalog()}[f"halftwist-transversal/{row}.printed"]
+    u, v = record.lhs, record.rhs
+    assert exponent_sum(u) == exponent_sum(v)
+    assert permutation_image(u) == permutation_image(v)
+    assert burau(u) != burau(v)
+    assert not equal(u, v)
+    assert normal_form(u) != normal_form(v)
