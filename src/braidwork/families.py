@@ -32,6 +32,24 @@ entries; a row whose roots fail that test is polished alone by
 Every root and every error is bit for bit that of one ``solve_roots``
 call per row; the stacked solve has no unpolished mode.  ``branch_roots``
 solves a sequence of parameter points this way.
+
+The polynomials are small (degree 2 to 6 in the catalogued loops), so a
+numpy call costs more than the arithmetic it does, and the hot paths are
+written to make few calls.  ``refine_roots`` tests convergence with one
+``np.maximum.reduce`` of the relative residuals and critical points with
+one ``np.fmin.reduce`` of |f'| (fmin skips NaN, as the masked test
+does).  ``branch_roots`` evaluates each point's coefficients, then runs
+the zero and leading-coefficient test once for all rows of one length
+(``_solvable_rows``), the stacked solve, and the collision test once for
+all root arrays of one count (``_close_pairs``); a row or point that
+fails a stacked test is tested again alone, so its error is exact, and
+the first failing point in input order raises.  Elementwise, numpy's
+array ``abs`` of a complex gives the same bits wherever the entry sits in
+the array, but numpy's scalar ``abs`` (as ``abs(coeffs[-1])`` takes the
+leading coefficient's modulus) differs from it in the last bit on about a
+third of random inputs, so the stacked test takes each row's top modulus
+with the scalar ``abs`` and the row maximum from the array ``abs``, as
+``_solvable`` does.
 """
 
 from __future__ import annotations
@@ -205,6 +223,7 @@ class WeierstrassFamily:
             raise ValueError("q coefficients are required")
         self._p = self._compiled(self._p_texts)
         self._q = self._compiled(self._q_texts)
+        self._p_cube: np.ndarray | None = None  # p^3, kept once computed if p has no parameter
 
     def _compiled(self, texts: tuple[str, ...]) -> tuple[list, tuple]:
         """Entries without parameters as a template list, the others as
@@ -247,14 +266,24 @@ class WeierstrassFamily:
 
         For cubic fibers, p^3 - q^2 by convolution, with trailing exact
         zeros trimmed as numpy's ``polysub`` trims them, so a degree drop
-        shows as a shorter array."""
+        shows as a shorter array.  When p has no parameter (the base and
+        ray families), p^3 is computed at the first call and kept,
+        read-only; every call returns a fresh array."""
         q = self.q_array(t)
         if self.y_degree == 2:
             return q
-        p, q = _trim(self.p_array(t)), _trim(q)
-        p3, q2 = _trim(np.convolve(np.convolve(p, p), p)), _trim(np.convolve(q, q))
+        p3 = self._p_cube
+        if p3 is None:
+            p = _trim(self.p_array(t))
+            p3 = _trim(np.convolve(np.convolve(p, p), p))
+            if not self._p[1]:  # no parameter slot: the same p^3 at every t
+                p3.flags.writeable = False
+                self._p_cube = p3
+        q = _trim(q)
+        q2 = _trim(np.convolve(q, q))
         # numpy's polysub, branch for branch: same operations, same bits
         if len(p3) > len(q2):
+            p3 = p3.copy()  # a kept p^3 is never written
             p3[:len(q2)] -= q2
             return _trim(p3)
         q2 = -q2
@@ -328,14 +357,19 @@ def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """
     z = np.array(roots, dtype=complex)
     residuals, vals, dvals = _newton_pass(coeffs[:, None, None], len(z))
+    if not len(z):  # every residual of no roots passes; the reductions below would raise
+        return z
+    largest, smallest = np.maximum.reduce, np.fmin.reduce
     for _ in range(NEWTON_STEPS):
         rel = residuals(z)
-        if (rel < RESIDUAL_TOL).all():
+        if largest(rel) < RESIDUAL_TOL:  # NaN propagates, so a NaN residual fails
             return z
-        bad = np.abs(dvals) < 1e-300
-        if not bad.any():  # the np.where form below, bit for bit
+        size = np.abs(dvals)
+        # no |f'| below 1e-300 (fmin skips NaN): the np.where form below, bit for bit
+        if smallest(size) >= 1e-300:
             z = z - vals / dvals
             continue
+        bad = size < 1e-300
         if (bad & (rel >= RESIDUAL_TOL)).any():
             raise DegenerateConfigurationError("Newton step hit a critical point")
         z = z - np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
@@ -394,6 +428,19 @@ def _solvable(coeffs) -> np.ndarray:
     return coeffs
 
 
+def _solvable_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Which rows of ``coeffs`` (G, n) ``_solvable`` accepts, by its own
+    operations: the largest of numpy's array ``abs`` of the row, and the
+    top entry's modulus by numpy's scalar ``abs``, which differs from the
+    array ``abs`` in the last bit on many inputs.  Other shapes, and rows
+    of no entries, are not tested: every row is False."""
+    if coeffs.ndim != 2 or not coeffs.shape[1]:
+        return np.zeros(len(coeffs), dtype=bool)
+    largest = np.maximum.reduce(np.abs(coeffs), axis=1)
+    top = np.array([abs(c) for c in coeffs[:, -1]])
+    return (largest != 0) & ~(top < LEAD_TOL * largest)
+
+
 def solve_roots(coeffs: np.ndarray) -> np.ndarray:
     coeffs = _solvable(coeffs)
     raw = npoly.polyroots(coeffs)
@@ -442,27 +489,37 @@ def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
     ``solve_roots(row)`` gives, bit for bit, or the exception that call
     would raise.
 
-    Rows of one length share one companion step (``_companion_roots``)
-    and one residual test (``_polish_rows``), at most ``STACK_ENTRIES``
-    complex entries of matrices and Newton block at a time, so memory
-    does not grow with the number of rows."""
+    Rows of one length share one zero and leading-coefficient test
+    (``_solvable_rows``); a row that fails it is tested alone by
+    ``_solvable``, which gives its exact error.  The others share one
+    companion step (``_companion_roots``) and one residual test
+    (``_polish_rows``), at most ``STACK_ENTRIES`` complex entries of
+    matrices and Newton block at a time, so memory does not grow with the
+    number of rows."""
     out: list = [None] * len(rows)
-    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, row in enumerate(rows):
-        try:
-            c = _solvable(row)
-        except (ValueError, DegenerateConfigurationError) as exc:
-            out[i] = exc
-            continue
-        by_length.setdefault(len(c), []).append((i, c))
-    for n, members in by_length.items():
+    by_shape: dict[tuple, list[int]] = {}
+    arrays = [np.asarray(row, dtype=complex) for row in rows]
+    for i, c in enumerate(arrays):
+        by_shape.setdefault(c.shape, []).append(i)
+    for shape, members in by_shape.items():
+        stack = np.array([arrays[i] for i in members])
+        kept = []
+        for g, (i, passed) in enumerate(zip(members, _solvable_rows(stack))):
+            if not passed:
+                try:
+                    _solvable(arrays[i])
+                except (ValueError, DegenerateConfigurationError) as exc:
+                    out[i] = exc
+                    continue
+            kept.append(g)
+        n = shape[0]
         m = n - 1  # roots per row: a row takes m * m matrix and 3 * n * m block entries
         size = max(1, STACK_ENTRIES // max(1, m * m + 3 * n * m))
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            coeffs = np.array([c for _, c in chunk])
-            for (i, _), r in zip(chunk, _polish_rows(coeffs, _companion_roots(coeffs))):
-                out[i] = r
+        for start in range(0, len(kept), size):
+            chunk = kept[start:start + size]
+            coeffs = stack[chunk]
+            for g, r in zip(chunk, _polish_rows(coeffs, _companion_roots(coeffs))):
+                out[members[g]] = r
     return out
 
 
@@ -502,7 +559,7 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     if len(pts) < 2:
         return math.inf
     i, j = _pairs(len(pts))
-    return float(np.abs(pts[i] - pts[j]).min())
+    return float(np.minimum.reduce(np.abs(pts[i] - pts[j])))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -555,7 +612,7 @@ def branch_roots(family: WeierstrassFamily,
             failure = exc
             break
     solved = solve_stack(rows)
-    for t, row, roots in zip(points, rows, solved):
+    for t, row, roots, close in zip(points, rows, solved, _close_pairs(solved)):
         if isinstance(roots, Exception):
             # a row with an inf or a NaN fails to solve (eigvals refuses it, or
             # an inf below a finite top looks like a dropped degree)
@@ -564,11 +621,34 @@ def branch_roots(family: WeierstrassFamily,
             raise roots
         if not len(roots):
             raise ValueError(f"the family has no branch points at these parameters {t}")
-        if min_pairwise_distance(roots) < COLLISION_TOL:
+        if close and min_pairwise_distance(roots) < COLLISION_TOL:
             raise DegenerateConfigurationError(f"branch points collide at parameters {t}")
     if failure is not None:
         raise failure
     return solved
+
+
+def _close_pairs(solved: list) -> list[bool]:
+    """For each root array of ``solved`` (an exception counts as none),
+    whether two of its roots are closer than ``COLLISION_TOL``: the
+    operations of ``min_pairwise_distance``, elementwise, in one pass over
+    the arrays of each root count, at most ``STACK_ENTRIES`` pair
+    distances at a time."""
+    close = [False] * len(solved)
+    by_count: dict[int, list[int]] = {}
+    for g, roots in enumerate(solved):
+        if not isinstance(roots, Exception) and len(roots) > 1:
+            by_count.setdefault(len(roots), []).append(g)
+    for m, members in by_count.items():
+        i, j = _pairs(m)
+        size = max(1, STACK_ENTRIES // len(i))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            roots = np.array([solved[g] for g in chunk])
+            gaps = np.minimum.reduce(np.abs(roots[:, i] - roots[:, j]), axis=1)
+            for g in np.flatnonzero(gaps < COLLISION_TOL):
+                close[chunk[g]] = True
+    return close
 
 
 def branch_points(family: WeierstrassFamily, t: dict[str, complex]) -> BranchConfiguration:

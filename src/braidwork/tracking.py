@@ -43,13 +43,26 @@ derivative with ``families.refine_roots``, in one stacked Horner pass per
 Newton iteration that keeps numpy ``polyval``'s operation order for each
 of the three, and reuses the corrected roots' smallest gap as the next
 step's move bound; a trace's roots, crossing times and words are bit for
-bit those of the numpy.polynomial calls.  A loop may name only the
-family's parameters, and its vertices are checked before tracking, all
-in one ``families.branch_roots`` call: one stacked solve, whose roots are
-bit for bit those of one ``solve_roots`` call per vertex.  The stacked
-solve tests every vertex's companion roots in one Horner pass and polishes
-only a vertex whose roots fail it, with ``families``' own binding of
-``refine_roots``; this module's binding is called by the trials alone.
+bit those of the numpy.polynomial calls.  The polynomials are small, so a
+trial costs its count of numpy calls more than its arithmetic.  A trial
+makes one ``refine_roots`` call, whose Newton iterations each take one
+Horner pass and one ``np.maximum.reduce`` convergence test, and, when they
+step, one ``np.abs`` and one ``np.fmin.reduce`` critical-point test; the
+lead check and the move bound take one ``np.abs`` and one
+``np.maximum.reduce`` each, and ``min_pairwise_distance`` one subtraction,
+``np.abs`` and ``np.minimum.reduce``.  Ranks and alignment are read from
+the rotated roots' ``tolist()`` values in plain Python, which compares
+the same floats.
+
+A loop may name only the family's parameters, and its vertices are
+checked before tracking, all in one ``families.branch_roots`` call: one
+stacked solve, whose roots are bit for bit those of one ``solve_roots``
+call per vertex.  The stacked solve tests every vertex's companion roots
+in one Horner pass and polishes only a vertex whose roots fail it, with
+``families``' own binding of ``refine_roots``; this module's binding is
+called by the trials alone, once per trial.  The check's zero and
+leading-coefficient test runs once for all vertices of one coefficient
+length, and its collision test once for all vertices of one root count.
 
 Traces share no state.
 """
@@ -121,14 +134,14 @@ def loop_to_braid(trace: BraidTrace) -> BraidWord:
     return BraidWord(len(trace.final_matching), tuple(c.sign * c.index for c in trace.crossings))
 
 
-def _rank_order(rotated: np.ndarray) -> list[int]:
+def _rank_order(rotated: list[complex]) -> list[int]:
     """Indices of the rotated points by real part, imaginary part breaking ties."""
     return sorted(range(len(rotated)), key=lambda j: (rotated[j].real, rotated[j].imag))
 
 
-def _aligned(points: np.ndarray, rotated: np.ndarray, order: list[int]) -> bool:
+def _aligned(points: np.ndarray, rotated: list[complex], order: list[int]) -> bool:
     """Whether two points adjacent in rank ``order`` are vertically aligned."""
-    scale = max(1.0, float(np.abs(points).max()))
+    scale = max(1.0, float(np.maximum.reduce(np.abs(points))))
     return any(
         abs(rotated[a].real - rotated[b].real) < 1e-7 * scale
         for a, b in zip(order, order[1:])
@@ -137,19 +150,20 @@ def _aligned(points: np.ndarray, rotated: np.ndarray, order: list[int]) -> bool:
 
 def _step(
     coeffs: np.ndarray, roots: np.ndarray, gap: float, rot: complex, ranks: list[int]
-) -> tuple[np.ndarray, np.ndarray, float, list[int]] | None:
-    """One trial: the corrected roots, their rotation, their smallest gap
-    and the adjacent rank swaps from ``ranks``, or None if it is rejected."""
+) -> tuple[np.ndarray, list[complex], float, list[int]] | None:
+    """One trial: the corrected roots, their rotation (as Python complex
+    numbers), their smallest gap and the adjacent rank swaps from
+    ``ranks``, or None if it is rejected."""
     try:
         new_roots = refine_roots(coeffs, roots)
     except DegenerateConfigurationError:
         return None
-    if np.abs(new_roots - roots).max() > gap / 4:
+    if np.maximum.reduce(np.abs(new_roots - roots)) > gap / 4:
         return None
     new_gap = min_pairwise_distance(new_roots)
     if new_gap < COLLISION_TOL:
         return None
-    new_rotated = new_roots * rot
+    new_rotated = (new_roots * rot).tolist()
     swaps = _adjacent_swaps(ranks, _rank_order(new_rotated))
     if swaps is None:
         return None
@@ -163,9 +177,9 @@ def _track_once(
     ``gap``) projected at ``angle``, and ``ranks``: ranks[r] is the strand
     that ends at rank r.  None if two points stay vertically aligned."""
     rot = np.exp(-1j * angle)
-    rotated = start * rot
+    rotated = (start * rot).tolist()
     order = _rank_order(rotated)
-    roots, rotated = start[order], rotated[order]  # strand j = start rank j
+    roots, rotated = start[order], [rotated[j] for j in order]  # strand j = start rank j
     m = len(roots)
 
     # ranks[r] = strand currently at rank r; it is always the rank order of
@@ -189,7 +203,8 @@ def _track_once(
         coeffs = np.asarray(coeff_fn(trial), dtype=complex)
         # an exact zero leading coefficient also catches the zero polynomial
         lead = abs(coeffs[-1])
-        if len(coeffs) - 1 != m or lead == 0 or lead < LEAD_TOL * np.abs(coeffs).max():
+        if (len(coeffs) - 1 != m or lead == 0
+                or lead < LEAD_TOL * np.maximum.reduce(np.abs(coeffs))):
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )

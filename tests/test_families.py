@@ -552,3 +552,157 @@ def test_chunks_bound_the_stack():
             per_row = 4 * 4 + 3 * 5 * 4
             assert sum(shape[0] for shape in sizes) == 50
             assert max(shape[0] for shape in sizes) == max(1, min(50, entries // per_row))
+
+
+# ---------------------------------------------------------------------------
+# The stacked vertex check against one solve and one gap per point
+
+
+class _RowFamily:
+    """Stands in for a family: its branch coefficients at {"row": k} are
+    the k-th row given, and a row of None cannot be evaluated."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def branch_coeffs(self, t):
+        row = self.rows[t["row"]]
+        if row is None:
+            raise ValueError(f"row {t['row']} cannot be evaluated")
+        return np.array(row, dtype=complex)
+
+
+def _one_point_at_a_time(family, points):
+    """branch_roots as one solve_roots and one min_pairwise_distance call
+    per point, in input order."""
+    out = []
+    for t in points:
+        row = family.branch_coeffs(t)
+        try:
+            roots = solve_roots(row)
+        except (ValueError, DegenerateConfigurationError):
+            if not np.isfinite(row).all():
+                raise ValueError(f"the branch coefficients are not finite at parameters {t}")
+            raise
+        if not len(roots):
+            raise ValueError(f"the family has no branch points at these parameters {t}")
+        if min_pairwise_distance(roots) < families.COLLISION_TOL:
+            raise DegenerateConfigurationError(f"branch points collide at parameters {t}")
+        out.append(roots)
+    return out
+
+
+def _vertex_outcome(check, family, points):
+    try:
+        return [_bits(roots) for roots in check(family, points)]
+    except (ValueError, DegenerateConfigurationError) as exc:  # LinAlgError is a ValueError
+        return type(exc).__name__, str(exc)
+
+
+def _lead_margin_rows():
+    """Rows [M, 0, c] whose leading coefficient c sits on the LEAD_TOL
+    margin: LEAD_TOL * M is the larger of numpy's scalar and array abs of
+    c, which differ in the last bit, so the smaller one reads as a
+    dropped degree.  One row where the scalar abs is the smaller, one
+    where it is the larger."""
+    rng = np.random.default_rng(11)
+    found = {}
+    while len(found) < 2:
+        c = complex(*rng.normal(size=2))
+        array_abs, scalar_abs = float(np.abs(np.array([c]))[0]), float(abs(np.complex128(c)))
+        if array_abs == scalar_abs:
+            continue
+        larger = max(array_abs, scalar_abs)
+        top = larger / families.LEAD_TOL
+        for _ in range(8):  # the M whose product with LEAD_TOL rounds to the larger abs
+            if families.LEAD_TOL * top == larger:
+                found[scalar_abs < array_abs] = [top, 0, c]
+                break
+            top = np.nextafter(top, math.inf if families.LEAD_TOL * top < larger else 0)
+    return found[True], found[False]
+
+
+# rows branch_roots must refuse, each with its own error, next to good
+# rows of the same and of other lengths
+_VERTEX_ROWS = {
+    "good quadratic": [2, -3, 1],
+    "good cubic": [-1, 0.5j, 2, 1],
+    "shorter good row": [1 - 1j, 2],
+    "collision": [0, 0, -1],
+    "triple collision": [0, 0, 0, 1],
+    "degree drop": [1, 2, 1e-14],
+    "zero polynomial": [0j, complex(-0.0, 0.0), -0j],
+    "NaN": [np.nan, 1, 1],
+    "inf under a finite top": [1, np.inf, 1],
+    "no roots": [3],
+    "cannot be evaluated": None,
+}
+_VERTEX_ROWS["lead margin, scalar abs smaller"], _VERTEX_ROWS["lead margin, scalar abs larger"] = (
+    _lead_margin_rows())
+
+
+@given(st.lists(st.one_of(_coefficients(max_degree=6), st.sampled_from(list(_VERTEX_ROWS.values()))),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+@example([_VERTEX_ROWS["good quadratic"]] * 3 + [_VERTEX_ROWS["collision"]])
+@example([_VERTEX_ROWS["lead margin, scalar abs smaller"], _VERTEX_ROWS["good quadratic"]])
+@example([_VERTEX_ROWS["lead margin, scalar abs larger"], _VERTEX_ROWS["good quadratic"],
+          _VERTEX_ROWS["inf under a finite top"]])
+@example([_VERTEX_ROWS["good cubic"], _VERTEX_ROWS["shorter good row"],
+          _VERTEX_ROWS["triple collision"], _VERTEX_ROWS["degree drop"]])
+def test_stacked_vertex_check_is_one_check_per_point(rows):
+    """branch_roots raises what a loop of solve_roots and
+    min_pairwise_distance over the same points raises, type and message,
+    for the first failing point in input order, and otherwise returns
+    the same roots bit for bit."""
+    family = _RowFamily(rows)
+    points = [{"row": k} for k in range(len(rows))]
+    with np.errstate(all="ignore"):
+        assert (_vertex_outcome(families.branch_roots, family, points)
+                == _vertex_outcome(_one_point_at_a_time, family, points))
+
+
+@pytest.mark.parametrize("name, error", [
+    ("collision", "branch points collide"),
+    ("degree drop", "leading coefficient vanished"),
+    ("zero polynomial", "zero polynomial"),
+    ("NaN", "not finite"),
+    ("inf under a finite top", "not finite"),
+    ("no roots", "no branch points"),
+    ("cannot be evaluated", "cannot be evaluated"),
+    ("lead margin, scalar abs smaller", "leading coefficient vanished"),
+    ("lead margin, scalar abs larger", None),
+])
+def test_each_vertex_row_reaches_its_outcome(name, error):
+    """Each pinned row, between two good rows, fails as named, or passes."""
+    good = _VERTEX_ROWS["good quadratic"]
+    family = _RowFamily([good, _VERTEX_ROWS[name], good])
+    points = [{"row": k} for k in range(3)]
+    with np.errstate(all="ignore"):
+        outcome = _vertex_outcome(families.branch_roots, family, points)
+    if error is None:
+        assert len(outcome) == 3
+    else:
+        assert error in outcome[1]
+
+
+def test_refining_no_roots_returns_no_roots():
+    """The reductions of refine_roots never see an empty array."""
+    for coeffs in ([1, 0, 1], [3], [0, 1]):
+        out = refine_roots(np.array(coeffs, dtype=complex), np.zeros(0, dtype=complex))
+        assert out.shape == (0,) and out.dtype == complex
+
+
+@pytest.mark.parametrize("p", [(0,), ("-0.0",), (1,), (2, -1), (1, 0, 1)])
+def test_constant_p_cube_is_kept_but_never_shared(p):
+    """With a parameter-free p, branch_coeffs keeps p^3 but returns a
+    fresh array each call: writing into one result changes no later one,
+    and every result has the oracle's bits, p = 0 and p^3 of higher
+    degree than q^2 included."""
+    family = WeierstrassFamily(3, ("lam",), p, ("lam", 1))
+    for lam in (0.5 - 0.25j, complex(-0.0, 0.0), 0j, 0.5 - 0.25j):
+        t = {"lam": lam}
+        first = family.branch_coeffs(t)
+        assert _bits(first) == _bits(_oracle_branch_coeffs(family, t))
+        first[:] = 7
+        assert _bits(family.branch_coeffs(t)) == _bits(_oracle_branch_coeffs(family, t))
