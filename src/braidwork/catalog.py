@@ -26,7 +26,7 @@ import functools
 from typing import Iterable
 
 from .certificates import CheckResult
-from .garside import dynnikov, equal, normal_form
+from .garside import dynnikov, equal
 from .groups import (
     ARTIN3_A,
     ARTIN3_B,
@@ -428,7 +428,8 @@ def ledger_from_json(rows: list) -> list[IdentityRecord]:
 
 def verify_identity(record: IdentityRecord) -> CheckResult:
     """Check a single record by `garside.equal`.  Results carry the two
-    words; failed results additionally carry both normal forms."""
+    words; a failed result also carries, under ``dynnikov``, the two
+    sides' coordinates by `garside.dynnikov`, which differ."""
     witness = {
         "lhs": list(record.lhs.letters),
         "rhs": list(record.rhs.letters),
@@ -438,9 +439,9 @@ def verify_identity(record: IdentityRecord) -> CheckResult:
         return CheckResult(record.id, record.source, "failed", witness)
     if equal(record.lhs, record.rhs):
         return CheckResult(record.id, record.source, "verified", witness)
-    witness["witness_normal_forms"] = {
-        "lhs": normal_form(record.lhs).to_json(),
-        "rhs": normal_form(record.rhs).to_json(),
+    witness["dynnikov"] = {
+        "lhs": list(dynnikov(record.lhs)),
+        "rhs": list(dynnikov(record.rhs)),
     }
     return CheckResult(record.id, record.source, "failed", witness)
 

@@ -52,7 +52,7 @@ class Certificate:
             if result.witness is not None:
                 witness = dict(result.witness)
                 # identity rows carry their words at the top level
-                for key in ("lhs", "rhs", "witness_normal_forms"):
+                for key in ("lhs", "rhs"):
                     if key in witness:
                         row[key] = witness.pop(key)
                 if witness:
@@ -102,10 +102,8 @@ class Certificate:
                     "skipped": "skip", "degenerate": "degen"}[row["status"]]
             timing = f" [{row['timing_ms']:.0f} ms]" if "timing_ms" in row else ""
             lines.append(f"{mark:>6}  {row['id']}  ({row['source']}){timing}")
-            if row["status"] == "failed":
-                detail = row.get("witness_normal_forms") or row.get("witness")
-                if detail is not None:
-                    lines.append(f"        witness: {json.dumps(detail)}")
+            if row["status"] == "failed" and "witness" in row:
+                lines.append(f"        witness: {json.dumps(row['witness'])}")
         counts = self.summary
         lines.append(
             f"summary: {counts['verified']} verified, {counts['failed']} failed, "

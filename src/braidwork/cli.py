@@ -233,21 +233,15 @@ def cmd_report(args) -> int:
 
 
 def _anchor_checks() -> list[CheckResult]:
+    """The tangency loop's half twist; the cusp loop is e_12@k1's."""
     from .families import catalogue_family
     from .tracking import ParameterLoop, loop_to_braid, track_loop
 
     loop = ParameterLoop.circle("lam", 0.0, 1.0)
-    out = []
-    for fam_id, expected in (("cusp", (1, 1, 1)), ("tangency", (1,))):
-        family = catalogue_family(fam_id)
-        word = loop_to_braid(track_loop(family, loop))
-        ok = equal(word, BraidWord(2, expected))
-        out.append(
-            CheckResult(f"monodromy/anchor-{fam_id}", "loop-tracking",
-                        "verified" if ok else "failed",
-                        {"word": word.to_json()})
-        )
-    return out
+    word = loop_to_braid(track_loop(catalogue_family("tangency"), loop))
+    ok = equal(word, BraidWord(2, (1,)))
+    return [CheckResult("monodromy/anchor-tangency", "loop-tracking",
+                        "verified" if ok else "failed", {"word": word.to_json()})]
 
 
 def _admissibility_checks() -> list[CheckResult]:

@@ -39,17 +39,13 @@ written to make few calls.  ``refine_roots`` tests convergence with one
 ``np.maximum.reduce`` of the relative residuals and critical points with
 one ``np.fmin.reduce`` of |f'| (fmin skips NaN, as the masked test
 does).  ``branch_roots`` evaluates each point's coefficients, then runs
-the zero and leading-coefficient test once for all rows of one length
+the one solvable-row rule once for all rows of one length
 (``_solvable_rows``), the stacked solve, and the collision test once for
-all root arrays of one count (``_close_pairs``); a row or point that
-fails a stacked test is tested again alone, so its error is exact, and
-the first failing point in input order raises.  Elementwise, numpy's
-array ``abs`` of a complex gives the same bits wherever the entry sits in
-the array, but numpy's scalar ``abs`` (as ``abs(coeffs[-1])`` takes the
-leading coefficient's modulus) differs from it in the last bit on about a
-third of random inputs, so the stacked test takes each row's top modulus
-with the scalar ``abs`` and the row maximum from the array ``abs``, as
-``_solvable`` does.
+all root arrays of one count (``_close_pairs``); a row that fails the
+stacked rule is tested again alone, so its error is exact, and the first
+failing point in input order raises.  The rule (``_solvable``, which the
+tracker's trials also apply) reads every modulus from numpy's array
+``abs``, which gives the same bits wherever the entry sits in the array.
 """
 
 from __future__ import annotations
@@ -417,28 +413,32 @@ def _newton_pass(cols: np.ndarray, m: int):
 
 def _solvable(coeffs) -> np.ndarray:
     """``coeffs`` as a complex array, if ``solve_roots`` can solve them:
-    not the zero polynomial, and with a leading coefficient that has not
-    vanished."""
+    finite, not the zero polynomial, and with a leading coefficient that
+    is neither 0 nor below ``LEAD_TOL`` times the largest modulus.  A
+    finite largest modulus proves every entry finite."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    lead = np.abs(coeffs)
-    if lead.max() == 0:
+    size = np.abs(coeffs)
+    largest = np.maximum.reduce(size)  # NaN propagates
+    if not largest < math.inf and not np.isfinite(coeffs).all():
+        raise ValueError("the coefficients are not finite")
+    if largest == 0:
         raise ValueError("zero polynomial has no root set")
-    if abs(coeffs[-1]) < LEAD_TOL * lead.max():
+    if size[-1] == 0 or size[-1] < LEAD_TOL * largest:
         raise DegenerateConfigurationError("leading coefficient vanished: degree dropped")
     return coeffs
 
 
 def _solvable_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Which rows of ``coeffs`` (G, n) ``_solvable`` accepts, by its own
-    operations: the largest of numpy's array ``abs`` of the row, and the
-    top entry's modulus by numpy's scalar ``abs``, which differs from the
-    array ``abs`` in the last bit on many inputs.  Other shapes, and rows
-    of no entries, are not tested: every row is False."""
+    """Which rows of ``coeffs`` (G, n) ``_solvable`` accepts, by its
+    operations over the stack (a finite row with a nonzero top is not the
+    zero polynomial).  Other shapes, and rows of no entries, are not
+    tested: every row is False."""
     if coeffs.ndim != 2 or not coeffs.shape[1]:
         return np.zeros(len(coeffs), dtype=bool)
-    largest = np.maximum.reduce(np.abs(coeffs), axis=1)
-    top = np.array([abs(c) for c in coeffs[:, -1]])
-    return (largest != 0) & ~(top < LEAD_TOL * largest)
+    size = np.abs(coeffs)
+    largest = np.maximum.reduce(size, axis=1)
+    top = size[:, -1]
+    return np.isfinite(coeffs).all(axis=1) & (top != 0) & ~(top < LEAD_TOL * largest)
 
 
 def solve_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -455,11 +455,11 @@ def _polyroots_alone(coeffs: np.ndarray) -> np.ndarray | np.linalg.LinAlgError:
 
 
 def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgError]:
-    """``npoly.polyroots`` of each trimmed complex row of ``rows`` (G, n)
-    from one ``eigvals`` call on the stack of companion matrices, built
-    and sorted as ``polycompanion`` and ``polyroots`` build and sort one.
-    A row whose matrix is not finite, or a stack ``eigvals`` cannot
-    finish, is solved alone and may give the error that raises."""
+    """``npoly.polyroots`` of each solvable row of ``rows`` (G, n) from one
+    ``eigvals`` call on the stack of companion matrices, built and sorted
+    as ``polycompanion`` and ``polyroots`` build and sort one.  The rows of
+    a stack ``eigvals`` cannot finish are solved alone, and each may give
+    the error that raises."""
     groups, n = rows.shape
     if n < 2:
         return list(np.empty((groups, 0), dtype=complex))
@@ -469,19 +469,12 @@ def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgErro
     mats = np.zeros((groups, d, d), dtype=complex)
     mats.reshape(groups, -1)[:, d::d + 1] = 1
     mats[:, :, -1] -= rows[:, :-1] / rows[:, -1:]
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    out: list = [None] * groups
-    if finite.any():
-        try:
-            roots = np.linalg.eigvals(mats if finite.all() else mats[finite])
-        except np.linalg.LinAlgError:  # a matrix of the stack did not converge
-            return [_polyroots_alone(row) for row in rows]
-        roots.sort(axis=-1)
-        for g, r in zip(np.flatnonzero(finite), roots):
-            out[g] = r
-    for g in np.flatnonzero(~finite):  # eigvals refuses these; each raises alone
-        out[g] = _polyroots_alone(rows[g])
-    return out
+    try:
+        roots = np.linalg.eigvals(mats)
+    except np.linalg.LinAlgError:  # a matrix of the stack did not converge
+        return [_polyroots_alone(row) for row in rows]
+    roots.sort(axis=-1)
+    return list(roots)
 
 
 def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
@@ -489,7 +482,7 @@ def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
     ``solve_roots(row)`` gives, bit for bit, or the exception that call
     would raise.
 
-    Rows of one length share one zero and leading-coefficient test
+    Rows of one length share one solvable-row test
     (``_solvable_rows``); a row that fails it is tested alone by
     ``_solvable``, which gives its exact error.  The others share one
     companion step (``_companion_roots``) and one residual test
@@ -614,14 +607,13 @@ def branch_roots(family: WeierstrassFamily,
     solved = solve_stack(rows)
     for t, row, roots, close in zip(points, rows, solved, _close_pairs(solved)):
         if isinstance(roots, Exception):
-            # a row with an inf or a NaN fails to solve (eigvals refuses it, or
-            # an inf below a finite top looks like a dropped degree)
+            # the rule refuses a row with an inf or a NaN; the error names the point
             if not np.isfinite(row).all():
                 raise ValueError(f"the branch coefficients are not finite at parameters {t}")
             raise roots
         if not len(roots):
             raise ValueError(f"the family has no branch points at these parameters {t}")
-        if close and min_pairwise_distance(roots) < COLLISION_TOL:
+        if close:
             raise DegenerateConfigurationError(f"branch points collide at parameters {t}")
     if failure is not None:
         raise failure

@@ -23,7 +23,7 @@ pair is left-weighted: no starting letter of f_{i+1} can be absorbed into
 f_i.  Two words represent the same element of Br_n exactly when they have
 identical normal forms, so Garside stays the tests' oracle for `equal`.
 Normal forms give the canonical spelling behind `groups.Artin3.render`
-and `to_json`, and the witness of a failed identity row.  Normal forms
+and `to_json`, and nothing else in the package builds one.  Normal forms
 are not multiplied or inverted; words are composed, and then normalized.
 
 Permutation braids are stored as the permutations of `words`: plain
@@ -34,9 +34,8 @@ Normal forms are built from same-sign runs of letters: each run is cut,
 left to right, into maximal segments that spell permutation braids
 (ElRifai and Morton, Algorithms for positive braids, 1994).  Each such
 simple factor is appended to a left-weighted list, and one right-to-left
-sweep restores left-weightedness.
-Left-weighting a pair is the only cached step, in one bounded cache of
-`LEFTWEIGHT_CACHE_SIZE` pairs; nothing is precomputed over S_n x S_n.
+sweep restores left-weightedness.  Nothing is cached, and nothing is
+precomputed over S_n x S_n.
 
 Everything here is a pure function of immutable values and safe for
 unrestricted concurrent use.  Normal forms are designed for the small
@@ -47,13 +46,8 @@ costs the same at any strand count.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from .words import BraidWord, Perm, letter_perm, pinv, pmul, reduce_free
-
-# Pairs remembered by `_leftweight`.  Long words at n = 8 meet tens of
-# thousands of distinct pairs out of 40 320^2; the bound keeps memory flat.
-LEFTWEIGHT_CACHE_SIZE = 1 << 16
 
 
 def identity_perm(n: int) -> Perm:
@@ -88,7 +82,6 @@ def perm_word(p: Perm) -> tuple[int, ...]:
         p = pmul(t, p)
 
 
-@functools.lru_cache(maxsize=LEFTWEIGHT_CACHE_SIZE)
 def _leftweight(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """Left-weight the pair (x, y): move the left meet of y and x^-1 Delta into x.
 

@@ -18,7 +18,8 @@ without a test of its own: a root moved by at most gap/4 lies at least
 A trace starts with h = ``INITIAL_STEP``.  A rejected step halves h, and
 h below ``MIN_STEP`` raises with the offending parameter time, as does a
 trace needing more than ``MAX_STEPS`` trials; an accepted step grows h by
-half, up to ``MAX_STEP``.
+half, up to ``MAX_STEP``.  A trial whose coefficients ``families``'
+solvable-row rule refuses, or whose degree changed, raises at once.
 
 Strands are ordered by the real part of the rotated coordinate
 z * exp(-i * angle), imaginary part breaking ties.  A crossing of
@@ -48,7 +49,7 @@ trial costs its count of numpy calls more than its arithmetic.  A trial
 makes one ``refine_roots`` call, whose Newton iterations each take one
 Horner pass and one ``np.maximum.reduce`` convergence test, and, when they
 step, one ``np.abs`` and one ``np.fmin.reduce`` critical-point test; the
-lead check and the move bound take one ``np.abs`` and one
+solvable-row rule and the move bound take one ``np.abs`` and one
 ``np.maximum.reduce`` each, and ``min_pairwise_distance`` one subtraction,
 ``np.abs`` and ``np.minimum.reduce``.  Ranks and alignment are read from
 the rotated roots' ``tolist()`` values in plain Python, which compares
@@ -60,9 +61,9 @@ stacked solve, whose roots are bit for bit those of one ``solve_roots``
 call per vertex.  The stacked solve tests every vertex's companion roots
 in one Horner pass and polishes only a vertex whose roots fail it, with
 ``families``' own binding of ``refine_roots``; this module's binding is
-called by the trials alone, once per trial.  The check's zero and
-leading-coefficient test runs once for all vertices of one coefficient
-length, and its collision test once for all vertices of one root count.
+called by the trials alone, once per trial.  The check's solvable-row
+test runs once for all vertices of one coefficient length, and its
+collision test once for all vertices of one root count.
 
 Traces share no state.
 """
@@ -78,9 +79,9 @@ import numpy as np
 
 from .families import (
     COLLISION_TOL,
-    LEAD_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
+    _solvable,
     branch_roots,
     min_pairwise_distance,
     refine_roots,
@@ -200,11 +201,12 @@ def _track_once(
         h = min(h, 1.0 - s)
         trial = s + h
 
-        coeffs = np.asarray(coeff_fn(trial), dtype=complex)
-        # an exact zero leading coefficient also catches the zero polynomial
-        lead = abs(coeffs[-1])
-        if (len(coeffs) - 1 != m or lead == 0
-                or lead < LEAD_TOL * np.maximum.reduce(np.abs(coeffs))):
+        coeffs = coeff_fn(trial)
+        try:
+            coeffs = _solvable(coeffs)
+        except (ValueError, DegenerateConfigurationError):
+            coeffs = None
+        if coeffs is None or len(coeffs) - 1 != m:
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )

@@ -17,6 +17,7 @@ from braidwork.catalog import (
     verify_stabilizer_tables,
     verify_theorem_rows,
 )
+from braidwork.garside import dynnikov
 from braidwork.groups import PERM3_R, PERM3_S, PERM3_T
 from braidwork.hurwitz import act_word, stabilizes
 from braidwork.words import compose, word
@@ -75,9 +76,13 @@ def test_verify_identity_pass_and_corrupted_fail():
     )
     result = verify_identity(corrupted)
     assert result.status == "failed"
-    assert "lhs" in result.witness and "rhs" in result.witness
-    forms = result.witness["witness_normal_forms"]
-    assert "lhs" in forms and "rhs" in forms
+    assert result.witness["lhs"] == list(corrupted.lhs.letters)
+    assert result.witness["rhs"] == list(corrupted.rhs.letters)
+    # the witness is each side's Dynnikov coordinates, and they differ
+    coords = result.witness["dynnikov"]
+    assert coords == {"lhs": list(dynnikov(corrupted.lhs)),
+                      "rhs": list(dynnikov(corrupted.rhs))}
+    assert coords["lhs"] != coords["rhs"]
 
 
 def test_words_on_different_strand_counts_fail():

@@ -18,7 +18,8 @@ import braidwork
 from braidwork.catalog import verify_identities
 from braidwork.cli import CHECKS, SCOPES, main
 from braidwork.families import MAX_X_DEGREE
-from braidwork.words import MAX_STRANDS
+from braidwork.garside import dynnikov
+from braidwork.words import MAX_STRANDS, BraidWord
 
 SRC = pathlib.Path(braidwork.__file__).resolve().parents[1]
 
@@ -65,11 +66,11 @@ def test_corrupted_ledger_fails_with_witness(tmp_path, capsys):
     assert row["id"] == "basics/braid-relation"
     assert row["lhs"] == [1, 2, 1]
     assert row["rhs"] == [2, 1, 2, 1]
-    # the spelled normal forms: Delta, and Delta sigma_1
-    assert row["witness_normal_forms"] == {
-        "lhs": {"n": 3, "word": [1, 2, 1]},
-        "rhs": {"n": 3, "word": [1, 2, 1, 1]},
-    }
+    # each side's Dynnikov coordinates, which differ
+    coords = row["witness"]["dynnikov"]
+    assert coords == {"lhs": list(dynnikov(BraidWord(3, (1, 2, 1)))),
+                      "rhs": list(dynnikov(BraidWord(3, (2, 1, 2, 1))))}
+    assert coords["lhs"] != coords["rhs"]
 
 
 def test_orbit_sizes(capsys):
@@ -267,9 +268,9 @@ def test_report_rows_are_pinned(capsys):
     code, cert = run_json(["report"], capsys)
     assert code == 0
     rows = [[r["id"], r["status"]] for r in cert["results"]]
-    assert len(rows) == 123
+    assert len(rows) == 122
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "14f33b9f5e1e4fbf7dbb6b27e417528384adf1609293d5ee7dabf6e8258c3063"
+    assert digest == "b876f33f42eaf7777d4b4b24cf2a04c011656d5768ddc3fc046581ef47e8e42d"
 
 
 _HALF_CIRCLE = '{"kind":"circle","param":"lam","center":0,"radius":0.5%s}'
@@ -590,6 +591,26 @@ def test_a_long_ledger_row_verifies_within_a_cpu_budget(tmp_path, capsys):
     elapsed = time.process_time() - start
     assert code == 0
     assert cert["summary"]["verified"] == 1
+    assert elapsed < 2.0
+
+
+def test_a_long_failing_ledger_row_fails_within_a_cpu_budget(tmp_path, capsys):
+    # a 4 000-letter word at the largest strand count, and the same word
+    # with one more letter: the witness is linear in the letters too
+    rng = random.Random(64)
+    lhs = [rng.choice([1, -1]) * rng.randint(1, MAX_STRANDS - 1) for _ in range(4000)]
+    rhs = lhs + [1]
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps([{"id": "long", "n": MAX_STRANDS, "lhs": lhs, "rhs": rhs}]))
+    start = time.process_time()
+    code, cert = run_json(["verify", "identities", "--ledger", str(path)], capsys)
+    elapsed = time.process_time() - start
+    assert code == 1
+    (row,) = cert["results"]
+    assert row["status"] == "failed"
+    coords = row["witness"]["dynnikov"]
+    assert coords["lhs"] == list(dynnikov(BraidWord(MAX_STRANDS, tuple(lhs))))
+    assert coords["lhs"] != coords["rhs"]
     assert elapsed < 2.0
 
 

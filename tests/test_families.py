@@ -388,7 +388,7 @@ _SOLVE_ROWS = {
                      "leading coefficient vanished: degree dropped")),
     ("critical point", ("DegenerateConfigurationError", "Newton step hit a critical point")),
     ("no convergence", ("DegenerateConfigurationError", "root refinement did not converge")),
-    ("matrix not finite", ("LinAlgError", "Array must not contain infs or NaNs")),
+    ("matrix not finite", ("ValueError", "the coefficients are not finite")),
     ("one root", 1),
     ("degree 0", 0),
 ])
@@ -600,26 +600,27 @@ def _vertex_outcome(check, family, points):
 
 
 def _lead_margin_rows():
-    """Rows [M, 0, c] whose leading coefficient c sits on the LEAD_TOL
-    margin: LEAD_TOL * M is the larger of numpy's scalar and array abs of
-    c, which differ in the last bit, so the smaller one reads as a
-    dropped degree.  One row where the scalar abs is the smaller, one
-    where it is the larger."""
+    """Rows [M, 0, c] whose leading coefficient sits on the LEAD_TOL
+    margin: LEAD_TOL * M is |c| (numpy's array abs) in the first row,
+    which passes, and the next float above |c| in the second, where |c|
+    is one ulp below the margin and reads as a dropped degree."""
+
+    def scale_to(target):
+        """The M whose product with LEAD_TOL rounds to target, if any."""
+        top = target / families.LEAD_TOL
+        for _ in range(8):
+            if families.LEAD_TOL * top == target:
+                return top
+            top = np.nextafter(top, math.inf if families.LEAD_TOL * top < target else 0)
+        return None
+
     rng = np.random.default_rng(11)
-    found = {}
-    while len(found) < 2:
+    while True:
         c = complex(*rng.normal(size=2))
-        array_abs, scalar_abs = float(np.abs(np.array([c]))[0]), float(abs(np.complex128(c)))
-        if array_abs == scalar_abs:
-            continue
-        larger = max(array_abs, scalar_abs)
-        top = larger / families.LEAD_TOL
-        for _ in range(8):  # the M whose product with LEAD_TOL rounds to the larger abs
-            if families.LEAD_TOL * top == larger:
-                found[scalar_abs < array_abs] = [top, 0, c]
-                break
-            top = np.nextafter(top, math.inf if families.LEAD_TOL * top < larger else 0)
-    return found[True], found[False]
+        size = float(np.abs(np.array([c]))[0])
+        on, below = scale_to(size), scale_to(np.nextafter(size, math.inf))
+        if on is not None and below is not None:
+            return [on, 0, c], [below, 0, c]
 
 
 # rows branch_roots must refuse, each with its own error, next to good
@@ -637,7 +638,7 @@ _VERTEX_ROWS = {
     "no roots": [3],
     "cannot be evaluated": None,
 }
-_VERTEX_ROWS["lead margin, scalar abs smaller"], _VERTEX_ROWS["lead margin, scalar abs larger"] = (
+_VERTEX_ROWS["lead margin, on it"], _VERTEX_ROWS["lead margin, one ulp below"] = (
     _lead_margin_rows())
 
 
@@ -645,8 +646,8 @@ _VERTEX_ROWS["lead margin, scalar abs smaller"], _VERTEX_ROWS["lead margin, scal
                 min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 @example([_VERTEX_ROWS["good quadratic"]] * 3 + [_VERTEX_ROWS["collision"]])
-@example([_VERTEX_ROWS["lead margin, scalar abs smaller"], _VERTEX_ROWS["good quadratic"]])
-@example([_VERTEX_ROWS["lead margin, scalar abs larger"], _VERTEX_ROWS["good quadratic"],
+@example([_VERTEX_ROWS["lead margin, one ulp below"], _VERTEX_ROWS["good quadratic"]])
+@example([_VERTEX_ROWS["lead margin, on it"], _VERTEX_ROWS["good quadratic"],
           _VERTEX_ROWS["inf under a finite top"]])
 @example([_VERTEX_ROWS["good cubic"], _VERTEX_ROWS["shorter good row"],
           _VERTEX_ROWS["triple collision"], _VERTEX_ROWS["degree drop"]])
@@ -670,8 +671,8 @@ def test_stacked_vertex_check_is_one_check_per_point(rows):
     ("inf under a finite top", "not finite"),
     ("no roots", "no branch points"),
     ("cannot be evaluated", "cannot be evaluated"),
-    ("lead margin, scalar abs smaller", "leading coefficient vanished"),
-    ("lead margin, scalar abs larger", None),
+    ("lead margin, on it", None),
+    ("lead margin, one ulp below", "leading coefficient vanished"),
 ])
 def test_each_vertex_row_reaches_its_outcome(name, error):
     """Each pinned row, between two good rows, fails as named, or passes."""

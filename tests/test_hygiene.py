@@ -216,7 +216,7 @@ def test_the_settable_values_are_the_listed_ones():
 
 
 # module-level functions and classes of the package, and public methods of
-# its classes, that no package module, script or benchmark file references:
+# its classes, that no package module or benchmark file references:
 # what the tests check the package by
 TEST_ONLY = {
     "garside.right_descents",  # the oracle of garside._leftweight
@@ -227,7 +227,6 @@ TEST_ONLY = {
 TEST_ONLY_METHODS: set[str] = set()
 REFERRERS = sorted(
     [path for path in FILES if path.parent.name == "braidwork"]
-    + list((ROOT / "scripts").glob("*.py"))
     + [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
 )
 
@@ -291,7 +290,7 @@ def test_the_unreferenced_scan(source, other, unreferenced):
 
 def test_the_test_only_functions_are_the_listed_ones():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in REFERRERS}
-    assert {"catalog.py", "orbit_census.py", "workloads.py"} <= {path.name for path in trees}
+    assert {"catalog.py", "workloads.py"} <= {path.name for path in trees}
     defining = {path.stem: tree for path, tree in trees.items() if path.parent.name == "braidwork"}
     found = _unreferenced(defining, list(trees.values()))
     methods = {name for name in found if name.count(".") == 2}

@@ -19,6 +19,7 @@ from braidwork.families import (
 )
 from braidwork.garside import equal
 from braidwork.tracking import (
+    MAX_STEP,
     ParameterLoop,
     TrackingError,
     circle_path,
@@ -263,6 +264,19 @@ def test_the_zero_branch_polynomial_raises():
     family = WeierstrassFamily(2, ("c",), (), ("c", "c"))
     with pytest.raises(TrackingError, match="degree dropped"):
         track_coefficients(lambda s: family.branch_coeffs({"c": 1 - s}))
+
+
+def test_coefficients_that_turn_nan_raise_at_that_trial():
+    # x^2 - 1 until s = 0.3, a NaN constant term after: the first trial
+    # past 0.3 raises with its own time, and no step is halved towards it
+    def coeffs(s):
+        return np.array([-1 if s < 0.3 else math.nan, 0, 1], dtype=complex)
+
+    with pytest.raises(TrackingError, match="near parameter time") as info:
+        track_coefficients(coeffs)
+    assert "step underflow" not in str(info.value)
+    time = float(re.search(r"parameter time (\S+)", str(info.value)).group(1))
+    assert 0.3 <= time < 0.3 + MAX_STEP
 
 
 def test_coefficients_with_no_roots_at_the_start_raise():
