@@ -1,7 +1,7 @@
 """Numerical braid monodromy: root tracking and crossing bookkeeping.
 
 A trace follows the roots of a polynomial whose coefficients vary along a
-path, with adaptive step halving.  A trial step from parameter time s to
+path, with adaptive steps.  A trial step from parameter time s to
 s + h is accepted only when
 
 * every root's Newton correction converges (``families.refine_roots``:
@@ -15,11 +15,20 @@ The move bound makes the predicted-to-corrected matching unambiguous
 without a test of its own: a root moved by at most gap/4 lies at least
 3/4 gap from every other root's prediction, more than twice its move.
 
-A trace starts with h = ``INITIAL_STEP``.  A rejected step halves h, and
+A trace starts with h = ``INITIAL_STEP`` and sizes each next step by the
+last trial's move ratio r = max move / (gap/4), the step-length control
+of continuation and ODE solvers (Allgower and Georg, *Introduction to
+Numerical Continuation Methods*; Hairer, Norsett and Wanner, *Solving
+Ordinary Differential Equations I*, II.4).  A trial rejected by its move
+scales h by max(``MIN_SHRINK``, ``TARGET_RATIO`` / r); an accepted one by
+min(``MAX_GROWTH``, max(1, ``TARGET_RATIO`` / r)), or ``MAX_GROWTH`` when
+r = 0, up to ``MAX_STEP``; every other rejection halves h.  The ratio
+only places the trials: what a trial accepts is the four tests above.
 h below ``MIN_STEP`` raises with the offending parameter time, as does a
-trace needing more than ``MAX_STEPS`` trials; an accepted step grows h by
-half, up to ``MAX_STEP``.  A trial whose coefficients ``families``'
-solvable-row rule refuses, or whose degree changed, raises at once.
+trace needing more than ``MAX_STEPS`` trials.  A trial whose coefficients
+are not finite raises at once, saying so; one whose coefficients
+``families``' solvable-row rule refuses otherwise, or whose degree
+changed, raises at once as a degree drop.
 
 Strands are ordered by the real part of the rotated coordinate
 z * exp(-i * angle), imaginary part breaking ties.  A crossing of
@@ -93,6 +102,9 @@ INITIAL_STEP = 1 / 32
 MIN_STEP = 1e-12
 MAX_STEP = 1 / 16
 MAX_STEPS = 500_000
+TARGET_RATIO = 0.8  # the move ratio a resized step aims at
+MIN_SHRINK = 0.1  # the least factor a move rejection scales h by
+MAX_GROWTH = 2  # the most an accepted step grows h by
 ROTATION_STEP = 0.0737
 MAX_ROTATIONS = 8
 
@@ -151,24 +163,28 @@ def _aligned(points: np.ndarray, rotated: list[complex], order: list[int]) -> bo
 
 def _step(
     coeffs: np.ndarray, roots: np.ndarray, gap: float, rot: complex, ranks: list[int]
-) -> tuple[np.ndarray, list[complex], float, list[int]] | None:
+) -> tuple[tuple[np.ndarray, list[complex], float, list[int]] | None, float | None]:
     """One trial: the corrected roots, their rotation (as Python complex
     numbers), their smallest gap and the adjacent rank swaps from
-    ``ranks``, or None if it is rejected."""
+    ``ranks``, or None if it is rejected; and beside it the move ratio
+    max move / (gap/4), or None if the trial was rejected for another
+    reason than its move."""
     try:
         new_roots = refine_roots(coeffs, roots)
     except DegenerateConfigurationError:
-        return None
-    if np.maximum.reduce(np.abs(new_roots - roots)) > gap / 4:
-        return None
+        return None, None
+    move = np.maximum.reduce(np.abs(new_roots - roots))
+    ratio = float(move) / (gap / 4)
+    if move > gap / 4:
+        return None, ratio
     new_gap = min_pairwise_distance(new_roots)
     if new_gap < COLLISION_TOL:
-        return None
+        return None, None
     new_rotated = (new_roots * rot).tolist()
     swaps = _adjacent_swaps(ranks, _rank_order(new_rotated))
     if swaps is None:
-        return None
-    return new_roots, new_rotated, new_gap, swaps
+        return None, None
+    return (new_roots, new_rotated, new_gap, swaps), ratio
 
 
 def _track_once(
@@ -205,14 +221,18 @@ def _track_once(
         try:
             coeffs = _solvable(coeffs)
         except (ValueError, DegenerateConfigurationError):
+            if not np.isfinite(coeffs).all():
+                raise TrackingError(
+                    f"branch coefficients are not finite near parameter time {trial:.6f}"
+                ) from None
             coeffs = None
         if coeffs is None or len(coeffs) - 1 != m:
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )
-        step = _step(coeffs, roots, gap, rot, ranks)
+        step, ratio = _step(coeffs, roots, gap, rot, ranks)
         if step is None:
-            h /= 2
+            h = h / 2 if ratio is None else h * max(MIN_SHRINK, TARGET_RATIO / ratio)
             if h < MIN_STEP:
                 raise TrackingError(
                     f"step underflow near parameter time {s:.6f}: "
@@ -231,7 +251,8 @@ def _track_once(
 
         roots, rotated, gap = new_roots, new_rotated, new_gap
         s = trial
-        h = min(h * 1.5, MAX_STEP)
+        growth = MAX_GROWTH if ratio == 0 else min(MAX_GROWTH, max(1, TARGET_RATIO / ratio))
+        h = min(h * growth, MAX_STEP)
 
     return crossings, ranks
 

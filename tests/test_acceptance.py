@@ -21,7 +21,7 @@ from braidwork.catalog import (
     verify_stabilizer_tables,
 )
 from braidwork.families import branch_points, catalogue_family
-from braidwork.garside import equal, normal_form
+from braidwork.garside import dynnikov, equal, normal_form
 from braidwork.geometry import (
     circle_confinement,
     cusp_exponent,
@@ -192,24 +192,39 @@ def test_criterion_08_geometry_checks():
 # sha256 of the JSON list [contraction letters, [loop id, match, letters]
 # per outcome]: every tracked word is pinned letter for letter
 TRACKED_WORDS_SHA256 = {
+    1: "356dc8a5d762ec9c6ccbabdacebae5da5c3b41cfaf68bb65c6eeef18c8ccc5b3",
     2: "8753f4d7b8d33d67f01b9ac702e3e989d5641c967bd9b42d7a262d41aefd3c69",
-    3: "97dfabff3290d8aee1670cbd0c941afeee7debbf20b9f739314979483fb78fba",
+    3: "ebccc064e36e49567328e4f51dc59d528c3d1d1547f560d6640e9ec26aebeacb",
 }
+
+# the same list with each word replaced by its Dynnikov coordinates: the
+# braids themselves, which hold when the tracker's path moves a word's
+# letters but not the braid it spells
+TRACKED_BRAIDS_SHA256 = {
+    1: "904c14c1ff31937b2253d5dda49f1bd081ed3b1675eab64d7c25c3ac6e3dfc92",
+    2: "96718c6b742c1a763bde628ea09f511a19198726d0f9936f178965dde81c56e0",
+    3: "190fdc93b4906e22358128a1b38de6db22d00fb5bac4db75c1368f747dcf1547",
+}
+
+
+def _digest(rep, spell) -> str:
+    rows = [spell(rep.contraction)] + [
+        [o.loop_id, o.matched, spell(o.braid)] for o in rep.outcomes]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def test_criterion_09_generator_realization():
     start = time.perf_counter()
     details = []
     ok = True
-    for k, expected in ((2, {"e_12", "e_13", "e_24"}),
+    for k, expected in ((1, {"e_12"}),
+                        (2, {"e_12", "e_13", "e_24"}),
                         (3, {"e_12", "e_13", "e_24", "e_35", "e_46"})):
         rep = bifurcation_generators(k)
         matched = {o.matched for o in rep.outcomes if o.matched}
         ok &= rep.passed and expected <= matched
-        words = [list(rep.contraction.letters)] + [
-            [o.loop_id, o.matched, list(o.braid.letters)] for o in rep.outcomes]
-        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
-        ok &= digest == TRACKED_WORDS_SHA256[k]
+        ok &= _digest(rep, lambda w: list(w.letters)) == TRACKED_WORDS_SHA256[k]
+        ok &= _digest(rep, lambda w: list(dynnikov(w))) == TRACKED_BRAIDS_SHA256[k]
         details.append(f"k={k}: {sorted(matched)}")
     elapsed = time.perf_counter() - start
     ok &= elapsed < 300

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from braidwork import bifurcation
+from braidwork import bifurcation, tracking
 from braidwork.bifurcation import (
     _full_symmetric_group_row,
     _merge_loop,
@@ -75,6 +75,16 @@ def test_degree_four_loops_give_transpositions():
 def test_the_generator_rows_are_the_expected_generators(k):
     ids = [r.id for r in bifurcation_generators(k).results]
     assert ids == [f"bifurcation/{name}@k{k}" for name in expected_generators(k)]
+
+
+# the step controller's budget: trials of all tracked loops of one run,
+# counted as calls to the tracker's own binding of refine_roots (once per
+# trial)
+@pytest.mark.parametrize("k, budget", [(2, 1500), (3, 3350)])
+def test_the_generators_are_tracked_within_a_trial_budget(k, budget):
+    with mock.patch.object(tracking, "refine_roots", wraps=tracking.refine_roots) as trials:
+        assert bifurcation_generators(k).passed
+    assert trials.call_count <= budget
 
 
 def test_full_braid_monodromy_degree_two():

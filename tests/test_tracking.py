@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -155,6 +156,76 @@ def test_homotopy_invariance_under_resampling_and_jitter():
         assert equal(w, reference)
 
 
+def _discriminant(coeffs: np.ndarray) -> complex:
+    """Disc_x of the polynomial with coefficients ``coeffs`` (low to high),
+    up to a constant sign: the Sylvester determinant of B and B' over B's
+    leading coefficient."""
+    b = coeffs[::-1]
+    db = np.polynomial.polynomial.polyder(coeffs)[::-1]
+    n = len(b) - 1
+    sylvester = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+    for i in range(n - 1):
+        sylvester[i, i:i + n + 1] = b
+    for i in range(n):
+        sylvester[n - 1 + i, i:i + n] = db
+    return complex(np.linalg.det(sylvester)) / b[0]
+
+
+def _winding(f) -> float:
+    """Turns of f(s) about 0 for s in [0, 1].  A step [s, s + h] counts
+    only when f's phase moves by at most pi/4 on either half and f at the
+    midpoint lies within a quarter of f's smallest modulus of the chord's
+    midpoint; otherwise h halves.  The halves' phases always add up to the
+    whole's when each is within pi/4, so that test alone let a step of
+    1/64 on the k = 3 pair-merge loop skip a whole clockwise turn."""
+    total, s, h, start = 0.0, 0.0, 1 / 64, f(0.0)
+    while s < 1.0:
+        h = min(h, 1.0 - s)
+        mid, end = f(s + h / 2), f(s + h)
+        first, second = cmath.phase(mid / start), cmath.phase(end / mid)
+        if (max(abs(first), abs(second)) > math.pi / 4
+                or abs(mid - (start + end) / 2) > min(abs(start), abs(mid), abs(end)) / 4):
+            h /= 2
+            assert h > 1e-12, f"f passes too close to 0 near s = {s}"
+            continue
+        total += first + second
+        s, start, h = s + h, end, 2 * h
+    return total / (2 * math.pi)
+
+
+def _discriminant_turns(family: WeierstrassFamily, loop: ParameterLoop) -> int:
+    """Oracle B: the winding of Disc_x(B_t) along the loop, less (2n - 2)
+    times the winding of B_t's leading coefficient, for degree n.  It
+    equals the exponent sum of the loop's braid, since a positive half
+    twist turns (x_i - x_j)^2 once round 0; no root is read."""
+    def reduced(s: float) -> complex:
+        coeffs = family.branch_coeffs(loop.at(s))
+        return _discriminant(coeffs) / coeffs[-1] ** (2 * len(coeffs) - 4)
+
+    turns = _winding(reduced)
+    assert abs(turns - round(turns)) < 1e-6
+    return round(turns)
+
+
+# the catalogued loops: the tangency anchor, and the cusp circle, the ray
+# loops and the pair-merge loops of the bifurcation pipelines at k = 1..3
+_ORACLE_LOOPS = [("tangency", TANGENCY, UNIT_LOOP)] + [
+    (f"{loop_id}@k{k}", family, loop)
+    for k in (1, 2, 3) for loop_id, family, loop in _catalogued_loops(k)[1]]
+
+
+@pytest.mark.parametrize("family, loop", [entry[1:] for entry in _ORACLE_LOOPS],
+                         ids=[entry[0] for entry in _ORACLE_LOOPS])
+def test_a_tracked_braid_has_the_discriminant_winding(family, loop):
+    letters = loop_to_braid(track_loop(family, loop)).letters
+    turns = _discriminant_turns(family, loop)
+    assert sum(1 if x > 0 else -1 for x in letters) == turns
+    # mutation: the word with one letter's sign flipped fails the oracle
+    mutated = list(letters)
+    mutated[len(mutated) // 2] *= -1
+    assert sum(1 if x > 0 else -1 for x in mutated) != turns
+
+
 def test_vertical_alignment_triggers_projection_rotation():
     # two points fixed at +-i sqrt(1 - lam), vertically aligned throughout
     family = catalogue_family("ray", 2)
@@ -272,7 +343,8 @@ def test_coefficients_that_turn_nan_raise_at_that_trial():
     def coeffs(s):
         return np.array([-1 if s < 0.3 else math.nan, 0, 1], dtype=complex)
 
-    with pytest.raises(TrackingError, match="near parameter time") as info:
+    with pytest.raises(TrackingError,
+                       match="branch coefficients are not finite near parameter time") as info:
         track_coefficients(coeffs)
     assert "step underflow" not in str(info.value)
     time = float(re.search(r"parameter time (\S+)", str(info.value)).group(1))
