@@ -11,9 +11,14 @@ s + h is accepted only when
 * no two corrected roots are closer than ``families.COLLISION_TOL``, and
 * the rank order changes by at most disjoint adjacent swaps.
 
-The move bound makes the predicted-to-corrected matching unambiguous
-without a test of its own: a root moved by at most gap/4 lies at least
-3/4 gap from every other root's prediction, more than twice its move.
+Newton starts from the secant prediction roots + (roots - prev) * h /
+h_prev through the last accepted step (Allgower and Georg, ch. 2), and
+from the roots themselves on a trace's first trial.  Only that start
+moves: the move, its bound and its ratio are measured from the previous
+accepted roots, and the bound makes their matching to the corrected ones
+unambiguous without a test of its own: a root moved by at most gap/4
+lies at least 3/4 gap from every other previous root, more than twice
+its move.
 
 A trace starts with h = ``INITIAL_STEP`` and sizes each next step by the
 last trial's move ratio r = max move / (gap/4), the step-length control
@@ -162,15 +167,16 @@ def _aligned(points: np.ndarray, rotated: list[complex], order: list[int]) -> bo
 
 
 def _step(
-    coeffs: np.ndarray, roots: np.ndarray, gap: float, rot: complex, ranks: list[int]
+    coeffs: np.ndarray, roots: np.ndarray, guess: np.ndarray, gap: float, rot: complex,
+    ranks: list[int],
 ) -> tuple[tuple[np.ndarray, list[complex], float, list[int]] | None, float | None]:
-    """One trial: the corrected roots, their rotation (as Python complex
-    numbers), their smallest gap and the adjacent rank swaps from
-    ``ranks``, or None if it is rejected; and beside it the move ratio
-    max move / (gap/4), or None if the trial was rejected for another
-    reason than its move."""
+    """One trial, Newton starting from ``guess``: the corrected roots,
+    their rotation (as Python complex numbers), their smallest gap and the
+    adjacent rank swaps from ``ranks``, or None if it is rejected; and
+    beside it the move ratio max move / (gap/4) from ``roots``, or None if
+    the trial was rejected for another reason than its move."""
     try:
-        new_roots = refine_roots(coeffs, roots)
+        new_roots = refine_roots(coeffs, guess)
     except DegenerateConfigurationError:
         return None, None
     move = np.maximum.reduce(np.abs(new_roots - roots))
@@ -209,6 +215,7 @@ def _track_once(
     s = 0.0
     h = INITIAL_STEP
     steps = 0
+    prev_roots, h_prev = roots, 0.0  # the last accepted step: its start and length
 
     while s < 1.0 - 1e-15:
         steps += 1
@@ -230,7 +237,8 @@ def _track_once(
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )
-        step, ratio = _step(coeffs, roots, gap, rot, ranks)
+        guess = roots + (roots - prev_roots) * (h / h_prev) if h_prev else roots
+        step, ratio = _step(coeffs, roots, guess, gap, rot, ranks)
         if step is None:
             h = h / 2 if ratio is None else h * max(MIN_SHRINK, TARGET_RATIO / ratio)
             if h < MIN_STEP:
@@ -249,6 +257,7 @@ def _track_once(
             crossings.append(_emit(r, strand_low, strand_high, roots, new_roots, rot, s, h))
             ranks[r], ranks[r + 1] = ranks[r + 1], ranks[r]
 
+        prev_roots, h_prev = roots, h
         roots, rotated, gap = new_roots, new_rotated, new_gap
         s = trial
         growth = MAX_GROWTH if ratio == 0 else min(MAX_GROWTH, max(1, TARGET_RATIO / ratio))

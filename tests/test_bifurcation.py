@@ -79,12 +79,17 @@ def test_the_generator_rows_are_the_expected_generators(k):
 
 # the step controller's budget: trials of all tracked loops of one run,
 # counted as calls to the tracker's own binding of refine_roots (once per
-# trial)
+# trial); and the secant predictor's: Newton residual tests of the run
+# (all but a few in the trials; the vertex checks make the rest)
+PASS_BUDGET = {2: 4700, 3: 9400}
+
+
 @pytest.mark.parametrize("k, budget", [(2, 1500), (3, 3350)])
-def test_the_generators_are_tracked_within_a_trial_budget(k, budget):
+def test_the_generators_are_tracked_within_a_trial_budget(k, budget, newton_passes):
     with mock.patch.object(tracking, "refine_roots", wraps=tracking.refine_roots) as trials:
         assert bifurcation_generators(k).passed
     assert trials.call_count <= budget
+    assert sum(newton_passes) <= PASS_BUDGET[k]
 
 
 def test_full_braid_monodromy_degree_two():

@@ -1,12 +1,14 @@
 import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from braidwork import tracking
 from braidwork.bifurcation import _catalogued_loops, _tame_critical
 from braidwork.families import (
     COLLISION_TOL,
@@ -99,7 +101,7 @@ def test_the_move_bound_makes_the_matching_unambiguous(points, data):
     # a trial that passes the move test, every root moved by at most a
     # quarter of the smallest gap, has an unambiguous matching, so the
     # tracker tests it no further: each corrected root lies nearer its own
-    # prediction than half the distance from that prediction to any other
+    # previous root than half the distance from that root to any other
     # corrected root
     roots = np.array(points)
     gap = min_pairwise_distance(roots)
@@ -251,6 +253,23 @@ def test_synthetic_coefficients_tracking():
         return np.polynomial.polynomial.polyfromroots([a, -a])
 
     assert loop_to_braid(track_coefficients(coeffs_cw)).letters == (-1,)
+
+
+def test_a_secant_prediction_converges_at_once_on_a_linear_root_path(newton_passes):
+    # roots on straight lines: from the second trial on, the secant through
+    # the last accepted step predicts them to rounding, so each trial's
+    # Newton loop stops at its first residual test.  That needs the first
+    # trial to end at rounding too: roots accepted with a residual just
+    # under RESIDUAL_TOL carry that error into the secant, which can cost
+    # a second test (da = [0.4+0.3j, -0.2+0.5j, 0.3-0.1j, -0.5-0.4j] makes
+    # 2, 1, 2, 1, ... passes after the first trial for that reason).
+    a0 = np.array([1.0, 1j, -1.0, -1j])
+    da = np.array([0.2, 0.1j, -0.3, 0.25j])
+    with mock.patch.object(tracking, "refine_roots", wraps=tracking.refine_roots) as trials:
+        track_coefficients(lambda s: np.polynomial.polynomial.polyfromroots(a0 + s * da))
+    first, *rest = newton_passes[-trials.call_count:]  # the start's solve comes first
+    assert first > 1 and len(rest) >= 16
+    assert rest == [1] * len(rest)
 
 
 def test_fiber_monodromy_around_labeled_points_follows_merge_rule():
