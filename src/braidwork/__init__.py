@@ -1,16 +1,16 @@
 """Braid-group word problem, Hurwitz orbits and numerical bifurcation
 braid monodromy.
 
-The exact layer (words, Garside, coefficient groups, Hurwitz orbits, the
-identity catalogue and certificates) is imported with the package.  The
-numerical layer (families, tracking, arcs, bifurcation) and numpy are
-imported on first use of one of its names here (PEP 562), so a program
-that uses only the exact layer never loads numpy."""
+The exact layer (words, braid equality, coefficient groups, Hurwitz
+orbits, the identity catalogue and certificates) is imported with the
+package.  The numerical layer (families, tracking, arcs, bifurcation) and
+numpy are imported on first use of one of its names here (PEP 562), so a
+program that uses only the exact layer never loads numpy."""
 
 import importlib
 
 from .words import BraidWord, compose, conjugate_right, invert, reduce_free, word
-from .garside import NormalForm, equal, normal_form
+from .garside import equal
 from .groups import Artin3, Perm3, artin_from_word, perm_from_name
 from .hurwitz import OrbitTable, act_letter, act_word, orbit, schreier_generators, stabilizes
 from .catalog import (
@@ -35,7 +35,7 @@ _NUMERICAL = {
 
 __all__ = [
     "BraidWord", "compose", "conjugate_right", "invert", "reduce_free", "word",
-    "NormalForm", "equal", "normal_form",
+    "equal",
     "Artin3", "Perm3", "artin_from_word", "perm_from_name",
     "OrbitTable", "act_letter", "act_word", "orbit", "schreier_generators", "stabilizes",
     "build_e", "half_twist_classification", "verify_identities", "verify_stabilizer_tables",

@@ -14,8 +14,8 @@ the six permutations are interned objects, compared by identity and
 multiplied by tables that ``words.pmul`` and ``words.pinv`` fill from
 the words spelling them (``_SPELLINGS``, the one place S3 is written
 down); a three-strand braid is its image in SL(2, Z) together with its
-exponent sum, multiplied as a 2x2 integer matrix.  Garside normal forms
-are computed only to spell a braid for output.
+exponent sum, multiplied as a 2x2 integer matrix, and spelled for output
+in its Garside normal form, read off the key in one pass.
 
 Elements are immutable values; all operations are pure.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from . import garside
 from .words import BraidWord, Perm, permutation_image, pinv, pmul
 
 # S3's six elements, each spelled in sigma_1 -> s and sigma_2 -> t
@@ -115,8 +114,8 @@ class Artin3:
     by Delta^4, which is central with exponent sum 12, so two braids with
     the same matrix differ by a power of Delta^4 that e detects
     (Kassel-Turaev, Braid Groups, GTM 247).  Products are taken in
-    writing order.  Garside normal forms are used only by ``render`` and
-    ``to_json``, which spell the element canonically.
+    writing order.  ``render`` and ``to_json`` spell the element
+    canonically, in its left normal form.
     """
 
     p: int
@@ -148,18 +147,17 @@ class Artin3:
             raise _not_a_key(self)
         return _PERM3_OF_MOD2[p & 1, q & 1, r & 1, s & 1]
 
-    def _normal_form(self) -> garside.NormalForm:
-        return garside.normal_form(BraidWord(3, _spell(self)))
-
     def render(self) -> str:
-        letters = self._normal_form().spelled_word().letters
-        return "".join(_LETTER_NAMES[letter] for letter in letters) or "1"
+        return "".join(_LETTER_NAMES[letter] for letter in _canonical(self)) or "1"
 
     def to_json(self) -> dict:
-        return self._normal_form().to_json()
+        return BraidWord(3, _canonical(self)).to_json()
 
     def __repr__(self) -> str:
-        return f"Artin3({self.render()})"
+        try:
+            return f"Artin3({self.render()})"
+        except ValueError:  # not a key: name the bare fields
+            return f"Artin3{dataclasses.astuple(self)}"
 
 
 # the letters of a word in a = sigma_1 and b = sigma_2; capitals are inverses
@@ -169,7 +167,7 @@ _DELTA = (1, 2, 1)  # a b a -> [[0, 1], [-1, 0]]; its square is -I
 
 
 def _not_a_key(key: Artin3) -> ValueError:
-    # repr() would spell the key, so name its bare fields
+    # the bare fields, as a key that is no braid has no spelling
     return ValueError(f"not the key of a three-strand braid: {dataclasses.astuple(key)}")
 
 
@@ -210,6 +208,36 @@ def _spell(key: Artin3) -> tuple[int, ...]:
         raise _not_a_key(key)
     delta4 = _DELTA * 4 if twists > 0 else tuple(-c for c in _DELTA * 4)
     return tuple(letters) + delta4 * abs(twists)
+
+
+def _canonical(key: Artin3) -> tuple[int, ...]:
+    """The left normal form Delta^k w of ``key``, spelled as |k| copies of
+    aba (of ABA when k < 0) and then w, the unique positive word with no
+    factor aba or bab.  Such a word admits no braid relation, so Delta
+    does not left-divide it (Garside 1969; Kassel-Turaev, Braid Groups,
+    GTM 247).
+
+    One pass over ``_spell(key)``.  A positive letter is appended to w;
+    when w then ends in aba or bab, those three letters are one Delta,
+    which moves to the front and swaps a and b in the rest of w.  A
+    negative letter is Delta^-1 times two positive ones, A = Delta^-1 a b
+    and B = Delta^-1 b a, and its Delta^-1 swaps a and b in w as it moves
+    to the front.  The swaps are lazy: w holds each letter xor ``swap``
+    (0 or 3, and 1 ^ 3 = 2), so a swap of all of w toggles ``swap``; aba
+    and bab swap into each other, so the test reads the stored letters.
+    """
+    k, swap = 0, 0
+    w: list[int] = []
+    for letter in _spell(key):
+        if letter < 0:
+            k, swap = k - 1, swap ^ 3
+        for x in (letter,) if letter > 0 else (-letter, 3 + letter):
+            w.append(x ^ swap)
+            if len(w) > 2 and w[-3] == w[-1] != w[-2]:
+                del w[-3:]
+                k, swap = k + 1, swap ^ 3
+    delta = _DELTA if k > 0 else tuple(-c for c in _DELTA)
+    return delta * abs(k) + tuple(x ^ swap for x in w)
 
 
 ARTIN3_IDENTITY = Artin3(1, 0, 0, 1, 0)

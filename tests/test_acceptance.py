@@ -21,7 +21,7 @@ from braidwork.catalog import (
     verify_stabilizer_tables,
 )
 from braidwork.families import branch_points, catalogue_family
-from braidwork.garside import dynnikov, equal, normal_form
+from braidwork.garside import dynnikov, equal
 from braidwork.geometry import (
     circle_confinement,
     cusp_exponent,
@@ -32,6 +32,8 @@ from braidwork.groups import ARTIN3_A, ARTIN3_B, PERM3_R, PERM3_S, PERM3_T, arti
 from braidwork.hurwitz import act_word, orbit, ordered_product
 from braidwork.tracking import ParameterLoop, loop_to_braid, track_loop
 from braidwork.words import BraidWord, compose, invert, word
+
+from test_garside import normal_form
 
 
 def report(num: int, ok: bool, detail: str = ""):

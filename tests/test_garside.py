@@ -2,38 +2,131 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidwork import garside
 from braidwork.catalog import catalog
-from braidwork.garside import (
-    _leftweight,
-    dynnikov,
-    equal,
-    left_descents,
-    letter_perm,
-    longest_perm,
-    normal_form,
-    perm_word,
-    pinv,
-    pmul,
-    right_descents,
-)
+from braidwork.garside import dynnikov, equal
 from braidwork.words import (
     BraidWord,
     compose,
     conjugate_right,
     invert,
+    letter_perm,
     permutation_image,
+    pinv,
+    pmul,
     reduce_free,
     word,
 )
 
 from test_words import words_strategy
+
+
+# ---------------------------------------------------------------------------
+# The Garside oracle: left normal forms for Br_n
+#
+# Every braid is Delta^inf f_1 ... f_k, where Delta is the positive half
+# twist and the f_i are permutation braids, none the identity or Delta,
+# such that each adjacent pair is left-weighted: no starting letter of
+# f_(i+1) can be absorbed into f_i.  Two words are the same braid exactly
+# when their normal forms are identical (Garside 1969; ElRifai and Morton,
+# Algorithms for positive braids, 1994), so normal forms decide equality
+# independently of Dynnikov coordinates.  Permutation braids are the
+# permutations of `words`, multiplied by `pmul` in writing order.
+
+
+def longest_perm(n):
+    """The permutation of the half twist Delta: full reversal."""
+    return tuple(range(n - 1, -1, -1))
+
+
+def left_descents(p):
+    """Indices i (1-based) with p = sigma_i * rest for a permutation braid p."""
+    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def right_descents(p):
+    return left_descents(pinv(p))
+
+
+def perm_word(p):
+    """The shortlex-minimal positive word spelling the permutation braid p."""
+    out = []
+    while True:
+        descents = left_descents(p)
+        if not descents:
+            return tuple(out)
+        s = min(descents)
+        out.append(s)
+        p = pmul(letter_perm(len(p), s), p)
+
+
+def leftweight(x, y):
+    """Left-weight the pair (x, y): slide sigma_i from the front of y to the
+    back of x, one letter at a time, while i is a left descent of y and not
+    a right descent of x."""
+    n = len(x)
+    while True:
+        movable = left_descents(y) - right_descents(x)
+        if not movable:
+            return x, y
+        t = letter_perm(n, min(movable))
+        x, y = pmul(x, t), pmul(t, y)
+
+
+@dataclasses.dataclass(frozen=True)
+class NormalForm:
+    """The normal form Delta^inf * factors of an element of Br_n."""
+
+    n: int
+    inf: int
+    factors: tuple
+
+    def spelled_word(self):
+        """Delta^inf, then each factor by `perm_word`."""
+        delta = perm_word(longest_perm(self.n))
+        if self.inf < 0:
+            delta = tuple(-s for s in reversed(delta))
+        letters = delta * abs(self.inf)
+        for f in self.factors:
+            letters += perm_word(f)
+        return BraidWord(self.n, letters)
+
+
+def normal_form(w):
+    """The left normal form of w.  Each letter is one simple factor, with
+    sigma_i^-1 written Delta^-1 (Delta sigma_i^-1); each Delta^-1 moves to
+    the front, conjugating by Delta the factors it passes.  Passes of
+    `leftweight` over adjacent pairs then run until none moves a letter,
+    which leaves the Deltas in front and the identities at the back."""
+    n = w.n
+    w0 = longest_perm(n)
+    inverses = 0
+    factors = []
+    for letter in reversed(reduce_free(w).letters):
+        t = letter_perm(n, abs(letter))
+        f = t if letter > 0 else pmul(w0, t)
+        factors.append(pmul(pmul(w0, f), w0) if inverses % 2 else f)
+        inverses += letter < 0
+    factors.reverse()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            x, y = leftweight(factors[i], factors[i + 1])
+            if x != factors[i]:
+                factors[i], factors[i + 1] = x, y
+                changed = True
+    ident = tuple(range(n))
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo] == w0:
+        lo += 1
+    while lo < hi and factors[hi - 1] == ident:
+        hi -= 1
+    return NormalForm(n, lo - inverses, tuple(factors[lo:hi]))
 
 
 # every Artin relator of Br_n, as a letter tuple that spells the identity
@@ -96,7 +189,7 @@ def words_on_common_strands(count, max_n=8, max_len=80):
 @settings(max_examples=200, deadline=None)
 def test_normal_form_factors_are_proper_and_left_weighted(words):
     (w,) = words
-    # the check reads descents directly; it does not call _leftweight
+    # the check reads descents directly; it does not call leftweight
     nf = normal_form(w)
     n = nf.n
     ident = tuple(range(n))
@@ -109,123 +202,12 @@ def test_normal_form_factors_are_proper_and_left_weighted(words):
 
 
 # ---------------------------------------------------------------------------
-# The incremental core against the bubble passes it replaces
-
-
-def _oracle_leftweight(x, y):
-    """_leftweight as written before: one letter per pass through pmul."""
-    n = len(x)
-    while True:
-        movable = left_descents(y) - right_descents(x)
-        if not movable:
-            return x, y
-        t = letter_perm(n, min(movable))
-        x = pmul(x, t)
-        y = pmul(t, y)
-
-
-def _oracle_normalize_factors(n, factors):
-    """_normalize_factors as written before: full passes until nothing changes."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            x, y = _oracle_leftweight(factors[i], factors[i + 1])
-            if x != factors[i]:
-                factors[i], factors[i + 1] = x, y
-                changed = True
-    w0 = longest_perm(n)
-    ident = tuple(range(n))
-    lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == w0:
-        lo += 1
-    while lo < hi and factors[hi - 1] == ident:
-        hi -= 1
-    return lo, tuple(factors[lo:hi])
-
-
-def _oracle_flip(p):
-    w0 = longest_perm(len(p))
-    return pmul(pmul(w0, p), w0)
-
-
-def oracle(fn, *args):
-    """fn(*args) with the old core in place of the new one."""
-    with mock.patch.object(garside, "_normalize_factors", _oracle_normalize_factors), \
-            mock.patch.object(garside, "_flip", _oracle_flip):
-        return fn(*args)
-
-
-@given(words_on_common_strands(2))
-@settings(max_examples=150, deadline=None)
-def test_normal_forms_equal_the_bubble_pass_oracle(pair):
-    """Only the left-weighting core is swapped: both sides cut the letters
-    into the same same-sign groups, which the tests below check against
-    one factor per letter."""
-    u, v = pair
-    nu, nv = normal_form(u), normal_form(v)
-    assert nu == oracle(normal_form, u)
-    assert nv == oracle(normal_form, v)
-
-
-# ---------------------------------------------------------------------------
-# Same-sign groups against one simple factor per letter
-
-
-def letter_at_a_time_normal_form(w):
-    """normal_form as written before the groups: one simple factor per letter,
-    sigma_i^-1 written Delta^-1 (Delta sigma_i^-1), read right to left."""
-    n = w.n
-    w0 = longest_perm(n)
-    inverses = 0
-    reversed_factors = []
-    for letter in reversed(reduce_free(w).letters):
-        t = letter_perm(n, abs(letter))
-        f = t if letter > 0 else pmul(w0, t)
-        reversed_factors.append(garside._flip(f) if inverses % 2 else f)
-        if letter < 0:
-            inverses += 1
-    extra, factors = garside._normalize_factors(n, reversed_factors[::-1])
-    return garside.NormalForm(n, extra - inverses, factors)
+# Known answers at Delta
 
 
 def delta_letters(n):
     """Delta = sigma_1 (sigma_2 sigma_1) ... (sigma_{n-1} ... sigma_1)."""
     return [j for k in range(1, n) for j in range(k, 0, -1)]
-
-
-def run_chunks(n):
-    """Pieces with long same-sign runs: sigma_i^m, Delta^k, Delta^-k, a
-    positive word followed by its inverse or by its letters negated, and
-    a few free letters."""
-    index = st.integers(min_value=1, max_value=n - 1)
-    sign = st.sampled_from([1, -1])
-    positive = st.lists(index, min_size=1, max_size=30)
-    return st.one_of(
-        st.tuples(index, sign, st.integers(min_value=1, max_value=12)).map(
-            lambda c: [c[1] * c[0]] * c[2]),
-        st.tuples(sign, st.integers(min_value=1, max_value=3)).map(
-            lambda c: [c[0] * x for x in delta_letters(n)] * c[1]),
-        positive.map(lambda p: p + [-x for x in reversed(p)]),
-        positive.map(lambda p: p + [-x for x in p]),
-        st.lists(st.tuples(index, sign).map(lambda c: c[0] * c[1]), max_size=6),
-    )
-
-
-def run_biased_words(max_n=8, max_len=80):
-    def at(n):
-        if n == 1:
-            return st.just(BraidWord(1, ()))
-        return st.lists(run_chunks(n), max_size=8).map(
-            lambda chunks: BraidWord(n, tuple(x for c in chunks for x in c)[:max_len]))
-    return st.integers(min_value=1, max_value=max_n).flatmap(at)
-
-
-@given(run_biased_words())
-@settings(max_examples=300, deadline=None)
-def test_same_sign_groups_equal_one_factor_per_letter(w):
-    nf = normal_form(w)
-    assert dataclasses.astuple(nf) == dataclasses.astuple(letter_at_a_time_normal_form(w))
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -242,22 +224,6 @@ def test_groups_at_delta_equal_one_factor_per_letter(n):
         w = BraidWord(n, tuple(letters))
         nf = normal_form(w)
         assert (nf.n, nf.inf, nf.factors) == (n, inf, factors)
-        assert dataclasses.astuple(nf) == dataclasses.astuple(letter_at_a_time_normal_form(w))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_leftweight_equals_the_oracle_on_every_pair(n):
-    perms = list(itertools.permutations(range(n)))
-    for x, y in itertools.product(perms, perms):
-        assert _leftweight(x, y) == _oracle_leftweight(x, y)
-
-
-def test_leftweight_equals_the_oracle_on_random_pairs_at_eight_strands():
-    rng = random.Random(8)
-    for _ in range(3000):
-        x = tuple(rng.sample(range(8), 8))
-        y = tuple(rng.sample(range(8), 8))
-        assert _leftweight(x, y) == _oracle_leftweight(x, y)
 
 
 @given(words_strategy(4, max_len=16), st.data())

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidwork import garside
 from braidwork.groups import (
     ARTIN3_A,
     ARTIN3_B,
@@ -23,6 +22,8 @@ from braidwork.groups import (
     perm_from_name,
 )
 from braidwork.words import BraidWord, permutation_image
+
+from test_garside import normal_form
 
 
 TRANSPOSITIONS = (PERM3_S, PERM3_T, PERM3_R)
@@ -117,6 +118,7 @@ def test_artin_inverse(u):
 
 # --- the SL(2, Z) key against the Garside oracle ----------------------------
 
+LETTERS = {"a": 1, "A": -1, "b": 2, "B": -2}
 DELTA = (1, 2, 1)
 DELTA2 = DELTA * 2
 DELTA4 = DELTA * 4
@@ -137,7 +139,12 @@ def inverse_letters(letters):
 
 
 def garside_spelling(letters):
-    return garside.normal_form(BraidWord(3, letters)).spelled_word()
+    return normal_form(BraidWord(3, tuple(letters))).spelled_word()
+
+
+def names(w):
+    """The letters of w named as ``Artin3.render`` names them."""
+    return "".join("ab"[c - 1] if c > 0 else "AB"[-c - 1] for c in w.letters) or "1"
 
 
 def test_key_equality_agrees_with_garside_on_random_pairs():
@@ -147,7 +154,7 @@ def test_key_equality_agrees_with_garside_on_random_pairs():
         u = BraidWord(3, reduced_letters(rng, rng.randint(0, 6)))
         v = BraidWord(3, reduced_letters(rng, rng.randint(0, 6)))
         same = artin_from_braid(u) == artin_from_braid(v)
-        assert same == garside.equal(u, v), (u, v)
+        assert same == (normal_form(u) == normal_form(v)), (u, v)
         verdicts.add(same)
     assert verdicts == {True, False}
 
@@ -168,7 +175,7 @@ def test_key_equality_on_engineered_equal_pairs():
             (central + u, u[:j] + central + u[j:]),
         ]
         for lhs, rhs in pairs:
-            assert garside.equal(BraidWord(3, lhs), BraidWord(3, rhs))
+            assert normal_form(BraidWord(3, lhs)) == normal_form(BraidWord(3, rhs))
             key_l, key_r = artin_from_braid(BraidWord(3, lhs)), artin_from_braid(BraidWord(3, rhs))
             assert key_l == key_r and hash(key_l) == hash(key_r)
 
@@ -195,12 +202,18 @@ def test_render_and_quotient_agree_with_garside():
     words += [power * inverse_letters(DELTA) + w for power in (1, 2, 4, 7) for w in words[:20]]
     words += [(1, -2) * k for k in (15, 20, 25)]  # entries grow like Fibonacci numbers
     words += [(2, 2, -1) * 12 + inverse_letters(DELTA4) * 3]
+    # Delta^k and Delta^-k for k up to 12, alone and around a word
+    words += [delta * k + w for delta in (DELTA, inverse_letters(DELTA))
+              for k in range(1, 13) for w in ((),) + tuple(words[:2])]
+    words += [(1, 2) * k for k in range(1, 19)]  # each third letter makes a Delta
+    # aba and bab right after a negative letter
+    words += [w + (x,) + tail for w in words[:4] for x in (-1, -2)
+              for tail in ((1, 2, 1), (2, 1, 2))]
     largest = 0
     for letters in words:
         x = artin_from_braid(BraidWord(3, letters))
         spelled = garside_spelling(letters)
-        names = "".join("ab"[abs(c) - 1] if c > 0 else "AB"[abs(c) - 1] for c in spelled.letters)
-        assert x.render() == (names or "1")
+        assert x.render() == names(spelled)
         assert x.to_json() == spelled.to_json()
         assert x.to_perm3() == Perm3(permutation_image(BraidWord(3, letters)))
         largest = max(largest, abs(x.p), abs(x.q), abs(x.r), abs(x.s))
@@ -213,6 +226,7 @@ def test_render_rejects_a_key_that_is_no_braid(fields):
     # power of Delta^4 reaches, and determinant 3, whose entries mod 2 are
     # those of r
     key = Artin3(*fields)
+    assert repr(key) == f"Artin3{fields}"  # the bare fields: there is no spelling
     with pytest.raises(ValueError, match="not the key"):
         key.render()
     if key.p * key.s - key.q * key.r != 1:
@@ -227,7 +241,7 @@ def test_render_rejects_a_key_that_is_no_braid(fields):
 def test_render_and_parse_round_trip(u):
     x = artin_from_word(u)
     assert artin_from_word(x.render()) == x
-    assert set(x.render()) <= set("abAB1")
+    assert x.render() == names(garside_spelling(LETTERS[c] for c in u))
 
 
 def test_letter_names():

@@ -219,7 +219,6 @@ def test_the_settable_values_are_the_listed_ones():
 # its classes, that no package module or benchmark file references:
 # what the tests check the package by
 TEST_ONLY = {
-    "garside.right_descents",  # the oracle of garside._leftweight
     "hurwitz.ordered_product",  # the invariant of every Hurwitz move
     "hurwitz.schreier_generators",  # stabilizer generators of an orbit table
     "tracking.star_basis",  # fiber loops of a star basis, for no pipeline yet
