@@ -25,21 +25,21 @@ closest to 1, matching the labeling used by all catalogued computations.
 A root solve is numpy's companion-matrix ``polyroots`` start polished by
 Newton's method (``solve_roots``).  Many independent polynomials are
 solved in one stacked pass (``solve_stack``): the rows of one length share
-one ``eigvals`` call on their companion matrices and one residual test
-over all their roots, chunked to at most ``STACK_ENTRIES`` complex
-entries; a row whose roots fail that test is polished alone by
+one ``eigvals`` call on their companion matrices, chunked to at most
+``STACK_ENTRIES`` complex entries, and each row is then polished alone by
 ``refine_roots``, the one Newton loop, which tracker trials also call.
 Every root and every error is bit for bit that of one ``solve_roots``
 call per row; the stacked solve has no unpolished mode.  ``branch_roots``
 solves a sequence of parameter points this way.
 
 The polynomials are small (degree 2 to 6 in the catalogued loops), so a
-numpy call costs more than the arithmetic it does, and the hot paths are
-written to make few calls.  ``refine_roots`` tests convergence with one
-``np.maximum.reduce`` of the relative residuals and critical points with
-one ``np.fmin.reduce`` of |f'| (fmin skips NaN, as the masked test
-does).  ``branch_roots`` evaluates each point's coefficients, then runs
-the one solvable-row rule once for all rows of one length
+numpy call on their roots costs more than the arithmetic it does.
+``refine_roots`` therefore works on lists of Python complex numbers, one
+Horner loop per root, in CPython's complex arithmetic, which numpy's CPU
+dispatch does not reach; ``min_pairwise_distance`` is a loop over the
+pairs.  numpy keeps the coefficients, the solvable-row rule and the
+companion step.  ``branch_roots`` evaluates each point's coefficients,
+then runs the one solvable-row rule once for all rows of one length
 (``_solvable_rows``), the stacked solve, and the collision test once for
 all root arrays of one count (``_close_pairs``); a row that fails the
 stacked rule is tested again alone, so its error is exact, and the first
@@ -70,9 +70,7 @@ NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
 MAX_NESTING = 100
 MAX_X_DEGREE = 64  # largest x-degree k of a family; covers every catalogued and benchmarked k
-STACK_ENTRIES = 1 << 18  # complex entries of one solve_stack chunk: matrices plus Newton block
-_ZERO = np.zeros((), dtype=complex)  # the 0 of polyval's x*0; a Python 0 is converted per call
-_ZERO.flags.writeable = False
+STACK_ENTRIES = 1 << 18  # complex entries of the companion matrices of one solve_stack chunk
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -340,75 +338,72 @@ def _horner(c: np.ndarray, x):
     return v
 
 
-def refine_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton-polish roots of the polynomial with the given coefficients.
+def refine_roots(coeffs: Sequence[complex], roots: Iterable[complex]) -> list[complex]:
+    """Newton-polish roots of the polynomial with the given coefficients
+    (low to high), both Python complex numbers, as ``tolist()`` gives them.
 
     Residuals are measured relative to sum_i |c_i| |z|^i, so the criterion
-    is scale invariant.  Raises if a root fails to converge.
+    is scale invariant.  All roots step together until every relative
+    residual is below ``RESIDUAL_TOL``; a root where |f'| < 1e-300 holds
+    still if its residual passes, and raises if it fails.  Raises if a
+    root fails to converge within ``NEWTON_STEPS`` iterations.
 
-    This is the package's one Newton loop: each iteration evaluates the m
-    roots in one Horner pass (``_newton_pass``).  The roots are bit for bit
-    those of the numpy.polynomial calls while the scale stays finite; an
-    overflowed scale may read NaN here where the real pass gives inf.
+    This is the package's one Newton loop.  Each iteration is one
+    ``_residuals`` pass, and an iteration that steps evaluates f' from the
+    products i * c_i, by Horner's rule too.
     """
-    z = np.array(roots, dtype=complex)
-    residuals, vals, dvals = _newton_pass(coeffs[:, None, None], len(z))
-    if not len(z):  # every residual of no roots passes; the reductions below would raise
-        return z
-    largest, smallest = np.maximum.reduce, np.fmin.reduce
+    z = list(roots)
+    terms = [(c, _modulus(c)) for c in reversed(coeffs)]
+    # f' from the products i * c_i, top first; 0 for a constant
+    top, *rest = [i * coeffs[i] for i in range(len(coeffs) - 1, 0, -1)] or [0j]
     for _ in range(NEWTON_STEPS):
-        rel = residuals(z)
-        if largest(rel) < RESIDUAL_TOL:  # NaN propagates, so a NaN residual fails
+        vals, rels, converged = _residuals(terms, z)
+        if converged:
             return z
-        size = np.abs(dvals)
-        # no |f'| below 1e-300 (fmin skips NaN): the np.where form below, bit for bit
-        if smallest(size) >= 1e-300:
-            z = z - vals / dvals
-            continue
-        bad = size < 1e-300
-        if (bad & (rel >= RESIDUAL_TOL)).any():
-            raise DegenerateConfigurationError("Newton step hit a critical point")
-        z = z - np.where(bad, 0.0, vals / np.where(bad, 1.0, dvals))
+        stepped = []
+        for x, v, rel in zip(z, vals, rels):
+            d = top
+            for c in rest:
+                d = d * x + c
+            if not _modulus(d) < 1e-300:  # a NaN f' steps too, to NaN
+                stepped.append(x - v / d)
+            elif rel >= RESIDUAL_TOL:
+                raise DegenerateConfigurationError("Newton step hit a critical point")
+            else:
+                stepped.append(x)
+        z = stepped
     raise DegenerateConfigurationError("root refinement did not converge")
 
 
-def _newton_pass(cols: np.ndarray, m: int):
-    """The residual test of a Newton iteration for G polynomials, m roots
-    each, with coefficient columns ``cols`` (n, G, 1): a function of the
-    G * m roots, polynomial after polynomial, giving their relative
-    residuals, and views of the values and derivatives each call writes.
+def _residuals(terms: list[tuple[complex, float]],
+               z: list[complex]) -> tuple[list[complex], list[float], bool]:
+    """One residual pass of ``refine_roots``: the polynomial at each root,
+    its relative residual |f(z)| / (sum_i |c_i| |z|^i + 1e-300), and
+    whether every residual is below ``RESIDUAL_TOL`` (a NaN one is not).
+    ``terms`` are the pairs (c_i, |c_i|) from the top coefficient down.
 
-    A call is one Horner pass, 2n ufunc calls, over a stacked (3, G * m)
-    array: row 0 the polynomial at z, row 1 the moduli |c_i| at |z|
-    (complex with zero imaginary parts, so each product is the real
-    product), row 2 ``polyder``'s products ``i * c_i``, padded with a top
-    zero, at z.  Each row sees numpy ``polyval``'s operations in its order
-    (``c[-1] + x*0``, then ``c[i] + v*x``); the padded row's
-    ``(0 + z*0) * z`` is ``z*0`` for finite z.  Every operation is
-    elementwise, so a root sees the operations of its polynomial alone.
-    """
-    n, groups, _ = cols.shape
-    block = np.zeros((n, 3, groups, m), dtype=complex)
-    block[:, 0] = cols
-    block[:, 1] = np.abs(cols)
-    block[:n - 1, 2] = cols[1:] * np.arange(1, n)[:, None, None]
-    top, *rest = block.reshape(n, 3, groups * m)[::-1]  # Horner's order, from the top
-    x = np.zeros((3, groups * m), dtype=complex)  # rows z, |z| + 0j, z
-    v = np.empty((3, groups * m), dtype=complex)
-    zs, abs_z, vals, scale, dvals = x[0::2], x[1].real, v[0], v[1].real, v[2]
-    absolute, add, multiply = np.abs, np.add, np.multiply  # looked up once, not per pass
+    One Horner loop per root gives the value, in numpy ``polyval``'s order
+    (c_n, then c_i + v*z), and the scale, a real Horner loop in |z|."""
+    (top, size_top), rest = terms[0], terms[1:]
+    vals, rels, converged = [], [], True
+    for x in z:
+        v, s, a = top, size_top, _modulus(x)
+        for c, size in rest:
+            v = v * x + c
+            s = s * a + size
+        rel = _modulus(v) / (s + 1e-300)
+        converged = converged and rel < RESIDUAL_TOL
+        vals.append(v)
+        rels.append(rel)
+    return vals, rels, converged
 
-    def residuals(z: np.ndarray) -> np.ndarray:
-        zs[...] = z
-        absolute(z, out=abs_z)
-        multiply(x, _ZERO, out=v)
-        add(top, v, out=v)
-        for row in rest:
-            multiply(v, x, out=v)
-            add(row, v, out=v)
-        return absolute(vals) / (scale + 1e-300)
 
-    return residuals, vals, dvals
+def _modulus(z: complex) -> float:
+    """|z|, and inf where that is beyond the float range (``abs`` raises)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _solvable(coeffs) -> np.ndarray:
@@ -443,8 +438,12 @@ def _solvable_rows(coeffs: np.ndarray) -> np.ndarray:
 
 def solve_roots(coeffs: np.ndarray) -> np.ndarray:
     coeffs = _solvable(coeffs)
-    raw = npoly.polyroots(coeffs)
-    return refine_roots(coeffs, raw)
+    return _polished(coeffs, npoly.polyroots(coeffs))
+
+
+def _polished(coeffs: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """``refine_roots`` of the roots ``raw`` of ``coeffs``, as an array."""
+    return np.array(refine_roots(coeffs.tolist(), raw.tolist()), dtype=complex)
 
 
 def _polyroots_alone(coeffs: np.ndarray) -> np.ndarray | np.linalg.LinAlgError:
@@ -485,10 +484,10 @@ def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
     Rows of one length share one solvable-row test
     (``_solvable_rows``); a row that fails it is tested alone by
     ``_solvable``, which gives its exact error.  The others share one
-    companion step (``_companion_roots``) and one residual test
-    (``_polish_rows``), at most ``STACK_ENTRIES`` complex entries of
-    matrices and Newton block at a time, so memory does not grow with the
-    number of rows."""
+    companion step (``_companion_roots``), at most ``STACK_ENTRIES``
+    complex matrix entries at a time, so memory does not grow with the
+    number of rows, and each row's roots are then polished as
+    ``solve_roots`` polishes them."""
     out: list = [None] * len(rows)
     by_shape: dict[tuple, list[int]] = {}
     arrays = [np.asarray(row, dtype=complex) for row in rows]
@@ -505,38 +504,16 @@ def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
                     out[i] = exc
                     continue
             kept.append(g)
-        n = shape[0]
-        m = n - 1  # roots per row: a row takes m * m matrix and 3 * n * m block entries
-        size = max(1, STACK_ENTRIES // max(1, m * m + 3 * n * m))
+        m = shape[0] - 1  # roots per row, of an m * m companion matrix
+        size = max(1, STACK_ENTRIES // max(1, m * m))
         for start in range(0, len(kept), size):
             chunk = kept[start:start + size]
             coeffs = stack[chunk]
-            for g, r in zip(chunk, _polish_rows(coeffs, _companion_roots(coeffs))):
-                out[members[g]] = r
-    return out
-
-
-def _polish_rows(coeffs: np.ndarray, raw: list) -> list:
-    """``raw`` with each root row refined against its row of ``coeffs``
-    (G, n), or the error that ends its refinement, as ``refine_roots``
-    refines one.  One ``_newton_pass`` over every row's roots is
-    ``refine_roots``' first residual test: a row whose roots all pass is
-    returned as it is, as ``refine_roots`` would return it, and only the
-    others go to ``refine_roots``, one call each."""
-    ok = [g for g, r in enumerate(raw) if not isinstance(r, Exception)]
-    if not ok:
-        return raw
-    m = coeffs.shape[1] - 1
-    residuals, _, _ = _newton_pass(coeffs[ok].T[..., None], m)
-    rel = residuals(np.concatenate([raw[g] for g in ok]))
-    passed = (rel < RESIDUAL_TOL).reshape(len(ok), m).all(axis=1)
-    out = list(raw)
-    for g, done in zip(ok, passed):
-        if not done:
-            try:
-                out[g] = refine_roots(coeffs[g], raw[g])
-            except DegenerateConfigurationError as exc:
-                out[g] = exc
+            for g, row, raw in zip(chunk, coeffs, _companion_roots(coeffs)):
+                try:
+                    out[members[g]] = raw if isinstance(raw, Exception) else _polished(row, raw)
+                except DegenerateConfigurationError as exc:
+                    out[members[g]] = exc
     return out
 
 
@@ -547,12 +524,11 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
 
 
-def min_pairwise_distance(points: np.ndarray) -> float:
-    pts = np.asarray(points)
-    if len(pts) < 2:
-        return math.inf
-    i, j = _pairs(len(pts))
-    return float(np.minimum.reduce(np.abs(pts[i] - pts[j])))
+def min_pairwise_distance(points: Sequence[complex]) -> float:
+    """The smallest distance between two of ``points``, by a loop over
+    the pairs; inf for fewer than two points."""
+    return min((_modulus(a - b) for i, a in enumerate(points) for b in points[i + 1:]),
+               default=math.inf)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -571,7 +547,7 @@ class BranchConfiguration:
         return self.points[label - 1]
 
     def min_gap(self) -> float:
-        return min_pairwise_distance(np.array(self.points))
+        return min_pairwise_distance(self.points)
 
 
 def label_points(points: Iterable[complex]) -> tuple[complex, ...]:
@@ -622,10 +598,9 @@ def branch_roots(family: WeierstrassFamily,
 
 def _close_pairs(solved: list) -> list[bool]:
     """For each root array of ``solved`` (an exception counts as none),
-    whether two of its roots are closer than ``COLLISION_TOL``: the
-    operations of ``min_pairwise_distance``, elementwise, in one pass over
-    the arrays of each root count, at most ``STACK_ENTRIES`` pair
-    distances at a time."""
+    whether two of its roots are closer than ``COLLISION_TOL``: the test
+    of ``min_pairwise_distance``, in one numpy pass over the arrays of each
+    root count, at most ``STACK_ENTRIES`` pair distances at a time."""
     close = [False] * len(solved)
     by_count: dict[int, list[int]] = {}
     for g, roots in enumerate(solved):

@@ -139,7 +139,7 @@ def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
         double_pair = near_alpha[:2]
         rest = near_alpha[2:]
         pair_tight = all(abs(z - alpha) < 1e-4 for z in double_pair)
-        rest_simple = min_pairwise_distance(np.array(rest)) > COLLISION_TOL
+        rest_simple = min_pairwise_distance(rest) > COLLISION_TOL
         rest_clear = all(abs(z - alpha) > 1e-2 for z in rest)
         all_ok &= pair_tight and rest_simple and rest_clear
     return (

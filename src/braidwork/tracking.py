@@ -53,29 +53,26 @@ every catalogued loop round a point is a ``lasso``: out along an approach,
 once round a circle drawn from where the approach ends, and back, in plain
 points or in one parameter with the others held.
 
-Each trial evaluates the branch polynomial, its residual scale and its
-derivative with ``families.refine_roots``, in one stacked Horner pass per
-Newton iteration that keeps numpy ``polyval``'s operation order for each
-of the three, and reuses the corrected roots' smallest gap as the next
-step's move bound; a trace's roots, crossing times and words are bit for
-bit those of the numpy.polynomial calls.  The polynomials are small, so a
-trial costs its count of numpy calls more than its arithmetic.  A trial
-makes one ``refine_roots`` call, whose Newton iterations each take one
-Horner pass and one ``np.maximum.reduce`` convergence test, and, when they
-step, one ``np.abs`` and one ``np.fmin.reduce`` critical-point test; the
-solvable-row rule and the move bound take one ``np.abs`` and one
-``np.maximum.reduce`` each, and ``min_pairwise_distance`` one subtraction,
-``np.abs`` and ``np.minimum.reduce``.  Ranks and alignment are read from
-the rotated roots' ``tolist()`` values in plain Python, which compares
-the same floats.
+A trial works on lists of Python complex numbers.  It takes the branch
+coefficients once from numpy, applies ``families``' solvable-row rule to
+them and converts them with ``tolist()``; the secant guess, the one
+``families.refine_roots`` call (a Horner loop per root for the
+polynomial, its residual scale and, when Newton steps, its derivative),
+the move and its ratio, the smallest gap (``min_pairwise_distance``, a
+loop over the pairs, reused as the next step's move bound), the rotated
+ranks, the alignment test and the crossings are plain Python.  The
+polynomials are small (2 to 6 roots in the catalogued loops), where a
+numpy call costs more than the arithmetic it does; a trial's cost grows
+with the square of its root count, and so does the pair loop.  CPython's
+complex arithmetic does not go through numpy's CPU dispatch, so the
+crossing times do not depend on which of numpy's loops the CPU selects.
 
 A loop may name only the family's parameters, and its vertices are
 checked before tracking, all in one ``families.branch_roots`` call: one
 stacked solve, whose roots are bit for bit those of one ``solve_roots``
-call per vertex.  The stacked solve tests every vertex's companion roots
-in one Horner pass and polishes only a vertex whose roots fail it, with
-``families``' own binding of ``refine_roots``; this module's binding is
-called by the trials alone, once per trial.  The check's solvable-row
+call per vertex.  The stacked solve polishes each vertex's companion roots
+with ``families``' own binding of ``refine_roots``; this module's binding
+is called by the trials alone, once per trial.  The check's solvable-row
 test runs once for all vertices of one coefficient length, and its
 collision test once for all vertices of one root count.
 
@@ -157,9 +154,9 @@ def _rank_order(rotated: list[complex]) -> list[int]:
     return sorted(range(len(rotated)), key=lambda j: (rotated[j].real, rotated[j].imag))
 
 
-def _aligned(points: np.ndarray, rotated: list[complex], order: list[int]) -> bool:
+def _aligned(points: list[complex], rotated: list[complex], order: list[int]) -> bool:
     """Whether two points adjacent in rank ``order`` are vertically aligned."""
-    scale = max(1.0, float(np.maximum.reduce(np.abs(points))))
+    scale = max(1.0, *map(abs, points))
     return any(
         abs(rotated[a].real - rotated[b].real) < 1e-7 * scale
         for a, b in zip(order, order[1:])
@@ -167,26 +164,26 @@ def _aligned(points: np.ndarray, rotated: list[complex], order: list[int]) -> bo
 
 
 def _step(
-    coeffs: np.ndarray, roots: np.ndarray, guess: np.ndarray, gap: float, rot: complex,
-    ranks: list[int],
-) -> tuple[tuple[np.ndarray, list[complex], float, list[int]] | None, float | None]:
+    coeffs: list[complex], roots: list[complex], guess: list[complex], gap: float,
+    rot: complex, ranks: list[int],
+) -> tuple[tuple[list[complex], list[complex], float, list[int]] | None, float | None]:
     """One trial, Newton starting from ``guess``: the corrected roots,
-    their rotation (as Python complex numbers), their smallest gap and the
-    adjacent rank swaps from ``ranks``, or None if it is rejected; and
-    beside it the move ratio max move / (gap/4) from ``roots``, or None if
-    the trial was rejected for another reason than its move."""
+    their rotation, their smallest gap and the adjacent rank swaps from
+    ``ranks``, or None if it is rejected; and beside it the move ratio
+    max move / (gap/4) from ``roots``, or None if the trial was rejected
+    for another reason than its move."""
     try:
         new_roots = refine_roots(coeffs, guess)
     except DegenerateConfigurationError:
         return None, None
-    move = np.maximum.reduce(np.abs(new_roots - roots))
-    ratio = float(move) / (gap / 4)
+    move = max(abs(a - b) for a, b in zip(new_roots, roots))
+    ratio = move / (gap / 4)
     if move > gap / 4:
         return None, ratio
     new_gap = min_pairwise_distance(new_roots)
     if new_gap < COLLISION_TOL:
         return None, None
-    new_rotated = (new_roots * rot).tolist()
+    new_rotated = [z * rot for z in new_roots]
     swaps = _adjacent_swaps(ranks, _rank_order(new_rotated))
     if swaps is None:
         return None, None
@@ -194,15 +191,16 @@ def _step(
 
 
 def _track_once(
-    coeff_fn: Callable[[float], np.ndarray], start: np.ndarray, gap: float, angle: float
+    coeff_fn: Callable[[float], np.ndarray], start: list[complex], gap: float, angle: float
 ) -> tuple[list[Crossing], list[int]] | None:
     """The crossings of one trace from the roots ``start`` (smallest gap
     ``gap``) projected at ``angle``, and ``ranks``: ranks[r] is the strand
     that ends at rank r.  None if two points stay vertically aligned."""
-    rot = np.exp(-1j * angle)
-    rotated = (start * rot).tolist()
+    rot = cmath.exp(-1j * angle)
+    rotated = [z * rot for z in start]
     order = _rank_order(rotated)
-    roots, rotated = start[order], [rotated[j] for j in order]  # strand j = start rank j
+    # strand j = start rank j
+    roots, rotated = [start[j] for j in order], [rotated[j] for j in order]
     m = len(roots)
 
     # ranks[r] = strand currently at rank r; it is always the rank order of
@@ -237,8 +235,9 @@ def _track_once(
             raise TrackingError(
                 f"branch polynomial degree dropped near parameter time {trial:.6f}"
             )
-        guess = roots + (roots - prev_roots) * (h / h_prev) if h_prev else roots
-        step, ratio = _step(coeffs, roots, guess, gap, rot, ranks)
+        guess = ([z + (z - p) * (h / h_prev) for z, p in zip(roots, prev_roots)]
+                 if h_prev else roots)
+        step, ratio = _step(coeffs.tolist(), roots, guess, gap, rot, ranks)
         if step is None:
             h = h / 2 if ratio is None else h * max(MIN_SHRINK, TARGET_RATIO / ratio)
             if h < MIN_STEP:
@@ -288,8 +287,8 @@ def _emit(
     r: int,
     strand_low: int,
     strand_high: int,
-    roots: np.ndarray,
-    new_roots: np.ndarray,
+    roots: list[complex],
+    new_roots: list[complex],
     rot: complex,
     s: float,
     h: float,
@@ -310,8 +309,8 @@ def _emit(
 def track_coefficients(coeff_fn: Callable[[float], np.ndarray]) -> BraidTrace:
     """Track the root set of coeff_fn(s) for s in [0, 1] from projection
     angle 0.  Coefficients with no root at s = 0 raise ValueError."""
-    start = solve_roots(np.asarray(coeff_fn(0.0), dtype=complex))
-    if not len(start):
+    start = solve_roots(np.asarray(coeff_fn(0.0), dtype=complex)).tolist()
+    if not start:
         raise ValueError("the coefficients have no roots at s = 0: there is nothing to track")
     gap = min_pairwise_distance(start)
     if gap < COLLISION_TOL:

@@ -1,25 +1,28 @@
 import pytest
 
-from braidwork import families
+from braidwork import families, tracking
 
 
 @pytest.fixture
 def newton_passes(monkeypatch):
-    """Residual tests per Newton loop, in call order: each entry counts the
-    calls to one residual closure of ``families._newton_pass``."""
+    """Residual passes per Newton loop, in call order: each entry counts
+    the ``families._residuals`` calls of one ``refine_roots`` call, made
+    through ``families``' binding or through ``tracking``'s."""
     passes = []
-    newton_pass = families._newton_pass
+    residuals = families._residuals
 
-    def counted_pass(cols, m):
-        residuals, vals, dvals = newton_pass(cols, m)
-        passes.append(0)
-        index = len(passes) - 1
+    def counted_pass(terms, z):
+        passes[-1] += 1
+        return residuals(terms, z)
 
-        def counted(z):
-            passes[index] += 1
-            return residuals(z)
+    def opening(refine):
+        def refine_roots(coeffs, roots):
+            passes.append(0)
+            return refine(coeffs, roots)
 
-        return counted, vals, dvals
+        return refine_roots
 
-    monkeypatch.setattr(families, "_newton_pass", counted_pass)
+    monkeypatch.setattr(families, "_residuals", counted_pass)
+    for module in (families, tracking):
+        monkeypatch.setattr(module, "refine_roots", opening(module.refine_roots))
     return passes

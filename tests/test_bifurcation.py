@@ -79,8 +79,8 @@ def test_the_generator_rows_are_the_expected_generators(k):
 
 # the step controller's budget: trials of all tracked loops of one run,
 # counted as calls to the tracker's own binding of refine_roots (once per
-# trial); and the secant predictor's: Newton residual tests of the run
-# (all but a few in the trials; the vertex checks make the rest)
+# trial); and the secant predictor's: Newton residual passes of the run
+# (most in the trials; the vertex checks polish each vertex, one pass or more)
 PASS_BUDGET = {2: 4700, 3: 9400}
 
 

@@ -214,7 +214,7 @@ def test_monodromy_default_loop_is_the_unit_circle(capsys):
         ["monodromy", "--family", "cusp", "--expect", '{"n":2,"word":[1,1,1]}'], capsys
     )
     assert code == 0
-    assert cert["body_sha256"].startswith("6a488ca4")
+    assert cert["body_sha256"].startswith("fa2287b0")
 
 
 @pytest.mark.parametrize("argv", [

@@ -196,7 +196,7 @@ def test_min_pairwise_distance():
 
 
 # ---------------------------------------------------------------------------
-# The hot path against the numpy.polynomial calls it replaces
+# The Newton loop and branch coefficients against numpy.polynomial calls
 
 
 def _oracle_refine_roots(coeffs, roots):
@@ -233,11 +233,29 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64).tolist()
 
 
-def _outcome(refine, coeffs, roots):
+def _refined(refine, coeffs, roots):
+    """The roots ``refine`` gives, as a list, or its error message."""
     try:
-        return _bits(refine(coeffs, roots))
+        return np.asarray(refine(coeffs, roots), dtype=complex).tolist()
     except DegenerateConfigurationError as exc:
         return str(exc)
+
+
+def _assert_agrees_with_numpy(coeffs, starts):
+    """refine_roots ends as the numpy.polynomial loop ends: with the same
+    error, or with as many roots, each as close to the loop's as two roots
+    that pass the RESIDUAL_TOL test can be, 2 * RESIDUAL_TOL times the
+    root's condition number sum_i |c_i| |z|^i / |f'(z)|."""
+    ours = _refined(refine_roots, coeffs.tolist(), starts.tolist())
+    theirs = _refined(_oracle_refine_roots, coeffs, starts)
+    if isinstance(theirs, str):
+        assert ours == theirs
+        return
+    assert not isinstance(ours, str) and len(ours) == len(theirs)
+    z = np.array(theirs)
+    condition = npoly.polyval(np.abs(z), np.abs(coeffs)) / np.abs(
+        npoly.polyval(z, npoly.polyder(coeffs)))
+    assert (np.abs(np.array(ours) - z) <= 2 * RESIDUAL_TOL * condition).all()
 
 
 class _FixedFamily(WeierstrassFamily):
@@ -285,6 +303,24 @@ def _case(coeffs, starts):
     return np.array(coeffs, dtype=complex), np.array(starts, dtype=complex)
 
 
+_coordinates = st.floats(min_value=-4, max_value=4)
+
+
+@st.composite
+def _simple_roots_and_starts(draw):
+    """A polynomial with 1 to 8 simple roots, pairwise and from 0 at least
+    0.1 apart, times a drawn scale, and starts near its roots: the
+    companion roots moved by one shift.  Newton then follows the same path
+    in either arithmetic; from arbitrary starts, or to a root at 0 or a
+    multiple root, paths that differ by rounding may end differently."""
+    roots = draw(st.lists(st.builds(complex, _coordinates, _coordinates),
+                          min_size=1, max_size=8).filter(
+        lambda r: min_pairwise_distance(r) >= 0.1 and min(map(abs, r)) >= 0.1))
+    coeffs = npoly.polyfromroots(roots) * draw(_entries.filter(lambda c: c != 0))
+    shift = draw(st.sampled_from([0.0, 1e-9, 1e-3j, 0.02 - 0.02j]))
+    return coeffs, npoly.polyroots(coeffs) + shift
+
+
 # kernel edge cases random draws may miss: a zero derivative, one at a
 # root that has converged while another still moves, a Newton cycle
 # (0 -> 1 -> 0), a constant, more starts than roots, and -0.0 imaginary
@@ -299,6 +335,13 @@ _EDGE_CASES = {
 }
 
 
+@given(_simple_roots_and_starts())
+@settings(max_examples=400, deadline=None)
+def test_refine_roots_agrees_with_numpy_polynomial(case):
+    with np.errstate(all="ignore"):
+        _assert_agrees_with_numpy(*case)
+
+
 @given(_polynomials_and_starts())
 @settings(max_examples=400)
 @example(_EDGE_CASES["critical point"])
@@ -307,11 +350,23 @@ _EDGE_CASES = {
 @example(_EDGE_CASES["degree 0"])
 @example(_EDGE_CASES["more starts than roots"])
 @example(_EDGE_CASES["signed zeros on top"])
-def test_refine_roots_is_bit_identical_to_numpy_polynomial(case):
+@example(_case([1, 0, 1], [complex(1.3e308, 1.3e308)]))  # |z| beyond the float range
+@example(_case([complex(1.3e308, 1.3e308), 1, 1], [1, -1]))  # |c_0| beyond it
+def test_refine_roots_ends_in_passing_roots_or_its_own_errors(case):
+    """From any start, refine_roots raises one of its two errors or gives
+    a root per start, each passing the residual test as numpy.polynomial
+    evaluates it, within a factor of 2 for rounding."""
     coeffs, starts = case
     with np.errstate(all="ignore"):
-        assert _outcome(refine_roots, coeffs, starts) == _outcome(
-            _oracle_refine_roots, coeffs, starts)
+        result = _refined(refine_roots, coeffs.tolist(), starts.tolist())
+        if isinstance(result, str):
+            assert result in ("Newton step hit a critical point",
+                              "root refinement did not converge")
+            return
+        z = np.array(result, dtype=complex)
+        scale = npoly.polyval(np.abs(z), np.abs(coeffs)) + 1e-300
+        assert len(z) == len(starts)
+        assert (np.abs(npoly.polyval(z, coeffs)) / scale < 2 * RESIDUAL_TOL).all()
 
 
 @pytest.mark.parametrize("name, outcome", [
@@ -324,11 +379,12 @@ def test_refine_roots_is_bit_identical_to_numpy_polynomial(case):
 ])
 def test_refine_roots_edge_cases_reach_their_outcome(name, outcome):
     """Each pinned edge case ends as named: an error, or that many roots."""
-    result = _outcome(refine_roots, *_EDGE_CASES[name])
+    coeffs, starts = _EDGE_CASES[name]
+    result = _refined(refine_roots, coeffs.tolist(), starts.tolist())
     if isinstance(outcome, str):
         assert result == outcome
     else:
-        assert len(result) == 2 * outcome  # two uint64 words per root
+        assert len(result) == outcome
 
 
 @given(_coefficients(max_degree=6), _coefficients(max_degree=12))
@@ -344,10 +400,16 @@ def test_catalogue_hot_path_is_bit_identical(name, k):
     for t in POINTS:
         coeffs = family.branch_coeffs(t)
         assert _bits(coeffs) == _bits(_oracle_branch_coeffs(family, t))
+
+
+@pytest.mark.parametrize("name, k", CATALOGUE)
+def test_catalogue_roots_agree_with_numpy_polynomial(name, k):
+    family = catalogue_family(name, k)
+    for t in POINTS:
+        coeffs = family.branch_coeffs(t)
         starts = npoly.polyroots(coeffs)
         for shift in (0.0, 1e-6, 1e-2 + 1e-2j):
-            assert _outcome(refine_roots, coeffs, starts + shift) == _outcome(
-                _oracle_refine_roots, coeffs, starts + shift)
+            _assert_agrees_with_numpy(coeffs, starts + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -433,86 +495,24 @@ def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
                     == [_call_outcome(npoly.polyroots, c) for c in same])
 
 
-@st.composite
-def _stacked_starts(draw, n=None):
-    """Rows of one length, n or drawn, with n - 1 starts each, each row's
-    starts its roots moved by its own shift or drawn outright, so the rows
-    converge after different numbers of steps, or fail."""
-    if n is None:
-        n = draw(st.integers(min_value=1, max_value=8))
-    coeffs, starts = [], []
-    for _ in range(draw(st.integers(min_value=1, max_value=8))):
-        row = np.array(draw(st.lists(_entries, min_size=n, max_size=n)), dtype=complex)
-        raw = npoly.polyroots(row) if row[-1] != 0 else np.zeros(0)
-        if len(raw) == n - 1 and draw(st.booleans()):
-            shifted = raw + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3j, 0.1 - 0.1j]))
-        else:
-            shifted = np.array(draw(st.lists(_entries, min_size=n - 1, max_size=n - 1)))
-        coeffs.append(row)
-        starts.append(np.asarray(shifted, dtype=complex))
-    return np.array(coeffs), starts
-
-
-@given(_stacked_starts())
-@settings(max_examples=300, deadline=None)
-@example((np.array([[1, 0, 1], [1, 2, 1], [-1, 0, 1]], dtype=complex),
-          [np.array([0, 1j]), np.array([-1.5, -0.5], dtype=complex),
-           np.array([1 + 1e-3, -1 - 0.1j])]))
-def test_stacked_newton_pass_is_bit_identical_to_refine_roots(case):
-    """The Newton pass of solve_stack over rows that converge after
-    different numbers of steps, hit a critical point or never converge,
-    against one refine_roots call per row."""
-    coeffs, starts = case
+@given(_rows)
+@settings(max_examples=50, deadline=None)
+def test_the_stacked_solve_polishes_each_row_with_refine_roots(rows):
+    """Every row the solvable-row rule accepts and whose companion step
+    finishes is polished by one refine_roots call, from its companion
+    roots; no other call is made."""
     with np.errstate(all="ignore"):
-        expected = [_call_outcome(lambda c: refine_roots(c, s), c)
-                    for c, s in zip(coeffs, starts)]
-        assert [_stack_outcome(r) for r in families._polish_rows(coeffs, starts)] == expected
-
-
-def _passes_at_once(coeffs, starts):
-    """Whether every start passes refine_roots' first residual test, as
-    written with numpy.polynomial calls (their scale is finite here)."""
-    scale = npoly.polyval(np.abs(starts), np.abs(coeffs)) + 1e-300
-    assert np.isfinite(scale).all()
-    return bool(np.all(np.abs(npoly.polyval(starts, coeffs)) / scale < RESIDUAL_TOL))
-
-
-@st.composite
-def _routed_stack(draw):
-    """One stack of three kinds of row: x^(n-1) - 1 from its companion
-    roots, which pass at once, and from shifted starts, which take steps;
-    a pinned row whose companion roots hit a critical point or never
-    converge; then drawn rows of the same length."""
-    bad = _SOLVE_ROWS[draw(st.sampled_from(["critical point", "no convergence"]))]
-    n = len(bad)
-    unit = np.zeros(n, dtype=complex)
-    unit[[0, -1]] = -1, 1
-    coeffs, starts = draw(_stacked_starts(n))
-    roots = npoly.polyroots(unit)
-    return (np.vstack([unit, unit, bad, coeffs]),
-            [roots, roots + 1e-3j, npoly.polyroots(bad)] + starts)
-
-
-@given(_routed_stack())
-@settings(max_examples=100, deadline=None)
-def test_stacked_newton_pass_refines_only_the_rows_that_fail_the_first_test(case):
-    """The stacked solve's polish tests every row in one pass and calls
-    refine_roots once for each row whose starts do not all pass, and for
-    no other; every outcome is that of one refine_roots call per row."""
-    coeffs, starts = case
-    with np.errstate(all="ignore"):
-        failing = [g for g, (c, s) in enumerate(zip(coeffs, starts))
-                   if not _passes_at_once(c, s)]
-        assert failing[:2] == [1, 2]  # the kinds: 0 passes, 1 steps, 2 fails
+        expected = []
+        for row in rows:
+            try:
+                coeffs = families._solvable(row)
+                expected.append((coeffs.tolist(), npoly.polyroots(coeffs).tolist()))
+            except (ValueError, DegenerateConfigurationError):
+                continue
         with mock.patch.object(families, "refine_roots", wraps=refine_roots) as spy:
-            polished = families._polish_rows(coeffs, starts)
-        called = [[g for g, s in enumerate(starts) if s is call.args[1]]
-                  for call in spy.call_args_list]
-        assert called == [[g] for g in failing]
-        expected = [_call_outcome(lambda c: refine_roots(c, s), c)
-                    for c, s in zip(coeffs, starts)]
-    assert [_stack_outcome(r) for r in polished] == expected
-    assert not isinstance(polished[1], Exception) and isinstance(polished[2], Exception)
+            solve_stack(rows)
+    assert sorted(map(repr, (call.args for call in spy.call_args_list))) == sorted(
+        map(repr, expected))
 
 
 def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
@@ -534,8 +534,8 @@ def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
 
 
 def test_chunks_bound_the_stack():
-    """A chunk holds at most STACK_ENTRIES entries of companion matrices
-    and Newton block, at least one row, whatever the number of rows."""
+    """A chunk holds at most STACK_ENTRIES entries of companion matrices,
+    at least one row, whatever the number of rows."""
     sizes = []
     eigvals = np.linalg.eigvals
 
@@ -549,7 +549,7 @@ def test_chunks_bound_the_stack():
             sizes.clear()
             with mock.patch.object(families, "STACK_ENTRIES", entries):
                 solve_stack(rows)
-            per_row = 4 * 4 + 3 * 5 * 4
+            per_row = 4 * 4
             assert sum(shape[0] for shape in sizes) == 50
             assert max(shape[0] for shape in sizes) == max(1, min(50, entries // per_row))
 
@@ -688,10 +688,12 @@ def test_each_vertex_row_reaches_its_outcome(name, error):
 
 
 def test_refining_no_roots_returns_no_roots():
-    """The reductions of refine_roots never see an empty array."""
+    """No roots pass the residual test at once; solve_roots gives them as
+    an empty complex array."""
     for coeffs in ([1, 0, 1], [3], [0, 1]):
-        out = refine_roots(np.array(coeffs, dtype=complex), np.zeros(0, dtype=complex))
-        assert out.shape == (0,) and out.dtype == complex
+        assert refine_roots([complex(c) for c in coeffs], []) == []
+    out = solve_roots(np.array([3], dtype=complex))
+    assert out.shape == (0,) and out.dtype == complex
 
 
 @pytest.mark.parametrize("p", [(0,), ("-0.0",), (1,), (2, -1), (1, 0, 1)])

@@ -33,7 +33,7 @@ from braidwork.tracking import (
     track_coefficients,
     track_loop,
 )
-from braidwork.words import compose, compose_all, invert, permutation_image
+from braidwork.words import BraidWord, compose, compose_all, invert, permutation_image
 
 CUSP = catalogue_family("cusp")
 TANGENCY = catalogue_family("tangency")
@@ -253,6 +253,19 @@ def test_synthetic_coefficients_tracking():
         return np.polynomial.polynomial.polyfromroots([a, -a])
 
     assert loop_to_braid(track_coefficients(coeffs_cw)).letters == (-1,)
+
+
+def test_a_half_turn_of_twelve_points_is_the_half_twist():
+    # a rigid counterclockwise half turn of m generic points is the half
+    # twist (s1 ... s_{m-1})(s1 ... s_{m-2}) ... (s1); twice the roots of
+    # the largest catalogued loop
+    m = 12
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=m) + 1j * rng.normal(size=m)
+    trace = track_coefficients(lambda s: np.polynomial.polynomial.polyfromroots(
+        points * cmath.exp(1j * math.pi * s)))
+    delta = BraidWord(m, tuple(i for top in range(m - 1, 0, -1) for i in range(1, top + 1)))
+    assert equal(loop_to_braid(trace), delta)
 
 
 def test_a_secant_prediction_converges_at_once_on_a_linear_root_path(newton_passes):
