@@ -33,19 +33,17 @@ call per row; the stacked solve has no unpolished mode.  ``branch_roots``
 solves a sequence of parameter points this way.
 
 The polynomials are small (degree 2 to 6 in the catalogued loops), so a
-numpy call on their roots costs more than the arithmetic it does.
-``refine_roots`` therefore works on lists of Python complex numbers, one
-Horner loop per root, in CPython's complex arithmetic, which numpy's CPU
-dispatch does not reach; ``min_pairwise_distance`` is a loop over the
-pairs.  numpy keeps the coefficients, the solvable-row rule and the
-companion step.  ``branch_roots`` evaluates each point's coefficients,
-then runs the one solvable-row rule once for all rows of one length
-(``_solvable_rows``), the stacked solve, and the collision test once for
-all root arrays of one count (``_close_pairs``); a row that fails the
-stacked rule is tested again alone, so its error is exact, and the first
-failing point in input order raises.  The rule (``_solvable``, which the
-tracker's trials also apply) reads every modulus from numpy's array
-``abs``, which gives the same bits wherever the entry sits in the array.
+numpy call on them costs more than the arithmetic it does.  Coefficients
+are therefore lists of Python complex numbers: p, q and p^3 - q^2
+(``_product``, a loop over the pairs of entries), the one solvable-row
+rule (``_solvable``, with Python's ``abs``), ``refine_roots`` (a Horner
+loop per root) and ``min_pairwise_distance`` run in CPython's complex
+arithmetic, which neither numpy's CPU dispatch nor the BLAS kernel that
+OpenBLAS picks at run time reaches.  numpy keeps the work it stacks: the
+companion step, and ``branch_roots``' collision test, once for all root
+arrays of one count (``_close_pairs``).  ``branch_roots`` evaluates each
+point's coefficients, solves them in one ``solve_stack`` call, and of
+several failing points the first in input order raises.
 """
 
 from __future__ import annotations
@@ -215,24 +213,24 @@ class WeierstrassFamily:
             raise ValueError("quadratic fibers take no p coefficients")
         if not self._q_texts:
             raise ValueError("q coefficients are required")
-        self._p = self._compiled(self._p_texts)
+        self._p = self._compiled(self._p_texts or ("0",))  # p = 0 without p entries
         self._q = self._compiled(self._q_texts)
-        self._p_cube: np.ndarray | None = None  # p^3, kept once computed if p has no parameter
+        self._p_cube: tuple | None = None  # p^3, kept once computed if p has no parameter
 
     def _compiled(self, texts: tuple[str, ...]) -> tuple[list, tuple]:
-        """Entries without parameters as a template list, the others as
-        (index, function) slots to fill in."""
+        """Entries without parameters as a template list of complex
+        numbers, the others as (index, function) slots to fill in."""
         entries = [compile_coefficient(text, self.params) for text in texts]
-        template = [0 if callable(e) else e for e in entries]
+        template = [0j if callable(e) else complex(e) for e in entries]
         return template, tuple((i, e) for i, e in enumerate(entries) if callable(e))
 
-    def _array(self, compiled: tuple[list, tuple], t: dict[str, complex]) -> np.ndarray:
+    @staticmethod
+    def _list(compiled: tuple[list, tuple], values: Sequence[complex]) -> list[complex]:
         template, slots = compiled
-        values = self._values(t)
         out = list(template)
         for i, f in slots:
             out[i] = f(values)
-        return np.array(out, dtype=complex)
+        return out
 
     def _values(self, t: dict[str, complex]) -> list[complex]:
         try:
@@ -247,50 +245,52 @@ class WeierstrassFamily:
         if unknown:
             raise ValueError(f"{owner} names parameters the family does not have: {unknown}")
 
-    def p_array(self, t: dict[str, complex]) -> np.ndarray:
-        if not self._p_texts:
-            return np.zeros(1, dtype=complex)
-        return self._array(self._p, t)
+    def p_at(self, t: dict[str, complex]) -> list[complex]:
+        """Coefficients in x (low to high) of p at parameter t; [0j]
+        without p entries."""
+        return self._list(self._p, self._values(t))
 
-    def q_array(self, t: dict[str, complex]) -> np.ndarray:
-        return self._array(self._q, t)
+    def q_at(self, t: dict[str, complex]) -> list[complex]:
+        return self._list(self._q, self._values(t))
 
-    def branch_coeffs(self, t: dict[str, complex]) -> np.ndarray:
-        """Coefficients in x (low to high) whose roots are the branch points.
+    def branch_coeffs(self, t: dict[str, complex]) -> list[complex]:
+        """The branch coefficients at parameter t: ``branch_coeffs_of``
+        its values."""
+        return self.branch_coeffs_of(self._values(t))
 
-        For cubic fibers, p^3 - q^2 by convolution, with trailing exact
+    def branch_coeffs_of(self, values: Sequence[complex]) -> list[complex]:
+        """Coefficients in x (low to high) whose roots are the branch
+        points, at the parameter values ``values`` (Python complex numbers
+        in the order of ``params``).
+
+        For cubic fibers, p^3 - q^2 by ``_product``, with trailing exact
         zeros trimmed as numpy's ``polysub`` trims them, so a degree drop
-        shows as a shorter array.  When p has no parameter (the base and
-        ray families), p^3 is computed at the first call and kept,
-        read-only; every call returns a fresh array."""
-        q = self.q_array(t)
+        shows as a shorter list.  When p has no parameter (the base and
+        ray families), p^3 is computed at the first call and kept as a
+        tuple; every call returns a fresh list."""
+        q = self._list(self._q, values)
         if self.y_degree == 2:
             return q
         p3 = self._p_cube
         if p3 is None:
-            p = _trim(self.p_array(t))
-            p3 = _trim(np.convolve(np.convolve(p, p), p))
+            p = _trim(self._list(self._p, values))
+            p3 = tuple(_trim(_product(_product(p, p), p)))
             if not self._p[1]:  # no parameter slot: the same p^3 at every t
-                p3.flags.writeable = False
                 self._p_cube = p3
         q = _trim(q)
-        q2 = _trim(np.convolve(q, q))
-        # numpy's polysub, branch for branch: same operations, same bits
-        if len(p3) > len(q2):
-            p3 = p3.copy()  # a kept p^3 is never written
-            p3[:len(q2)] -= q2
-            return _trim(p3)
-        q2 = -q2
-        q2[:len(p3)] += p3
-        return _trim(q2)
+        q2 = _trim(_product(q, q))
+        # numpy's polysub: the common entries subtracted, then the longer's
+        # tail, negated if it is q^2's
+        n = min(len(p3), len(q2))
+        return _trim([a - b for a, b in zip(p3, q2)] + list(p3[n:]) + [-b for b in q2[n:]])
 
-    def fiber_coeffs(self, x: complex, t: dict[str, complex]) -> np.ndarray:
+    def fiber_coeffs(self, x: complex, t: dict[str, complex]) -> list[complex]:
         """Coefficients in y (low to high) of the fiber polynomial over x."""
-        q = complex(_horner(self.q_array(t), x))
+        q = _horner(self.q_at(t), x)
         if self.y_degree == 2:
-            return np.array([q, 0.0, 1.0], dtype=complex)
-        p = complex(_horner(self.p_array(t), x))
-        return np.array([2 * q, -3 * p, 0.0, 1.0], dtype=complex)
+            return [q, 0j, 1 + 0j]
+        p = _horner(self.p_at(t), x)
+        return [2 * q, -3 * p, 0j, 1 + 0j]
 
     def to_json(self) -> dict:
         return {
@@ -319,16 +319,25 @@ class WeierstrassFamily:
         )
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    """``c`` without trailing exact zeros, keeping at least one entry
-    (numpy's ``trimseq``); a view, not a copy."""
-    if len(c) == 0 or c[-1] != 0:
-        return c
-    nonzero = np.flatnonzero(c)
-    return c[:nonzero[-1] + 1] if len(nonzero) else c[:1]
+def _trim(c: list) -> list:
+    """``c`` with its trailing exact zeros removed, keeping at least one
+    entry (numpy's ``trimseq``)."""
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
 
 
-def _horner(c: np.ndarray, x):
+def _product(a: Sequence[complex], b: Sequence[complex]) -> list[complex]:
+    """Coefficients (low to high) of the product of two polynomials: entry
+    n is 0j plus each a[i] * b[n - i] in turn, by increasing i."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _horner(c: Sequence[complex], x: complex) -> complex:
     """The polynomial with coefficients ``c`` (low to high) at ``x``, with
     the operations of numpy's ``polyval`` in its order: ``c[-1] + x*0``,
     then ``c[i] + v*x`` down to ``c[0]``."""
@@ -406,44 +415,35 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _solvable(coeffs) -> np.ndarray:
-    """``coeffs`` as a complex array, if ``solve_roots`` can solve them:
-    finite, not the zero polynomial, and with a leading coefficient that
-    is neither 0 nor below ``LEAD_TOL`` times the largest modulus.  A
-    finite largest modulus proves every entry finite."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    size = np.abs(coeffs)
-    largest = np.maximum.reduce(size)  # NaN propagates
-    if not largest < math.inf and not np.isfinite(coeffs).all():
+def _solvable(coeffs: Iterable) -> list[complex]:
+    """``coeffs`` as a list of Python complex numbers, if ``solve_roots``
+    can solve them: finite, not the zero polynomial, and with a leading
+    coefficient that is neither 0 nor below ``LEAD_TOL`` times the
+    largest modulus.  This is the package's one solvable-row rule."""
+    coeffs = list(map(complex, coeffs))
+    if not all(map(cmath.isfinite, coeffs)):
         raise ValueError("the coefficients are not finite")
+    try:
+        sizes = list(map(abs, coeffs))
+    except OverflowError:  # a finite modulus beyond the float range
+        sizes = list(map(_modulus, coeffs))
+    largest = max(sizes, default=0.0)
     if largest == 0:
         raise ValueError("zero polynomial has no root set")
-    if size[-1] == 0 or size[-1] < LEAD_TOL * largest:
+    top = sizes[-1]
+    if top == 0 or top < LEAD_TOL * largest:
         raise DegenerateConfigurationError("leading coefficient vanished: degree dropped")
     return coeffs
 
 
-def _solvable_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Which rows of ``coeffs`` (G, n) ``_solvable`` accepts, by its
-    operations over the stack (a finite row with a nonzero top is not the
-    zero polynomial).  Other shapes, and rows of no entries, are not
-    tested: every row is False."""
-    if coeffs.ndim != 2 or not coeffs.shape[1]:
-        return np.zeros(len(coeffs), dtype=bool)
-    size = np.abs(coeffs)
-    largest = np.maximum.reduce(size, axis=1)
-    top = size[:, -1]
-    return np.isfinite(coeffs).all(axis=1) & (top != 0) & ~(top < LEAD_TOL * largest)
-
-
-def solve_roots(coeffs: np.ndarray) -> np.ndarray:
+def solve_roots(coeffs: Iterable) -> np.ndarray:
     coeffs = _solvable(coeffs)
     return _polished(coeffs, npoly.polyroots(coeffs))
 
 
-def _polished(coeffs: np.ndarray, raw: np.ndarray) -> np.ndarray:
+def _polished(coeffs: list[complex], raw: np.ndarray) -> np.ndarray:
     """``refine_roots`` of the roots ``raw`` of ``coeffs``, as an array."""
-    return np.array(refine_roots(coeffs.tolist(), raw.tolist()), dtype=complex)
+    return np.array(refine_roots(coeffs, raw.tolist()), dtype=complex)
 
 
 def _polyroots_alone(coeffs: np.ndarray) -> np.ndarray | np.linalg.LinAlgError:
@@ -477,43 +477,35 @@ def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgErro
 
 
 def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
-    """For each coefficient row, taken as a complex array, the roots
+    """For each coefficient row, a sequence of numbers, the roots
     ``solve_roots(row)`` gives, bit for bit, or the exception that call
     would raise.
 
-    Rows of one length share one solvable-row test
-    (``_solvable_rows``); a row that fails it is tested alone by
-    ``_solvable``, which gives its exact error.  The others share one
+    Each row passes the solvable-row rule (``_solvable``) alone, which
+    gives its exact error.  The rows it accepts share, by length, one
     companion step (``_companion_roots``), at most ``STACK_ENTRIES``
     complex matrix entries at a time, so memory does not grow with the
     number of rows, and each row's roots are then polished as
     ``solve_roots`` polishes them."""
     out: list = [None] * len(rows)
-    by_shape: dict[tuple, list[int]] = {}
-    arrays = [np.asarray(row, dtype=complex) for row in rows]
-    for i, c in enumerate(arrays):
-        by_shape.setdefault(c.shape, []).append(i)
-    for shape, members in by_shape.items():
-        stack = np.array([arrays[i] for i in members])
-        kept = []
-        for g, (i, passed) in enumerate(zip(members, _solvable_rows(stack))):
-            if not passed:
+    by_length: dict[int, list[tuple[int, list[complex]]]] = {}
+    for i, row in enumerate(rows):
+        try:
+            coeffs = _solvable(row)
+        except (ValueError, DegenerateConfigurationError) as exc:
+            out[i] = exc
+            continue
+        by_length.setdefault(len(coeffs), []).append((i, coeffs))
+    for n, members in by_length.items():
+        size = max(1, STACK_ENTRIES // max(1, (n - 1) ** 2))  # an (n-1)^2 companion matrix a row
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            stack = np.array([coeffs for _, coeffs in chunk], dtype=complex)
+            for (i, coeffs), raw in zip(chunk, _companion_roots(stack)):
                 try:
-                    _solvable(arrays[i])
-                except (ValueError, DegenerateConfigurationError) as exc:
-                    out[i] = exc
-                    continue
-            kept.append(g)
-        m = shape[0] - 1  # roots per row, of an m * m companion matrix
-        size = max(1, STACK_ENTRIES // max(1, m * m))
-        for start in range(0, len(kept), size):
-            chunk = kept[start:start + size]
-            coeffs = stack[chunk]
-            for g, row, raw in zip(chunk, coeffs, _companion_roots(coeffs)):
-                try:
-                    out[members[g]] = raw if isinstance(raw, Exception) else _polished(row, raw)
+                    out[i] = raw if isinstance(raw, Exception) else _polished(coeffs, raw)
                 except DegenerateConfigurationError as exc:
-                    out[members[g]] = exc
+                    out[i] = exc
     return out
 
 
@@ -584,7 +576,7 @@ def branch_roots(family: WeierstrassFamily,
     for t, row, roots, close in zip(points, rows, solved, _close_pairs(solved)):
         if isinstance(roots, Exception):
             # the rule refuses a row with an inf or a NaN; the error names the point
-            if not np.isfinite(row).all():
+            if not all(map(cmath.isfinite, row)):
                 raise ValueError(f"the branch coefficients are not finite at parameters {t}")
             raise roots
         if not len(roots):

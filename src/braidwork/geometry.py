@@ -162,15 +162,15 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
     factors = []
     for mu in mus:
         s = cmath.sqrt(-(mu**3) / 27)
-        q = family.q_array({"mu": mu})
+        q = family.q_at({"mu": mu})
         for sign in (1, -1):
-            coeffs = q.copy()
+            coeffs = list(q)
             coeffs[0] -= sign * s
             factors.append(coeffs)
     pair = [min(roots, key=lambda z: abs(z - alpha)) for roots in _roots(factors)]
     xs = [math.log(mu) for mu in mus]
     ys = [math.log(abs(a - b) ** 2) for a, b in zip(pair[::2], pair[1::2])]
-    slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    slope = _slope(xs, ys)
     ok = abs(slope - 3.0) < 0.05 * 3.0
     return (
         CheckResult(f"geometry/cusp-exponent@k{k}", "merge-family",
@@ -178,3 +178,12 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
                     {"fitted_exponent": slope}),
     )
 
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ys against xs, by its closed form
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2 with every sum
+    correctly rounded (``math.fsum``), so no BLAS kernel or summation
+    order of a numerical library moves its bits."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / math.fsum((x - mx) ** 2 for x in xs))

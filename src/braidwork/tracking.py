@@ -53,28 +53,32 @@ every catalogued loop round a point is a ``lasso``: out along an approach,
 once round a circle drawn from where the approach ends, and back, in plain
 points or in one parameter with the others held.
 
-A trial works on lists of Python complex numbers.  It takes the branch
-coefficients once from numpy, applies ``families``' solvable-row rule to
-them and converts them with ``tolist()``; the secant guess, the one
-``families.refine_roots`` call (a Horner loop per root for the
-polynomial, its residual scale and, when Newton steps, its derivative),
-the move and its ratio, the smallest gap (``min_pairwise_distance``, a
-loop over the pairs, reused as the next step's move bound), the rotated
-ranks, the alignment test and the crossings are plain Python.  The
-polynomials are small (2 to 6 roots in the catalogued loops), where a
-numpy call costs more than the arithmetic it does; a trial's cost grows
-with the square of its root count, and so does the pair loop.  CPython's
-complex arithmetic does not go through numpy's CPU dispatch, so the
-crossing times do not depend on which of numpy's loops the CPU selects.
+A trial works on lists of Python complex numbers, from parameter point to
+roots.  ``track_loop`` turns the loop's vertices once into lists of values
+in the family's parameter order; a trial interpolates them with
+``ParameterLoop.at``'s arithmetic and takes the branch coefficients from
+``WeierstrassFamily.branch_coeffs_of``.  Then ``families``' solvable-row
+rule, the secant guess, the one ``families.refine_roots`` call (a Horner
+loop per root for the polynomial, its residual scale and, when Newton
+steps, its derivative), the move and its ratio, the smallest gap
+(``min_pairwise_distance``, a loop over the pairs, reused as the next
+step's move bound), the rotated ranks, the alignment test and the
+crossings are plain Python, and no trial calls numpy.  The polynomials
+are small (2 to 6 roots in the catalogued loops), where a numpy call
+costs more than the arithmetic it does; a trial's cost grows with the
+square of its root count, and so does the pair loop.  CPython's complex
+arithmetic goes through neither numpy's CPU dispatch nor OpenBLAS's
+kernels, so the crossing times do not depend on which of them the CPU
+selects.
 
 A loop may name only the family's parameters, and its vertices are
 checked before tracking, all in one ``families.branch_roots`` call: one
 stacked solve, whose roots are bit for bit those of one ``solve_roots``
 call per vertex.  The stacked solve polishes each vertex's companion roots
 with ``families``' own binding of ``refine_roots``; this module's binding
-is called by the trials alone, once per trial.  The check's solvable-row
-test runs once for all vertices of one coefficient length, and its
-collision test once for all vertices of one root count.
+is called by the trials alone, once per trial.  The check applies the
+solvable-row rule to each vertex, and its collision test runs once for
+all vertices of one root count.
 
 Traces share no state.
 """
@@ -85,8 +89,6 @@ import cmath
 import dataclasses
 import math
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .families import (
     COLLISION_TOL,
@@ -191,7 +193,7 @@ def _step(
 
 
 def _track_once(
-    coeff_fn: Callable[[float], np.ndarray], start: list[complex], gap: float, angle: float
+    coeff_fn: Callable[[float], Sequence], start: list[complex], gap: float, angle: float
 ) -> tuple[list[Crossing], list[int]] | None:
     """The crossings of one trace from the roots ``start`` (smallest gap
     ``gap``) projected at ``angle``, and ``ranks``: ranks[r] is the strand
@@ -226,7 +228,7 @@ def _track_once(
         try:
             coeffs = _solvable(coeffs)
         except (ValueError, DegenerateConfigurationError):
-            if not np.isfinite(coeffs).all():
+            if not all(map(cmath.isfinite, coeffs)):
                 raise TrackingError(
                     f"branch coefficients are not finite near parameter time {trial:.6f}"
                 ) from None
@@ -237,7 +239,7 @@ def _track_once(
             )
         guess = ([z + (z - p) * (h / h_prev) for z, p in zip(roots, prev_roots)]
                  if h_prev else roots)
-        step, ratio = _step(coeffs.tolist(), roots, guess, gap, rot, ranks)
+        step, ratio = _step(coeffs, roots, guess, gap, rot, ranks)
         if step is None:
             h = h / 2 if ratio is None else h * max(MIN_SHRINK, TARGET_RATIO / ratio)
             if h < MIN_STEP:
@@ -306,10 +308,11 @@ def _emit(
     return Crossing(index=r + 1, sign=sign, time=s + frac * h)
 
 
-def track_coefficients(coeff_fn: Callable[[float], np.ndarray]) -> BraidTrace:
-    """Track the root set of coeff_fn(s) for s in [0, 1] from projection
-    angle 0.  Coefficients with no root at s = 0 raise ValueError."""
-    start = solve_roots(np.asarray(coeff_fn(0.0), dtype=complex)).tolist()
+def track_coefficients(coeff_fn: Callable[[float], Sequence]) -> BraidTrace:
+    """Track the root set of coeff_fn(s), coefficients low to high as a
+    sequence of numbers, for s in [0, 1] from projection angle 0.
+    Coefficients with no root at s = 0 raise ValueError."""
+    start = solve_roots(coeff_fn(0.0)).tolist()
     if not start:
         raise ValueError("the coefficients have no roots at s = 0: there is nothing to track")
     gap = min_pairwise_distance(start)
@@ -399,6 +402,9 @@ class ParameterLoop:
 
 
 def _interp_path(points: Sequence, s: float):
+    """The point at time s of the polyline through ``points``: parameter
+    dicts, lists of Python complex numbers or numbers; every entry is
+    p0 * (1 - frac) + p1 * frac along its segment."""
     s = min(max(s, 0.0), 1.0)
     segments = len(points) - 1
     pos = s * segments
@@ -410,6 +416,8 @@ def _interp_path(points: Sequence, s: float):
             name: complex(p0[name]) * (1 - frac) + complex(p1[name]) * frac
             for name in p0
         }
+    if isinstance(p0, list):
+        return [a * (1 - frac) + b * frac for a, b in zip(p0, p1)]
     return complex(p0) * (1 - frac) + complex(p1) * frac
 
 
@@ -420,9 +428,11 @@ def track_loop(family: WeierstrassFamily, loop: ParameterLoop) -> BraidTrace:
     only the family's parameters."""
     family.check_names(loop.names, "the loop")
     branch_roots(family, loop.points[:-1])  # the last vertex is the first
+    # every vertex has passed, so names every parameter: its values in order
+    values = [[complex(point[name]) for name in family.params] for point in loop.points]
 
-    def coeff_fn(s: float) -> np.ndarray:
-        return family.branch_coeffs(loop.at(s))
+    def coeff_fn(s: float) -> list[complex]:
+        return family.branch_coeffs_of(_interp_path(values, s))
 
     return track_coefficients(coeff_fn)
 
@@ -438,7 +448,7 @@ def fiber_monodromy(
     if len(vertices) < 2:
         raise ValueError("a path needs at least two vertices")
 
-    def coeff_fn(s: float) -> np.ndarray:
+    def coeff_fn(s: float) -> list[complex]:
         return family.fiber_coeffs(_interp_path(vertices, s), t)
 
     trace = track_coefficients(coeff_fn)

@@ -304,11 +304,9 @@ NUMERICAL_SHA256 = {
 
 @pytest.mark.parametrize("argv, body_sha256", NUMERICAL_SHA256.values(), ids=NUMERICAL_SHA256)
 def test_numerical_certificates_are_pinned(argv, body_sha256, capsys):
-    """The six pins hold with and without numpy's FMA (X86_V3) loops, so
-    CI's X86_V3-off step runs them all; there only the default loop's pin
-    in ``test_monodromy_default_loop_is_the_unit_circle`` fails, by one
-    crossing time one ulp apart (a FOUND line in CHANGES.md), and that
-    step deselects that one test."""
+    """The six pins hold with and without numpy's FMA (X86_V3) loops and
+    on OpenBLAS's generic kernels, so CI's X86_V3-off step and its
+    generic-kernel step run them all, with nothing deselected."""
     code, cert = run_json(argv, capsys)
     assert code == 0
     assert cert["summary"]["verified"] == 1

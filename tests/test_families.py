@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from braidwork import families
+import braidwork
+from braidwork import families, tracking
 from braidwork.cli import main
 from braidwork.families import (
     NEWTON_STEPS,
@@ -98,8 +103,8 @@ def test_family_json_round_trip():
         rebuilt = WeierstrassFamily.from_json(json.loads(json.dumps(data)))
         assert rebuilt.to_json() == data
         for t in POINTS:
-            assert np.array_equal(rebuilt.p_array(t), family.p_array(t))
-            assert np.array_equal(rebuilt.q_array(t), family.q_array(t))
+            assert np.array_equal(rebuilt.p_at(t), family.p_at(t))
+            assert np.array_equal(rebuilt.q_at(t), family.q_at(t))
     family = catalogue_family("ray", 2)
     by_id = WeierstrassFamily.from_json({"catalogue_id": "ray", "k": 2})
     t = {"lam": 0.25, "mu": 0.1j}
@@ -110,7 +115,7 @@ def test_custom_family_with_complex_entries():
     family = WeierstrassFamily(
         y_degree=2, params=("c",), p_coeffs=(), q_coeffs=([0, 1], "c", 1)
     )
-    arr = family.q_array({"c": 2.0})
+    arr = family.q_at({"c": 2.0})
     assert arr[0] == 1j and arr[1] == 2.0 and arr[2] == 1.0
 
 
@@ -137,8 +142,8 @@ def test_catalogue_coefficients_match_the_closed_forms(name, k):
     family = catalogue_family(name, k)
     for t in POINTS:
         p, q = _closed_form(name, k, t)
-        np.testing.assert_allclose(family.p_array(t), p, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(family.q_array(t), q, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(family.p_at(t), p, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(family.q_at(t), q, rtol=1e-14, atol=0)
 
 
 def test_catalogue_json_is_pinned():
@@ -198,6 +203,8 @@ def test_min_pairwise_distance():
 # ---------------------------------------------------------------------------
 # The Newton loop and branch coefficients against numpy.polynomial calls
 
+EPS = np.finfo(float).eps
+
 
 def _oracle_refine_roots(coeffs, roots):
     """refine_roots as written with numpy.polynomial calls."""
@@ -220,12 +227,27 @@ def _oracle_refine_roots(coeffs, roots):
 
 
 def _oracle_branch_coeffs(family, t):
-    """WeierstrassFamily.branch_coeffs as written with numpy.polynomial calls."""
-    q = family.q_array(t)
+    """WeierstrassFamily.branch_coeffs as written with numpy.polynomial
+    calls, and the scale of each entry: the same sum over the moduli of the
+    coefficients, so the sum of the moduli of the products that make it."""
+    q = family.q_at(t)
     if family.y_degree == 2:
-        return q
-    p = family.p_array(t)
-    return npoly.polysub(npoly.polypow(p, 3), npoly.polypow(q, 2))
+        return np.array(q), np.abs(q)
+    p = family.p_at(t)
+    return (npoly.polysub(npoly.polypow(p, 3), npoly.polypow(q, 2)),
+            npoly.polyadd(npoly.polypow(np.abs(p), 3), npoly.polypow(np.abs(q), 2)))
+
+
+def _assert_branch_coeffs_agree_with_numpy(family, t):
+    """branch_coeffs at t as numpy.polynomial computes them, within
+    rounding: each entry within 64 eps of its scale, which bounds the
+    rounding of either summation order for the degrees drawn here; an
+    entry one side trims as an exact zero counts as 0."""
+    ours = np.array(family.branch_coeffs(t), dtype=complex)
+    theirs, scale = _oracle_branch_coeffs(family, t)
+    n = max(len(ours), len(theirs))
+    ours, theirs = (np.pad(a, (0, n - len(a))) for a in (ours, theirs))
+    assert (np.abs(ours - theirs) <= 64 * EPS * np.pad(scale, (0, n - len(scale)))).all()
 
 
 def _bits(a):
@@ -259,18 +281,12 @@ def _assert_agrees_with_numpy(coeffs, starts):
 
 
 class _FixedFamily(WeierstrassFamily):
-    """A cubic family whose p and q arrays are given outright, signed
-    zeros and trailing zeros included."""
+    """A cubic family whose p and q coefficients are given outright,
+    signed zeros and trailing zeros included."""
 
     def __init__(self, p, q):
         super().__init__(3, (), (1,), (1,))
-        self._fixed_p, self._fixed_q = p, q
-
-    def p_array(self, t):
-        return self._fixed_p.copy()
-
-    def q_array(self, t):
-        return self._fixed_q.copy()
+        self._p, self._q = (list(map(complex, p)), ()), (list(map(complex, q)), ())
 
 
 _parts = st.one_of(
@@ -389,17 +405,51 @@ def test_refine_roots_edge_cases_reach_their_outcome(name, outcome):
 
 @given(_coefficients(max_degree=6), _coefficients(max_degree=12))
 @settings(max_examples=400)
-def test_branch_coeffs_is_bit_identical_to_numpy_polynomial(p, q):
-    family = _FixedFamily(p, q)
-    assert _bits(family.branch_coeffs({})) == _bits(_oracle_branch_coeffs(family, {}))
+def test_branch_coeffs_agrees_with_numpy_polynomial(p, q):
+    _assert_branch_coeffs_agree_with_numpy(_FixedFamily(p, q), {})
+
+
+_small = st.integers(min_value=-9, max_value=9)
+_gaussian = st.builds(complex, _small, _small)
+# an entry: a Gaussian integer, or one times a power of the parameter a
+_integer_entries = st.one_of(
+    _gaussian,
+    st.builds(lambda c, e: f"({int(c.real)} + {int(c.imag)}*I)*a**{e}",
+              _gaussian, st.integers(min_value=0, max_value=2)))
+
+
+@given(st.sampled_from([2, 3]), st.lists(_integer_entries, min_size=1, max_size=7),
+       st.lists(_integer_entries, min_size=1, max_size=13),
+       st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)))
+@settings(max_examples=300)
+def test_integer_families_have_exact_branch_coeffs(y_degree, p, q, a):
+    """On Gaussian integers every product and sum is exact in any order,
+    so branch_coeffs equals numpy.polynomial's p^3 - q^2 (or q) entry for
+    entry, trimmed to the same length."""
+    family = WeierstrassFamily(y_degree, ("a",), p if y_degree == 3 else (), q)
+    t = {"a": a}
+    expected, _ = _oracle_branch_coeffs(family, t)
+    assert family.branch_coeffs(t) == expected.tolist()
 
 
 @pytest.mark.parametrize("name, k", CATALOGUE)
 def test_catalogue_hot_path_is_bit_identical(name, k):
+    """A trial's coefficients, from parameter values interpolated as
+    lists in the family's order, have the bits of branch_coeffs at
+    ParameterLoop.at's point, through a loop whose points name the
+    parameters in reverse; both agree with numpy.polynomial."""
     family = catalogue_family(name, k)
+    points = [{name: t[name] for name in reversed(family.params)} for t in POINTS]
+    loop = tracking.ParameterLoop.polyline(points + points[:1])
+    with mock.patch.object(tracking, "track_coefficients") as track:
+        tracking.track_loop(family, loop)
+    (trial_coeffs,), _ = track.call_args
+    for s in (0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0):
+        coeffs = trial_coeffs(s)
+        assert _bits(coeffs) == _bits(family.branch_coeffs(loop.at(s)))
+        assert all(type(c) is complex for c in coeffs)
     for t in POINTS:
-        coeffs = family.branch_coeffs(t)
-        assert _bits(coeffs) == _bits(_oracle_branch_coeffs(family, t))
+        _assert_branch_coeffs_agree_with_numpy(family, t)
 
 
 @pytest.mark.parametrize("name, k", CATALOGUE)
@@ -409,7 +459,7 @@ def test_catalogue_roots_agree_with_numpy_polynomial(name, k):
         coeffs = family.branch_coeffs(t)
         starts = npoly.polyroots(coeffs)
         for shift in (0.0, 1e-6, 1e-2 + 1e-2j):
-            _assert_agrees_with_numpy(coeffs, starts + shift)
+            _assert_agrees_with_numpy(np.array(coeffs), starts + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +556,7 @@ def test_the_stacked_solve_polishes_each_row_with_refine_roots(rows):
         for row in rows:
             try:
                 coeffs = families._solvable(row)
-                expected.append((coeffs.tolist(), npoly.polyroots(coeffs).tolist()))
+                expected.append((coeffs, npoly.polyroots(coeffs).tolist()))
             except (ValueError, DegenerateConfigurationError):
                 continue
         with mock.patch.object(families, "refine_roots", wraps=refine_roots) as spy:
@@ -601,7 +651,7 @@ def _vertex_outcome(check, family, points):
 
 def _lead_margin_rows():
     """Rows [M, 0, c] whose leading coefficient sits on the LEAD_TOL
-    margin: LEAD_TOL * M is |c| (numpy's array abs) in the first row,
+    margin: LEAD_TOL * M is |c| (Python's abs) in the first row,
     which passes, and the next float above |c| in the second, where |c|
     is one ulp below the margin and reads as a dropped degree."""
 
@@ -617,7 +667,7 @@ def _lead_margin_rows():
     rng = np.random.default_rng(11)
     while True:
         c = complex(*rng.normal(size=2))
-        size = float(np.abs(np.array([c]))[0])
+        size = abs(c)
         on, below = scale_to(size), scale_to(np.nextafter(size, math.inf))
         if on is not None and below is not None:
             return [on, 0, c], [below, 0, c]
@@ -698,14 +748,51 @@ def test_refining_no_roots_returns_no_roots():
 
 @pytest.mark.parametrize("p", [(0,), ("-0.0",), (1,), (2, -1), (1, 0, 1)])
 def test_constant_p_cube_is_kept_but_never_shared(p):
-    """With a parameter-free p, branch_coeffs keeps p^3 but returns a
-    fresh array each call: writing into one result changes no later one,
-    and every result has the oracle's bits, p = 0 and p^3 of higher
-    degree than q^2 included."""
+    """With a parameter-free p, branch_coeffs keeps p^3, as a tuple, but
+    returns a fresh list each call: writing into one result changes no
+    later one, and every result is exact (the values are dyadic), p = 0
+    and p^3 of higher degree than q^2 included."""
     family = WeierstrassFamily(3, ("lam",), p, ("lam", 1))
     for lam in (0.5 - 0.25j, complex(-0.0, 0.0), 0j, 0.5 - 0.25j):
         t = {"lam": lam}
+        expected = _oracle_branch_coeffs(family, t)[0].tolist()
         first = family.branch_coeffs(t)
-        assert _bits(first) == _bits(_oracle_branch_coeffs(family, t))
-        first[:] = 7
-        assert _bits(family.branch_coeffs(t)) == _bits(_oracle_branch_coeffs(family, t))
+        assert first == expected and isinstance(family._p_cube, tuple)
+        first[:] = [7j] * len(first)
+        assert family.branch_coeffs(t) == expected
+
+
+# branch coefficients of seeded dense cubic families (every entry nonzero,
+# p of degree 6 and q of degree 12) and the cusp-exponent witnesses, as the
+# hex of every float; run in this process and in one on other BLAS kernels
+_KERNEL_PROBE = """
+import json
+import numpy as np
+from braidwork.families import WeierstrassFamily
+from braidwork.geometry import cusp_exponent
+
+rng = np.random.default_rng(20)
+rows = []
+for _ in range(40):
+    p, q = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (7, 13))
+    family = WeierstrassFamily(3, (), p.tolist(), q.tolist())
+    rows.append([[z.real.hex(), z.imag.hex()] for z in family.branch_coeffs({})])
+slopes = [check.witness["fitted_exponent"].hex() for k in (1, 2, 3)
+          for check in cusp_exponent(k)]
+probed = {"rows": rows, "slopes": slopes}
+"""
+
+
+def test_branch_coeffs_and_the_cusp_exponent_do_not_depend_on_the_blas_kernel():
+    """OpenBLAS picks its kernels by CPU at run time, and numpy's complex
+    convolution and least-squares fit run through them; branch_coeffs and
+    the cusp-exponent slope use neither, so a process on OpenBLAS's
+    generic kernels (Prescott) gives them bit for bit as this one does."""
+    here = {}
+    exec(_KERNEL_PROBE, here)
+    src = pathlib.Path(braidwork.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE="Prescott",
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE + "print(json.dumps(probed))"],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout) == here["probed"]

@@ -457,6 +457,19 @@ def test_the_first_degenerate_vertex_is_named():
             track_loop(family, loop)
 
 
+def test_a_ray_loop_is_tracked_without_numpy_convolve(monkeypatch):
+    """Branch coefficients are products of Python lists: the k = 3 ray
+    loop's vertex check and every trial run with numpy.convolve refusing."""
+    _, family, loop = _catalogued_loops(3)[1][0]
+    expected = track_loop(family, loop)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.convolve was called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    assert track_loop(family, loop) == expected
+
+
 def test_trace_json_round_trip():
     trace = track_loop(CUSP, UNIT_LOOP)
     data = trace.to_json()
