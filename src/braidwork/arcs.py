@@ -18,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-import numpy as np
-
 from .families import WeierstrassFamily, branch_points
 from .garside import equal
 from .tracking import fiber_monodromy, lasso
@@ -104,7 +102,7 @@ def admissible(
 
     def nearest_label(z: complex) -> int:
         dists = [abs(z - p) for p in cfg.points]
-        label = int(np.argmin(dists)) + 1
+        label = dists.index(min(dists)) + 1
         if dists[label - 1] > 0.05 * gap:
             raise ArcError(f"arc endpoint {z} is not a branch point")
         return label

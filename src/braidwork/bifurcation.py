@@ -19,7 +19,9 @@ that carries the base configuration onto labeled reference positions on
 the real line, and the result is looked up in the band table.  The
 contraction moves each point along a spiral (radii distinct for every
 positive time, arguments distinct at the start), so it is collision free
-by construction.
+by construction.  Its polynomial, the product of the x - z, is folded
+from ``families._product`` in CPython's complex arithmetic, so its
+crossing times do not depend on the BLAS kernel the CPU gets.
 
 A run's words compose only if all were read in one projection, so a
 trace read at another angle than the run's first raises ``TrackingError``.
@@ -34,15 +36,12 @@ import dataclasses
 import functools
 import math
 
-import numpy as np
-from numpy.polynomial import polynomial as npoly
-
 from .catalog import _band_table
 from .certificates import CheckResult
-from .families import WeierstrassFamily, branch_points, catalogue_family, merge_point
+from .families import WeierstrassFamily, _product, branch_points, catalogue_family, merge_point
 from .garside import dynnikov
-from .tracking import (BraidTrace, ParameterLoop, TrackingError, lasso, loop_to_braid,
-                       track_coefficients, track_loop)
+from .tracking import (BraidTrace, ParameterLoop, TrackingError, evenly_spaced, lasso,
+                       loop_to_braid, track_coefficients, track_loop)
 from .words import BraidWord, Perm, conjugate_right, permutation_image, pmul
 
 LAM0 = 0.9  # the shrinking parameter where the ray loops circle mu
@@ -76,13 +75,14 @@ def contraction_to_reference(points: tuple[complex, ...]) -> tuple[BraidWord, fl
     args = [math.atan2(z.imag, z.real) % (2 * math.pi) for z in points]
     radii = [abs(z) for z in points]
 
-    def coeffs(s: float) -> np.ndarray:
+    def coeffs(s: float) -> list[complex]:
         positions = [
             ((1 - s) * r + s * (j + 1))
             * complex(math.cos(a * (1 - s)), math.sin(a * (1 - s)))
             for j, (r, a) in enumerate(zip(radii, args))
         ]
-        return npoly.polyfromroots(positions)
+        # the product of the x - z, one factor at a time; 1 for no points
+        return functools.reduce(_product, ([-z, 1] for z in positions), [1])
 
     trace = track_coefficients(coeffs)
     return loop_to_braid(trace), trace.projection_angle
@@ -137,12 +137,12 @@ def _merge_loop(k: int) -> tuple[WeierstrassFamily, ParameterLoop]:
     family = catalogue_family("pair_merge", k)
     fixed = {"s0": complex(S0), "alpha": merge_point(k)}
 
-    def at(t1: complex, t2: complex, w: complex) -> dict[str, complex]:
+    def vertex(t1: complex, t2: complex, w: complex) -> dict[str, complex]:
         return {"t1": complex(t1), "t2": complex(t2), "w": complex(w), **fixed}
 
     r = MERGE_RADIUS
-    approach = [at(0, 0, 0), at(0, 1, 0), at(0, 1, r)]
-    approach += [at(t1, 1, r) for t1 in np.linspace(0.1, 1.0, 10)]
+    approach = [vertex(0, 0, 0), vertex(0, 1, 0), vertex(0, 1, r)]
+    approach += [vertex(t1, 1, r) for t1 in evenly_spaced(0.1, 1.0, 10)]
     return family, ParameterLoop.polyline(lasso(approach, 0, r, 64, "w"))
 
 

@@ -32,17 +32,19 @@ Every root and every error is bit for bit that of one ``solve_roots``
 call per row; the stacked solve has no unpolished mode.  ``branch_roots``
 solves a sequence of parameter points this way.
 
-The polynomials are small (degree 2 to 6 in the catalogued loops), so a
-numpy call on them costs more than the arithmetic it does.  Coefficients
-are therefore lists of Python complex numbers: p, q and p^3 - q^2
+The companion step is the one job numpy does in the package.  The
+polynomials are small (degree 2 to 6 in the catalogued loops), where a
+numpy call costs more than the arithmetic it does, so everything else
+works on lists of Python complex numbers: coefficients, p^3 - q^2
 (``_product``, a loop over the pairs of entries), the one solvable-row
-rule (``_solvable``, with Python's ``abs``), ``refine_roots`` (a Horner
-loop per root) and ``min_pairwise_distance`` run in CPython's complex
-arithmetic, which neither numpy's CPU dispatch nor the BLAS kernel that
-OpenBLAS picks at run time reaches.  numpy keeps the work it stacks: the
-companion step, and ``branch_roots``' collision test, once for all root
-arrays of one count (``_close_pairs``).  ``branch_roots`` evaluates each
-point's coefficients, solves them in one ``solve_stack`` call, and of
+rule (``_solvable``), ``refine_roots`` (a Horner loop per root), the
+roots every solve returns, and the one collision test
+(``min_pairwise_distance``, a loop over the pairs).  Moduli are read with
+Python's ``abs``, and again through ``_modulus`` on the rare overflow.
+CPython's complex arithmetic is reached by neither numpy's CPU
+dispatch nor the BLAS kernel that OpenBLAS picks at run time.
+``branch_roots`` evaluates each point's coefficients, solves them in one
+``solve_stack`` call, tests each row's roots for a collision, and of
 several failing points the first in input order raises.
 """
 
@@ -51,7 +53,6 @@ from __future__ import annotations
 import ast
 import cmath
 import dataclasses
-import functools
 import math
 import operator
 from typing import Callable, Iterable, Sequence
@@ -357,16 +358,27 @@ def refine_roots(coeffs: Sequence[complex], roots: Iterable[complex]) -> list[co
     still if its residual passes, and raises if it fails.  Raises if a
     root fails to converge within ``NEWTON_STEPS`` iterations.
 
-    This is the package's one Newton loop.  Each iteration is one
-    ``_residuals`` pass, and an iteration that steps evaluates f' from the
-    products i * c_i, by Horner's rule too.
+    This is the package's one Newton loop (``_newton``).  It reads moduli
+    with ``abs``; where one is beyond the float range ``abs`` raises, and
+    the loop runs again from the start through ``_modulus``.
     """
     z = list(roots)
-    terms = [(c, _modulus(c)) for c in reversed(coeffs)]
+    try:
+        return _newton(coeffs, z, abs)
+    except OverflowError:
+        return _newton(coeffs, z, _modulus)
+
+
+def _newton(coeffs: Sequence[complex], z: list[complex],
+            modulus: Callable[[complex], float]) -> list[complex]:
+    """``refine_roots`` from ``z``, each modulus read by ``modulus``: one
+    ``_residuals`` pass an iteration, and f' by Horner's rule from the
+    products i * c_i when it steps."""
+    terms = [(c, modulus(c)) for c in reversed(coeffs)]
     # f' from the products i * c_i, top first; 0 for a constant
     top, *rest = [i * coeffs[i] for i in range(len(coeffs) - 1, 0, -1)] or [0j]
     for _ in range(NEWTON_STEPS):
-        vals, rels, converged = _residuals(terms, z)
+        vals, rels, converged = _residuals(terms, z, modulus)
         if converged:
             return z
         stepped = []
@@ -374,7 +386,7 @@ def refine_roots(coeffs: Sequence[complex], roots: Iterable[complex]) -> list[co
             d = top
             for c in rest:
                 d = d * x + c
-            if not _modulus(d) < 1e-300:  # a NaN f' steps too, to NaN
+            if not modulus(d) < 1e-300:  # a NaN f' steps too, to NaN
                 stepped.append(x - v / d)
             elif rel >= RESIDUAL_TOL:
                 raise DegenerateConfigurationError("Newton step hit a critical point")
@@ -384,8 +396,8 @@ def refine_roots(coeffs: Sequence[complex], roots: Iterable[complex]) -> list[co
     raise DegenerateConfigurationError("root refinement did not converge")
 
 
-def _residuals(terms: list[tuple[complex, float]],
-               z: list[complex]) -> tuple[list[complex], list[float], bool]:
+def _residuals(terms: list[tuple[complex, float]], z: list[complex],
+               modulus: Callable[[complex], float]) -> tuple[list[complex], list[float], bool]:
     """One residual pass of ``refine_roots``: the polynomial at each root,
     its relative residual |f(z)| / (sum_i |c_i| |z|^i + 1e-300), and
     whether every residual is below ``RESIDUAL_TOL`` (a NaN one is not).
@@ -396,15 +408,24 @@ def _residuals(terms: list[tuple[complex, float]],
     (top, size_top), rest = terms[0], terms[1:]
     vals, rels, converged = [], [], True
     for x in z:
-        v, s, a = top, size_top, _modulus(x)
+        v, s, a = top, size_top, modulus(x)
         for c, size in rest:
             v = v * x + c
             s = s * a + size
-        rel = _modulus(v) / (s + 1e-300)
+        rel = modulus(v) / (s + 1e-300)
         converged = converged and rel < RESIDUAL_TOL
         vals.append(v)
         rels.append(rel)
     return vals, rels, converged
+
+
+def _moduli(values: Sequence[complex]) -> list[float]:
+    """|z| of each of ``values`` by ``abs``, or, where that raises, the
+    whole pass again by ``_modulus``."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return list(map(_modulus, values))
 
 
 def _modulus(z: complex) -> float:
@@ -423,10 +444,7 @@ def _solvable(coeffs: Iterable) -> list[complex]:
     coeffs = list(map(complex, coeffs))
     if not all(map(cmath.isfinite, coeffs)):
         raise ValueError("the coefficients are not finite")
-    try:
-        sizes = list(map(abs, coeffs))
-    except OverflowError:  # a finite modulus beyond the float range
-        sizes = list(map(_modulus, coeffs))
+    sizes = _moduli(coeffs)
     largest = max(sizes, default=0.0)
     if largest == 0:
         raise ValueError("zero polynomial has no root set")
@@ -436,34 +454,31 @@ def _solvable(coeffs: Iterable) -> list[complex]:
     return coeffs
 
 
-def solve_roots(coeffs: Iterable) -> np.ndarray:
+def solve_roots(coeffs: Iterable) -> list[complex]:
+    """The roots of ``coeffs`` (low to high): numpy's companion-matrix
+    ``polyroots`` start, polished by ``refine_roots``."""
     coeffs = _solvable(coeffs)
-    return _polished(coeffs, npoly.polyroots(coeffs))
+    return refine_roots(coeffs, npoly.polyroots(coeffs).tolist())
 
 
-def _polished(coeffs: list[complex], raw: np.ndarray) -> np.ndarray:
-    """``refine_roots`` of the roots ``raw`` of ``coeffs``, as an array."""
-    return np.array(refine_roots(coeffs, raw.tolist()), dtype=complex)
-
-
-def _polyroots_alone(coeffs: np.ndarray) -> np.ndarray | np.linalg.LinAlgError:
+def _polyroots_alone(coeffs: np.ndarray) -> list[complex] | np.linalg.LinAlgError:
     try:
-        return npoly.polyroots(coeffs)
+        return npoly.polyroots(coeffs).tolist()
     except np.linalg.LinAlgError as exc:
         return exc
 
 
-def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgError]:
-    """``npoly.polyroots`` of each solvable row of ``rows`` (G, n) from one
-    ``eigvals`` call on the stack of companion matrices, built and sorted
-    as ``polycompanion`` and ``polyroots`` build and sort one.  The rows of
-    a stack ``eigvals`` cannot finish are solved alone, and each may give
-    the error that raises."""
+def _companion_roots(rows: np.ndarray) -> list[list[complex] | np.linalg.LinAlgError]:
+    """``npoly.polyroots`` of each solvable row of ``rows`` (G, n), as
+    lists, from one ``eigvals`` call on the stack of companion matrices,
+    built and sorted as ``polycompanion`` and ``polyroots`` build and sort
+    one.  The rows of a stack ``eigvals`` cannot finish are solved alone,
+    and each may give the error that raises."""
     groups, n = rows.shape
     if n < 2:
-        return list(np.empty((groups, 0), dtype=complex))
+        return [[] for _ in range(groups)]
     if n == 2:  # polyroots' one root, with no matrix
-        return list(-rows[:, :1] / rows[:, 1:])
+        return (-rows[:, :1] / rows[:, 1:]).tolist()
     d = n - 1
     mats = np.zeros((groups, d, d), dtype=complex)
     mats.reshape(groups, -1)[:, d::d + 1] = 1
@@ -473,10 +488,10 @@ def _companion_roots(rows: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgErro
     except np.linalg.LinAlgError:  # a matrix of the stack did not converge
         return [_polyroots_alone(row) for row in rows]
     roots.sort(axis=-1)
-    return list(roots)
+    return roots.tolist()
 
 
-def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
+def solve_stack(rows: Sequence) -> list[list[complex] | Exception]:
     """For each coefficient row, a sequence of numbers, the roots
     ``solve_roots(row)`` gives, bit for bit, or the exception that call
     would raise.
@@ -485,8 +500,8 @@ def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
     gives its exact error.  The rows it accepts share, by length, one
     companion step (``_companion_roots``), at most ``STACK_ENTRIES``
     complex matrix entries at a time, so memory does not grow with the
-    number of rows, and each row's roots are then polished as
-    ``solve_roots`` polishes them."""
+    number of rows, and each row's roots are then polished by
+    ``refine_roots``, as ``solve_roots`` polishes them."""
     out: list = [None] * len(rows)
     by_length: dict[int, list[tuple[int, list[complex]]]] = {}
     for i, row in enumerate(rows):
@@ -503,23 +518,17 @@ def solve_stack(rows: Sequence) -> list[np.ndarray | Exception]:
             stack = np.array([coeffs for _, coeffs in chunk], dtype=complex)
             for (i, coeffs), raw in zip(chunk, _companion_roots(stack)):
                 try:
-                    out[i] = raw if isinstance(raw, Exception) else _polished(coeffs, raw)
+                    out[i] = raw if isinstance(raw, Exception) else refine_roots(coeffs, raw)
                 except DegenerateConfigurationError as exc:
                     out[i] = exc
     return out
 
 
-@functools.lru_cache(maxsize=2 * MAX_X_DEGREE)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the pairs i < j of m points; a root count is at
-    most 2 * MAX_X_DEGREE, so the cache holds every count in use."""
-    return np.triu_indices(m, 1)
-
-
 def min_pairwise_distance(points: Sequence[complex]) -> float:
     """The smallest distance between two of ``points``, by a loop over
-    the pairs; inf for fewer than two points."""
-    return min((_modulus(a - b) for i, a in enumerate(points) for b in points[i + 1:]),
+    the pairs; inf for fewer than two points.  This is the package's one
+    collision test."""
+    return min(_moduli([a - b for i, a in enumerate(points) for b in points[i + 1:]]),
                default=math.inf)
 
 
@@ -557,7 +566,7 @@ def label_points(points: Iterable[complex]) -> tuple[complex, ...]:
 
 
 def branch_roots(family: WeierstrassFamily,
-                 points: Sequence[dict[str, complex]]) -> list[np.ndarray]:
+                 points: Sequence[dict[str, complex]]) -> list[list[complex]]:
     """All branch points at each parameter point, unlabeled, from one
     ``solve_stack`` call.  A degenerate configuration (a pair closer than
     ``COLLISION_TOL``) raises, and so does a point with no branch points
@@ -573,41 +582,19 @@ def branch_roots(family: WeierstrassFamily,
             failure = exc
             break
     solved = solve_stack(rows)
-    for t, row, roots, close in zip(points, rows, solved, _close_pairs(solved)):
+    for t, row, roots in zip(points, rows, solved):
         if isinstance(roots, Exception):
             # the rule refuses a row with an inf or a NaN; the error names the point
             if not all(map(cmath.isfinite, row)):
                 raise ValueError(f"the branch coefficients are not finite at parameters {t}")
             raise roots
-        if not len(roots):
+        if not roots:
             raise ValueError(f"the family has no branch points at these parameters {t}")
-        if close:
+        if min_pairwise_distance(roots) < COLLISION_TOL:
             raise DegenerateConfigurationError(f"branch points collide at parameters {t}")
     if failure is not None:
         raise failure
     return solved
-
-
-def _close_pairs(solved: list) -> list[bool]:
-    """For each root array of ``solved`` (an exception counts as none),
-    whether two of its roots are closer than ``COLLISION_TOL``: the test
-    of ``min_pairwise_distance``, in one numpy pass over the arrays of each
-    root count, at most ``STACK_ENTRIES`` pair distances at a time."""
-    close = [False] * len(solved)
-    by_count: dict[int, list[int]] = {}
-    for g, roots in enumerate(solved):
-        if not isinstance(roots, Exception) and len(roots) > 1:
-            by_count.setdefault(len(roots), []).append(g)
-    for m, members in by_count.items():
-        i, j = _pairs(m)
-        size = max(1, STACK_ENTRIES // len(i))
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            roots = np.array([solved[g] for g in chunk])
-            gaps = np.minimum.reduce(np.abs(roots[:, i] - roots[:, j]), axis=1)
-            for g in np.flatnonzero(gaps < COLLISION_TOL):
-                close[chunk[g]] = True
-    return close
 
 
 def branch_points(family: WeierstrassFamily, t: dict[str, complex]) -> BranchConfiguration:

@@ -11,15 +11,14 @@ start value and every grid value in one ``families.branch_roots`` call,
 with the checks of every family solve, labels the branch points at the
 start, then matches each grid value's points, by argument, to the labels
 of the value before.  The cusp-exponent factors and the double-root grid
-are solved in one ``families.solve_stack`` call each too.
+are solved in one ``families.solve_stack`` call each too.  Roots and
+grids (``tracking.evenly_spaced``) are Python lists.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 from .certificates import CheckResult
 from .families import (
@@ -32,6 +31,7 @@ from .families import (
     min_pairwise_distance,
     solve_stack,
 )
+from .tracking import evenly_spaced
 
 GRID_SAMPLES = 100  # parameter values on the confinement grids
 CONFINEMENT_TOL = 1e-9  # largest ray deviation or modulus spread allowed
@@ -41,7 +41,7 @@ MU_RANGE = (1e-5, 1e-3)  # mu range of the cusp-exponent fit
 MU_SAMPLES = 13  # geometric samples of mu in that range
 
 
-def _roots(rows: list[np.ndarray]) -> list[np.ndarray]:
+def _roots(rows: list[list[complex]]) -> list[list[complex]]:
     """Each row's roots from one ``solve_stack`` call; the first failing
     row raises."""
     solved = solve_stack(rows)
@@ -62,8 +62,8 @@ def _follow(family: WeierstrassFamily, params: list[dict[str, complex]],
         remaining = list(roots)
         matched = []
         for ref in configs[-1]:
-            j = int(np.argmin([abs(cmath.phase(z / ref)) for z in remaining]))
-            matched.append(remaining.pop(j))
+            turns = [abs(cmath.phase(z / ref)) for z in remaining]
+            matched.append(remaining.pop(turns.index(min(turns))))
         configs.append(matched)
     return configs
 
@@ -71,7 +71,7 @@ def _follow(family: WeierstrassFamily, params: list[dict[str, complex]],
 def ray_confinement(k: int) -> tuple[CheckResult, ...]:
     """Branch points of the shrinking family stay on fixed rays, and the
     even-labeled points shrink to the origin as the parameter approaches 1."""
-    lam_grid = np.linspace(-0.99, 0.99, GRID_SAMPLES)
+    lam_grid = evenly_spaced(-0.99, 0.99, GRID_SAMPLES)
     cfg0, *path = _follow(catalogue_family("ray", k),
                           [{"lam": complex(lam), "mu": 0.0} for lam in lam_grid],
                           {"lam": 0.0, "mu": 0.0})
@@ -105,14 +105,14 @@ def circle_confinement(k: int) -> tuple[CheckResult, ...]:
     """Branch points of the circle family share a common modulus at every
     parameter value, and their arguments move strictly monotonically:
     increasing for odd labels, decreasing for even labels."""
-    lam_grid = np.linspace(0.0, 0.99, GRID_SAMPLES)
+    lam_grid = evenly_spaced(0.0, 0.99, GRID_SAMPLES)
     _, *path = _follow(catalogue_family("circle", k),
                        [{"lam": complex(lam)} for lam in lam_grid], {"lam": 0.0})
     max_spread = max(max(map(abs, cfg)) - min(map(abs, cfg)) for cfg in path)
     args = zip(*[[cmath.phase(z) for z in cfg] for cfg in path])
     # label idx + 1 is odd for even idx, whose arguments must increase
-    monotone_ok = all(bool(np.all(np.diff(np.unwrap(series)) * (-1) ** idx > 0))
-                      for idx, series in enumerate(args))
+    monotone_ok = all(_angle_diff(b, a) * (-1) ** idx > 0
+                      for idx, series in enumerate(args) for a, b in zip(series, series[1:]))
     return (
         CheckResult(f"geometry/circle-modulus@k{k}", "circle-family",
                     "verified" if max_spread < CONFINEMENT_TOL else "failed",
@@ -154,7 +154,9 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
     |pair gap|^2 ~ mu^3 in the merge family; fit the exponent."""
     alpha = merge_point(k)
     family = catalogue_family("cusp_merge", k)
-    mus = np.geomspace(*MU_RANGE, MU_SAMPLES)
+    low, high = MU_RANGE  # numpy's geomspace: 10**y, with the ends exact
+    exponents = evenly_spaced(math.log10(low), math.log10(high), MU_SAMPLES)
+    mus = [low, *(10.0 ** y for y in exponents[1:-1]), high]
     # p = -mu/3 is constant in x here, so the branch polynomial factors
     # exactly as (q - sqrt(p^3))(q + sqrt(p^3)); solving the factors keeps
     # the nearly-merged pair well conditioned.  sqrt(p^3) is written out,

@@ -77,8 +77,8 @@ stacked solve, whose roots are bit for bit those of one ``solve_roots``
 call per vertex.  The stacked solve polishes each vertex's companion roots
 with ``families``' own binding of ``refine_roots``; this module's binding
 is called by the trials alone, once per trial.  The check applies the
-solvable-row rule to each vertex, and its collision test runs once for
-all vertices of one root count.
+solvable-row rule to each vertex, and tests each vertex's roots with
+``min_pairwise_distance``, the trials' collision test.
 
 Traces share no state.
 """
@@ -312,7 +312,7 @@ def track_coefficients(coeff_fn: Callable[[float], Sequence]) -> BraidTrace:
     """Track the root set of coeff_fn(s), coefficients low to high as a
     sequence of numbers, for s in [0, 1] from projection angle 0.
     Coefficients with no root at s = 0 raise ValueError."""
-    start = solve_roots(coeff_fn(0.0)).tolist()
+    start = solve_roots(coeff_fn(0.0))
     if not start:
         raise ValueError("the coefficients have no roots at s = 0: there is nothing to track")
     gap = min_pairwise_distance(start)
@@ -467,6 +467,13 @@ def circle_path(
     count = int(samples * abs(turns))
     thetas = (start_angle + 2 * math.pi * turns * j / count for j in range(count + 1))
     return [center + radius * complex(math.cos(t), math.sin(t)) for t in thetas]
+
+
+def evenly_spaced(start: float, stop: float, count: int) -> list[float]:
+    """``count`` >= 2 values from ``start`` to ``stop`` by numpy's ``linspace``
+    formula: i * step + start, and the last value ``stop`` itself."""
+    step = (stop - start) / (count - 1)
+    return [i * step + start for i in range(count - 1)] + [stop]
 
 
 def lasso(approach: list, center: complex, radius: float, samples: int,

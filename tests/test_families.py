@@ -739,11 +739,11 @@ def test_each_vertex_row_reaches_its_outcome(name, error):
 
 def test_refining_no_roots_returns_no_roots():
     """No roots pass the residual test at once; solve_roots gives them as
-    an empty complex array."""
+    an empty list."""
     for coeffs in ([1, 0, 1], [3], [0, 1]):
         assert refine_roots([complex(c) for c in coeffs], []) == []
-    out = solve_roots(np.array([3], dtype=complex))
-    assert out.shape == (0,) and out.dtype == complex
+    assert solve_roots(np.array([3], dtype=complex)) == []
+    assert solve_roots([3]) == []
 
 
 @pytest.mark.parametrize("p", [(0,), ("-0.0",), (1,), (2, -1), (1, 0, 1)])
@@ -763,13 +763,17 @@ def test_constant_p_cube_is_kept_but_never_shared(p):
 
 
 # branch coefficients of seeded dense cubic families (every entry nonzero,
-# p of degree 6 and q of degree 12) and the cusp-exponent witnesses, as the
-# hex of every float; run in this process and in one on other BLAS kernels
+# p of degree 6 and q of degree 12), the cusp-exponent witnesses and the
+# crossing times of the contractions for k = 1, 2, 3, as the hex of every
+# float; run in this process and in one on other BLAS kernels
 _KERNEL_PROBE = """
 import json
+from unittest import mock
 import numpy as np
+from braidwork import bifurcation
 from braidwork.families import WeierstrassFamily
 from braidwork.geometry import cusp_exponent
+from braidwork.tracking import track_coefficients
 
 rng = np.random.default_rng(20)
 rows = []
@@ -779,15 +783,26 @@ for _ in range(40):
     rows.append([[z.real.hex(), z.imag.hex()] for z in family.branch_coeffs({})])
 slopes = [check.witness["fitted_exponent"].hex() for k in (1, 2, 3)
           for check in cusp_exponent(k)]
-probed = {"rows": rows, "slopes": slopes}
+traces = []
+
+def kept(coeff_fn):
+    traces.append(track_coefficients(coeff_fn))
+    return traces[-1]
+
+with mock.patch.object(bifurcation, "track_coefficients", kept):
+    for k in (1, 2, 3):
+        bifurcation.contraction_to_reference(bifurcation._catalogued_loops(k)[0])
+contraction = [[c.time.hex() for c in trace.crossings] for trace in traces]
+probed = {"rows": rows, "slopes": slopes, "contraction": contraction}
 """
 
 
 def test_branch_coeffs_and_the_cusp_exponent_do_not_depend_on_the_blas_kernel():
     """OpenBLAS picks its kernels by CPU at run time, and numpy's complex
-    convolution and least-squares fit run through them; branch_coeffs and
-    the cusp-exponent slope use neither, so a process on OpenBLAS's
-    generic kernels (Prescott) gives them bit for bit as this one does."""
+    convolution and least-squares fit run through them; branch_coeffs,
+    the cusp-exponent slope and the contraction's polynomial use neither,
+    so a process on OpenBLAS's generic kernels (Prescott) gives them, and
+    the contraction's crossing times, bit for bit as this one does."""
     here = {}
     exec(_KERNEL_PROBE, here)
     src = pathlib.Path(braidwork.__file__).resolve().parents[1]

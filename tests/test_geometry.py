@@ -56,4 +56,9 @@ def test_the_double_root_grid_keeps_its_companion_roots(k):
     ((rows, solved),) = calls
     assert len(rows) == 48
     companion = families._companion_roots(np.array(rows))
-    assert [r.tobytes() for r in solved] == [r.tobytes() for r in companion]
+    assert _hex(solved) == _hex(companion)
+
+
+def _hex(solved):
+    """Every real and imaginary part of every root list, as ``float.hex``."""
+    return [[(z.real.hex(), z.imag.hex()) for z in roots] for roots in solved]

@@ -25,7 +25,9 @@ The exact layer (``words``, ``garside``, ``groups``, ``hurwitz``,
 ``catalog`` and ``certificates``) imports neither numpy nor a numerical
 module (``families``, ``tracking``, ``geometry``, ``arcs``,
 ``bifurcation``), and ``cli`` imports them only inside function bodies,
-so the exact commands start without numpy.
+so the exact commands start without numpy.  Of the package's modules,
+``families`` alone imports numpy, for the companion step of its root
+solves.
 """
 
 import ast
@@ -223,7 +225,9 @@ TEST_ONLY = {
     "hurwitz.schreier_generators",  # stabilizer generators of an orbit table
     "tracking.star_basis",  # fiber loops of a star basis, for no pipeline yet
 }
-TEST_ONLY_METHODS: set[str] = set()
+TEST_ONLY_METHODS = {
+    "tracking.ParameterLoop.at",  # the point at time s: the tests' interpolation reference
+}
 REFERRERS = sorted(
     [path for path in FILES if path.parent.name == "braidwork"]
     + [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
@@ -386,6 +390,12 @@ def test_the_start_import_scan(source, numerical):
 def test_the_exact_layer_imports_no_numerical_module(module):
     path = ROOT / "src" / "braidwork" / f"{module}.py"
     assert not _imported_modules(ast.parse(path.read_text(), filename=str(path))) & NUMERICAL
+
+
+def test_families_alone_imports_numpy():
+    importers = {path.stem for path in (ROOT / "src" / "braidwork").glob("*.py")
+                 if "numpy" in _imported_modules(ast.parse(path.read_text(), filename=str(path)))}
+    assert importers == {"families"}
 
 
 def test_the_cli_imports_numerical_modules_only_in_functions():

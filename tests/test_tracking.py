@@ -26,6 +26,7 @@ from braidwork.tracking import (
     ParameterLoop,
     TrackingError,
     circle_path,
+    evenly_spaced,
     fiber_monodromy,
     lasso,
     loop_to_braid,
@@ -419,13 +420,17 @@ def _catalogued_loops_all():
 
 def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
     """track_loop's vertex check solves each catalogued loop in one stacked
-    call; every vertex's roots are, byte for byte, those of solve_roots."""
+    call; every vertex's roots are, bit for bit, those of solve_roots."""
+
+    def hexed(solved):
+        return [[(z.real.hex(), z.imag.hex()) for z in roots] for roots in solved]
+
     count = 0
     for family, loop in _catalogued_loops_all():
         vertices = loop.points[:-1]
         stacked = branch_roots(family, vertices)
         alone = [solve_roots(family.branch_coeffs(t)) for t in vertices]
-        assert [r.tobytes() for r in stacked] == [r.tobytes() for r in alone]
+        assert hexed(stacked) == hexed(alone)
         count += len(vertices)
     assert count > 1000
 
@@ -468,6 +473,15 @@ def test_a_ray_loop_is_tracked_without_numpy_convolve(monkeypatch):
 
     monkeypatch.setattr(np, "convolve", refuse)
     assert track_loop(family, loop) == expected
+
+
+@pytest.mark.parametrize("start, stop, count", [(-0.99, 0.99, 100), (0.0, 0.99, 100),
+                                                (0.1, 1.0, 10), (-5.0, -3.0, 13)])
+def test_the_grids_in_use_are_numpys_linspace(start, stop, count):
+    """The confinement grids, the merge loop's approach and the exponents
+    of the cusp-exponent grid, bit for bit as numpy's linspace gives them."""
+    assert ([x.hex() for x in evenly_spaced(start, stop, count)]
+            == [float(x).hex() for x in np.linspace(start, stop, count)])
 
 
 def test_trace_json_round_trip():
