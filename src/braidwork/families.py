@@ -22,20 +22,21 @@ each entry's text: strings as given, numbers as ``str(x)`` and pairs as
 Branch points are labeled by increasing argument starting from the point
 closest to 1, matching the labeling used by all catalogued computations.
 
-A root solve is numpy's companion-matrix ``polyroots`` start polished by
-Newton's method (``solve_roots``).  Many independent polynomials are
-solved in one stacked pass (``solve_stack``): the rows of one length share
-one ``eigvals`` call on their companion matrices, chunked to at most
-``STACK_ENTRIES`` complex entries, and each row is then polished alone by
-``refine_roots``, the one Newton loop, which tracker trials also call.
-Every root and every error is bit for bit that of one ``solve_roots``
-call per row; the stacked solve has no unpolished mode.  ``branch_roots``
-solves a sequence of parameter points this way.
+Every root solve takes one path, ``solve_stack``.  Each row passes the
+one solvable-row rule (``_solvable``); the rows of one length share one
+companion step (``_companion_roots``: one ``eigvals`` call on their
+companion matrices, chunked to at most ``STACK_ENTRIES`` complex
+entries); and each row is then polished alone by ``refine_roots``, the
+one Newton loop, which tracker trials also call.  The stacked solve has
+no unpolished mode.  ``solve_rows`` raises the first failing row's
+error, ``solve_roots`` is ``solve_rows`` of one row, and ``branch_roots``
+solves a sequence of parameter points in one call.
 
-The companion step is the one job numpy does in the package.  The
-polynomials are small (degree 2 to 6 in the catalogued loops), where a
-numpy call costs more than the arithmetic it does, so everything else
-works on lists of Python complex numbers: coefficients, p^3 - q^2
+The companion step is the one job numpy does in the package, and
+``_companion_roots`` the one function that names it.  The polynomials
+are small (degree 2 to 6 in the catalogued loops), where a numpy call
+costs more than the arithmetic it does, so everything else works on
+lists of Python complex numbers: coefficients, p^3 - q^2
 (``_product``, a loop over the pairs of entries), the one solvable-row
 rule (``_solvable``), ``refine_roots`` (a Horner loop per root), the
 roots every solve returns, and the one collision test
@@ -58,7 +59,6 @@ import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .words import json_field, json_value
 
@@ -455,53 +455,57 @@ def _solvable(coeffs: Iterable) -> list[complex]:
 
 
 def solve_roots(coeffs: Iterable) -> list[complex]:
-    """The roots of ``coeffs`` (low to high): numpy's companion-matrix
-    ``polyroots`` start, polished by ``refine_roots``."""
-    coeffs = _solvable(coeffs)
-    return refine_roots(coeffs, npoly.polyroots(coeffs).tolist())
+    """The roots of ``coeffs`` (low to high): ``solve_rows`` of the one row."""
+    return solve_rows([coeffs])[0]
 
 
-def _polyroots_alone(coeffs: np.ndarray) -> list[complex] | np.linalg.LinAlgError:
-    try:
-        return npoly.polyroots(coeffs).tolist()
-    except np.linalg.LinAlgError as exc:
-        return exc
+def solve_rows(rows: Sequence) -> list[list[complex]]:
+    """Each row's roots from one ``solve_stack`` call; the first failing
+    row raises its error."""
+    solved = solve_stack(rows)
+    for roots in solved:
+        if isinstance(roots, Exception):
+            raise roots
+    return solved
 
 
-def _companion_roots(rows: np.ndarray) -> list[list[complex] | np.linalg.LinAlgError]:
-    """``npoly.polyroots`` of each solvable row of ``rows`` (G, n), as
-    lists, from one ``eigvals`` call on the stack of companion matrices,
-    built and sorted as ``polycompanion`` and ``polyroots`` build and sort
-    one.  The rows of a stack ``eigvals`` cannot finish are solved alone,
-    and each may give the error that raises."""
-    groups, n = rows.shape
+def _companion_roots(rows: list[list[complex]]) -> list[list[complex] | np.linalg.LinAlgError]:
+    """``numpy.polynomial.polynomial.polyroots`` of each of ``rows``,
+    solvable rows of one length, as lists, from one ``eigvals`` call on
+    the stack of companion matrices, built and sorted as ``polycompanion``
+    and ``polyroots`` build and sort one.  A stack ``eigvals`` cannot
+    finish is solved again a row at a time; a row that fails alone gives
+    its ``LinAlgError``."""
+    n = len(rows[0])
     if n < 2:
-        return [[] for _ in range(groups)]
+        return [[] for _ in rows]
+    stack = np.array(rows, dtype=complex)
     if n == 2:  # polyroots' one root, with no matrix
-        return (-rows[:, :1] / rows[:, 1:]).tolist()
+        return (-stack[:, :1] / stack[:, 1:]).tolist()
     d = n - 1
-    mats = np.zeros((groups, d, d), dtype=complex)
-    mats.reshape(groups, -1)[:, d::d + 1] = 1
-    mats[:, :, -1] -= rows[:, :-1] / rows[:, -1:]
+    mats = np.zeros((len(rows), d, d), dtype=complex)
+    mats.reshape(len(rows), -1)[:, d::d + 1] = 1
+    mats[:, :, -1] -= stack[:, :-1] / stack[:, -1:]
     try:
         roots = np.linalg.eigvals(mats)
-    except np.linalg.LinAlgError:  # a matrix of the stack did not converge
-        return [_polyroots_alone(row) for row in rows]
+    except np.linalg.LinAlgError as exc:  # a matrix of the stack did not converge
+        if len(rows) == 1:
+            return [exc]
+        return [_companion_roots([row])[0] for row in rows]
     roots.sort(axis=-1)
     return roots.tolist()
 
 
 def solve_stack(rows: Sequence) -> list[list[complex] | Exception]:
-    """For each coefficient row, a sequence of numbers, the roots
-    ``solve_roots(row)`` gives, bit for bit, or the exception that call
-    would raise.
+    """For each coefficient row, a sequence of numbers, its roots, or the
+    exception that refuses it.
 
     Each row passes the solvable-row rule (``_solvable``) alone, which
     gives its exact error.  The rows it accepts share, by length, one
     companion step (``_companion_roots``), at most ``STACK_ENTRIES``
     complex matrix entries at a time, so memory does not grow with the
-    number of rows, and each row's roots are then polished by
-    ``refine_roots``, as ``solve_roots`` polishes them."""
+    number of rows, and each row's roots are then polished alone by
+    ``refine_roots``."""
     out: list = [None] * len(rows)
     by_length: dict[int, list[tuple[int, list[complex]]]] = {}
     for i, row in enumerate(rows):
@@ -515,8 +519,7 @@ def solve_stack(rows: Sequence) -> list[list[complex] | Exception]:
         size = max(1, STACK_ENTRIES // max(1, (n - 1) ** 2))  # an (n-1)^2 companion matrix a row
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            stack = np.array([coeffs for _, coeffs in chunk], dtype=complex)
-            for (i, coeffs), raw in zip(chunk, _companion_roots(stack)):
+            for (i, coeffs), raw in zip(chunk, _companion_roots([c for _, c in chunk])):
                 try:
                     out[i] = raw if isinstance(raw, Exception) else refine_roots(coeffs, raw)
                 except DegenerateConfigurationError as exc:

@@ -73,8 +73,9 @@ selects.
 
 A loop may name only the family's parameters, and its vertices are
 checked before tracking, all in one ``families.branch_roots`` call: one
-stacked solve, whose roots are bit for bit those of one ``solve_roots``
-call per vertex.  The stacked solve polishes each vertex's companion roots
+``families.solve_stack`` call, the package's one root-solve path, which
+also finds the start roots (``solve_roots``, its one-row form).  It
+polishes each vertex's companion roots (``families._companion_roots``)
 with ``families``' own binding of ``refine_roots``; this module's binding
 is called by the trials alone, once per trial.  The check applies the
 solvable-row rule to each vertex, and tests each vertex's roots with

@@ -463,7 +463,14 @@ def test_catalogue_roots_agree_with_numpy_polynomial(name, k):
 
 
 # ---------------------------------------------------------------------------
-# The stacked solve against one solve_roots or polyroots call per row
+# The stacked solve against one polyroots and one refine_roots call per row
+
+
+def one_row_solve(row):
+    """The reference solve of one row, with no stack: the solvable-row
+    rule, numpy.polynomial's polyroots and refine_roots."""
+    coeffs = families._solvable(row)
+    return refine_roots(coeffs, npoly.polyroots(coeffs).tolist())
 
 
 def _call_outcome(solve, row):
@@ -527,7 +534,7 @@ def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
     """Mixed lengths, failing rows among good ones, and chunks of one row,
     of a few rows and of every row."""
     with np.errstate(all="ignore"):
-        polished = [_call_outcome(solve_roots, row) for row in rows]
+        polished = [_call_outcome(one_row_solve, row) for row in rows]
         for entries in (1, 60, families.STACK_ENTRIES):
             with mock.patch.object(families, "STACK_ENTRIES", entries):
                 assert [_stack_outcome(r) for r in solve_stack(rows)] == polished
@@ -541,7 +548,7 @@ def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
                 continue
             by_length.setdefault(len(coeffs), []).append(coeffs)
         for same in by_length.values():
-            assert ([_stack_outcome(r) for r in families._companion_roots(np.array(same))]
+            assert ([_stack_outcome(r) for r in families._companion_roots(same)]
                     == [_call_outcome(npoly.polyroots, c) for c in same])
 
 
@@ -571,16 +578,39 @@ def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
     eigvals = np.linalg.eigvals
 
     def no_stacks(a):
-        if np.ndim(a) > 2:
+        if len(a) > 1:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
     rows = [_SOLVE_ROWS["critical point"], np.array([1, 0, 0, 1], dtype=complex),
             _SOLVE_ROWS["matrix not finite"], np.array([-1, 0, 0, 1], dtype=complex)]
     with np.errstate(all="ignore"):
-        expected = [_call_outcome(solve_roots, row) for row in rows]
+        expected = [_call_outcome(one_row_solve, row) for row in rows]
         with mock.patch.object(np.linalg, "eigvals", no_stacks):
             assert [_stack_outcome(r) for r in solve_stack(rows)] == expected
+
+
+def test_a_row_whose_own_eigvals_fails_gives_that_error():
+    """Where eigvals cannot finish even a row's own companion matrix, that
+    row's outcome is the LinAlgError, the other rows are solved, and
+    solve_roots raises it."""
+    error = np.linalg.LinAlgError("Eigenvalues did not converge")
+    eigvals = np.linalg.eigvals
+    cube = np.array([1, 0, 0, 1], dtype=complex)  # x^3 + 1
+
+    def not_the_cube(a):  # only x^3 + 1's companion matrix has a -1 at the top right
+        if any(m[0, -1] == -1 for m in a):
+            raise error
+        return eigvals(a)
+
+    rows = [np.array([-1, 0, 0, 1], dtype=complex), cube, np.array([2, 0, 1], dtype=complex)]
+    expected = [_call_outcome(one_row_solve, row) for row in rows]
+    with mock.patch.object(np.linalg, "eigvals", not_the_cube):
+        outcome = solve_stack(rows)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            solve_roots(cube)
+    assert outcome[1] is error and raised.value is error
+    assert [_stack_outcome(r) for r in outcome[::2]] == expected[::2]
 
 
 def test_chunks_bound_the_stack():

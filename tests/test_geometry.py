@@ -1,9 +1,8 @@
 from unittest import mock
 
-import numpy as np
 import pytest
 
-from braidwork import families, geometry
+from braidwork import families
 from braidwork.geometry import (
     circle_confinement,
     cusp_exponent,
@@ -45,17 +44,18 @@ def test_the_double_root_grid_keeps_its_companion_roots(k):
     its companion roots, bit for bit, so the near-double pair is never
     moved by Newton steps."""
     calls = []
+    solve_stack = families.solve_stack
 
     def record(rows):
-        calls.append((rows, families.solve_stack(rows)))
+        calls.append((rows, solve_stack(rows)))
         return calls[-1][1]
 
-    with mock.patch.object(geometry, "solve_stack", record):
+    with mock.patch.object(families, "solve_stack", record):
         (unique,) = double_root_uniqueness(k)
     assert unique.passed
     ((rows, solved),) = calls
     assert len(rows) == 48
-    companion = families._companion_roots(np.array(rows))
+    companion = families._companion_roots(rows)
     assert _hex(solved) == _hex(companion)
 
 

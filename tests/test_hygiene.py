@@ -27,7 +27,8 @@ module (``families``, ``tracking``, ``geometry``, ``arcs``,
 ``bifurcation``), and ``cli`` imports them only inside function bodies,
 so the exact commands start without numpy.  Of the package's modules,
 ``families`` alone imports numpy, for the companion step of its root
-solves.
+solves, and names it only inside ``_companion_roots``; no module reaches
+``numpy.polynomial``.
 """
 
 import ast
@@ -403,3 +404,51 @@ def test_the_cli_imports_numerical_modules_only_in_functions():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not _imported_modules(_outside_functions(tree)) & NUMERICAL
     assert _imported_modules(tree) & NUMERICAL == NUMERICAL - {"numpy"}
+
+
+def _reaches_numpy_polynomial(tree: ast.Module) -> bool:
+    """Whether the module imports ``numpy.polynomial`` or reads a
+    ``polynomial`` attribute."""
+    return "polynomial" in _imported_modules(tree) or any(
+        isinstance(node, ast.Attribute) and node.attr == "polynomial" for node in ast.walk(tree))
+
+
+def _np_outside(tree: ast.Module, function: str) -> list[int]:
+    """The lines of the module's references to ``np`` outside the
+    module-level function ``function``."""
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == function
+              for node in ast.walk(top)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "np" and id(node) not in inside]
+
+
+@pytest.mark.parametrize("source, reaches", [
+    ("from numpy.polynomial import polynomial as npoly", True),
+    ("import numpy.polynomial.polynomial", True),
+    ("from numpy import linalg, polynomial", True),
+    ("import numpy as np\nnp.polynomial.polynomial.polyroots([1, 1])", True),
+    ("import numpy as np\nnp.linalg.eigvals", False),
+])
+def test_the_numpy_polynomial_scan(source, reaches):
+    assert _reaches_numpy_polynomial(ast.parse(source)) is reaches
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("def _companion_roots(rows) -> np.ndarray:\n    return np.array(rows)", []),
+    ("def solve_stack(rows):\n    return np.array(rows)", [2]),
+    ("def f(rows: np.ndarray):\n    pass", [1]),
+    ("x = np.pi\ndef _companion_roots():\n    def g():\n        np.sort", [1]),
+    ("class C:\n    def _companion_roots(self):\n        np.sort", [3]),
+])
+def test_the_np_reference_scan(source, lines):
+    assert _np_outside(ast.parse(source), "_companion_roots") == lines
+
+
+def test_numpy_is_one_function_of_families():
+    """Every root solve reaches numpy through ``families._companion_roots``
+    alone, and nothing builds a companion matrix with numpy.polynomial."""
+    for path in (ROOT / "src" / "braidwork").glob("*.py"):
+        assert not _reaches_numpy_polynomial(ast.parse(path.read_text(), filename=str(path))), path
+    path = ROOT / "src" / "braidwork" / "families.py"
+    assert _np_outside(ast.parse(path.read_text(), filename=str(path)), "_companion_roots") == []

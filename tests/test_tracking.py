@@ -18,7 +18,6 @@ from braidwork.families import (
     branch_roots,
     catalogue_family,
     min_pairwise_distance,
-    solve_roots,
 )
 from braidwork.garside import equal
 from braidwork.tracking import (
@@ -35,6 +34,7 @@ from braidwork.tracking import (
     track_loop,
 )
 from braidwork.words import BraidWord, compose, compose_all, invert, permutation_image
+from test_families import one_row_solve
 
 CUSP = catalogue_family("cusp")
 TANGENCY = catalogue_family("tangency")
@@ -420,7 +420,8 @@ def _catalogued_loops_all():
 
 def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
     """track_loop's vertex check solves each catalogued loop in one stacked
-    call; every vertex's roots are, bit for bit, those of solve_roots."""
+    call; every vertex's roots are, bit for bit, those of one polyroots
+    and one refine_roots call per vertex."""
 
     def hexed(solved):
         return [[(z.real.hex(), z.imag.hex()) for z in roots] for roots in solved]
@@ -429,7 +430,7 @@ def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
     for family, loop in _catalogued_loops_all():
         vertices = loop.points[:-1]
         stacked = branch_roots(family, vertices)
-        alone = [solve_roots(family.branch_coeffs(t)) for t in vertices]
+        alone = [one_row_solve(family.branch_coeffs(t)) for t in vertices]
         assert hexed(stacked) == hexed(alone)
         count += len(vertices)
     assert count > 1000
