@@ -46,7 +46,10 @@ CPython's complex arithmetic is reached by neither numpy's CPU
 dispatch nor the BLAS kernel that OpenBLAS picks at run time.
 ``branch_roots`` evaluates each point's coefficients, solves them in one
 ``solve_stack`` call, tests each row's roots for a collision, and of
-several failing points the first in input order raises.
+several failing points the first in input order raises.  It is the path
+of ``branch_points`` and the geometry grids, and of the loop vertices
+the tracker cannot certify with ``_corrections``' inclusion discs from
+the roots it holds.
 """
 
 from __future__ import annotations
@@ -533,6 +536,27 @@ def min_pairwise_distance(points: Sequence[complex]) -> float:
     collision test."""
     return min(_moduli([a - b for i, a in enumerate(points) for b in points[i + 1:]]),
                default=math.inf)
+
+
+def _corrections(coeffs: Sequence[complex], z: Sequence[complex]) -> list[complex]:
+    """The Weierstrass corrections w_j = p(z_j) / (lead * prod_{k != j}
+    (z_j - z_k)) of m distinct approximations ``z`` to the roots of
+    ``coeffs`` (low to high, degree m).  If the discs D(z_j, m |w_j|) are
+    pairwise disjoint, each holds exactly one root (Braess and Hadeler,
+    Numer. Math. 21 (1973); Carstensen, Numer. Math. 59 (1991)): they hold
+    the Gerschgorin discs of a matrix whose eigenvalues are the roots.
+    This is the package's one root certificate."""
+    lead = coeffs[-1]
+    out = []
+    for j, x in enumerate(z):
+        v, d = lead, lead
+        for c in coeffs[-2::-1]:
+            v = v * x + c
+        for k, y in enumerate(z):
+            if k != j:
+                d *= x - y
+        out.append(v / d)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)

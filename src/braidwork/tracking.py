@@ -71,15 +71,27 @@ arithmetic goes through neither numpy's CPU dispatch nor OpenBLAS's
 kernels, so the crossing times do not depend on which of them the CPU
 selects.
 
-A loop may name only the family's parameters, and its vertices are
-checked before tracking, all in one ``families.branch_roots`` call: one
-``families.solve_stack`` call, the package's one root-solve path, which
-also finds the start roots (``solve_roots``, its one-row form).  It
-polishes each vertex's companion roots (``families._companion_roots``)
-with ``families``' own binding of ``refine_roots``; this module's binding
-is called by the trials alone, once per trial.  The check applies the
-solvable-row rule to each vertex, and tests each vertex's roots with
-``min_pairwise_distance``, the trials' collision test.
+A loop may name only the family's parameters, and each of its vertices
+must have branch points pairwise at least ``COLLISION_TOL`` apart.
+``track_loop`` evaluates each vertex's branch row once, before tracking,
+and applies the solvable-row rule to it.  The trace's start solve
+(``solve_roots``) and its collision test check vertex 0.  Every other
+vertex is checked as the trace passes it, with no root solve: an
+accepted step from s to s + h passes the vertex at time t when
+s < t <= s + h, and the roots interpolated at f = (t - s) / h are
+z = roots + (new_roots - roots) * f.  Each root moved at most gap/4, so
+every |z_j - z_k| is at least max(gap (1 - f/2), new_gap - (1 - f) gap/2).
+If the inclusion discs D(z_j, m |w_j|) of the vertex's row
+(``families._corrections``) are pairwise at least ``COLLISION_TOL``
+apart by that bound, each holds one root and the vertex passes; if not,
+the discs are tried once more about z - w.  A vertex neither certifies
+is solved alone by ``families.branch_roots``, with its collision test
+and message.  A row the rule refuses, rows of unequal length or with no
+root, and any error of the trace hand the loop to ``branch_roots`` over
+all vertices first, so of several failing vertices the first in input
+order raises, as it did when every vertex was solved before tracking.
+No check steers the trace, so it moves no crossing.  ``refine_roots``
+in this module is called by the trials alone, once per trial.
 
 Traces share no state.
 """
@@ -95,6 +107,7 @@ from .families import (
     COLLISION_TOL,
     DegenerateConfigurationError,
     WeierstrassFamily,
+    _corrections,
     _solvable,
     branch_roots,
     min_pairwise_distance,
@@ -193,12 +206,41 @@ def _step(
     return (new_roots, new_rotated, new_gap, swaps), ratio
 
 
+def _certified(row: list[complex], roots: list[complex], new_roots: list[complex],
+               gap: float, new_gap: float, f: float) -> bool:
+    """Whether inclusion discs certify the coefficients ``row`` from the
+    roots interpolated at fraction ``f`` of an accepted step, from
+    ``roots`` (smallest gap ``gap``) to ``new_roots`` (``new_gap``), or
+    else from those less their Weierstrass corrections: each disc holds
+    one of its roots, and every two discs are at least ``COLLISION_TOL``
+    apart."""
+    if len(row) != len(roots) + 1:
+        return False
+    z = [a + (b - a) * f for a, b in zip(roots, new_roots)]
+    # every root moved at most gap/4, which bounds each pair of z from below
+    apart = max(gap * (1 - f / 2), new_gap - (1 - f) * gap / 2)
+    try:
+        for _ in range(2):  # at z, then at z less its corrections
+            w = _corrections(row, z)
+            sizes = [abs(c) for c in w]
+            if all(len(z) * r <= (apart - COLLISION_TOL) / 2 for r in sizes):
+                return True
+            apart -= 2 * max(sizes)  # each point moves by its correction
+            z = [x - c for x, c in zip(z, w)]
+    except ArithmeticError:  # a product overflowed or vanished
+        pass
+    return False
+
+
 def _track_once(
-    coeff_fn: Callable[[float], Sequence], start: list[complex], gap: float, angle: float
+    coeff_fn: Callable[[float], Sequence], start: list[complex], gap: float, angle: float,
+    rows: Sequence[list[complex]], check: Callable[[int], object] | None,
 ) -> tuple[list[Crossing], list[int]] | None:
     """The crossings of one trace from the roots ``start`` (smallest gap
     ``gap``) projected at ``angle``, and ``ranks``: ranks[r] is the strand
-    that ends at rank r.  None if two points stay vertically aligned."""
+    that ends at rank r.  None if two points stay vertically aligned.
+    Each accepted step certifies the vertices of ``rows`` it passes, or
+    calls ``check`` on them (``_track``)."""
     rot = cmath.exp(-1j * angle)
     rotated = [z * rot for z in start]
     order = _rank_order(rotated)
@@ -217,6 +259,7 @@ def _track_once(
     h = INITIAL_STEP
     steps = 0
     prev_roots, h_prev = roots, 0.0  # the last accepted step: its start and length
+    vertex = 1  # the next vertex to certify; vertex 0 is the start
 
     while s < 1.0 - 1e-15:
         steps += 1
@@ -258,6 +301,11 @@ def _track_once(
             strand_low, strand_high = ranks[r], ranks[r + 1]
             crossings.append(_emit(r, strand_low, strand_high, roots, new_roots, rot, s, h))
             ranks[r], ranks[r + 1] = ranks[r + 1], ranks[r]
+        while vertex < len(rows) and vertex / len(rows) <= trial:
+            f = (vertex / len(rows) - s) / h
+            if not _certified(rows[vertex], roots, new_roots, gap, new_gap, f):
+                check(vertex)
+            vertex += 1
 
         prev_roots, h_prev = roots, h
         roots, rotated, gap = new_roots, new_rotated, new_gap
@@ -313,6 +361,16 @@ def track_coefficients(coeff_fn: Callable[[float], Sequence]) -> BraidTrace:
     """Track the root set of coeff_fn(s), coefficients low to high as a
     sequence of numbers, for s in [0, 1] from projection angle 0.
     Coefficients with no root at s = 0 raise ValueError."""
+    return _track(coeff_fn, (), None)
+
+
+def _track(coeff_fn: Callable[[float], Sequence], rows: Sequence[list[complex]],
+           check: Callable[[int], object] | None) -> BraidTrace:
+    """``track_coefficients``, certifying on the way the vertices of a
+    loop of len(rows) segments: vertex i has the coefficients rows[i] at
+    time i / len(rows).  Vertex 0 is the start, which is solved; any other
+    vertex the inclusion discs of the step that passes it cannot certify
+    is handed to ``check(i)``, which raises if it fails."""
     start = solve_roots(coeff_fn(0.0))
     if not start:
         raise ValueError("the coefficients have no roots at s = 0: there is nothing to track")
@@ -321,7 +379,7 @@ def track_coefficients(coeff_fn: Callable[[float], Sequence]) -> BraidTrace:
         raise DegenerateConfigurationError("start configuration is degenerate")
     angle = 0.0
     for rotations in range(MAX_ROTATIONS + 1):
-        tracked = _track_once(coeff_fn, start, gap, angle)
+        tracked = _track_once(coeff_fn, start, gap, angle, rows, check)
         if tracked is not None:
             break
         angle += ROTATION_STEP
@@ -428,14 +486,26 @@ def track_loop(family: WeierstrassFamily, loop: ParameterLoop) -> BraidTrace:
     points pairwise at least ``COLLISION_TOL`` apart.  The loop may name
     only the family's parameters."""
     family.check_names(loop.names, "the loop")
-    branch_roots(family, loop.points[:-1])  # the last vertex is the first
-    # every vertex has passed, so names every parameter: its values in order
-    values = [[complex(point[name]) for name in family.params] for point in loop.points]
+    vertices = loop.points[:-1]  # the last vertex is the first
+    try:  # each vertex's values in order, and its solvable branch row
+        values = [[complex(point[name]) for name in family.params] for point in loop.points]
+        rows = [_solvable(family.branch_coeffs_of(v)) for v in values[:-1]]
+    except (KeyError, TypeError, ValueError, ArithmeticError, DegenerateConfigurationError):
+        rows = None
+    if rows is None or len({len(row) for row in rows}) != 1 or len(rows[0]) < 2:
+        # the full check names the first failing vertex; a loop it passes is
+        # tracked with no vertex certified (a degree change raises in a trial)
+        branch_roots(family, vertices)
+        rows = []
 
     def coeff_fn(s: float) -> list[complex]:
         return family.branch_coeffs_of(_interp_path(values, s))
 
-    return track_coefficients(coeff_fn)
+    try:
+        return _track(coeff_fn, rows, lambda i: branch_roots(family, [vertices[i]]))
+    except Exception:  # a failing vertex raises before the trace's own error
+        branch_roots(family, vertices)
+        raise
 
 
 def fiber_monodromy(

@@ -80,7 +80,8 @@ def test_the_generator_rows_are_the_expected_generators(k):
 # the step controller's budget: trials of all tracked loops of one run,
 # counted as calls to the tracker's own binding of refine_roots (once per
 # trial); and the secant predictor's: Newton residual passes of the run
-# (most in the trials; the vertex checks polish each vertex, one pass or more)
+# (most in the trials; the start solves, and any vertex the inclusion discs
+# cannot certify, polish their roots, one pass or more)
 PASS_BUDGET = {2: 4700, 3: 9400}
 
 

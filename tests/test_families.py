@@ -441,9 +441,9 @@ def test_catalogue_hot_path_is_bit_identical(name, k):
     family = catalogue_family(name, k)
     points = [{name: t[name] for name in reversed(family.params)} for t in POINTS]
     loop = tracking.ParameterLoop.polyline(points + points[:1])
-    with mock.patch.object(tracking, "track_coefficients") as track:
+    with mock.patch.object(tracking, "_track") as track:
         tracking.track_loop(family, loop)
-    (trial_coeffs,), _ = track.call_args
+    (trial_coeffs, _, _), _ = track.call_args
     for s in (0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0):
         coeffs = trial_coeffs(s)
         assert _bits(coeffs) == _bits(family.branch_coeffs(loop.at(s)))
@@ -635,7 +635,7 @@ def test_chunks_bound_the_stack():
 
 
 # ---------------------------------------------------------------------------
-# The stacked vertex check against one solve and one gap per point
+# branch_roots' stacked check against one solve and one gap per point
 
 
 class _RowFamily:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidwork import tracking
+from braidwork import families, tracking
 from braidwork.bifurcation import _catalogued_loops, _tame_critical
 from braidwork.families import (
     COLLISION_TOL,
@@ -18,6 +18,7 @@ from braidwork.families import (
     branch_roots,
     catalogue_family,
     min_pairwise_distance,
+    solve_roots,
 )
 from braidwork.garside import equal
 from braidwork.tracking import (
@@ -419,9 +420,10 @@ def _catalogued_loops_all():
 
 
 def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
-    """track_loop's vertex check solves each catalogued loop in one stacked
-    call; every vertex's roots are, bit for bit, those of one polyroots
-    and one refine_roots call per vertex."""
+    """branch_roots, the tracker's fallback for a vertex its discs cannot
+    certify, solves each catalogued loop's vertices in one stacked call;
+    every vertex's roots are, bit for bit, those of one polyroots and one
+    refine_roots call per vertex."""
 
     def hexed(solved):
         return [[(z.real.hex(), z.imag.hex()) for z in roots] for roots in solved]
@@ -461,6 +463,124 @@ def test_the_first_degenerate_vertex_is_named():
         loop = ParameterLoop.polyline([start, first, middle, second, start])
         with pytest.raises(error, match=message):
             track_loop(family, loop)
+
+
+TOUCH = WeierstrassFamily(2, ("lam", "a"), (), ("lam", 0, "a"))  # y^2 + lam + a x^2
+
+
+def test_a_loop_that_touches_the_discriminant_at_a_vertex_is_refused():
+    """lam runs 1 -> 0 -> 2 -> 1 at a = -1: the two branch points +-sqrt(lam)
+    meet at the vertex lam = 0 and retreat the way they came, so the trace
+    passes with no crossing; the vertex check alone refuses the loop."""
+    loop = ParameterLoop.polyline([{"lam": v, "a": -1} for v in (1, 0, 2, 1)])
+    collide = re.escape(f"branch points collide at parameters {loop.points[1]}")
+    with pytest.raises(DegenerateConfigurationError, match=collide):
+        track_loop(TOUCH, loop)
+
+
+def test_a_failing_vertex_is_named_before_the_traces_own_error():
+    """The trace fails on the first segment, which crosses lam = 0; the
+    degenerate vertex after it is what the loop is refused for."""
+    collide = {"lam": 0, "a": -1}
+    loop = ParameterLoop.polyline(
+        [{"lam": 1, "a": -1}, {"lam": -1, "a": -1}, collide, {"lam": 1, "a": -1}])
+    with pytest.raises(TrackingError):
+        track_coefficients(lambda s: TOUCH.branch_coeffs(loop.at(s)))
+    with pytest.raises(DegenerateConfigurationError, match=re.escape(str(collide))):
+        track_loop(TOUCH, loop)
+
+
+def test_a_loop_whose_vertices_differ_in_degree_raises_in_its_first_trial():
+    """1 - (x + lam x^2)^2 has two branch points at lam = 0 and four
+    elsewhere: every vertex passes branch_roots, and the trace raises."""
+    family = WeierstrassFamily(3, ("lam",), ["1"], [0, 1, "lam"])
+    loop = ParameterLoop.polyline([{"lam": 0}, {"lam": 1}, {"lam": 0}])
+    with pytest.raises(TrackingError, match="degree dropped near parameter time 0.031250"):
+        track_loop(family, loop)
+
+
+def test_a_loop_with_no_degenerate_vertex_solves_only_its_start():
+    """Every vertex of the k = 3 ray loop is certified by the discs of the
+    step that passes it: the only root solve is the trace's start."""
+    _, family, loop = _catalogued_loops(3)[1][0]
+    with mock.patch.object(families, "_companion_roots",
+                           wraps=families._companion_roots) as companion:
+        track_loop(family, loop)
+    assert companion.call_count == 1
+
+
+def test_a_vertex_the_discs_cannot_certify_is_solved_alone():
+    """With no vertex certified, each is solved by branch_roots, and the
+    braid is the same."""
+    _, family, loop = _catalogued_loops(2)[1][0]
+    expected = track_loop(family, loop)
+    with mock.patch.object(tracking, "_certified", return_value=False), \
+            mock.patch.object(families, "_companion_roots",
+                              wraps=families._companion_roots) as companion:
+        assert track_loop(family, loop) == expected
+    assert companion.call_count == len(loop.points) - 1
+
+
+def _disc_case(lead, roots, start_shifts, moves, f):
+    """The certificate's inputs for the row lead * prod (x - roots) and an
+    accepted step from roots + start_shifts by moves of at most a quarter
+    of its smallest gap, with the vertex at fraction f."""
+    row = (lead * np.polynomial.polynomial.polyfromroots(roots)).tolist()
+    start = [z + e for z, e in zip(roots, start_shifts)]
+    gap = min_pairwise_distance(start)
+    new = [z + gap / 4 * d for z, d in zip(start, moves)]
+    return row, start, new, gap, min_pairwise_distance(new), f
+
+
+_unit = st.builds(cmath.rect, st.floats(0, 1), st.floats(0, 2 * math.pi))
+
+
+@st.composite
+def _disc_cases(draw):
+    m = draw(st.integers(2, 6))
+    roots = draw(st.lists(st.complex_numbers(max_magnitude=2), min_size=m, max_size=m))
+    if draw(st.booleans()):  # a double root
+        roots[1] = roots[0]
+    scale = 10.0 ** draw(st.integers(-12, 0))
+    shifts = [scale * draw(_unit) for _ in range(m)]
+    moves = [draw(_unit) for _ in range(m)]
+    lead = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=10))
+    return _disc_case(lead, roots, shifts, moves, draw(st.floats(0, 1, exclude_min=True)))
+
+
+@given(_disc_cases())
+@settings(max_examples=600, deadline=None)
+def test_a_certified_vertex_has_one_root_in_each_disc(case):
+    """Where the certificate accepts a vertex, the discs about the
+    interpolated roots z_j of radius (apart - COLLISION_TOL) / 2, apart
+    the certificate's lower bound on every |z_j - z_k|, each hold exactly
+    one root of solve_roots, so the roots are at least COLLISION_TOL
+    apart."""
+    row, start, new, gap, new_gap, f = case
+    assume(gap >= COLLISION_TOL and new_gap >= COLLISION_TOL)
+    if not tracking._certified(row, start, new, gap, new_gap, f):
+        return
+    z = [a + (b - a) * f for a, b in zip(start, new)]
+    apart = max(gap * (1 - f / 2), new_gap - (1 - f) * gap / 2)
+    assert min_pairwise_distance(z) >= apart * (1 - 1e-12)
+    roots = solve_roots(row)
+    for x in z:
+        assert sum(abs(r - x) <= (apart - COLLISION_TOL) / 2 for r in roots) == 1
+    assert min_pairwise_distance(roots) >= COLLISION_TOL
+
+
+@pytest.mark.parametrize("others", [[], [3], [3, 4j, -2 - 2j, 1 + 3j]])
+def test_the_discs_refuse_a_double_root_between_two_points(others):
+    """Points at +-a about a double root at 0, the others on their roots:
+    the corrections are +-a/2 at +-a, and +-a/4 at +-a/2 after one
+    correction, so the two discs of radius m |w| never part; at m = 2
+    they just touch, and any smaller factor would certify the double
+    root."""
+    m = 2 + len(others)
+    for a in (1e-6, 0.01, 0.5):
+        row, start, new, gap, new_gap, f = _disc_case(
+            1, [0, 0] + others, [a, -a] + [0] * len(others), [0] * m, 1.0)
+        assert not tracking._certified(row, start, new, gap, new_gap, f)
 
 
 def test_a_ray_loop_is_tracked_without_numpy_convolve(monkeypatch):
