@@ -36,7 +36,7 @@ from .groups import (
     Artin3,
     Perm3,
 )
-from .hurwitz import act_word, orbit, stabilizes
+from .hurwitz import act_letter, act_word, orbit, stabilizes
 from .words import (
     BraidWord,
     compose_all,
@@ -534,19 +534,28 @@ def half_twist_classification() -> list[CheckResult]:
     Artin system, and match the distinct nontrivial conjugates against the
     tabulated rows.
 
+    A conjugate gamma^-1 e_13 gamma fixes the Artin system A exactly
+    when e_13 fixes act_word(gamma, A), so each transversal word is
+    tested on its image of A, and only the conjugates that pass are
+    built.  A word (i,) + rest is met after rest (see ``OrbitTable``),
+    so its image is one Hurwitz move, sigma_i, from rest's image;
+    ``images`` keys every image met so far by its word's letters.
+
     The trivial class (e_13 itself, from the empty word and its coset
     mates) is reported separately; the tabulated count refers to the
     nontrivial classes.
     """
     e13 = _band_table(6)[1, 3]
     table = orbit(coxeter_system(6))
-    art = artin_system(6)
+    images = {(): artin_system(6)}
 
     classes = set()
     for gamma in table.transversal.values():
-        candidate = conjugate_right(e13, gamma)
-        if stabilizes(candidate, art):
-            classes.add(dynnikov(candidate))
+        letters = gamma.letters
+        if letters:
+            images[letters] = act_letter(letters[0], 1, images[letters[1:]])
+        if stabilizes(e13, images[letters]):
+            classes.add(dynnikov(conjugate_right(e13, gamma)))
     nontrivial = classes - {dynnikov(e13)}
 
     results: list[CheckResult] = [

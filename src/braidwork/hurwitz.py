@@ -94,7 +94,10 @@ class OrbitTable:
     positive word w with act_word(w, base) = element.  Words grow by
     prepending the applied generator (the leftmost letter acts last), so
     the word set is closed under removing the leftmost letter: every
-    stage of a transversal word is again a transversal word.
+    stage of a transversal word is again a transversal word.  The
+    search inserts each word's suffix ``letters[1:]`` into
+    ``transversal`` before the word itself, so reading the dict in order
+    meets every word after its suffix.
     """
 
     base: System

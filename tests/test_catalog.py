@@ -3,6 +3,7 @@ import pytest
 from braidwork import catalog as catalog_module
 from braidwork.catalog import (
     IdentityRecord,
+    artin_system,
     build_e,
     catalog,
     conjugator_to_reference,
@@ -19,8 +20,8 @@ from braidwork.catalog import (
 )
 from braidwork.garside import dynnikov
 from braidwork.groups import PERM3_R, PERM3_S, PERM3_T
-from braidwork.hurwitz import act_word, stabilizes
-from braidwork.words import compose, word
+from braidwork.hurwitz import act_word, orbit, stabilizes
+from braidwork.words import compose, conjugate_right, word
 
 
 def test_build_matrix_examples():
@@ -177,6 +178,74 @@ def test_half_twist_classification_counts():
     # the trivial class rides along
     assert by_id["conclass/distinct-18"].witness["including_trivial"] == 19
     assert all(r.passed for r in results)
+
+
+def _replayed_stabilising_words() -> set[tuple[int, ...]]:
+    """The transversal words gamma whose whole conjugate gamma^-1 e_13 gamma,
+    replayed letter by letter, fixes the alternating Artin system: the
+    reference for the classification's one-move-per-state test."""
+    e13 = build_e(6, 1, 3)
+    art = artin_system(6)
+    return {gamma.letters for gamma in orbit(coxeter_system(6)).transversal.values()
+            if stabilizes(conjugate_right(e13, gamma), art)}
+
+
+def test_each_state_is_tested_on_its_image_of_the_artin_system(monkeypatch):
+    tested = []
+
+    def spy(w, system):
+        fixed = stabilizes(w, system)
+        tested.append((w, system, fixed))
+        return fixed
+
+    monkeypatch.setattr(catalog_module, "stabilizes", spy)
+    half_twist_classification()
+    transversal = list(orbit(coxeter_system(6)).transversal.values())
+    assert len(tested) == len(transversal) == 240
+    e13, art = build_e(6, 1, 3), artin_system(6)
+    for gamma, (w, image, _) in zip(transversal, tested):
+        assert w == e13
+        assert image == act_word(gamma, art)
+    stabilising = {gamma.letters for gamma, (_, _, fixed) in zip(transversal, tested) if fixed}
+    assert len(stabilising) == 72
+    assert stabilising == _replayed_stabilising_words()
+
+
+def test_the_classification_makes_one_move_per_state_and_letter(hurwitz_moves):
+    half_twist_classification()
+    # one move per state from its parent's image, one per letter of e_13
+    # (three) per state, and at most 36 S3 pair moves in orbit's memo;
+    # replaying every whole conjugate took 2 963
+    assert len(hurwitz_moves) <= 240 + 3 * 240 + 36
+
+
+def test_e12_in_place_of_e13_fails_the_class_rows(monkeypatch):
+    catalog()  # the ledger is cached before its bands are mutated
+    bands = catalog_module._band_table
+
+    def with_e12(n):
+        table = bands(n)
+        if n == 6:
+            table[1, 3] = table[1, 2]
+        return table
+
+    monkeypatch.setattr(catalog_module, "_band_table", with_e12)
+    rows = {r.id: r for r in half_twist_classification()}
+    assert rows["conclass/orbit-240"].status == "verified"
+    assert rows["conclass/distinct-18"].status == "failed"
+    assert rows["conclass/distinct-18"].witness == {"nontrivial_classes": 17,
+                                                   "including_trivial": 18}
+    assert rows["conclass/rows-match-classes"].status == "failed"
+    assert rows["conclass/rows-match-classes"].witness == {"verifying_rows": 18}
+
+
+def test_a_constant_coxeter_system_fails_every_class_row(monkeypatch):
+    monkeypatch.setattr(catalog_module, "coxeter_system", lambda n: (PERM3_S,) * n)
+    rows = {r.id: r for r in half_twist_classification()}
+    assert [r.status for r in rows.values()] == ["failed"] * 3
+    assert rows["conclass/orbit-240"].witness == {"orbit_size": 1}
+    assert rows["conclass/distinct-18"].witness == {"nontrivial_classes": 0,
+                                                   "including_trivial": 1}
 
 
 def test_tau_word_requires_enough_strands():

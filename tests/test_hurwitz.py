@@ -185,6 +185,17 @@ def test_transversal_is_positive_prefix_closed_and_correct():
             assert w.letters[1:] in words
 
 
+@pytest.mark.parametrize("base", [coxeter_system(6), coxeter_system(8), artin_system(4)])
+def test_transversal_meets_each_suffix_before_its_word(base):
+    # the order half_twist_classification relies on: reading the
+    # transversal in order, a word's letters[1:] has already been read
+    met = set()
+    for w in orbit(base).transversal.values():
+        if w.letters:
+            assert w.letters[1:] in met
+        met.add(w.letters)
+
+
 def test_schreier_generators_stabilize_and_count():
     table = orbit(coxeter_system(3))
     gens = schreier_generators(table)
