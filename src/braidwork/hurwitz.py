@@ -26,10 +26,13 @@ Each Hurwitz move is computed once per distinct adjacent pair (g, h) by
 ``act_letter`` and then looked up by the pair's 2w-bit code, as the XOR
 mask that turns the pair into its image: a memo local to one ``orbit``
 call, at most 36 pairs over S3 and at most (n - 1) * cap pairs over B3.
-A pair the move fixes (g = h) has mask 0 and is skipped.  A state's
-value tuple and transversal word are built only when it joins the
-transversal, the word without a second letter check, as its letters are
-in range by construction.
+A pair the move fixes (g = h) has mask 0 and is skipped.  The search
+itself keeps only codes and letters, so a capped search builds no value
+tuple and no word; once the queue is exhausted, the states are decoded
+from their codes in one pass and their words are built without a second
+letter check, as their letters are in range by construction (a Schreier
+vector: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+section 4.1).
 """
 
 from __future__ import annotations
@@ -136,13 +139,17 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     call only and holds at most 36 pairs over S3, at most (n - 1) * cap
     over B3.  A pair the move fixes (g = h) has mask 0 and is skipped.
 
-    ``queue`` lists (code, tuple, word letters) of the transversal's
-    states in insertion order and is read front to back while the search
-    appends to it, so it is the FIFO queue.  A state's value tuple (its
-    parent's, with the moved pair read from its code) and its word are
-    built only when it joins the transversal.  The word (i,) + prefix
-    has letters from 1 to n - 1 by construction, so it is built without
-    ``BraidWord``'s letter check.
+    ``codes`` and ``letters`` list the transversal's states in insertion
+    order, as packed codes and as word letters (i,) + prefix, and are
+    read front to back while the search appends to them, so together
+    they are the FIFO queue.  The search builds no value tuple and no
+    ``BraidWord``, so a capped search raises ``OrbitCapExceeded`` with
+    nothing else built.  Once the queue is exhausted, the codes are
+    decoded four entries at a time: each distinct chunk code is read
+    once into its tuple of ``values``, and a state is the concatenation
+    of its chunks' tuples.  Its letters run from 1 to n - 1 by
+    construction, so its word is built without ``BraidWord``'s letter
+    check.
     """
     if not base:
         raise ValueError("orbit base must have at least one entry, got an empty tuple")
@@ -163,12 +170,12 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
         return k
 
     code = sum(intern(g) << width * j for j, g in enumerate(base))
-    transversal: dict[System, BraidWord] = {base: BraidWord(n, ())}
     seen = {code}
-    queue = [(code, base, ())]
+    codes = [code]
+    letters = [()]
     moves: dict[int, int] = {}
     positions = [(i, width * (i - 1)) for i in range(1, n)]
-    for code, current, prefix in queue:
+    for code, prefix in zip(codes, letters):
         for i, shift in positions:
             pair = code >> shift & pair_mask
             try:
@@ -180,16 +187,22 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
                 continue
             image = code ^ flip << shift
             if image not in seen:
-                if len(transversal) >= cap:
-                    raise OrbitCapExceeded(cap, len(transversal))
+                if len(codes) >= cap:
+                    raise OrbitCapExceeded(cap, len(codes))
                 seen.add(image)
-                ids_at = image >> shift
-                moved = (values[ids_at & id_mask], values[ids_at >> width & id_mask])
-                state = current[: i - 1] + moved + current[i + 1 :]
-                letters = (i,) + prefix
-                transversal[state] = _word_in_range(n, letters)
-                queue.append((image, state, letters))
-    return OrbitTable(base=base, transversal=transversal)
+                codes.append(image)
+                letters.append((i,) + prefix)
+    for start in range(0, n, 4):
+        shift, size = width * start, min(4, n - start)
+        mask = (1 << width * size) - 1
+        pieces = {c: tuple([values[c >> width * k & id_mask] for k in range(size)])
+                  for c in {code >> shift & mask for code in codes}}
+        if start:
+            states = [state + pieces[code >> shift & mask] for state, code in zip(states, codes)]
+        else:
+            states = [pieces[code & mask] for code in codes]
+    words = [_word_in_range(n, spelled) for spelled in letters]
+    return OrbitTable(base=base, transversal=dict(zip(states, words)))
 
 
 def schreier_generators(table: OrbitTable) -> list[BraidWord]:

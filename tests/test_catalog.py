@@ -139,6 +139,30 @@ def test_stabilizer_tables_hold_only_what_no_theorem_row_states():
            for kind in "AB" for n in range(2, 7)])
 
 
+def test_an_empty_conjugator_fails_every_conjugator_image_row(monkeypatch):
+    monkeypatch.setattr(catalog_module, "conjugator_to_reference", lambda n: word(n))
+    rows = {r.id: r for r in verify_stabilizer_tables()}
+    for n in range(3, 7):
+        failed = rows.pop(f"stabilizers/conjugator-image@{n}")
+        assert failed.status == "failed"
+        assert failed.witness == {
+            "computed": [g.render() for g in coxeter_system(n)],
+            "expected": [g.render() for g in catalog_module.REFERENCE_IMAGES[n]]}
+    assert all(r.passed and r.witness is None for r in rows.values())
+
+
+def test_a_moving_generator_fails_every_reference_row_but_one(monkeypatch):
+    listed = catalog_module.reference_system_generators
+    monkeypatch.setattr(catalog_module, "reference_system_generators",
+                        lambda n, kind: listed(n, kind) + [word(n, *range(1, n))])
+    rows = [r for r in verify_stabilizer_tables() if "reference" in r.id]
+    assert len(rows) == 10
+    # sigma_1 fixes (s, s), and so does all of Br_2: no listed generator
+    # can fail reference-B-generators@2
+    assert [r.id for r in rows if r.passed] == ["stabilizers/reference-B-generators@2"]
+    assert all(r.status == "failed" for r in rows if not r.passed)
+
+
 def test_theorem_rows():
     assert all(r.passed for r in verify_theorem_rows())
 

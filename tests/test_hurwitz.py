@@ -1,4 +1,5 @@
 import pickle
+import random
 from collections import deque
 
 import pytest
@@ -319,6 +320,97 @@ def test_coxeter_orbits_under_the_default_cap_match_the_reference_search(n):
     assert list(table.transversal.items()) == list(
         reference_orbit(base, DEFAULT_ORBIT_CAP).items())
     _assert_words_are_checked_words(table.transversal)
+
+
+def eager_orbit(base, cap):
+    """The packed search that builds each state's value tuple and word as
+    the state joins the transversal: the reference for ``orbit``, which
+    keeps only codes and letters until the search closes."""
+    n = len(base)
+    order = base[0].order
+    width = (n + cap if order is None else min(n + cap, order)).bit_length()
+    id_mask = (1 << width) - 1
+    pair_mask = (1 << 2 * width) - 1
+    ids, values = {}, []
+
+    def intern(value):
+        k = ids.setdefault(value, len(values))
+        if k == len(values):
+            values.append(value)
+        return k
+
+    code = sum(intern(g) << width * j for j, g in enumerate(base))
+    transversal = {base: BraidWord(n, ())}
+    seen = {code}
+    queue = [(code, base, ())]
+    moves = {}
+    positions = [(i, width * (i - 1)) for i in range(1, n)]
+    for code, current, prefix in queue:
+        for i, shift in positions:
+            pair = code >> shift & pair_mask
+            try:
+                flip = moves[pair]
+            except KeyError:
+                left, right = act_letter(1, 1, (values[pair & id_mask], values[pair >> width]))
+                flip = moves[pair] = pair ^ (intern(left) | intern(right) << width)
+            if not flip:
+                continue
+            image = code ^ flip << shift
+            if image not in seen:
+                if len(transversal) >= cap:
+                    raise OrbitCapExceeded(cap, len(transversal))
+                seen.add(image)
+                ids_at = image >> shift
+                moved = (values[ids_at & id_mask], values[ids_at >> width & id_mask])
+                state = current[: i - 1] + moved + current[i + 1:]
+                letters = (i,) + prefix
+                transversal[state] = BraidWord(n, letters)
+                queue.append((image, state, letters))
+    return transversal
+
+
+def _random_s3_base(n):
+    rng = random.Random(n)
+    return tuple(rng.choice(S3_VALUES) for _ in range(n))
+
+
+@pytest.mark.parametrize("base, cap", [
+    *[(coxeter_system(n), DEFAULT_ORBIT_CAP) for n in range(2, 9)],
+    *[(_random_s3_base(n), DEFAULT_ORBIT_CAP) for n in (6, 7, 8)],
+    *[(artin_system(n), 1000) for n in (2, 3, 4)],
+    *[(artin_system(5), cap) for cap in (1, 40, 1000)],
+    (coxeter_system(6), 240),
+    (coxeter_system(6), 239),
+])
+def test_orbit_matches_the_eager_search(base, cap):
+    # the transversal in order, or the cap and the states found at it
+    fast = _orbit_outcome(lambda b, c: orbit(b, c).transversal, base, cap)
+    assert fast == _orbit_outcome(eager_orbit, base, cap)
+
+
+def test_the_coxeter_orbit_at_n6_closes_at_cap_240():
+    assert len(orbit(coxeter_system(6), 240)) == 240
+    with pytest.raises(OrbitCapExceeded) as info:
+        orbit(coxeter_system(6), 239)
+    assert (info.value.cap, info.value.seen) == (239, 239)
+
+
+@pytest.mark.parametrize("cap", [40, 5000])
+def test_a_capped_search_builds_no_word(cap, monkeypatch):
+    built = []
+    build = hurwitz._word_in_range
+
+    def counted(n, letters):
+        built.append(letters)
+        return build(n, letters)
+
+    monkeypatch.setattr(hurwitz, "_word_in_range", counted)
+    with pytest.raises(OrbitCapExceeded) as info:
+        orbit(artin_system(5), cap)
+    assert (info.value.cap, info.value.seen) == (cap, cap)
+    assert built == []
+    # a search that closes builds one word per state, once
+    assert len(orbit(artin_system(4), cap)) == len(built) == 27
 
 
 @pytest.mark.parametrize("n, cap", [(4, 1000), (5, 1000), (5, 1), (8, 3)])
