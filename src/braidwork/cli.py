@@ -187,7 +187,7 @@ def cmd_monodromy(args) -> int:
 
 def _arc_from_spec(text: str, family, params) -> list[complex]:
     from .arcs import chord
-    from .families import branch_points, complex_from_json
+    from .families import DegenerateConfigurationError, branch_points, complex_from_json
 
     if ":" in text and not text.strip().startswith("["):
         try:
@@ -197,7 +197,10 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
                              "and j, or a JSON list of [re, im] vertices") from None
         if lo == hi:
             raise ValueError(f"--arc {text!r:.40}: the two branch point labels are equal")
-        cfg = branch_points(family, params)
+        try:
+            cfg = branch_points(family, params)
+        except DegenerateConfigurationError as exc:  # no labels to read the arc by
+            raise ValueError(f"--arc {text!r:.40} labels branch points, but {exc}") from None
         return chord(cfg.point(lo), cfg.point(hi))
     return [complex_from_json(v, f"--arc vertex {idx}")
             for idx, v in enumerate(json_value(json.loads(text), list, "--arc"))]

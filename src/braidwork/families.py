@@ -22,15 +22,12 @@ each entry's text: strings as given, numbers as ``str(x)`` and pairs as
 Branch points are labeled by increasing argument starting from the point
 closest to 1, matching the labeling used by all catalogued computations.
 
-Every root solve takes one path, ``solve_stack``.  Each row passes the
-one solvable-row rule (``_solvable``); the rows of one length share one
-companion step (``_companion_roots``: one ``eigvals`` call on their
-companion matrices, chunked to at most ``STACK_ENTRIES`` complex
-entries); and each row is then polished alone by ``refine_roots``, the
-one Newton loop, which tracker trials also call.  The stacked solve has
-no unpolished mode.  ``solve_rows`` raises the first failing row's
-error, ``solve_roots`` is ``solve_rows`` of one row, and ``branch_roots``
-solves a sequence of parameter points in one call.
+Every root solve takes one path, ``solve_roots``, one coefficient row
+at a time.  The row passes the one solvable-row rule (``_solvable``);
+the companion step (``_companion_roots``) finds its roots with one
+``eigvals`` call on its companion matrix; and ``refine_roots``, the one
+Newton loop, which tracker trials also call, polishes them.  There is no
+unpolished mode.
 
 The companion step is the one job numpy does in the package, and
 ``_companion_roots`` the one function that names it.  The polynomials
@@ -44,12 +41,12 @@ roots every solve returns, and the one collision test
 Python's ``abs``, and again through ``_modulus`` on the rare overflow.
 CPython's complex arithmetic is reached by neither numpy's CPU
 dispatch nor the BLAS kernel that OpenBLAS picks at run time.
-``branch_roots`` evaluates each point's coefficients, solves them in one
-``solve_stack`` call, tests each row's roots for a collision, and of
-several failing points the first in input order raises.  It is the path
-of ``branch_points`` and the geometry grids, and of the loop vertices
-the tracker cannot certify with ``_corrections``' inclusion discs from
-the roots it holds.
+``branch_roots`` takes a sequence of parameter points in input order:
+at each it evaluates the branch coefficients, solves them and tests the
+roots for a collision, so the first failing point raises.  It is the
+path of ``branch_points`` and the geometry grids, and of the loop
+vertices the tracker cannot certify with ``_corrections``' inclusion
+discs from the roots it holds.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ NEWTON_STEPS = 24  # Newton iterations before refinement gives up
 MAX_EXPONENT = 64
 MAX_NESTING = 100
 MAX_X_DEGREE = 64  # largest x-degree k of a family; covers every catalogued and benchmarked k
-STACK_ENTRIES = 1 << 18  # complex entries of the companion matrices of one solve_stack chunk
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
@@ -458,76 +454,31 @@ def _solvable(coeffs: Iterable) -> list[complex]:
 
 
 def solve_roots(coeffs: Iterable) -> list[complex]:
-    """The roots of ``coeffs`` (low to high): ``solve_rows`` of the one row."""
-    return solve_rows([coeffs])[0]
+    """The roots of ``coeffs`` (low to high): the solvable-row rule, the
+    companion step and one ``refine_roots`` polish, of which the first to
+    fail raises its error."""
+    coeffs = _solvable(coeffs)
+    return refine_roots(coeffs, _companion_roots(coeffs))
 
 
-def solve_rows(rows: Sequence) -> list[list[complex]]:
-    """Each row's roots from one ``solve_stack`` call; the first failing
-    row raises its error."""
-    solved = solve_stack(rows)
-    for roots in solved:
-        if isinstance(roots, Exception):
-            raise roots
-    return solved
-
-
-def _companion_roots(rows: list[list[complex]]) -> list[list[complex] | np.linalg.LinAlgError]:
-    """``numpy.polynomial.polynomial.polyroots`` of each of ``rows``,
-    solvable rows of one length, as lists, from one ``eigvals`` call on
-    the stack of companion matrices, built and sorted as ``polycompanion``
-    and ``polyroots`` build and sort one.  A stack ``eigvals`` cannot
-    finish is solved again a row at a time; a row that fails alone gives
-    its ``LinAlgError``."""
-    n = len(rows[0])
+def _companion_roots(coeffs: list[complex]) -> list[complex]:
+    """``numpy.polynomial.polynomial.polyroots`` of the solvable row
+    ``coeffs``, as a list, from one ``eigvals`` call on its companion
+    matrix, built and sorted as ``polycompanion`` and ``polyroots`` build
+    and sort it."""
+    n = len(coeffs)
     if n < 2:
-        return [[] for _ in rows]
-    stack = np.array(rows, dtype=complex)
+        return []
+    row = np.array(coeffs, dtype=complex)
     if n == 2:  # polyroots' one root, with no matrix
-        return (-stack[:, :1] / stack[:, 1:]).tolist()
+        return (-row[:1] / row[1:]).tolist()
     d = n - 1
-    mats = np.zeros((len(rows), d, d), dtype=complex)
-    mats.reshape(len(rows), -1)[:, d::d + 1] = 1
-    mats[:, :, -1] -= stack[:, :-1] / stack[:, -1:]
-    try:
-        roots = np.linalg.eigvals(mats)
-    except np.linalg.LinAlgError as exc:  # a matrix of the stack did not converge
-        if len(rows) == 1:
-            return [exc]
-        return [_companion_roots([row])[0] for row in rows]
-    roots.sort(axis=-1)
+    mat = np.zeros((d, d), dtype=complex)
+    mat.reshape(-1)[d::d + 1] = 1
+    mat[:, -1] -= row[:-1] / row[-1]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
     return roots.tolist()
-
-
-def solve_stack(rows: Sequence) -> list[list[complex] | Exception]:
-    """For each coefficient row, a sequence of numbers, its roots, or the
-    exception that refuses it.
-
-    Each row passes the solvable-row rule (``_solvable``) alone, which
-    gives its exact error.  The rows it accepts share, by length, one
-    companion step (``_companion_roots``), at most ``STACK_ENTRIES``
-    complex matrix entries at a time, so memory does not grow with the
-    number of rows, and each row's roots are then polished alone by
-    ``refine_roots``."""
-    out: list = [None] * len(rows)
-    by_length: dict[int, list[tuple[int, list[complex]]]] = {}
-    for i, row in enumerate(rows):
-        try:
-            coeffs = _solvable(row)
-        except (ValueError, DegenerateConfigurationError) as exc:
-            out[i] = exc
-            continue
-        by_length.setdefault(len(coeffs), []).append((i, coeffs))
-    for n, members in by_length.items():
-        size = max(1, STACK_ENTRIES // max(1, (n - 1) ** 2))  # an (n-1)^2 companion matrix a row
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            for (i, coeffs), raw in zip(chunk, _companion_roots([c for _, c in chunk])):
-                try:
-                    out[i] = raw if isinstance(raw, Exception) else refine_roots(coeffs, raw)
-                except DegenerateConfigurationError as exc:
-                    out[i] = exc
-    return out
 
 
 def min_pairwise_distance(points: Sequence[complex]) -> float:
@@ -594,34 +545,29 @@ def label_points(points: Iterable[complex]) -> tuple[complex, ...]:
 
 def branch_roots(family: WeierstrassFamily,
                  points: Sequence[dict[str, complex]]) -> list[list[complex]]:
-    """All branch points at each parameter point, unlabeled, from one
-    ``solve_stack`` call.  A degenerate configuration (a pair closer than
-    ``COLLISION_TOL``) raises, and so does a point with no branch points
-    or with branch coefficients that are not finite; of several failing
-    points, the first in input order raises."""
-    # a point whose coefficients cannot be evaluated (a missing, non-numeric
-    # or overflowing value) raises once the points before it have passed
-    rows, failure = [], None
+    """All branch points at each parameter point, unlabeled, one point
+    after another in input order, so of several failing points the first
+    raises.  A point whose coefficients cannot be evaluated raises, and
+    so does a degenerate configuration (a pair closer than
+    ``COLLISION_TOL``), a point with no branch points or one with branch
+    coefficients that are not finite."""
+    out = []
     for t in points:
+        row = family.branch_coeffs(t)
         try:
-            rows.append(family.branch_coeffs(t))
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            failure = exc
-            break
-    solved = solve_stack(rows)
-    for t, row, roots in zip(points, rows, solved):
-        if isinstance(roots, Exception):
+            roots = solve_roots(row)
+        except ValueError:
             # the rule refuses a row with an inf or a NaN; the error names the point
             if not all(map(cmath.isfinite, row)):
-                raise ValueError(f"the branch coefficients are not finite at parameters {t}")
-            raise roots
+                raise ValueError(
+                    f"the branch coefficients are not finite at parameters {t}") from None
+            raise
         if not roots:
             raise ValueError(f"the family has no branch points at these parameters {t}")
         if min_pairwise_distance(roots) < COLLISION_TOL:
             raise DegenerateConfigurationError(f"branch points collide at parameters {t}")
-    if failure is not None:
-        raise failure
-    return solved
+        out.append(roots)
+    return out
 
 
 def branch_points(family: WeierstrassFamily, t: dict[str, complex]) -> BranchConfiguration:

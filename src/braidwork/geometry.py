@@ -11,8 +11,8 @@ start value and every grid value in one ``families.branch_roots`` call,
 with the checks of every family solve, labels the branch points at the
 start, then matches each grid value's points, by argument, to the labels
 of the value before.  The cusp-exponent factors and the double-root grid
-are solved in one ``families.solve_rows`` call each, the same stacked
-solve, where the first failing row raises.  Roots and grids
+are solved a row at a time by ``families.solve_roots``, the one root
+solve, so the first failing row raises.  Roots and grids
 (``tracking.evenly_spaced``) are Python lists.
 """
 
@@ -30,7 +30,7 @@ from .families import (
     label_points,
     merge_point,
     min_pairwise_distance,
-    solve_rows,
+    solve_roots,
 )
 from .tracking import evenly_spaced
 
@@ -124,8 +124,8 @@ def double_root_uniqueness(k: int) -> tuple[CheckResult, ...]:
     eps_grid = [mag * cmath.exp(2j * math.pi * (j + 0.3) / EPS_ANGLES)
                 for mag in EPS_MAGNITUDES for j in range(EPS_ANGLES)]
     all_ok = True
-    for roots in solve_rows([family.branch_coeffs({"eps": eps ** (1 / 3), "alpha": alpha})
-                             for eps in eps_grid]):
+    for eps in eps_grid:
+        roots = solve_roots(family.branch_coeffs({"eps": eps ** (1 / 3), "alpha": alpha}))
         near_alpha = sorted(roots, key=lambda z: abs(z - alpha))
         double_pair = near_alpha[:2]
         rest = near_alpha[2:]
@@ -160,7 +160,7 @@ def cusp_exponent(k: int) -> tuple[CheckResult, ...]:
             coeffs = list(q)
             coeffs[0] -= sign * s
             factors.append(coeffs)
-    pair = [min(roots, key=lambda z: abs(z - alpha)) for roots in solve_rows(factors)]
+    pair = [min(roots, key=lambda z: abs(z - alpha)) for roots in map(solve_roots, factors)]
     xs = [math.log(mu) for mu in mus]
     ys = [math.log(abs(a - b) ** 2) for a, b in zip(pair[::2], pair[1::2])]
     slope = _slope(xs, ys)

@@ -529,6 +529,10 @@ def _case_id(value):
      "verify theorem reads no ledger; --dump-ledger is for "),
     (["verify", "conclass", "--dump-ledger", "out.json"],
      "verify conclass reads no ledger; --dump-ledger is for "),
+    # an --arc of the i:j form where the branch points collide, so have no labels
+    (["admissible", "--family", "cusp", "--params", '{"lam": 0}', "--arc", "1:2"],
+     "--arc '1:2' labels branch points, but branch points collide at parameters "
+     "{'lam': 0j}"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -28,7 +28,6 @@ from braidwork.families import (
     min_pairwise_distance,
     refine_roots,
     solve_roots,
-    solve_stack,
 )
 
 # every catalogued (family, k); cusp and tangency do not depend on k
@@ -463,24 +462,24 @@ def test_catalogue_roots_agree_with_numpy_polynomial(name, k):
 
 
 # ---------------------------------------------------------------------------
-# The stacked solve against one polyroots and one refine_roots call per row
+# solve_roots against one polyroots and one refine_roots call per row
 
 
 def one_row_solve(row):
-    """The reference solve of one row, with no stack: the solvable-row
-    rule, numpy.polynomial's polyroots and refine_roots."""
+    """The reference solve of one row: the solvable-row rule,
+    numpy.polynomial's polyroots and refine_roots."""
     coeffs = families._solvable(row)
     return refine_roots(coeffs, npoly.polyroots(coeffs).tolist())
 
 
 def _call_outcome(solve, row):
     try:
-        return _stack_outcome(solve(row))
+        return _outcome(solve(row))
     except (ValueError, DegenerateConfigurationError) as exc:  # LinAlgError is a ValueError
-        return _stack_outcome(exc)
+        return _outcome(exc)
 
 
-def _stack_outcome(result):
+def _outcome(result):
     if isinstance(result, Exception):
         return type(result).__name__, str(result)
     return _bits(result)
@@ -530,122 +529,56 @@ _rows = st.lists(
 @given(_rows)
 @settings(max_examples=150, deadline=None)
 @example(list(_SOLVE_ROWS.values()) * 3)
-def test_solve_stack_is_bit_identical_to_one_call_per_row(rows):
-    """Mixed lengths, failing rows among good ones, and chunks of one row,
-    of a few rows and of every row."""
+def test_solve_roots_is_bit_identical_to_one_row_solve(rows):
+    """Rows of mixed lengths, failing rows among them: each row's roots,
+    or its error, are one_row_solve's, bit for bit."""
     with np.errstate(all="ignore"):
-        polished = [_call_outcome(one_row_solve, row) for row in rows]
-        for entries in (1, 60, families.STACK_ENTRIES):
-            with mock.patch.object(families, "STACK_ENTRIES", entries):
-                assert [_stack_outcome(r) for r in solve_stack(rows)] == polished
+        assert ([_call_outcome(solve_roots, row) for row in rows]
+                == [_call_outcome(one_row_solve, row) for row in rows])
         # the companion step on its own, against polyroots, over the rows
-        # solve_roots accepts, stacked by length
-        by_length = {}
+        # solve_roots accepts
         for row in rows:
             try:
                 coeffs = families._solvable(row)
             except (ValueError, DegenerateConfigurationError):
                 continue
-            by_length.setdefault(len(coeffs), []).append(coeffs)
-        for same in by_length.values():
-            assert ([_stack_outcome(r) for r in families._companion_roots(same)]
-                    == [_call_outcome(npoly.polyroots, c) for c in same])
+            assert (_call_outcome(families._companion_roots, coeffs)
+                    == _call_outcome(npoly.polyroots, coeffs))
 
 
 @given(_rows)
 @settings(max_examples=50, deadline=None)
-def test_the_stacked_solve_polishes_each_row_with_refine_roots(rows):
-    """Every row the solvable-row rule accepts and whose companion step
+def test_solve_roots_polishes_with_one_refine_roots_call(rows):
+    """A row the solvable-row rule accepts and whose companion step
     finishes is polished by one refine_roots call, from its companion
-    roots; no other call is made."""
+    roots; a row the rule refuses is never polished."""
     with np.errstate(all="ignore"):
-        expected = []
         for row in rows:
             try:
                 coeffs = families._solvable(row)
-                expected.append((coeffs, npoly.polyroots(coeffs).tolist()))
+                expected = [repr((coeffs, npoly.polyroots(coeffs).tolist()))]
             except (ValueError, DegenerateConfigurationError):
-                continue
-        with mock.patch.object(families, "refine_roots", wraps=refine_roots) as spy:
-            solve_stack(rows)
-    assert sorted(map(repr, (call.args for call in spy.call_args_list))) == sorted(
-        map(repr, expected))
-
-
-def test_solve_stack_falls_back_to_one_row_when_a_stack_fails():
-    """A stack eigvals cannot finish is solved a row at a time, as
-    polyroots solves each row."""
-    eigvals = np.linalg.eigvals
-
-    def no_stacks(a):
-        if len(a) > 1:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvals(a)
-
-    rows = [_SOLVE_ROWS["critical point"], np.array([1, 0, 0, 1], dtype=complex),
-            _SOLVE_ROWS["matrix not finite"], np.array([-1, 0, 0, 1], dtype=complex)]
-    with np.errstate(all="ignore"):
-        expected = [_call_outcome(one_row_solve, row) for row in rows]
-        with mock.patch.object(np.linalg, "eigvals", no_stacks):
-            assert [_stack_outcome(r) for r in solve_stack(rows)] == expected
-
-
-def test_a_row_whose_own_eigvals_fails_gives_that_error():
-    """Where eigvals cannot finish even a row's own companion matrix, that
-    row's outcome is the LinAlgError, the other rows are solved, and
-    solve_roots raises it."""
-    error = np.linalg.LinAlgError("Eigenvalues did not converge")
-    eigvals = np.linalg.eigvals
-    cube = np.array([1, 0, 0, 1], dtype=complex)  # x^3 + 1
-
-    def not_the_cube(a):  # only x^3 + 1's companion matrix has a -1 at the top right
-        if any(m[0, -1] == -1 for m in a):
-            raise error
-        return eigvals(a)
-
-    rows = [np.array([-1, 0, 0, 1], dtype=complex), cube, np.array([2, 0, 1], dtype=complex)]
-    expected = [_call_outcome(one_row_solve, row) for row in rows]
-    with mock.patch.object(np.linalg, "eigvals", not_the_cube):
-        outcome = solve_stack(rows)
-        with pytest.raises(np.linalg.LinAlgError) as raised:
-            solve_roots(cube)
-    assert outcome[1] is error and raised.value is error
-    assert [_stack_outcome(r) for r in outcome[::2]] == expected[::2]
-
-
-def test_chunks_bound_the_stack():
-    """A chunk holds at most STACK_ENTRIES entries of companion matrices,
-    at least one row, whatever the number of rows."""
-    sizes = []
-    eigvals = np.linalg.eigvals
-
-    def record(a):
-        sizes.append(np.shape(a))
-        return eigvals(a)
-
-    rows = [np.array([-1, 0, 0, 0, 1], dtype=complex) * (1 + j) for j in range(50)]
-    with mock.patch.object(np.linalg, "eigvals", record):
-        for entries in (1, 200, families.STACK_ENTRIES):
-            sizes.clear()
-            with mock.patch.object(families, "STACK_ENTRIES", entries):
-                solve_stack(rows)
-            per_row = 4 * 4
-            assert sum(shape[0] for shape in sizes) == 50
-            assert max(shape[0] for shape in sizes) == max(1, min(50, entries // per_row))
+                expected = []
+            with mock.patch.object(families, "refine_roots", wraps=refine_roots) as spy:
+                _call_outcome(solve_roots, row)
+            assert [repr(call.args) for call in spy.call_args_list] == expected
 
 
 # ---------------------------------------------------------------------------
-# branch_roots' stacked check against one solve and one gap per point
+# branch_roots against one reference solve and one gap per point
 
 
 class _RowFamily:
     """Stands in for a family: its branch coefficients at {"row": k} are
-    the k-th row given, and a row of None cannot be evaluated."""
+    the k-th row given, and a row of None cannot be evaluated.  The rows
+    asked for are kept in ``evaluated``, in order."""
 
     def __init__(self, rows):
         self.rows = rows
+        self.evaluated = []
 
     def branch_coeffs(self, t):
+        self.evaluated.append(t["row"])
         row = self.rows[t["row"]]
         if row is None:
             raise ValueError(f"row {t['row']} cannot be evaluated")
@@ -653,14 +586,15 @@ class _RowFamily:
 
 
 def _one_point_at_a_time(family, points):
-    """branch_roots as one solve_roots and one min_pairwise_distance call
-    per point, in input order."""
+    """branch_roots, with one_row_solve, the polyroots reference, as its
+    solve: one solve and one min_pairwise_distance call per point, in
+    input order."""
     out = []
     for t in points:
         row = family.branch_coeffs(t)
         try:
-            roots = solve_roots(row)
-        except (ValueError, DegenerateConfigurationError):
+            roots = one_row_solve(row)
+        except ValueError:
             if not np.isfinite(row).all():
                 raise ValueError(f"the branch coefficients are not finite at parameters {t}")
             raise
@@ -732,15 +666,37 @@ _VERTEX_ROWS["lead margin, on it"], _VERTEX_ROWS["lead margin, one ulp below"] =
 @example([_VERTEX_ROWS["good cubic"], _VERTEX_ROWS["shorter good row"],
           _VERTEX_ROWS["triple collision"], _VERTEX_ROWS["degree drop"]])
 def test_stacked_vertex_check_is_one_check_per_point(rows):
-    """branch_roots raises what a loop of solve_roots and
-    min_pairwise_distance over the same points raises, type and message,
-    for the first failing point in input order, and otherwise returns
-    the same roots bit for bit."""
-    family = _RowFamily(rows)
+    """branch_roots raises what the same loop on the polyroots reference
+    solve raises, type and message, at the same first failing point in
+    input order, and otherwise returns the same roots bit for bit."""
+    family, reference = _RowFamily(rows), _RowFamily(rows)
     points = [{"row": k} for k in range(len(rows))]
     with np.errstate(all="ignore"):
         assert (_vertex_outcome(families.branch_roots, family, points)
-                == _vertex_outcome(_one_point_at_a_time, family, points))
+                == _vertex_outcome(_one_point_at_a_time, reference, points))
+    assert family.evaluated == reference.evaluated
+
+
+@pytest.mark.parametrize("names, error, evaluated", [
+    (["good quadratic"] * 3 + ["collision"],
+     ("DegenerateConfigurationError", "branch points collide at parameters {'row': 3}"), 4),
+    (["lead margin, one ulp below", "good quadratic"],
+     ("DegenerateConfigurationError", "leading coefficient vanished: degree dropped"), 1),
+    (["lead margin, on it", "good quadratic", "inf under a finite top"],
+     ("ValueError", "the branch coefficients are not finite at parameters {'row': 2}"), 3),
+    (["good cubic", "shorter good row", "triple collision", "degree drop"],
+     ("DegenerateConfigurationError", "branch points collide at parameters {'row': 2}"), 3),
+    (["good cubic", "cannot be evaluated", "collision"],
+     ("ValueError", "row 1 cannot be evaluated"), 2),
+])
+def test_the_first_failing_point_raises_its_pinned_error(names, error, evaluated):
+    """branch_roots stops at the first failing point, with its error, and
+    evaluates no point after it."""
+    family = _RowFamily([_VERTEX_ROWS[name] for name in names])
+    points = [{"row": k} for k in range(len(names))]
+    with np.errstate(all="ignore"):
+        assert _vertex_outcome(families.branch_roots, family, points) == error
+    assert family.evaluated == list(range(evaluated))
 
 
 @pytest.mark.parametrize("name, error", [
@@ -765,6 +721,38 @@ def test_each_vertex_row_reaches_its_outcome(name, error):
         assert len(outcome) == 3
     else:
         assert error in outcome[1]
+
+
+def test_a_row_whose_own_eigvals_fails_gives_that_error():
+    """Where eigvals cannot finish a row's companion matrix, solve_roots
+    raises that LinAlgError and other rows are solved; branch_roots raises
+    it at that row's point once the points before it pass, and an earlier
+    failing point raises first."""
+    error = np.linalg.LinAlgError("Eigenvalues did not converge")
+    eigvals = np.linalg.eigvals
+    cube = np.array([1, 0, 0, 1], dtype=complex)  # x^3 + 1
+
+    def not_the_cube(a):  # only x^3 + 1's companion matrix has a -1 at the top right
+        if a[0, -1] == -1:
+            raise error
+        return eigvals(a)
+
+    good = [np.array([-1, 0, 0, 1], dtype=complex), np.array([2, 0, 1], dtype=complex)]
+    expected = [_call_outcome(one_row_solve, row) for row in good]
+    with mock.patch.object(np.linalg, "eigvals", not_the_cube):
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            solve_roots(cube)
+        assert raised.value is error
+        assert [_call_outcome(solve_roots, row) for row in good] == expected
+        family = _RowFamily([*good, cube, _VERTEX_ROWS["collision"]])
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            families.branch_roots(family, [{"row": k} for k in range(4)])
+        assert raised.value is error
+        assert family.evaluated == [0, 1, 2]
+        family.evaluated.clear()
+        with pytest.raises(DegenerateConfigurationError, match="collide"):
+            families.branch_roots(family, [{"row": k} for k in (0, 3, 2)])
+        assert family.evaluated == [0, 3]
 
 
 def test_refining_no_roots_returns_no_roots():

@@ -39,24 +39,23 @@ def test_cusp_exponent_fits_three():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_the_double_root_grid_keeps_its_companion_roots(k):
-    """The stacked solve polishes every row, and on the double-root grid
-    no row fails the polish's first residual test: each row's roots are
-    its companion roots, bit for bit, so the near-double pair is never
-    moved by Newton steps."""
+    """solve_roots polishes every row, and on the double-root grid no row
+    fails the polish's first residual test: each row's roots are its
+    companion roots, bit for bit, so the near-double pair is never moved
+    by Newton steps."""
     calls = []
-    solve_stack = families.solve_stack
+    companion_roots = families._companion_roots
 
-    def record(rows):
-        calls.append((rows, solve_stack(rows)))
+    def record(coeffs):
+        calls.append((coeffs, companion_roots(coeffs)))
         return calls[-1][1]
 
-    with mock.patch.object(families, "solve_stack", record):
+    with mock.patch.object(families, "_companion_roots", record):
         (unique,) = double_root_uniqueness(k)
     assert unique.passed
-    ((rows, solved),) = calls
-    assert len(rows) == 48
-    companion = families._companion_roots(rows)
-    assert _hex(solved) == _hex(companion)
+    assert len(calls) == 48
+    assert _hex(families.solve_roots(coeffs) for coeffs, _ in calls) == _hex(
+        roots for _, roots in calls)
 
 
 def _hex(solved):

@@ -421,9 +421,8 @@ def _catalogued_loops_all():
 
 def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
     """branch_roots, the tracker's fallback for a vertex its discs cannot
-    certify, solves each catalogued loop's vertices in one stacked call;
-    every vertex's roots are, bit for bit, those of one polyroots and one
-    refine_roots call per vertex."""
+    certify, over each catalogued loop's vertices: every vertex's roots
+    are, bit for bit, those of one polyroots and one refine_roots call."""
 
     def hexed(solved):
         return [[(z.real.hex(), z.imag.hex()) for z in roots] for roots in solved]
@@ -431,9 +430,9 @@ def test_stacked_vertex_roots_are_the_roots_of_one_solve_per_vertex():
     count = 0
     for family, loop in _catalogued_loops_all():
         vertices = loop.points[:-1]
-        stacked = branch_roots(family, vertices)
+        solved = branch_roots(family, vertices)
         alone = [one_row_solve(family.branch_coeffs(t)) for t in vertices]
-        assert hexed(stacked) == hexed(alone)
+        assert hexed(solved) == hexed(alone)
         count += len(vertices)
     assert count > 1000
 
