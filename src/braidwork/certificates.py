@@ -84,10 +84,25 @@ class Certificate:
         }
 
     def body_hash(self) -> str:
-        stripped = json.loads(json.dumps(self._body()))
-        for row in stripped["results"]:
+        """The SHA-256 of the body's canonical dump: keys sorted, no spaces,
+        and no row's ``timing_ms``.
+
+        Each row is copied without ``timing_ms`` and the body is dumped once;
+        ``self.results`` keeps its timings.  The digest is that of dumping
+        the body, loading it back and dumping it sorted, on the
+        precondition that every dict key in the body is a str and every
+        leaf a JSON scalar (str, int, float, bool or None) inside lists,
+        tuples and dicts: a non-str key would sort differently before the
+        round trip (or not at all), where a load turns it into a str.
+        """
+        body = self._body()
+        rows = []
+        for row in self.results:
+            row = dict(row)
             row.pop("timing_ms", None)
-        dump = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
+            rows.append(row)
+        body["results"] = rows
+        dump = json.dumps(body, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(dump.encode()).hexdigest()
 
     def to_json(self) -> dict:

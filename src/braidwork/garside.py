@@ -14,12 +14,17 @@ words are equal exactly when their coordinates are.  That decides
 and the band lookup of `bifurcation.bifurcation_generators`.  A word of
 length L costs O(L) integer steps on integers of O(L) bits.
 
+The coordinates live in two lists, x and y, indexed from 1 by |letter|.
+A letter reads and writes four entries, x_i, y_i, x_(i+1) and y_(i+1),
+and spends two sign tests on the y's, one on z and at most two more on
+the clamped terms, and about ten integer additions: the same step at any
+strand count, with no index arithmetic and no tuple built per letter.
+
 Garside normal forms, which also decide equality, are the tests' oracle
 for `equal`; no module of the package builds one.
 
 Everything here is a pure function of immutable values and safe for
-unrestricted concurrent use.  A letter's coordinate step costs the same
-at any strand count.
+unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -42,32 +47,84 @@ def dynnikov(w: BraidWord) -> tuple[int, ...]:
                 x_i <- x_i - y_i+ - (y_(i+1)+ + z)+,  y_i <- y_(i+1) + z-,
                 x_(i+1) <- x_(i+1) - y_(i+1)- - (y_i- - z)-,  y_(i+1) <- y_i - z-.
 
+    Each sign of the letter has its update written out, split on the sign
+    of z.  For sigma_i with z <= 0, y_(i+1)+ - z >= 0 and y_i- + z <= 0,
+    so neither needs its clamp; likewise for sigma_i^-1 with z >= 0.
+
     Two words on n strands are the same braid exactly when their
     coordinates are equal: the action is faithful, and the stabiliser of
     (0, 1)^n is trivial (see the module docstring).
     """
-    c = [0, 1] * w.n
-    for letter in w.letters:
-        k = 2 * abs(letter) - 2
-        x1, y1, x2, y2 = c[k], c[k + 1], c[k + 2], c[k + 3]
-        y1p, y1m = (y1, 0) if y1 > 0 else (0, y1)
-        y2p, y2m = (y2, 0) if y2 > 0 else (0, y2)
-        if letter > 0:
+    n = w.n
+    x = [0] * (n + 1)
+    y = [1] * (n + 1)
+    for i in w.letters:
+        if i > 0:
+            j = i + 1
+            x1 = x[i]
+            y1 = y[i]
+            x2 = x[j]
+            y2 = y[j]
+            if y1 > 0:
+                y1p = y1
+                y1m = 0
+            else:
+                y1p = 0
+                y1m = y1
+            if y2 > 0:
+                y2p = y2
+                y2m = 0
+            else:
+                y2p = 0
+                y2m = y2
             z = x1 - y1m - x2 + y2p
-            zp = z if z > 0 else 0
-            a, b = y2p - z, y1m + z
-            c[k] = x1 + y1p + (a if a > 0 else 0)
-            c[k + 1] = y2 - zp
-            c[k + 2] = x2 + y2m + (b if b < 0 else 0)
-            c[k + 3] = y1 + zp
+            if z > 0:
+                a = y2p - z
+                b = y1m + z
+                x[i] = x1 + y1p + a if a > 0 else x1 + y1p
+                y[i] = y2 - z
+                x[j] = x2 + y2m + b if b < 0 else x2 + y2m
+                y[j] = y1 + z
+            else:
+                x[i] = x1 + y1p + y2p - z
+                y[i] = y2
+                x[j] = x2 + y2m + y1m + z
+                y[j] = y1
         else:
+            i = -i
+            j = i + 1
+            x1 = x[i]
+            y1 = y[i]
+            x2 = x[j]
+            y2 = y[j]
+            if y1 > 0:
+                y1p = y1
+                y1m = 0
+            else:
+                y1p = 0
+                y1m = y1
+            if y2 > 0:
+                y2p = y2
+                y2m = 0
+            else:
+                y2p = 0
+                y2m = y2
             z = x1 + y1m - x2 - y2p
-            zm = z if z < 0 else 0
-            a, b = y2p + z, y1m - z
-            c[k] = x1 - y1p - (a if a > 0 else 0)
-            c[k + 1] = y2 + zm
-            c[k + 2] = x2 - y2m - (b if b < 0 else 0)
-            c[k + 3] = y1 - zm
+            if z < 0:
+                a = y2p + z
+                b = y1m - z
+                x[i] = x1 - y1p - a if a > 0 else x1 - y1p
+                y[i] = y2 + z
+                x[j] = x2 - y2m - b if b < 0 else x2 - y2m
+                y[j] = y1 - z
+            else:
+                x[i] = x1 - y1p - y2p - z
+                y[i] = y2
+                x[j] = x2 - y2m - y1m + z
+                y[j] = y1
+    c = [0] * (2 * n)
+    c[0::2] = x[1:]
+    c[1::2] = y[1:]
     return tuple(c)
 
 

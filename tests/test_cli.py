@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidwork
-from braidwork.catalog import verify_identities
+from braidwork.catalog import ledger_to_json, verify_identities
+from braidwork.certificates import Certificate
 from braidwork.cli import CHECKS, SCOPES, main
 from braidwork.families import MAX_X_DEGREE
 from braidwork.garside import dynnikov
@@ -70,7 +72,7 @@ def test_corrupted_ledger_fails_with_witness(tmp_path, capsys):
     coords = row["witness"]["dynnikov"]
     assert coords == {"lhs": list(dynnikov(BraidWord(3, (1, 2, 1)))),
                       "rhs": list(dynnikov(BraidWord(3, (2, 1, 2, 1))))}
-    assert coords["lhs"] != coords["rhs"]
+    assert coords == {"lhs": [2, 0, 1, 0, 0, 3], "rhs": [2, -1, 1, 1, 0, 3]}
 
 
 def test_orbit_sizes(capsys):
@@ -260,6 +262,47 @@ def test_verify_certificates_are_pinned(scope, body_sha256, capsys):
     code, cert = run_json(["verify", scope], capsys)
     assert code == 0
     assert cert["body_sha256"] == body_sha256
+
+
+def non_json_parts(value, path="body"):
+    """Paths in ``value`` to a dict key that is not a str or to a leaf that
+    is not a JSON scalar (str, int, float, bool or None, by exact type)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}"
+            yield from non_json_parts(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for idx, item in enumerate(value):
+            yield from non_json_parts(item, f"{path}[{idx}]")
+    elif type(value) not in (str, int, float, bool, type(None)):
+        yield f"{path} is a {type(value).__name__}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"],
+    ["orbit", "--n", "6"],
+    ["orbit", "--n", "5", "--coefficient", "br3", "--cap", "1000"],
+    ["transversal", "--n", "4", "--coefficient", "br3", "--cap", "100"],
+    ["monodromy", "--family", "cusp", "--expect", '{"n":2,"word":[1,1,1]}'],
+    ["admissible", "--family", "base", "--k", "2", "--arc", "1:3"],
+])
+def test_certificate_bodies_hold_only_str_keys_and_json_scalars(argv, monkeypatch, capsys):
+    # Certificate.body_hash dumps the body once, which equals a
+    # dump-load-dump round trip only on such bodies
+    bodies = []
+    body_hash = Certificate.body_hash
+
+    def recording(cert):
+        bodies.append(cert._body())
+        return body_hash(cert)
+
+    monkeypatch.setattr(Certificate, "body_hash", recording)
+    code, _ = run_json(argv, capsys)
+    assert code == 0
+    assert bodies
+    for body in bodies:
+        assert list(non_json_parts(body)) == []
 
 
 def test_report_rows_are_pinned(capsys):
@@ -613,6 +656,83 @@ def test_a_long_failing_ledger_row_fails_within_a_cpu_budget(tmp_path, capsys):
     coords = row["witness"]["dynnikov"]
     assert coords["lhs"] == list(dynnikov(BraidWord(MAX_STRANDS, tuple(lhs))))
     assert coords["lhs"] != coords["rhs"]
+    assert elapsed < 2.0
+
+
+_LEDGER = ledger_to_json()
+_WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_ledgers(draw):
+    """A ledger of built-in and random rows with one to three mutations: a
+    value of the wrong JSON type (for a field, a row or the whole ledger), a
+    letter 0 or beyond n - 1, n outside 1..MAX_STRANDS, a missing field or
+    sides of thousands of letters."""
+    rows = [dict(row) for row in draw(st.lists(st.sampled_from(_LEDGER), max_size=3))]
+    for idx in range(draw(st.integers(min_value=0, max_value=2))):
+        n = draw(st.integers(min_value=1, max_value=MAX_STRANDS))
+        letter = st.integers(min_value=1, max_value=max(n - 1, 1)).flatmap(
+            lambda i: st.sampled_from([i, -i]))
+        side = st.lists(letter, max_size=30) if n > 1 else st.just([])
+        rows.append({"id": f"random/{idx}", "n": n, "lhs": draw(side), "rhs": draw(side)})
+    ledger = rows
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["type", "ledger", "letter", "n", "missing", "long"]))
+        if kind == "ledger":
+            bad = draw(_WRONG_TYPES)
+            if isinstance(ledger, list) and ledger and draw(st.booleans()):
+                ledger[draw(st.integers(min_value=0, max_value=len(ledger) - 1))] = bad
+            else:
+                ledger = bad
+            continue
+        dicts = [row for row in ledger if isinstance(row, dict)] if isinstance(ledger, list) else []
+        if not dicts:
+            continue
+        row = draw(st.sampled_from(dicts))
+        fields = st.sampled_from(["id", "n", "lhs", "rhs", "source", "variant", "row"])
+        n = row.get("n")
+        n = n if type(n) is int and 1 <= n <= MAX_STRANDS else 3
+        if kind == "type":
+            row[draw(fields)] = draw(_WRONG_TYPES)
+        elif kind == "letter":
+            side = draw(st.sampled_from(["lhs", "rhs"]))
+            bad = draw(st.sampled_from([0, n, -n, n + 1, 10**9, -(2**70)]))
+            letters = list(row.get(side)) if isinstance(row.get(side), list) else []
+            letters.insert(draw(st.integers(min_value=0, max_value=len(letters))), bad)
+            row[side] = letters
+        elif kind == "n":
+            row["n"] = draw(st.sampled_from([0, -1, MAX_STRANDS + 1, 10**9, -(10**9), 2**70]))
+        elif kind == "missing":
+            row.pop(draw(fields), None)
+        else:
+            rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+            length = draw(st.integers(min_value=1000, max_value=4000))
+            lhs = [rng.choice([1, -1]) * rng.randint(1, max(n - 1, 1)) for _ in range(length)]
+            row.update(n=max(n, 2), lhs=lhs, rhs=lhs + draw(st.sampled_from([[], [1], [1, -1]])))
+    return ledger
+
+
+@given(mutated_ledgers())
+@settings(max_examples=150, deadline=None)
+def test_mutated_ledgers_exit_cleanly_within_a_cpu_budget(ledger):
+    # run in this process: a usage error exits 2, a failed row 1, and no
+    # exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ledger.json"
+        path.write_text(json.dumps(ledger))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "identities", "--ledger", str(path)])
+        elapsed = time.process_time() - start
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
     assert elapsed < 2.0
 
 

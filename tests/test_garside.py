@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from braidwork.catalog import catalog
@@ -368,6 +368,88 @@ def test_the_full_twist_is_not_the_identity(n):
     assert dynnikov(twist) != (0, 1) * n
     assert not equal(twist, word(n))
     assert normal_form(twist).inf == 2
+
+
+# ---------------------------------------------------------------------------
+# The two-list kernel against the flat-list one it replaced
+
+
+def reference_dynnikov(w):
+    """`dynnikov` on one flat list (x_1, y_1, ..., x_n, y_n), each letter's
+    four entries read at 2|letter| - 2 and the y's split into (y+, y-)
+    pairs; the same rules, clamps written as conditional expressions."""
+    c = [0, 1] * w.n
+    for letter in w.letters:
+        k = 2 * abs(letter) - 2
+        x1, y1, x2, y2 = c[k], c[k + 1], c[k + 2], c[k + 3]
+        y1p, y1m = (y1, 0) if y1 > 0 else (0, y1)
+        y2p, y2m = (y2, 0) if y2 > 0 else (0, y2)
+        if letter > 0:
+            z = x1 - y1m - x2 + y2p
+            zp = z if z > 0 else 0
+            a, b = y2p - z, y1m + z
+            c[k] = x1 + y1p + (a if a > 0 else 0)
+            c[k + 1] = y2 - zp
+            c[k + 2] = x2 + y2m + (b if b < 0 else 0)
+            c[k + 3] = y1 + zp
+        else:
+            z = x1 + y1m - x2 - y2p
+            zm = z if z < 0 else 0
+            a, b = y2p + z, y1m - z
+            c[k] = x1 - y1p - (a if a > 0 else 0)
+            c[k + 1] = y2 + zm
+            c[k + 2] = x2 - y2m - (b if b < 0 else 0)
+            c[k + 3] = y1 - zm
+    return tuple(c)
+
+
+@st.composite
+def run_words(draw, max_len=400):
+    """A word on n strands, n in 1..10, of at most `max_len` letters, as
+    runs of one letter repeated 1 to 60 times: long runs are Dehn twist
+    powers, and alternating runs on adjacent strands grow the coordinates
+    geometrically."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    if n == 1:
+        return BraidWord(1, ())
+    letter = st.integers(min_value=1, max_value=n - 1).flatmap(
+        lambda i: st.sampled_from([i, -i]))
+    runs = draw(st.lists(st.tuples(letter, st.integers(min_value=1, max_value=60)),
+                         max_size=max_len))
+    letters = []
+    for x, count in runs:
+        letters += [x] * count
+        if len(letters) >= max_len:
+            break
+    return BraidWord(n, tuple(letters[:max_len]))
+
+
+def coordinate_bits(coords):
+    return max(abs(c).bit_length() for c in coords)
+
+
+@given(run_words())
+@example(BraidWord(3, (1, -2) * 200))
+@example(BraidWord(10, ((4,) * 3 + (-5,) * 3 + (8,) * 3 + (-9,) * 3) * 33))
+@settings(max_examples=400, deadline=None)
+def test_dynnikov_equals_the_flat_list_reference(w):
+    coords = dynnikov(w)
+    # steer towards words whose coordinates are hundreds of bits long
+    target(float(coordinate_bits(coords)))
+    assert coords == reference_dynnikov(w)
+
+
+@pytest.mark.parametrize("n, letters, bits", [
+    (3, (1, -2) * 200, 278),
+    (4, ((1,) * 5 + (-2,) * 5) * 40, 191),
+    (8, (-7, 6) * 150 + (2,) * 100, 209),
+    (10, ((4,) * 3 + (-5,) * 3 + (8,) * 3 + (-9,) * 3) * 33, 115),
+])
+def test_alternating_runs_grow_the_coordinates_to_hundreds_of_bits(n, letters, bits):
+    w = BraidWord(n, letters)
+    coords = dynnikov(w)
+    assert coordinate_bits(coords) == bits
+    assert coords == reference_dynnikov(w)
 
 
 # ---------------------------------------------------------------------------
