@@ -441,7 +441,9 @@ def test_the_first_degenerate_vertex_is_named():
     """Of two failing vertices, the earlier one raises, whichever way it
     fails: its branch points collide, its degree drops, its coefficients
     cannot be evaluated, or they are not finite (eigvals refuses a NaN,
-    and an inf under a finite top would pass for a dropped degree)."""
+    and an inf under a finite top would pass for a dropped degree).  A
+    vertex with no branch point, and a collision after a vertex of
+    another degree, raise what branch_roots over the vertices raises."""
     family = WeierstrassFamily(2, ("a", "lam"), (), ("lam", 0, "a"))
     collide = {"a": -1, "lam": 0}  # a double branch point at 0
     drop = {"a": 0, "lam": 1}  # the x^2 coefficient vanishes
@@ -460,6 +462,30 @@ def test_the_first_degenerate_vertex_is_named():
         (collide, infinite, DegenerateConfigurationError, collision),
     ]:
         loop = ParameterLoop.polyline([start, first, middle, second, start])
+        with pytest.raises(error, match=message):
+            track_loop(family, loop)
+    # a vertex with no branch point, first or after the start: 8 - (1 + a x)^2
+    # trims to the constant 7 at a = 0
+    constant = WeierstrassFamily(3, ("a",), [2], [1, "a"])
+    no_roots = re.escape("the family has no branch points at these parameters {'a': 0}")
+    # rows of different length: a^3 - (x + lam x^2)^2 has two branch points
+    # at lam = 0, four elsewhere, and collides at a = 0, after the vertex
+    # the trace's first trial refuses as a degree drop
+    shorter = WeierstrassFamily(3, ("a", "lam"), ["a"], [0, 1, "lam"])
+    collide = {"a": 0, "lam": 1}
+    degrees = ParameterLoop.polyline(
+        [{"a": 1, "lam": 0}, {"a": 1, "lam": 1}, collide, {"a": 1, "lam": 0}])
+    with pytest.raises(TrackingError, match="degree dropped"):
+        track_coefficients(lambda s: shorter.branch_coeffs(degrees.at(s)))
+    for family, loop, error, message in [
+        (constant, ParameterLoop.polyline([{"a": 0}, {"a": 1}, {"a": 0}]), ValueError, no_roots),
+        (constant, ParameterLoop.polyline([{"a": 1}, {"a": 0}, {"a": 2}, {"a": 1}]),
+         ValueError, no_roots),
+        (shorter, degrees, DegenerateConfigurationError,
+         re.escape(f"branch points collide at parameters {collide}")),
+    ]:
+        with pytest.raises(error, match=message):
+            branch_roots(family, loop.points[:-1])
         with pytest.raises(error, match=message):
             track_loop(family, loop)
 
