@@ -80,17 +80,14 @@ class DegenerateConfigurationError(RuntimeError):
 
 def complex_from_json(value, name: str) -> complex:
     """A finite complex scalar written in JSON as a number or an ``[re, im]``
-    pair; otherwise ValueError naming it ``name``."""
+    pair of them, each read by ``words.json_value`` (a boolean or a string
+    is no number); otherwise ValueError naming it ``name``."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0)
     try:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            z = complex(value[0], value[1])
-        else:
-            z = complex(value)
-        if cmath.isfinite(z):
-            return z
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be a finite number or an [re, im] pair, got {value!r:.40}")
+        return complex(*(json_value(x, float, name) for x in parts))
+    except ValueError:
+        raise ValueError(
+            f"{name} must be a finite number or an [re, im] pair, got {value!r:.40}") from None
 
 
 def _entry_text(entry) -> str:

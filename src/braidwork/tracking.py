@@ -84,13 +84,14 @@ every |z_j - z_k| is at least max(gap (1 - f/2), new_gap - (1 - f) gap/2).
 If the inclusion discs D(z_j, m |w_j|) of the vertex's row
 (``families._corrections``) are pairwise at least ``COLLISION_TOL``
 apart by that bound, each holds one root and the vertex passes; if not,
-the discs are tried once more about z - w.  A vertex neither certifies
-is solved alone by ``families.branch_roots``, with its collision test
-and message.  A row the rule refuses, rows of unequal length or with no
-root, and any error of the trace hand the loop to ``branch_roots`` over
-all vertices first, so of several failing vertices the first in input
-order raises, as it did when every vertex was solved before tracking.
-No check steers the trace, so it moves no crossing.  ``refine_roots``
+the discs are tried once more about z - w.  A vertex neither certifies,
+as a row of another length never is, is solved alone by
+``families.branch_roots``, with its collision test and message.  Any
+error, whether a vertex's values or row, the start solve, a vertex check
+or the trace raises it, hands the loop to ``branch_roots`` over all
+vertices, so of several failing vertices the first in input order
+raises; a loop whose vertices all pass raises its own error.  No check
+steers the trace, so it moves no crossing.  ``refine_roots``
 in this module is called by the trials alone, once per trial.
 
 Traces share no state.
@@ -487,22 +488,11 @@ def track_loop(family: WeierstrassFamily, loop: ParameterLoop) -> BraidTrace:
     only the family's parameters."""
     family.check_names(loop.names, "the loop")
     vertices = loop.points[:-1]  # the last vertex is the first
-    try:  # each vertex's values in order, and its solvable branch row
+    try:  # each vertex's values in order, its solvable branch row, and the trace
         values = [[complex(point[name]) for name in family.params] for point in loop.points]
         rows = [_solvable(family.branch_coeffs_of(v)) for v in values[:-1]]
-    except (KeyError, TypeError, ValueError, ArithmeticError, DegenerateConfigurationError):
-        rows = None
-    if rows is None or len({len(row) for row in rows}) != 1 or len(rows[0]) < 2:
-        # the full check names the first failing vertex; a loop it passes is
-        # tracked with no vertex certified (a degree change raises in a trial)
-        branch_roots(family, vertices)
-        rows = []
-
-    def coeff_fn(s: float) -> list[complex]:
-        return family.branch_coeffs_of(_interp_path(values, s))
-
-    try:
-        return _track(coeff_fn, rows, lambda i: branch_roots(family, [vertices[i]]))
+        return _track(lambda s: family.branch_coeffs_of(_interp_path(values, s)), rows,
+                      lambda i: branch_roots(family, [vertices[i]]))
     except Exception:  # a failing vertex raises before the trace's own error
         branch_roots(family, vertices)
         raise

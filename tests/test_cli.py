@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -19,8 +21,9 @@ import braidwork
 from braidwork.catalog import ledger_to_json, verify_identities
 from braidwork.certificates import Certificate
 from braidwork.cli import CHECKS, SCOPES, main
-from braidwork.families import MAX_X_DEGREE
+from braidwork.families import MAX_X_DEGREE, catalogue_family
 from braidwork.garside import dynnikov
+from braidwork.tracking import MAX_TURNS, ParameterLoop
 from braidwork.words import MAX_STRANDS, BraidWord
 
 SRC = pathlib.Path(braidwork.__file__).resolve().parents[1]
@@ -409,6 +412,9 @@ def _write_malformed_inputs(tmp_path):
     # declared, unread, for the default loop
     (tmp_path / "no_branch_points.json").write_text(
         '{"y_degree": 3, "params": ["lam"], "p_coeffs": [2], "q_coeffs": [1, 0]}')
+    # a q coefficient [false, true], which is no [re, im] pair of numbers
+    (tmp_path / "boolean_pair.json").write_text(
+        '{"y_degree": 3, "params": ["lam"], "p_coeffs": ["lam"], "q_coeffs": [[false, true], 1]}')
     # branch points x^3 = 1 everywhere, but no parameter for the default loop in lam
     (tmp_path / "no_params.json").write_text(
         '{"y_degree": 3, "params": [], "p_coeffs": [0, 1], "q_coeffs": [1]}')
@@ -576,6 +582,24 @@ def _case_id(value):
     (["admissible", "--family", "cusp", "--params", '{"lam": 0}', "--arc", "1:2"],
      "--arc '1:2' labels branch points, but branch points collide at parameters "
      "{'lam': 0j}"),
+    # a JSON boolean or numeric string is no number, in each complex reader
+    (["monodromy", "--loop", '{"kind":"circle","param":"lam","center":true,"radius":1}'],
+     "circle loop spec field 'center' must be a finite number or an [re, im] pair, got True"),
+    (["monodromy", "--loop", _HALF_CIRCLE % ',"fixed":{"mu":"0.5"}'],
+     "circle loop spec field 'fixed' entry 'mu' must be a finite number or an [re, im] "
+     "pair, got '0.5'"),
+    (["monodromy", "--family", "cusp", "--loop",
+      '{"kind":"polyline","points":[{"lam":1},{"lam":[1,false]},{"lam":-1},{"lam":1}]}'],
+     "polyline point 1 field 'lam' must be a finite number or an [re, im] pair, "
+     "got [1, False]"),
+    (["admissible", "--family", "cusp", "--params", '{"lam": true}', "--arc", "1:2"],
+     "--params field 'lam' must be a finite number or an [re, im] pair, got True"),
+    (["admissible", "--family", "cusp", "--params", '{"lam": "0.5"}', "--arc", "1:2"],
+     "--params field 'lam' must be a finite number or an [re, im] pair, got '0.5'"),
+    (["admissible", "--family", "base", "--k", "2", "--arc", '[[0,0],"1"]'],
+     "--arc vertex 1 must be a finite number or an [re, im] pair, got '1'"),
+    (["monodromy", "--family-file", "boolean_pair.json"],
+     "coefficient '[False, True]': not a string, a number or an [re, im] pair"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)
@@ -725,15 +749,194 @@ def test_mutated_ledgers_exit_cleanly_within_a_cpu_budget(ledger):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "ledger.json"
         path.write_text(json.dumps(ledger))
-        out, err = io.StringIO(), io.StringIO()
-        start = time.process_time()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "identities", "--ledger", str(path)])
-        elapsed = time.process_time() - start
+        _exits_cleanly(["verify", "identities", "--ledger", str(path)], 2.0)
+
+
+def _exits_cleanly(argv, budget):
+    """main(argv) in this process exits 0, 1 or 2, with 'error: ' on
+    stderr exactly for 2, no traceback and at most ``budget`` CPU seconds."""
+    err = io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.process_time() - start
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
-    assert elapsed < 2.0
+    assert elapsed < budget
+
+
+# catalogued loops, each as a circle and as its polyline: a draw tracks one
+# of them or fails before a trace starts, so no case can run long
+_CIRCLE = {"kind": "circle", "param": "lam", "center": 0, "radius": 1.0}
+_LOOPS = [("cusp", 1, _CIRCLE), ("tangency", 1, _CIRCLE),
+          ("circle", 2, dict(_CIRCLE, radius=0.5)),
+          ("ray", 2, dict(_CIRCLE, radius=0.5, fixed={"mu": 0}))]
+_NOT_COMPLEX = [True, False, "0.5", "1", None, {}, [1], [1, 2, 3], [1, True], ["1", 0],
+                math.nan, math.inf, -math.inf, 10**400]
+# values no field of a loop spec takes, by kind and field
+_BAD_LOOP_FIELDS = {
+    "circle": {
+        "center": _NOT_COMPLEX,
+        "radius": [True, "1", None, [1], {}, math.nan, math.inf, 10**400],
+        "param": [5, True, None, ["lam"], "zz", ""],
+        "turns": [0, MAX_TURNS + 1, -MAX_TURNS - 1, 10**9, 1.5, True, "1", None],
+        "fixed": [[0], 5, "mu", {"zz": 0}] + [{"mu": v} for v in _NOT_COMPLEX],
+    },
+    "polyline": {"points": [5, "lam", None, {}, [], [1], [{"lam": 1}]]},
+}
+_REQUIRED_LOOP_FIELDS = {"circle": ["param", "radius"], "polyline": ["points"]}
+_NOT_SPECS = [5, None, True, "circle", [1], [True], []]
+
+
+def _polyline(spec):
+    loop = ParameterLoop.circle(spec["param"], spec["center"], spec["radius"],
+                                fixed=spec.get("fixed"))
+    return {"kind": "polyline", "points": loop.to_json()}
+
+
+@st.composite
+def _mutated_loop_specs(draw, spec):
+    """``spec`` or its polyline with zero to three mutations, each of
+    which makes it fail before a trace (or names its own kind again): a
+    field of the wrong JSON type, a boolean, a numeric string or a
+    non-finite number, turns beyond MAX_TURNS, an unknown kind or
+    parameter, a missing field, the other kind's name, a vertex that is
+    malformed, names another parameter or leaves the loop open, or no
+    object at all."""
+    spec = copy.deepcopy(spec if draw(st.booleans()) else _polyline(spec))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        if not isinstance(spec, dict):
+            break
+        kind = spec.get("kind", "polyline")
+        fields = _BAD_LOOP_FIELDS.get(kind) if isinstance(kind, str) else None
+        mutation = draw(st.sampled_from(["field", "drop", "kind", "vertex", "spec"]))
+        if mutation == "spec":
+            spec = draw(st.sampled_from(_NOT_SPECS))
+        elif mutation == "kind" or fields is None:
+            spec["kind"] = draw(st.sampled_from(
+                ["square", "", 5, None, True, ["circle"], "circle", "polyline"]))
+        elif mutation == "field":
+            field = draw(st.sampled_from(sorted(fields)))
+            spec[field] = copy.deepcopy(draw(st.sampled_from(fields[field])))
+        elif mutation == "drop":
+            spec.pop(draw(st.sampled_from(_REQUIRED_LOOP_FIELDS[kind])), None)
+        elif kind == "polyline" and isinstance(spec.get("points"), list) and all(
+                isinstance(pt, dict) for pt in spec["points"]) and len(spec["points"]) > 1:
+            points = spec["points"]
+            idx = draw(st.integers(min_value=0, max_value=len(points) - 2))
+            how = draw(st.sampled_from(["value", "name", "open"]))
+            if how == "value" and points[idx]:
+                points[idx][draw(st.sampled_from(sorted(points[idx])))] = draw(
+                    st.sampled_from(_NOT_COMPLEX))
+            elif how == "name":
+                points[idx]["zz"] = 0
+            else:
+                points.pop()
+    return spec
+
+
+# values no field of a family spec takes, and coefficient entries that are
+# no number, [re, im] pair or polynomial in the parameters
+_BAD_FAMILY_FIELDS = {
+    "y_degree": [0, 1, 4, "3", True, None, 3.5, [3]],
+    "params": ["lam", 5, None, {}, [5], ["1x"], ["I"], ["lam", "lam"], ["zz"],
+               ["lam", "mu", "zz"]],
+    "p_coeffs": [5, "lam", None, {}],
+    "q_coeffs": [5, "lam", None, {}, [], [0] * (MAX_X_DEGREE + 2)],
+    "catalogue_id": [5, True, False, [], {}, 0.5],
+}
+_BAD_ENTRIES = [True, False, [True, 0], [0, "1"], "zz", "lam +", "1/lam", "lam**65", None, {},
+                [1, 2, 3], math.nan, math.inf]
+
+
+@st.composite
+def _mutated_families(draw, name, k):
+    """The catalogued family's spec with zero to three mutations, each of
+    which makes it fail before a trace (dropping q_coeffs reads the
+    catalogue instead)."""
+    family = catalogue_family(name, k).to_json()
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        if not isinstance(family, dict):
+            break
+        mutation = draw(st.sampled_from(["field", "entry", "drop", "family"]))
+        coeffs = [f for f in ("p_coeffs", "q_coeffs")
+                  if isinstance(family.get(f), list) and family[f]]
+        if mutation == "family":
+            family = draw(st.sampled_from([[1], 5, None, "cusp", True]))
+        elif mutation == "entry" and coeffs:
+            entries = family[draw(st.sampled_from(coeffs))]
+            entries[draw(st.integers(min_value=0, max_value=len(entries) - 1))] = draw(
+                st.sampled_from(_BAD_ENTRIES))
+        elif mutation == "drop":
+            family.pop(draw(st.sampled_from(["y_degree", "q_coeffs"])), None)
+        else:
+            field = draw(st.sampled_from(sorted(_BAD_FAMILY_FIELDS)))
+            family[field] = copy.deepcopy(draw(st.sampled_from(_BAD_FAMILY_FIELDS[field])))
+    return family
+
+
+@st.composite
+def _monodromy_inputs(draw):
+    name, k, spec = draw(st.sampled_from(_LOOPS))
+    family = draw(st.one_of(st.none(), _mutated_families(name, k)))
+    return name, k, family, draw(_mutated_loop_specs(spec))
+
+
+@given(_monodromy_inputs())
+@settings(max_examples=200, deadline=None)
+def test_mutated_loop_specs_and_family_files_exit_cleanly(inputs):
+    name, k, family, spec = inputs
+    argv = ["monodromy", "--loop", json.dumps(spec)]
+    if family is None:
+        _exits_cleanly(argv + ["--family", name, "--k", str(k)], 1.0)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "family.json"
+        path.write_text(json.dumps(family))
+        _exits_cleanly(argv + ["--family-file", str(path)], 1.0)
+
+
+# catalogued arcs, and --params and --arc texts that fail before a trace
+_ARCS = [("base", 2, {}, "1:3"), ("base", 3, {}, "1:2"),
+         ("cusp", 1, {"lam": 1}, "1:2"), ("tangency", 1, {"lam": 1}, "1:2")]
+_BAD_PARAMS_TEXTS = ["{", "lam=1", "[1", "{'lam': 1}", "[1]", "5", '"lam"', "null", "true"]
+_BAD_ARCS = ["0:1", "1:9", "1:1", "1:x", "1:2:3", ":", "a:b", '{"a":1}', "5", "{}", "null",
+             "true", "[", "[[0,0],true]", '[[0,0],"1"]', "[[NaN,0],[1,0]]",
+             "[[0,0],[Infinity,0]]", "[[0,0],[1,2,3]]", "[]", "[[0,0]]"]
+
+
+@st.composite
+def _admissible_argv(draw):
+    """A catalogued arc with its --params or --arc mutated: a value of the
+    wrong type, a boolean, a numeric string or a non-finite number, an
+    unknown or missing parameter, text that is no JSON, or an arc whose
+    labels or vertices are malformed."""
+    name, k, params, arc = draw(st.sampled_from(_ARCS))
+    params = dict(params)
+    params_text = None
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        mutation = draw(st.sampled_from(["value", "unknown", "missing", "params", "arc"]))
+        if mutation == "value":
+            params[draw(st.sampled_from(sorted(params) or ["lam"]))] = draw(
+                st.sampled_from(_NOT_COMPLEX))
+        elif mutation == "unknown":
+            params["zz"] = 1
+        elif mutation == "missing" and params:
+            params.pop(draw(st.sampled_from(sorted(params))))
+        elif mutation == "params":
+            params_text = draw(st.sampled_from(_BAD_PARAMS_TEXTS))
+        elif mutation == "arc":
+            arc = draw(st.sampled_from(_BAD_ARCS))
+    params_text = params_text or json.dumps(params)
+    return ["admissible", "--family", name, "--k", str(k), "--params", params_text,
+            "--arc", arc]
+
+
+@given(_admissible_argv())
+@settings(max_examples=200, deadline=None)
+def test_mutated_admissible_params_and_arcs_exit_cleanly(argv):
+    _exits_cleanly(argv, 1.0)
 
 
 # entry names of each group, and tokens neither group reads
