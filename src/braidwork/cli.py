@@ -202,8 +202,10 @@ def _arc_from_spec(text: str, family, params) -> list[complex]:
         except DegenerateConfigurationError as exc:  # no labels to read the arc by
             raise ValueError(f"--arc {text!r:.40} labels branch points, but {exc}") from None
         return chord(cfg.point(lo), cfg.point(hi))
-    return [complex_from_json(v, f"--arc vertex {idx}")
-            for idx, v in enumerate(json_value(json.loads(text), list, "--arc"))]
+    vertices = json_value(json.loads(text), list, "--arc")
+    if len(vertices) < 2:
+        raise ValueError(f"--arc needs at least two vertices, got {len(vertices)}")
+    return [complex_from_json(v, f"--arc vertex {idx}") for idx, v in enumerate(vertices)]
 
 
 def cmd_admissible(args) -> int:

@@ -29,8 +29,9 @@ call, at most 36 pairs over S3 and at most (n - 1) * cap pairs over B3.
 A pair the move fixes (g = h) has mask 0 and is skipped.  The search
 itself keeps only codes and letters, so a capped search builds no value
 tuple and no word; once the queue is exhausted, the states are decoded
-from their codes in one pass and their words are built without a second
-letter check, as their letters are in range by construction (a Schreier
+from their codes and their words are built in bulk, by C-level ``map``
+calls with no Python call per state, and without a second letter
+check, as their letters are in range by construction (a Schreier
 vector: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 section 4.1).
 """
@@ -38,9 +39,10 @@ section 4.1).
 from __future__ import annotations
 
 import dataclasses
+from operator import add
 from typing import Callable
 
-from .words import BraidWord, _word_in_range, compose, invert
+from .words import BraidWord, _words_in_range, compose, invert
 
 System = tuple  # an n-tuple of coefficient-group values
 
@@ -146,10 +148,11 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     ``BraidWord``, so a capped search raises ``OrbitCapExceeded`` with
     nothing else built.  Once the queue is exhausted, the codes are
     decoded four entries at a time: each distinct chunk code is read
-    once into its tuple of ``values``, and a state is the concatenation
-    of its chunks' tuples.  Its letters run from 1 to n - 1 by
-    construction, so its word is built without ``BraidWord``'s letter
-    check.
+    once into its tuple of ``values``, and a C-level ``map`` looks every
+    state's chunk up in that dict and joins the chunks' tuples state by
+    state with ``operator.add``.  The letters run from 1 to n - 1 by
+    construction, so ``words._words_in_range`` builds all the words at
+    once, by ``map`` and without ``BraidWord``'s letter check.
     """
     if not base:
         raise ValueError("orbit base must have at least one entry, got an empty tuple")
@@ -195,14 +198,12 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     for start in range(0, n, 4):
         shift, size = width * start, min(4, n - start)
         mask = (1 << width * size) - 1
+        chunks = [code >> shift & mask for code in codes]
         pieces = {c: tuple([values[c >> width * k & id_mask] for k in range(size)])
-                  for c in {code >> shift & mask for code in codes}}
-        if start:
-            states = [state + pieces[code >> shift & mask] for state, code in zip(states, codes)]
-        else:
-            states = [pieces[code & mask] for code in codes]
-    words = [_word_in_range(n, spelled) for spelled in letters]
-    return OrbitTable(base=base, transversal=dict(zip(states, words)))
+                  for c in set(chunks)}
+        decoded = map(pieces.__getitem__, chunks)
+        states = list(map(add, states, decoded)) if start else list(decoded)
+    return OrbitTable(base=base, transversal=dict(zip(states, _words_in_range(n, letters))))
 
 
 def schreier_generators(table: OrbitTable) -> list[BraidWord]:

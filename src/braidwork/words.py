@@ -29,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator
 
 MAX_STRANDS = 64  # largest strand count a JSON word or ledger row may name
@@ -73,14 +75,16 @@ class BraidWord:
         return json_word(data, "word", json_strand_count(data, owner), owner)
 
 
-def _word_in_range(n: int, letters: tuple[int, ...]) -> BraidWord:
-    """The word ``BraidWord(n, letters)`` without its letter check, for a
-    caller that built ``letters`` as a tuple of letters already in range
-    for ``n`` strands."""
-    w = object.__new__(BraidWord)
-    object.__setattr__(w, "n", n)
-    object.__setattr__(w, "letters", letters)
-    return w
+def _words_in_range(n: int, letters: list[tuple[int, ...]]) -> list[BraidWord]:
+    """The words ``BraidWord(n, spelled)`` for each tuple ``spelled`` in
+    ``letters``, without the letter check, for a caller that built each
+    tuple from letters already in range for ``n`` strands.  The objects
+    are made and their two slots filled by C-level ``map`` calls, with
+    no Python frame per word."""
+    words = list(map(object.__new__, repeat(BraidWord, len(letters))))
+    deque(map(BraidWord.n.__set__, words, repeat(n)), 0)
+    deque(map(BraidWord.letters.__set__, words, letters), 0)
+    return words
 
 
 _JSON_KINDS = {

@@ -600,6 +600,11 @@ def _case_id(value):
      "--arc vertex 1 must be a finite number or an [re, im] pair, got '1'"),
     (["monodromy", "--family-file", "boolean_pair.json"],
      "coefficient '[False, True]': not a string, a number or an [re, im] pair"),
+    # a JSON arc of fewer than two vertices
+    (["admissible", "--family", "base", "--k", "2", "--arc", "[]"],
+     "--arc needs at least two vertices, got 0"),
+    (["admissible", "--family", "base", "--k", "2", "--arc", "[[0,0]]"],
+     "--arc needs at least two vertices, got 1"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)

@@ -374,6 +374,16 @@ def _random_s3_base(n):
     return tuple(rng.choice(S3_VALUES) for _ in range(n))
 
 
+def _sparse_base(n, entries, identity):
+    """``entries`` at seeded positions of an n-tuple of ``identity``:
+    a base of 9 to 12 entries, three chunks, whose orbit closes small."""
+    spots = sorted(random.Random(n).sample(range(n), len(entries)))
+    base = [identity] * n
+    for spot, g in zip(spots, entries):
+        base[spot] = g
+    return tuple(base)
+
+
 @pytest.mark.parametrize("base, cap", [
     *[(coxeter_system(n), DEFAULT_ORBIT_CAP) for n in range(2, 9)],
     *[(_random_s3_base(n), DEFAULT_ORBIT_CAP) for n in (6, 7, 8)],
@@ -381,11 +391,19 @@ def _random_s3_base(n):
     *[(artin_system(5), cap) for cap in (1, 40, 1000)],
     (coxeter_system(6), 240),
     (coxeter_system(6), 239),
+    # three chunks of four entries: closing and capped S3 bases, a closing B3 base
+    *[(coxeter_system(n), DEFAULT_ORBIT_CAP) for n in (9, 10)],
+    *[(coxeter_system(n), 5000) for n in (11, 12)],
+    *[(_random_s3_base(n), 3000) for n in (9, 12)],
+    *[(_sparse_base(n, (s, t, r), S3_VALUES[0]), DEFAULT_ORBIT_CAP) for n in range(9, 13)],
+    (_sparse_base(11, (a, b, a), artin_from_word("")), 5000),
 ])
 def test_orbit_matches_the_eager_search(base, cap):
     # the transversal in order, or the cap and the states found at it
     fast = _orbit_outcome(lambda b, c: orbit(b, c).transversal, base, cap)
     assert fast == _orbit_outcome(eager_orbit, base, cap)
+    if isinstance(fast, list):
+        _assert_words_are_checked_words(dict(fast))
 
 
 def test_the_coxeter_orbit_at_n6_closes_at_cap_240():
@@ -398,19 +416,20 @@ def test_the_coxeter_orbit_at_n6_closes_at_cap_240():
 @pytest.mark.parametrize("cap", [40, 5000])
 def test_a_capped_search_builds_no_word(cap, monkeypatch):
     built = []
-    build = hurwitz._word_in_range
+    build = hurwitz._words_in_range
 
     def counted(n, letters):
-        built.append(letters)
+        built.append(list(letters))
         return build(n, letters)
 
-    monkeypatch.setattr(hurwitz, "_word_in_range", counted)
+    monkeypatch.setattr(hurwitz, "_words_in_range", counted)
     with pytest.raises(OrbitCapExceeded) as info:
         orbit(artin_system(5), cap)
     assert (info.value.cap, info.value.seen) == (cap, cap)
     assert built == []
     # a search that closes builds one word per state, once
-    assert len(orbit(artin_system(4), cap)) == len(built) == 27
+    assert len(orbit(artin_system(4), cap)) == 27
+    assert [len(spelled) for spelled in built] == [27]
 
 
 @pytest.mark.parametrize("n, cap", [(4, 1000), (5, 1000), (5, 1), (8, 3)])

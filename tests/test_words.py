@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from braidwork.words import (
     MAX_STRANDS,
     BraidWord,
+    _words_in_range,
     compose,
     conjugate_right,
     invert,
@@ -109,6 +110,34 @@ def test_a_word_is_a_slotted_frozen_value():
     for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
         assert type(twin) is BraidWord
         assert twin == w and hash(twin) == hash(w)
+
+
+@st.composite
+def _strand_count_and_spellings(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    spelled = letters_strategy(n, max_len=12) if n > 1 else st.just(())
+    return n, draw(st.lists(spelled, max_size=8))
+
+
+@given(_strand_count_and_spellings())
+@settings(max_examples=200)
+def test_words_built_in_bulk_are_checked_words(case):
+    # the bulk builder skips the letter check; each word must be the one
+    # the checked constructor gives, and as frozen
+    n, spellings = case
+    built = _words_in_range(n, spellings)
+    assert len(built) == len(spellings)
+    for w, letters in zip(built, spellings):
+        checked = BraidWord(n, letters)
+        assert type(w) is BraidWord
+        assert w == checked and hash(w) == hash(checked)
+        assert repr(w) == repr(checked)
+        twin = pickle.loads(pickle.dumps(w))
+        assert type(twin) is BraidWord and twin == checked
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.n = n + 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.letters = ()
 
 
 @given(words_strategy(4))
