@@ -375,8 +375,8 @@ def _random_s3_base(n):
 
 
 def _sparse_base(n, entries, identity):
-    """``entries`` at seeded positions of an n-tuple of ``identity``:
-    a base of 9 to 12 entries, three chunks, whose orbit closes small."""
+    """``entries`` at seeded positions of an n-tuple of ``identity``; with
+    few entries that are not the identity, the orbit closes small at any n."""
     spots = sorted(random.Random(n).sample(range(n), len(entries)))
     base = [identity] * n
     for spot, g in zip(spots, entries):
@@ -419,7 +419,7 @@ def test_a_capped_search_builds_no_word(cap, monkeypatch):
     build = hurwitz._words_in_range
 
     def counted(n, letters):
-        built.append(list(letters))
+        built.append(letters)
         return build(n, letters)
 
     monkeypatch.setattr(hurwitz, "_words_in_range", counted)
