@@ -577,15 +577,11 @@ def branch_points(family: WeierstrassFamily, t: dict[str, complex]) -> BranchCon
 # Catalogued families
 
 
-def _monomial_q(k: int, shift: str | complex = 0, linear: str | complex = 0) -> list:
-    """Coefficient array of x^k + linear * x + shift."""
-    if k < 1:
-        raise ValueError("x-degree must be positive")
-    if k == 1:
-        if linear != 0:
-            raise ValueError("cannot merge a linear term into x^1")
-        return [shift, 1]
-    return [shift, linear] + [0] * (k - 2) + [1]
+def _monomial_q(k: int, low: list) -> list:
+    """Coefficient array of x^k plus the entries ``low`` below it, constant first."""
+    if len(low) > k:
+        raise ValueError(f"cannot merge {len(low)} lower terms into x^{k}")
+    return low + [0] * (k - len(low)) + [1]
 
 
 def merge_point(k: int) -> complex:
@@ -628,24 +624,24 @@ def catalogue_family(name: str, k: int = 1) -> WeierstrassFamily:
     if name == "tangency":
         return WeierstrassFamily(2, ("lam",), (), ("lam", 0, -1), catalogue_id="tangency")
     if name == "base":
-        return WeierstrassFamily(3, (), (1,), _monomial_q(k), catalogue_id=f"base:{k}")
+        return WeierstrassFamily(3, (), (1,), _monomial_q(k, []), catalogue_id=f"base:{k}")
     if name == "ray":
-        return WeierstrassFamily(3, ("lam", "mu"), (1,), _monomial_q(k, "-lam", f"-{k}*mu"),
+        return WeierstrassFamily(3, ("lam", "mu"), (1,), _monomial_q(k, ["-lam", f"-{k}*mu"]),
                                  catalogue_id=f"ray:{k}")
     if name == "circle":
-        return WeierstrassFamily(3, ("lam",), ("1 - lam",), _monomial_q(k, "-I*lam"),
+        return WeierstrassFamily(3, ("lam",), ("1 - lam",), _monomial_q(k, ["-I*lam"]),
                                  catalogue_id=f"circle:{k}")
     if name == "cusp_merge":
-        return WeierstrassFamily(3, ("mu",), ("-mu/3",), _monomial_q(k, "-mu - I"),
+        return WeierstrassFamily(3, ("mu",), ("-mu/3",), _monomial_q(k, ["-mu - I"]),
                                  catalogue_id=f"cusp_merge:{k}")
     if name == "double_point":
         return WeierstrassFamily(3, ("eps", "alpha"), ("-alpha*eps", "eps"),
-                                 _monomial_q(k, "-I"), catalogue_id=f"double_point:{k}")
+                                 _monomial_q(k, ["-I"]), catalogue_id=f"double_point:{k}")
     if name == "pair_merge":
         return WeierstrassFamily(
             3, ("t1", "t2", "w", "s0", "alpha"),
             ("-alpha*s0*t1 - t1 + 1", "s0*t1"),
-            _monomial_q(k, "-I*t2 - w"),
+            _monomial_q(k, ["-I*t2 - w"]),
             catalogue_id=f"pair_merge:{k}",
         )
     if name == "tame":

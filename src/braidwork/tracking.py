@@ -83,16 +83,16 @@ z = roots + (new_roots - roots) * f.  Each root moved at most gap/4, so
 every |z_j - z_k| is at least max(gap (1 - f/2), new_gap - (1 - f) gap/2).
 If the inclusion discs D(z_j, m |w_j|) of the vertex's row
 (``families._corrections``) are pairwise at least ``COLLISION_TOL``
-apart by that bound, each holds one root and the vertex passes; if not,
-the discs are tried once more about z - w.  A vertex neither certifies,
-as a row of another length never is, is solved alone by
-``families.branch_roots``, with its collision test and message.  Any
-error, whether a vertex's values or row, the start solve, a vertex check
-or the trace raises it, hands the loop to ``branch_roots`` over all
-vertices, so of several failing vertices the first in input order
-raises; a loop whose vertices all pass raises its own error.  No check
-steers the trace, so it moves no crossing.  ``refine_roots``
-in this module is called by the trials alone, once per trial.
+apart by that bound, each holds one root and the vertex passes.  A
+vertex they do not certify, as a row of another length never is, is
+solved alone by ``families.branch_roots``, with its collision test and
+message.  Any error, whether a vertex's values or row, the start solve,
+a vertex check or the trace raises it, hands the loop to
+``branch_roots`` over all vertices, so of several failing vertices the
+first in input order raises; a loop whose vertices all pass raises its
+own error.  No check steers the trace, so it moves no crossing.
+``refine_roots`` in this module is called by the trials alone, once per
+trial.
 
 Traces share no state.
 """
@@ -211,26 +211,19 @@ def _certified(row: list[complex], roots: list[complex], new_roots: list[complex
                gap: float, new_gap: float, f: float) -> bool:
     """Whether inclusion discs certify the coefficients ``row`` from the
     roots interpolated at fraction ``f`` of an accepted step, from
-    ``roots`` (smallest gap ``gap``) to ``new_roots`` (``new_gap``), or
-    else from those less their Weierstrass corrections: each disc holds
-    one of its roots, and every two discs are at least ``COLLISION_TOL``
-    apart."""
+    ``roots`` (smallest gap ``gap``) to ``new_roots`` (``new_gap``): each
+    disc holds one of its roots, and every two discs are at least
+    ``COLLISION_TOL`` apart."""
     if len(row) != len(roots) + 1:
         return False
     z = [a + (b - a) * f for a, b in zip(roots, new_roots)]
     # every root moved at most gap/4, which bounds each pair of z from below
     apart = max(gap * (1 - f / 2), new_gap - (1 - f) * gap / 2)
     try:
-        for _ in range(2):  # at z, then at z less its corrections
-            w = _corrections(row, z)
-            sizes = [abs(c) for c in w]
-            if all(len(z) * r <= (apart - COLLISION_TOL) / 2 for r in sizes):
-                return True
-            apart -= 2 * max(sizes)  # each point moves by its correction
-            z = [x - c for x, c in zip(z, w)]
+        w = _corrections(row, z)
     except ArithmeticError:  # a product overflowed or vanished
-        pass
-    return False
+        return False
+    return all(len(z) * abs(c) <= (apart - COLLISION_TOL) / 2 for c in w)
 
 
 def _track_once(
@@ -300,7 +293,7 @@ def _track_once(
             return None
         for r in swaps:
             strand_low, strand_high = ranks[r], ranks[r + 1]
-            crossings.append(_emit(r, strand_low, strand_high, roots, new_roots, rot, s, h))
+            crossings.append(_emit(r, strand_low, strand_high, rotated, new_rotated, s, h))
             ranks[r], ranks[r + 1] = ranks[r + 1], ranks[r]
         while vertex < len(rows) and vertex / len(rows) <= trial:
             f = (vertex / len(rows) - s) / h
@@ -339,14 +332,13 @@ def _emit(
     r: int,
     strand_low: int,
     strand_high: int,
-    roots: list[complex],
-    new_roots: list[complex],
-    rot: complex,
+    rotated: list[complex],
+    new_rotated: list[complex],
     s: float,
     h: float,
 ) -> Crossing:
-    a0, a1 = roots[strand_low] * rot, new_roots[strand_low] * rot
-    b0, b1 = roots[strand_high] * rot, new_roots[strand_high] * rot
+    a0, a1 = rotated[strand_low], new_rotated[strand_low]
+    b0, b1 = rotated[strand_high], new_rotated[strand_high]
     d0 = b0.real - a0.real
     d1 = b1.real - a1.real
     denom = d0 - d1
@@ -434,8 +426,11 @@ class ParameterLoop:
         fixed: dict[str, complex] | None = None,
         start_angle: float = 0.0,
     ) -> "ParameterLoop":
-        """``turns`` times round the circle in ``param`` (clockwise when
-        negative), the other parameters held at ``fixed``."""
+        """``turns`` times round the circle of positive ``radius`` in
+        ``param`` (clockwise when negative), the other parameters held at
+        ``fixed``."""
+        if not radius > 0:
+            raise ValueError(f"circle loop radius must be positive, got {radius!r:.40}")
         if not (isinstance(turns, int) and not isinstance(turns, bool)
                 and 0 < abs(turns) <= MAX_TURNS):
             raise ValueError(

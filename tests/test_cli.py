@@ -605,6 +605,10 @@ def _case_id(value):
      "--arc needs at least two vertices, got 0"),
     (["admissible", "--family", "base", "--k", "2", "--arc", "[[0,0]]"],
      "--arc needs at least two vertices, got 1"),
+    # a circle of negative radius, which would start at the antipode
+    (["monodromy", "--family", "circle", "--k", "2", "--loop",
+      '{"kind":"circle","param":"lam","radius":-0.5}'],
+     "circle loop radius must be positive, got -0.5"),
 ], ids=_case_id)
 def test_malformed_inputs_are_usage_errors(argv, named, tmp_path, monkeypatch, capsys):
     _write_malformed_inputs(tmp_path)
@@ -757,6 +761,52 @@ def test_mutated_ledgers_exit_cleanly_within_a_cpu_budget(ledger):
         _exits_cleanly(["verify", "identities", "--ledger", str(path)], 2.0)
 
 
+# verify scopes, valid and junk; ledger files in a temporary directory
+# ("{tmp}" in an argument), the directory itself, and flags verify does not take
+_JUNK_SCOPES = ["", "ALL", "identity", "report", "-1"]
+_LEDGER_PATHS = ["{tmp}/missing.json", "{tmp}", "{tmp}/malformed.json", "{tmp}/dumped.json",
+                 "{tmp}/failing.json"]
+_UNKNOWN_FLAGS = ["--verbose", "--cap=3", "-x", "--ledger-file=a.json", "--"]
+
+
+@st.composite
+def _verify_argv(draw):
+    """verify on a valid or junk scope with --ledger and --dump-ledger
+    alone, together or neither; a ledger that is missing, a directory,
+    malformed, failing or a fresh --dump-ledger output; --format and
+    --out into a file or the directory itself; and an unknown flag."""
+    junk = draw(st.integers(0, 4)) == 0
+    argv = ["verify", draw(st.sampled_from(_JUNK_SCOPES if junk else [*SCOPES, "all"]))]
+    option = draw(st.sampled_from(["none", "ledger", "dump", "both"]))
+    if option in ("ledger", "both"):
+        argv += ["--ledger", draw(st.sampled_from(_LEDGER_PATHS))]
+    if option in ("dump", "both"):
+        argv += ["--dump-ledger", draw(st.sampled_from(["{tmp}/dump.json", "{tmp}"]))]
+    if draw(st.booleans()):
+        argv.append("--format=" + draw(st.sampled_from(["json", "text", "yaml"])))
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["{tmp}/out.txt", "{tmp}"]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_UNKNOWN_FLAGS)))
+    return argv
+
+
+@given(_verify_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_verify_commands_exit_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp)
+        (path / "malformed.json").write_text('[{"id": "x", "n": 3, "lhs": [1], ')
+        (path / "failing.json").write_text(
+            json.dumps([{"id": "x", "n": 3, "lhs": [1], "rhs": [2]}]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "identities", "--dump-ledger", str(path / "dumped.json")]) == 0
+        try:
+            _exits_cleanly([arg.format(tmp=tmp) for arg in argv], 2.0)
+        except SystemExit as exc:  # argparse's usage errors
+            assert exc.code == 2
+
+
 def _exits_cleanly(argv, budget):
     """main(argv) in this process exits 0, 1 or 2, with 'error: ' on
     stderr exactly for 2, no traceback and at most ``budget`` CPU seconds."""
@@ -783,7 +833,7 @@ _NOT_COMPLEX = [True, False, "0.5", "1", None, {}, [1], [1, 2, 3], [1, True], ["
 _BAD_LOOP_FIELDS = {
     "circle": {
         "center": _NOT_COMPLEX,
-        "radius": [True, "1", None, [1], {}, math.nan, math.inf, 10**400],
+        "radius": [True, "1", None, [1], {}, math.nan, math.inf, 10**400, 0, -0.0, -0.5],
         "param": [5, True, None, ["lam"], "zz", ""],
         "turns": [0, MAX_TURNS + 1, -MAX_TURNS - 1, 10**9, 1.5, True, "1", None],
         "fixed": [[0], 5, "mu", {"zz": 0}] + [{"mu": v} for v in _NOT_COMPLEX],

@@ -524,14 +524,27 @@ def test_a_loop_whose_vertices_differ_in_degree_raises_in_its_first_trial():
         track_loop(family, loop)
 
 
-def test_a_loop_with_no_degenerate_vertex_solves_only_its_start():
-    """Every vertex of the k = 3 ray loop is certified by the discs of the
-    step that passes it: the only root solve is the trace's start."""
+def test_a_loop_solves_its_start_and_each_vertex_its_discs_refuse():
+    """Of the 53 vertices after the start of the first k = 3 ray loop, the
+    discs of the step that passes each refuse 2: the root solves are the
+    trace's start and those two, and the braid is the one traced with no
+    vertex certified."""
     _, family, loop = _catalogued_loops(3)[1][0]
-    with mock.patch.object(families, "_companion_roots",
-                           wraps=families._companion_roots) as companion:
-        track_loop(family, loop)
-    assert companion.call_count == 1
+    certified, verdicts = tracking._certified, []
+
+    def record(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    with mock.patch.object(tracking, "_certified", record), \
+            mock.patch.object(families, "_companion_roots",
+                              wraps=families._companion_roots) as companion:
+        trace = track_loop(family, loop)
+    assert len(verdicts) == len(loop.points) - 2 == 53
+    assert verdicts.count(False) == 2
+    assert companion.call_count == 1 + verdicts.count(False)
+    with mock.patch.object(tracking, "_certified", return_value=False):
+        assert track_loop(family, loop) == trace
 
 
 def test_a_vertex_the_discs_cannot_certify_is_solved_alone():
@@ -597,10 +610,9 @@ def test_a_certified_vertex_has_one_root_in_each_disc(case):
 @pytest.mark.parametrize("others", [[], [3], [3, 4j, -2 - 2j, 1 + 3j]])
 def test_the_discs_refuse_a_double_root_between_two_points(others):
     """Points at +-a about a double root at 0, the others on their roots:
-    the corrections are +-a/2 at +-a, and +-a/4 at +-a/2 after one
-    correction, so the two discs of radius m |w| never part; at m = 2
-    they just touch, and any smaller factor would certify the double
-    root."""
+    the corrections are +-a/2 at +-a, so the two discs of radius m |w|
+    do not part; at m = 2 they just touch, and any smaller factor would
+    certify the double root."""
     m = 2 + len(others)
     for a in (1e-6, 0.01, 0.5):
         row, start, new, gap, new_gap, f = _disc_case(
