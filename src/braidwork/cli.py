@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -75,6 +76,15 @@ def _family_from_args(args):
         with open(args.family_file) as fh:
             return WeierstrassFamily.from_json(json.load(fh))
     return catalogue_family(args.family, args.k)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that cannot be opened as a file -- a directory,
+    or a path whose parent directory is missing -- before any check runs."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ValueError(f"--out {path!r} is in a missing directory")
 
 
 def _emit(cert: Certificate, args) -> int:
@@ -402,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,20 +9,21 @@ over either group can be enumerated and hashed by the orbit machinery.
 Each type also states its group's ``order`` (None for the infinite
 braid group), which bounds the value ids of ``hurwitz.orbit``.
 
-Each group keeps the cheapest faithful key for equality and hashing:
-the six permutations are interned objects, compared by identity and
-multiplied by tables that ``words.pmul`` and ``words.pinv`` fill from
-the words spelling them (``_SPELLINGS``, the one place S3 is written
-down); a three-strand braid is its image in SL(2, Z) together with its
-exponent sum, multiplied as a 2x2 integer matrix, and spelled for output
-in its Garside normal form, read off the key in one pass.
+Each group's values are the cheapest faithful key for equality and
+hashing: the six permutations are interned objects, compared by
+identity and multiplied by tables that ``words.pmul`` and ``words.pinv``
+fill from the words spelling them (``_SPELLINGS``, the one place S3 is
+written down); a three-strand braid is the key itself, a tuple of its
+image in SL(2, Z) and its exponent sum, hashed and compared as a tuple
+in C, multiplied as a 2x2 integer matrix, and spelled for output in its
+Garside normal form, read off the key in one pass.
 
 Elements are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from operator import itemgetter
 
 from .words import BraidWord, Perm, permutation_image, pinv, pmul
 
@@ -103,46 +104,55 @@ def perm_from_name(name: str) -> Perm3:
     return _PERM3_BY_NAME[name]
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Artin3:
+class Artin3(tuple):
     """An element of the two-generator group <a, b | a b a = b a b>.
 
-    Realized inside Br_3 by a -> sigma_1, b -> sigma_2 and stored as the
-    key (p, q, r, s, e): the image [[p, q], [r, s]] in SL(2, Z) under
-    a -> [[1, 1], [0, 1]], b -> [[1, 0], [-1, 1]], and the exponent sum
-    e.  The key is faithful: the kernel of Br_3 -> SL(2, Z) is generated
-    by Delta^4, which is central with exponent sum 12, so two braids with
-    the same matrix differ by a power of Delta^4 that e detects
-    (Kassel-Turaev, Braid Groups, GTM 247).  Products are taken in
-    writing order.  ``render`` and ``to_json`` spell the element
-    canonically, in its left normal form.
+    Realized inside Br_3 by a -> sigma_1, b -> sigma_2, a value is the
+    key (p, q, r, s, e), a tuple of five ints: the image [[p, q], [r, s]]
+    in SL(2, Z) under a -> [[1, 1], [0, 1]], b -> [[1, 0], [-1, 1]], and
+    the exponent sum e.  The key is faithful: the kernel of
+    Br_3 -> SL(2, Z) is generated by Delta^4, which is central with
+    exponent sum 12, so two braids with the same matrix differ by a power
+    of Delta^4 that e detects (Kassel-Turaev, Braid Groups, GTM 247).
+    Products are taken in writing order.  ``render`` and ``to_json`` spell
+    the element canonically, in its left normal form.
+
+    As the value is its key, with no instance dict, equality and hashing
+    are the tuple's own, in C, and a product or inverse is built by one
+    ``tuple.__new__`` with no ``__init__`` run.  The fields are read by
+    name through read-only properties, and pickling and copying rebuild
+    a value from them (``__getnewargs__``).
     """
 
-    p: int
-    q: int
-    r: int
-    s: int
-    e: int
+    __slots__ = ()
     order = None  # the group is infinite
+    p = property(itemgetter(0))
+    q = property(itemgetter(1))
+    r = property(itemgetter(2))
+    s = property(itemgetter(3))
+    e = property(itemgetter(4))
+
+    def __new__(cls, p: int, q: int, r: int, s: int, e: int) -> "Artin3":
+        return tuple.__new__(cls, (p, q, r, s, e))
+
+    def __getnewargs__(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __mul__(self, other: "Artin3") -> "Artin3":
-        p, q, r, s = self.p, self.q, self.r, self.s
-        return Artin3(
-            p * other.p + q * other.r,
-            p * other.q + q * other.s,
-            r * other.p + s * other.r,
-            r * other.q + s * other.s,
-            self.e + other.e,
-        )
+        p, q, r, s, e = self
+        p2, q2, r2, s2, e2 = other
+        return tuple.__new__(Artin3, (p * p2 + q * r2, p * q2 + q * s2,
+                                      r * p2 + s * r2, r * q2 + s * s2, e + e2))
 
     def inverse(self) -> "Artin3":
-        return Artin3(self.s, -self.q, -self.r, self.p, -self.e)
+        p, q, r, s, e = self
+        return tuple.__new__(Artin3, (s, -q, -r, p, -e))
 
     def to_perm3(self) -> Perm3:
         """The image under the quotient a -> s, b -> t, which factors
         through SL(2, Z) -> SL(2, F_2), isomorphic to S3; the exponent
         sum e is not read."""
-        p, q, r, s = self.p, self.q, self.r, self.s
+        p, q, r, s, _ = self
         if p * s - q * r != 1:
             raise _not_a_key(self)
         return _PERM3_OF_MOD2[p & 1, q & 1, r & 1, s & 1]
@@ -157,7 +167,7 @@ class Artin3:
         try:
             return f"Artin3({self.render()})"
         except ValueError:  # not a key: name the bare fields
-            return f"Artin3{dataclasses.astuple(self)}"
+            return f"Artin3{tuple(self)}"
 
 
 # the letters of a word in a = sigma_1 and b = sigma_2; capitals are inverses
@@ -168,7 +178,7 @@ _DELTA = (1, 2, 1)  # a b a -> [[0, 1], [-1, 0]]; its square is -I
 
 def _not_a_key(key: Artin3) -> ValueError:
     # the bare fields, as a key that is no braid has no spelling
-    return ValueError(f"not the key of a three-strand braid: {dataclasses.astuple(key)}")
+    return ValueError(f"not the key of a three-strand braid: {tuple(key)}")
 
 
 def _spell(key: Artin3) -> tuple[int, ...]:
@@ -181,7 +191,7 @@ def _spell(key: Artin3) -> tuple[int, ...]:
     column operations, followed by the power of Delta^4 that makes the
     exponent sum come out to e.
     """
-    p, q, r, s = key.p, key.q, key.r, key.s
+    p, q, r, s, e = key
     if p * s - q * r != 1:
         raise _not_a_key(key)
     ops: list[int] = []  # letters right-multiplied so far
@@ -203,7 +213,7 @@ def _spell(key: Artin3) -> tuple[int, ...]:
     letters = list(_DELTA * 2) if p < 0 else []
     letters.extend([2 if p * r < 0 else -2] * abs(r))
     letters.extend(-c for c in reversed(ops))
-    twists, rest = divmod(key.e - sum(1 if c > 0 else -1 for c in letters), 12)
+    twists, rest = divmod(e - sum(1 if c > 0 else -1 for c in letters), 12)
     if rest:
         raise _not_a_key(key)
     delta4 = _DELTA * 4 if twists > 0 else tuple(-c for c in _DELTA * 4)

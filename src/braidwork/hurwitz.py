@@ -34,11 +34,19 @@ calls with no Python call per state, and without a second letter
 check, as their letters are in range by construction (a Schreier
 vector: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 section 4.1).
+
+``orbit`` runs with CPython's cyclic garbage collector paused.  CPython
+starts a collection by counting the containers allocated since the last
+one, whether or not they stay tracked, and an orbit allocates a few per
+state; but nothing it builds can form a cycle (see ``orbit``), so each
+of those collections would traverse the growing tables and free
+nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 from operator import add
 from typing import Callable
 
@@ -153,6 +161,20 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     state with ``operator.add``.  The letters run from 1 to n - 1 by
     construction, so ``words._words_in_range`` builds all the words at
     once, by ``map`` and without ``BraidWord``'s letter check.
+
+    The search, the decode and the word build run with the cyclic
+    collector paused: ``gc.disable()`` inside the ``try``, and in the
+    ``finally`` ``gc.enable()`` only if the collector was enabled on
+    entry, so a caller that paused it finds it paused.  No cycle can
+    arise meanwhile, as every object made refers only to objects made
+    before it: int codes, letter tuples of ints, value tuples, the
+    dicts and lists holding them, ``BraidWord``s of an int and a letter
+    tuple, and group values, which are interned ``Perm3``s or
+    ``Artin3`` tuples of ints.  ``intern`` refers to ``ids`` and
+    ``values`` alone, and an exception raised out of the search refers
+    to this frame, which never refers to it.  So a collection could free
+    nothing here; the young collection that the allocations have earned
+    runs after the call.
     """
     if not base:
         raise ValueError("orbit base must have at least one entry, got an empty tuple")
@@ -172,38 +194,44 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
             values.append(value)
         return k
 
-    code = sum(intern(g) << width * j for j, g in enumerate(base))
-    seen = {code}
-    codes = [code]
-    letters = [()]
-    moves: dict[int, int] = {}
-    positions = [(i, width * (i - 1)) for i in range(1, n)]
-    for code, prefix in zip(codes, letters):
-        for i, shift in positions:
-            pair = code >> shift & pair_mask
-            try:
-                flip = moves[pair]
-            except KeyError:
-                left, right = act_letter(1, 1, (values[pair & id_mask], values[pair >> width]))
-                flip = moves[pair] = pair ^ (intern(left) | intern(right) << width)
-            if not flip:
-                continue
-            image = code ^ flip << shift
-            if image not in seen:
-                if len(codes) >= cap:
-                    raise OrbitCapExceeded(cap, len(codes))
-                seen.add(image)
-                codes.append(image)
-                letters.append((i,) + prefix)
-    for start in range(0, n, 4):
-        shift, size = width * start, min(4, n - start)
-        mask = (1 << width * size) - 1
-        chunks = [code >> shift & mask for code in codes]
-        pieces = {c: tuple([values[c >> width * k & id_mask] for k in range(size)])
-                  for c in set(chunks)}
-        decoded = map(pieces.__getitem__, chunks)
-        states = list(map(add, states, decoded)) if start else list(decoded)
-    return OrbitTable(base=base, transversal=dict(zip(states, _words_in_range(n, letters))))
+    collecting = gc.isenabled()
+    try:
+        gc.disable()
+        code = sum(intern(g) << width * j for j, g in enumerate(base))
+        seen = {code}
+        codes = [code]
+        letters = [()]
+        moves: dict[int, int] = {}
+        positions = [(i, width * (i - 1)) for i in range(1, n)]
+        for code, prefix in zip(codes, letters):
+            for i, shift in positions:
+                pair = code >> shift & pair_mask
+                try:
+                    flip = moves[pair]
+                except KeyError:
+                    left, right = act_letter(1, 1, (values[pair & id_mask], values[pair >> width]))
+                    flip = moves[pair] = pair ^ (intern(left) | intern(right) << width)
+                if not flip:
+                    continue
+                image = code ^ flip << shift
+                if image not in seen:
+                    if len(codes) >= cap:
+                        raise OrbitCapExceeded(cap, len(codes))
+                    seen.add(image)
+                    codes.append(image)
+                    letters.append((i,) + prefix)
+        for start in range(0, n, 4):
+            shift, size = width * start, min(4, n - start)
+            mask = (1 << width * size) - 1
+            chunks = [code >> shift & mask for code in codes]
+            pieces = {c: tuple([values[c >> width * k & id_mask] for k in range(size)])
+                      for c in set(chunks)}
+            decoded = map(pieces.__getitem__, chunks)
+            states = list(map(add, states, decoded)) if start else list(decoded)
+        return OrbitTable(base=base, transversal=dict(zip(states, _words_in_range(n, letters))))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def schreier_generators(table: OrbitTable) -> list[BraidWord]:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidwork
+from braidwork import cli
 from braidwork.catalog import ledger_to_json, verify_identities
 from braidwork.certificates import Certificate
 from braidwork.cli import CHECKS, SCOPES, main
@@ -177,6 +178,25 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("command", [["report"], ["verify", "all"]], ids=" ".join)
+@pytest.mark.parametrize("out, named", [
+    ("{tmp}", "is a directory"),
+    ("{tmp}/missing/cert.json", "is in a missing directory"),
+], ids=["directory", "missing-parent"])
+def test_an_unwritable_out_fails_before_any_check_runs(command, out, named, tmp_path,
+                                                        monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "_run", lambda checks: runs.append(checks) or [])
+    path = out.format(tmp=tmp_path)
+    code = main(command + ["--format", "json", "--out", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --out {path!r} {named}\n"
+    assert captured.out == ""
+    assert runs == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_scopes_come_from_the_check_table(capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pickle
 import random
@@ -234,6 +235,61 @@ def test_render_rejects_a_key_that_is_no_braid(fields):
             key.to_perm3()
     else:  # the quotient does not read the exponent sum
         assert key.to_perm3() is PERM3_E
+
+
+# keys of braids, one with entries past 2**64, and keys that are no braid
+VALUES = [ARTIN3_IDENTITY, ARTIN3_A, ARTIN3_B.inverse(), artin_from_word("abbaBBA"),
+          artin_from_braid(BraidWord(3, (1, -2) * 60)), Artin3(2, 0, 0, 1, 0),
+          Artin3(1, 0, 0, 1, 5)]
+
+
+@pytest.mark.parametrize("x", VALUES, ids=repr)
+@pytest.mark.parametrize("round_trip", [
+    *(lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy,
+    copy.deepcopy,
+], ids=[*(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "copy", "deepcopy"])
+def test_artin3_values_survive_pickling_and_copying(x, round_trip):
+    y = round_trip(x)
+    assert type(y) is Artin3
+    assert y == x and hash(y) == hash(x)
+    assert (y.p, y.q, y.r, y.s, y.e) == (x.p, x.q, x.r, x.s, x.e)
+    assert repr(y) == repr(x)
+    assert y * ARTIN3_A == x * ARTIN3_A
+
+
+def test_artin3_fields_cannot_be_set():
+    x = artin_from_word("ab")
+    for field in ("p", "q", "r", "s", "e", "order"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    assert x == artin_from_word("ab")
+
+
+@given(artin_words(), artin_words())
+@settings(max_examples=200)
+def test_equal_keys_compare_and_hash_equal(u, v):
+    x = artin_from_word(u) * artin_from_word(v)
+    key = Artin3(x.p, x.q, x.r, x.s, x.e)
+    assert key == x and hash(key) == hash(x)
+    assert key == artin_from_word(u + v) and hash(key) == hash(artin_from_word(u + v))
+    assert key.inverse() == x.inverse() and hash(key.inverse()) == hash(x.inverse())
+    assert len({key, x, artin_from_word(u + v)}) == 1
+    # x Delta^4 has x's matrix, and its key differs in e alone
+    twisted = Artin3(x.p, x.q, x.r, x.s, x.e + 12)
+    assert twisted == x * artin_from_braid(BraidWord(3, DELTA4)) and twisted != x
+
+
+def test_the_repr_of_a_key_that_is_no_braid_names_its_fields():
+    assert repr(Artin3(2, 0, 0, 1, 0)) == "Artin3(2, 0, 0, 1, 0)"
+    assert repr(Artin3(1, 0, 0, 1, 5)) == "Artin3(1, 0, 0, 1, 5)"
+    assert repr(Artin3(-1, 0, 0, -1, -3)) == "Artin3(-1, 0, 0, -1, -3)"
+    # a key that is a braid is spelled
+    assert repr(ARTIN3_A) == "Artin3(a)"
+    assert repr(ARTIN3_A.inverse()) == "Artin3(ABAab)"
 
 
 @given(artin_words(20))

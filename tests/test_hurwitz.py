@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 from collections import deque
@@ -430,6 +431,76 @@ def test_a_capped_search_builds_no_word(cap, monkeypatch):
     # a search that closes builds one word per state, once
     assert len(orbit(artin_system(4), cap)) == 27
     assert [len(spelled) for spelled in built] == [27]
+
+
+class _FailingProduct:
+    """A group value whose product raises, to end a search by an error."""
+
+    __slots__ = ()
+    order = None
+
+    def __mul__(self, other):
+        raise ArithmeticError("no product")
+
+    def inverse(self):
+        return self
+
+
+def _closes():
+    assert len(orbit(coxeter_system(6))) == 240
+
+
+def _hits_its_cap():
+    with pytest.raises(OrbitCapExceeded):
+        orbit(artin_system(5), 40)
+
+
+def _fails_in_a_product():
+    with pytest.raises(ArithmeticError, match="no product"):
+        orbit((_FailingProduct(), _FailingProduct()))
+
+
+@pytest.fixture
+def restore_collector():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("search", [_closes, _hits_its_cap, _fails_in_a_product],
+                         ids=lambda search: search.__name__.strip("_"))
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_orbit_leaves_the_collector_as_it_found_it(search, enabled, restore_collector):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    search()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("base, cap", [(coxeter_system(5), DEFAULT_ORBIT_CAP),
+                                       (artin_system(4), 100), (artin_system(5), 40)])
+def test_the_search_runs_with_the_collector_paused(base, cap, restore_collector, monkeypatch):
+    gc.enable()
+    seen = []
+    plain_act_letter = hurwitz.act_letter
+
+    def observing_act_letter(*args):
+        seen.append(gc.isenabled())
+        return plain_act_letter(*args)
+
+    monkeypatch.setattr(hurwitz, "act_letter", observing_act_letter)
+    try:
+        orbit(base, cap)
+    except OrbitCapExceeded:
+        pass
+    assert seen and not any(seen)
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("n, cap", [(4, 1000), (5, 1000), (5, 1), (8, 3)])
