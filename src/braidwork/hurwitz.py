@@ -36,11 +36,11 @@ vector: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 section 4.1).
 
 ``orbit`` runs with CPython's cyclic garbage collector paused.  CPython
-starts a collection by counting the containers allocated since the last
-one, whether or not they stay tracked, and an orbit allocates a few per
-state; but nothing it builds can form a cycle (see ``orbit``), so each
-of those collections would traverse the growing tables and free
-nothing.
+starts a young collection once the containers allocated since the last
+one, less those freed, pass a threshold, whether or not they stay
+tracked, and an orbit keeps a few per state; but nothing it builds can
+form a cycle (see ``orbit``), so those collections would traverse the
+growing tables and free nothing.
 """
 
 from __future__ import annotations

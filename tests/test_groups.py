@@ -243,7 +243,7 @@ VALUES = [ARTIN3_IDENTITY, ARTIN3_A, ARTIN3_B.inverse(), artin_from_word("abbaBB
           Artin3(1, 0, 0, 1, 5)]
 
 
-@pytest.mark.parametrize("x", VALUES, ids=repr)
+@pytest.mark.parametrize("x", VALUES, ids=["1", "a", "B", "abbaBBA", "(aB)^60", "det2", "e5"])
 @pytest.mark.parametrize("round_trip", [
     *(lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
