@@ -153,12 +153,12 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     order, as packed codes and as word letters (i,) + prefix, and are
     read front to back while the search appends to them, so together
     they are the FIFO queue.  The search builds no value tuple and no
-    ``BraidWord``, so a capped search raises ``OrbitCapExceeded`` with
-    nothing else built.  Once the queue is exhausted, the codes are
-    decoded four entries at a time: each distinct chunk code is read
-    once into its tuple of ``values``, and a C-level ``map`` looks every
-    state's chunk up in that dict and joins the chunks' tuples state by
-    state with ``operator.add``.  The letters run from 1 to n - 1 by
+    ``BraidWord``, so a capped search ends with nothing else built.
+    Once the queue is exhausted, the codes are decoded four entries at
+    a time: each distinct chunk code is read once into its tuple of
+    ``values``, and a C-level ``map`` looks every state's chunk up in
+    that dict and joins the chunks' tuples state by state with
+    ``operator.add``.  The letters run from 1 to n - 1 by
     construction, so ``words._words_in_range`` builds all the words at
     once, by ``map`` and without ``BraidWord``'s letter check.
 
@@ -172,14 +172,34 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
     tuple, and group values, which are interned ``Perm3``s or
     ``Artin3`` tuples of ints.  ``intern`` refers to ``ids`` and
     ``values`` alone, and an exception raised out of the search refers
-    to this frame, which never refers to it.  So a collection could free
-    nothing here; the young collection that the allocations have earned
-    runs after the call.
+    to the search's frame, which never refers to it.  So a collection
+    could free nothing here.  The search, decode and word build are
+    ``_transversal``; ``orbit`` builds the ``OrbitTable``, or the
+    ``OrbitCapExceeded``, only once the collector is back on.  That
+    allocation starts the collection the search has earned, so it runs
+    at the end of this call, and not at whatever allocation comes next
+    in the caller's code.  A capped search returns None rather than
+    raising, so the exception's traceback holds none of its tables.
     """
     if not base:
         raise ValueError("orbit base must have at least one entry, got an empty tuple")
     if cap < 1:
         raise ValueError(f"orbit cap must be at least 1, got {cap}")
+    collecting = gc.isenabled()
+    try:
+        gc.disable()
+        transversal = _transversal(base, cap)
+    finally:
+        if collecting:
+            gc.enable()
+    if transversal is None:
+        raise OrbitCapExceeded(cap, cap)
+    return OrbitTable(base=base, transversal=transversal)
+
+
+def _transversal(base: System, cap: int) -> dict[System, BraidWord] | None:
+    """The transversal of ``orbit``, or None once the search meets a
+    state beyond the first ``cap``."""
     n = len(base)
     order = base[0].order
     width = (n + cap if order is None else min(n + cap, order)).bit_length()
@@ -194,44 +214,38 @@ def orbit(base: System, cap: int = DEFAULT_ORBIT_CAP) -> OrbitTable:
             values.append(value)
         return k
 
-    collecting = gc.isenabled()
-    try:
-        gc.disable()
-        code = sum(intern(g) << width * j for j, g in enumerate(base))
-        seen = {code}
-        codes = [code]
-        letters = [()]
-        moves: dict[int, int] = {}
-        positions = [(i, width * (i - 1)) for i in range(1, n)]
-        for code, prefix in zip(codes, letters):
-            for i, shift in positions:
-                pair = code >> shift & pair_mask
-                try:
-                    flip = moves[pair]
-                except KeyError:
-                    left, right = act_letter(1, 1, (values[pair & id_mask], values[pair >> width]))
-                    flip = moves[pair] = pair ^ (intern(left) | intern(right) << width)
-                if not flip:
-                    continue
-                image = code ^ flip << shift
-                if image not in seen:
-                    if len(codes) >= cap:
-                        raise OrbitCapExceeded(cap, len(codes))
-                    seen.add(image)
-                    codes.append(image)
-                    letters.append((i,) + prefix)
-        for start in range(0, n, 4):
-            shift, size = width * start, min(4, n - start)
-            mask = (1 << width * size) - 1
-            chunks = [code >> shift & mask for code in codes]
-            pieces = {c: tuple([values[c >> width * k & id_mask] for k in range(size)])
-                      for c in set(chunks)}
-            decoded = map(pieces.__getitem__, chunks)
-            states = list(map(add, states, decoded)) if start else list(decoded)
-        return OrbitTable(base=base, transversal=dict(zip(states, _words_in_range(n, letters))))
-    finally:
-        if collecting:
-            gc.enable()
+    code = sum(intern(g) << width * j for j, g in enumerate(base))
+    seen = {code}
+    codes = [code]
+    letters = [()]
+    moves: dict[int, int] = {}
+    positions = [(i, width * (i - 1)) for i in range(1, n)]
+    for code, prefix in zip(codes, letters):
+        for i, shift in positions:
+            pair = code >> shift & pair_mask
+            try:
+                flip = moves[pair]
+            except KeyError:
+                left, right = act_letter(1, 1, (values[pair & id_mask], values[pair >> width]))
+                flip = moves[pair] = pair ^ (intern(left) | intern(right) << width)
+            if not flip:
+                continue
+            image = code ^ flip << shift
+            if image not in seen:
+                if len(codes) >= cap:
+                    return None
+                seen.add(image)
+                codes.append(image)
+                letters.append((i,) + prefix)
+    for start in range(0, n, 4):
+        shift, size = width * start, min(4, n - start)
+        mask = (1 << width * size) - 1
+        chunks = [code >> shift & mask for code in codes]
+        pieces = {c: tuple([values[c >> width * k & id_mask] for k in range(size)])
+                  for c in set(chunks)}
+        decoded = map(pieces.__getitem__, chunks)
+        states = list(map(add, states, decoded)) if start else list(decoded)
+    return dict(zip(states, _words_in_range(n, letters)))
 
 
 def schreier_generators(table: OrbitTable) -> list[BraidWord]:

@@ -1,6 +1,7 @@
 import gc
 import pickle
 import random
+import traceback
 from collections import deque
 
 import pytest
@@ -501,6 +502,36 @@ def test_the_search_runs_with_the_collector_paused(base, cap, restore_collector,
         pass
     assert seen and not any(seen)
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_collection_an_orbit_earns_runs_inside_the_call(enabled, restore_collector):
+    gc.collect()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    if not enabled:
+        gc.disable()
+    gc.callbacks.append(count)
+    try:
+        table = orbit(coxeter_system(7))
+        during = len(starts)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(table) > gc.get_threshold()[0]
+    assert during == (1 if enabled else 0)
+
+
+def test_a_capped_orbit_keeps_none_of_its_search_tables():
+    with pytest.raises(OrbitCapExceeded) as caught:
+        orbit(artin_system(5), 1000)
+    assert caught.value.seen == 1000
+    frames = [frame for frame, _ in traceback.walk_tb(caught.value.__traceback__)]
+    assert frames[-1].f_code.co_name == "orbit"
+    assert not any({"seen", "codes", "letters"} & frame.f_locals.keys() for frame in frames)
 
 
 @pytest.mark.parametrize("n, cap", [(4, 1000), (5, 1000), (5, 1), (8, 3)])
